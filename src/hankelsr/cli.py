@@ -32,7 +32,7 @@ from .checks import run_all
 from .diagnostics import AssumptionReport, assumption_report
 from .hankel import choose_dims
 from .model import build_signal, measure, sample_subspace, synth_model
-from .solver import SolverConfig, solve
+from .solver import SolverConfig, relative_error, solve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -223,7 +223,11 @@ def cmd_run(cfg: ExperimentConfig) -> int:
 
     out = cfg.out or "run_trace.csv"
     write_trace(out, trace, include_timing=cfg.timing)
-    final = trace.records[-1]
+    # After a divergence solve returns its best iterate, not the last one the
+    # trace records, so the final figures are taken from the returned estimate.
+    iterations = trace.records[-1].iteration
+    final_residual = float(np.linalg.norm(measure(X_hat, B) - y))
+    final_rel_error = relative_error(X_hat, X_true)
     _write_sidecar(out + ".meta.json", {
         "command": "run",
         "version": __version__,
@@ -234,18 +238,18 @@ def cmd_run(cfg: ExperimentConfig) -> int:
         "step_size": cfg.step_size, "max_iters": cfg.max_iters,
         "residual_tol": cfg.tol, "complex_subspace": cfg.complex_subspace,
         "termination": trace.termination,
-        "iterations": final.iteration,
-        "final_residual": final.residual,
-        "final_rel_error": final.rel_error,
+        "iterations": iterations,
+        "final_residual": final_residual,
+        "final_rel_error": final_rel_error,
         "timing": {
             "total_s": total_s,
             "per_record_elapsed_s": [rec.elapsed_s for rec in trace.records],
         },
     })
     print(f"run n={n} s={s} r={r} seed={cfg.seed} mode={cfg.mode} "
-          f"variant={cfg.variant}: {trace.termination} after {final.iteration} "
-          f"iterations, residual={final.residual:.3e}, "
-          f"rel_error={final.rel_error:.3e}, trace={out}")
+          f"variant={cfg.variant}: {trace.termination} after {iterations} "
+          f"iterations, residual={final_residual:.3e}, "
+          f"rel_error={final_rel_error:.3e}, trace={out}")
     return EXIT_DIVERGED if trace.termination.startswith("diverged") else EXIT_OK
 
 
@@ -255,17 +259,16 @@ def _run_trial(cfg: ExperimentConfig, n: int, s: int, r: int, trial: int) -> Tri
     try:
         mdl, dims, B, X_true, y = synth_instance(n, s, r, derived, cfg.n1,
                                                  cfg.complex_subspace)
-        _, trace = solve(y, B, dims, cfg.solver_config(r, derived),
-                         ground_truth=X_true)
-        rec = trace.records[-1]
+        X_hat, trace = solve(y, B, dims, cfg.solver_config(r, derived),
+                             ground_truth=X_true)
+        rel_error = relative_error(X_hat, X_true)  # of the returned estimate
         report = assumption_report(mdl, B, dims) if cfg.with_report else None
         return TrialRecord(
             n=n, s=s, r=r, trial=trial, derived_seed=derived,
-            rel_error=rec.rel_error, iterations=rec.iteration,
+            rel_error=rel_error, iterations=trace.records[-1].iteration,
             termination=trace.termination,
             elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-            success=rec.rel_error is not None and rec.rel_error < cfg.success_tol,
-            report=report)
+            success=rel_error < cfg.success_tol, report=report)
     except ValueError as exc:
         return TrialRecord(
             n=n, s=s, r=r, trial=trial, derived_seed=derived, rel_error=None,

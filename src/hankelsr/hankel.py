@@ -142,48 +142,75 @@ def adjoint_lift_isometric(Z: np.ndarray, dims: HankelDims) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # FFT-based matrix-free products with the lifted matrix
 # ---------------------------------------------------------------------------
+#
+# Every batch of transforms below runs along the last, contiguous axis, and
+# sums over signal rows or factors are taken on the spectra, before the
+# inverse transform: by linearity the sum of inverse transforms is the
+# inverse transform of the sum, so one inverse FFT serves the whole sum.
+
+
+def _fft_last(a: np.ndarray, L: int) -> np.ndarray:
+    """Zero-padded length-L FFTs along the last axis of a, on contiguous data.
+
+    np.fft keeps the memory order of its input, so transforms of a strided
+    view would come out strided too; a C-ordered copy keeps them contiguous.
+    """
+    return np.fft.fft(np.ascontiguousarray(a), L, axis=-1)
+
+
+def _check_block(v: np.ndarray, length: int) -> tuple[np.ndarray, bool]:
+    """View a vector or a (length, k) block as a block; flag the vector case."""
+    v = np.asarray(v)
+    single = v.ndim == 1
+    vv = v[:, None] if single else v
+    if vv.ndim != 2 or vv.shape[0] != length:
+        raise ValueError(f"expected vector(s) of length {length}, got shape {v.shape}")
+    return vv, single
 
 
 def lift_matvec(X: np.ndarray, v: np.ndarray, dims: HankelDims) -> np.ndarray:
     """Compute lift(X) @ v without materializing the lifted matrix.
 
     Row block i of the product is sum_j x_{i+j} v[j], a cross-correlation of
-    each of the s signal rows with v, evaluated with FFTs of length the next
-    power of two >= n.  v may be a vector of length n2 or an (n2, k) block.
+    each of the s signal rows with each column of v, evaluated with FFTs of
+    length the next power of two >= n: s + k forward and s*k inverse
+    transforms for k columns.  v may be a vector of length n2 or an (n2, k)
+    block; a block product is returned column-major, the layout LAPACK's QR
+    works in.
     """
     X = _check_signal(X, dims)
-    v = np.asarray(v)
-    single = v.ndim == 1
-    vv = v[:, None] if single else v
-    if vv.ndim != 2 or vv.shape[0] != dims.n2:
-        raise ValueError(f"expected vector(s) of length {dims.n2}, got shape {v.shape}")
+    vv, single = _check_block(v, dims.n2)
+    k = vv.shape[1]
     L = _next_pow2(dims.n)
-    Fx = np.fft.fft(X, L, axis=1)  # (s, L)
-    Fv = np.fft.fft(vv[::-1, :], L, axis=0)  # (L, k)
-    conv = np.fft.ifft(Fx[:, :, None] * Fv[None, :, :], axis=1)
-    blocks = conv[:, dims.n2 - 1:dims.n2 - 1 + dims.n1, :]  # (s, n1, k)
-    out = blocks.transpose(1, 0, 2).reshape(dims.s * dims.n1, -1)
+    Fx = _fft_last(X, L)  # (s, L)
+    Fv = _fft_last(vv[::-1].T, L)  # (k, L)
+    conv = np.fft.ifft(Fx[:, None, :] * Fv[None, :, :], axis=-1)  # (s, k, L)
+    blocks = conv[:, :, dims.n2 - 1:dims.n2 - 1 + dims.n1]  # (s, k, n1)
+    # Entry (i*s + a, j) is blocks[a, j, i]; laying blocks out as (k, n1, s)
+    # makes each column of the product contiguous.
+    out = np.ascontiguousarray(blocks.transpose(1, 2, 0)).reshape(k, -1).T
     return out[:, 0] if single else out
 
 
 def lift_rmatvec(X: np.ndarray, u: np.ndarray, dims: HankelDims) -> np.ndarray:
     """Compute lift(X)^H @ u matrix-free; adjoint companion of ``lift_matvec``.
 
-    u may be a vector of length s*n1 or an (s*n1, k) block.
+    Column j of the product sums, over the s signal rows, the correlation of
+    that row with the matching rows of the j-th column of u.  The sum is taken
+    on the spectra, so k columns cost s + s*k forward and only k inverse
+    transforms.  u may be a vector of length s*n1 or an (s*n1, k) block; a
+    block product is returned column-major.
     """
     X = _check_signal(X, dims)
-    u = np.asarray(u)
-    single = u.ndim == 1
-    uu = u[:, None] if single else u
-    if uu.ndim != 2 or uu.shape[0] != dims.s * dims.n1:
-        raise ValueError(f"expected vector(s) of length {dims.s * dims.n1}, got shape {u.shape}")
+    uu, single = _check_block(u, dims.s * dims.n1)
     k = uu.shape[1]
-    W = np.conj(uu.reshape(dims.n1, dims.s, k)).transpose(1, 0, 2)  # (s, n1, k)
+    W = np.conj(uu.reshape(dims.n1, dims.s, k)).transpose(1, 2, 0)  # (s, k, n1)
     L = _next_pow2(dims.n)
-    Fx = np.fft.fft(X, L, axis=1)  # (s, L)
-    Fw = np.fft.fft(W[:, ::-1, :], L, axis=1)  # (s, L, k)
-    conv = np.fft.ifft(Fx[:, :, None] * Fw, axis=1)
-    out = np.conj(conv[:, dims.n1 - 1:dims.n1 - 1 + dims.n2, :].sum(axis=0))  # (n2, k)
+    Fx = _fft_last(X, L)  # (s, L)
+    Fw = _fft_last(W[:, :, ::-1], L)  # (s, k, L)
+    Fw *= Fx[:, None, :]
+    conv = np.fft.ifft(Fw.sum(axis=0), axis=-1)  # (k, L)
+    out = np.conj(conv[:, dims.n1 - 1:dims.n1 - 1 + dims.n2]).T  # (n2, k)
     return out[:, 0] if single else out
 
 
@@ -191,20 +218,23 @@ def adjoint_lift_lowrank(U: np.ndarray, sigma: np.ndarray, V: np.ndarray,
                          dims: HankelDims) -> np.ndarray:
     """Adjoint lift of a factored matrix U @ diag(sigma) @ V^H, via FFTs.
 
-    Costs O(k s n log n) for k factors instead of O(s n1 n2).
+    Row a of the result sums, over the k factors, the convolution of the a-th
+    rows of the blocks of U with sigma_j conj(V[:, j]).  sigma is folded into
+    the spectrum of V and the sum is taken on the spectra, so the cost is
+    s*k + k forward and s inverse transforms: O(k s n log n) instead of the
+    O(s n1 n2) of a dense lift.
     """
     k = len(sigma)
     if k == 0:
         return np.zeros((dims.s, dims.n), dtype=complex)
     if U.shape != (dims.s * dims.n1, k) or V.shape != (dims.n2, k):
         raise ValueError("factor shapes inconsistent with dims")
-    Ub = U.reshape(dims.n1, dims.s, k)
     L = _next_pow2(dims.n)
-    Fu = np.fft.fft(Ub, L, axis=0)  # (L, s, k)
-    Fv = np.fft.fft(np.conj(V), L, axis=0)  # (L, k)
-    prod = Fu * (Fv[:, None, :] * np.asarray(sigma)[None, None, :])
-    conv = np.fft.ifft(prod, axis=0)[:dims.n]  # (n, s, k)
-    return conv.sum(axis=2).T  # (s, n)
+    Fu = _fft_last(U.reshape(dims.n1, dims.s, k).transpose(1, 2, 0), L)  # (s, k, L)
+    Fv = _fft_last(np.conj(V).T, L)  # (k, L)
+    Fv *= np.asarray(sigma)[:, None]
+    Fu *= Fv[None, :, :]
+    return np.fft.ifft(Fu.sum(axis=1), axis=-1)[:, :dims.n]  # (s, n)
 
 
 def pinv_lift_lowrank(U: np.ndarray, sigma: np.ndarray, V: np.ndarray,

@@ -102,6 +102,20 @@ def _trim(U: np.ndarray, sigma: np.ndarray, V: np.ndarray, r: int) -> LowRankFac
     return LowRankFactors(U=U[:, :k], sigma=sigma[:k].astype(float), V=V[:, :k])
 
 
+def _stack_columns(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """[left, right] built column-major, the order LAPACK factorizes in.
+
+    np.linalg.qr copies a C-ordered input into column-major order with
+    strided reads; an input that is column-major already is copied
+    contiguously.
+    """
+    m, k = left.shape
+    out = np.empty((m, k + right.shape[1]), dtype=np.result_type(left, right), order="F")
+    out[:, :k] = left
+    out[:, k:] = right
+    return out
+
+
 def truncate_rank(W: np.ndarray, r: int) -> LowRankFactors:
     """Best rank-r approximation factors of a dense matrix (truncated SVD)."""
     W = np.asarray(W)
@@ -140,7 +154,9 @@ def truncate_rank_operator(matvec: Callable[[np.ndarray], np.ndarray],
     r + oversample, alternating orthonormalized products) until the leading
     singular values stabilize to the relative tolerance, then raises
     ``RankTruncationError`` if the cap is hit first.  matvec and
-    adjoint_matvec must accept (dim, k) blocks.
+    adjoint_matvec must accept (dim, k) blocks; products returned
+    column-major, as the hankel FFT products are, reach the QRs without a
+    strided copy (see ``_stack_columns``).
     """
     controls = controls or SubspaceControls()
     m, p = shape
@@ -195,13 +211,15 @@ def project_tangent_truncate(matvec: Callable[[np.ndarray], np.ndarray],
     C = matvec(V)  # (m, k) = M V
     A = adjoint_matvec(U).conj().T  # (k, p) = U^H M
     AV = A @ V  # (k, k)
-    B = C - U @ AV  # (m, k), orthogonal to U
-    D = A.conj().T - V @ AV.conj().T  # (p, k), orthogonal to V
     # Orthonormal completions of U and V along B and D: Householder QR of the
     # stacked blocks stays orthonormal to machine precision even when B or D
     # are (nearly) rank-deficient, which plain qr(B) does not guarantee.
-    Q1 = np.linalg.qr(np.hstack([U, B]))[0][:, k:]
-    Q2 = np.linalg.qr(np.hstack([V, D]))[0][:, k:]
+    UB = _stack_columns(U, C - U @ AV)
+    VD = _stack_columns(V, A.conj().T - V @ AV.conj().T)
+    B = UB[:, k:]  # (m, k), orthogonal to U
+    D = VD[:, k:]  # (p, k), orthogonal to V
+    Q1 = np.linalg.qr(UB)[0][:, k:]
+    Q2 = np.linalg.qr(VD)[0][:, k:]
     R1 = Q1.conj().T @ B
     R2 = Q2.conj().T @ D
     core = np.block([[AV, R2.conj().T],

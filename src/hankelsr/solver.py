@@ -162,8 +162,8 @@ def _lowrank_rmatvec(factors: LowRankFactors, u: np.ndarray) -> np.ndarray:
     return factors.V @ t
 
 
-def _step_algorithm1(X, factors, y, B, dims, config):
-    resid_vec = measure(X, B) - y
+def _step_algorithm1(X, factors, y, B, dims, config, residual):
+    resid_vec = measure(X, B) - y if residual is None else residual
     Xt = X - config.step_size * adjoint_measure(resid_vec, B)
     if not np.all(np.isfinite(Xt)):
         raise DivergenceError("gradient update is not finite")
@@ -182,9 +182,11 @@ def _step_algorithm1(X, factors, y, B, dims, config):
     return X_new, new, float(np.linalg.norm(resid_vec))
 
 
-def _step_weighted(X, factors, y, B, dims, config):
+def _step_weighted(X, factors, y, B, dims, config, residual):
     # Iteration carried on the lifted matrix through the isometric lift; its
-    # data vector weights each observation by sqrt(w_j).
+    # data vector weights each observation by sqrt(w_j).  Its residual is
+    # taken at the weighted de-lift of the factors, not at X, so a residual
+    # passed for X is not used.
     y_w = np.sqrt(dims.weights.astype(float)) * y
     if factors.rank == 0:
         resid_vec = -y_w
@@ -212,14 +214,17 @@ def _step_weighted(X, factors, y, B, dims, config):
 
 def iterate_once(X: np.ndarray, y: np.ndarray, B: np.ndarray, dims: HankelDims,
                  config: SolverConfig, factors: LowRankFactors | None = None,
-                 iteration: int | None = None) -> tuple[np.ndarray, StepInfo]:
+                 iteration: int | None = None, residual: np.ndarray | None = None,
+                 ) -> tuple[np.ndarray, StepInfo]:
     """One solver iteration from X (and the carried rank-r factors).
 
     When no factors are supplied they are recomputed as the rank-r truncation
     of lift(X); inside ``solve`` the factors produced by the previous
     truncation are carried instead, which also keeps the fast path free of
-    dense lifts.  Raises ``DivergenceError`` (naming the iteration when
-    given) if the update stops being finite.
+    dense lifts.  Likewise ``residual``, the data residual measure(X, B) - y,
+    is computed here unless the caller passes it; ``solve`` passes the one it
+    evaluated for its trace.  Raises ``DivergenceError`` (naming the
+    iteration when given) if the update stops being finite.
     """
     config.validate()
     X = np.asarray(X)
@@ -229,7 +234,7 @@ def iterate_once(X: np.ndarray, y: np.ndarray, B: np.ndarray, dims: HankelDims,
             raise DivergenceError("iterate is not finite")
         if factors is None:
             factors = truncate_rank(hankel.lift(X, dims), config.rank)
-        X_new, new_factors, grad_resid = step(X, factors, y, B, dims, config)
+        X_new, new_factors, grad_resid = step(X, factors, y, B, dims, config, residual)
         if not np.all(np.isfinite(X_new)):
             raise DivergenceError("iterate is not finite")
     except DivergenceError as exc:
@@ -248,13 +253,17 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
     at max_iters, or on divergence (residual growing well past its running
     minimum, or a non-finite iterate), in which case the best iterate by
     residual is returned.  The trace carries the residual, the relative error
-    against ``ground_truth`` when supplied, and wall-clock timestamps.
+    against ``ground_truth`` when supplied, and wall-clock timestamps.  Raises
+    ``ValueError`` before any work when y or B has the wrong shape or a
+    non-finite entry.
     """
     config.validate()
     y = np.asarray(y)
     B = np.asarray(B)
     if B.shape != (dims.s, dims.n) or y.shape != (dims.n,):
         raise ValueError("y/B shapes inconsistent with dims")
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(B))):
+        raise ValueError("y and B must be finite")
 
     y_norm = float(np.linalg.norm(y))
     denom = y_norm if y_norm > 0 else 1.0
@@ -265,7 +274,8 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
 
     X, factors = _initialize_factors(y, B, dims, config.rank,
                                      method=config.init_method, seed=config.seed)
-    resid = float(np.linalg.norm(measure(X, B) - y))
+    resid_vec = measure(X, B) - y
+    resid = float(np.linalg.norm(resid_vec))
     trace = ConvergenceTrace()
     trace.records.append(TraceRecord(0, resid, rel_err(X),
                                      time.perf_counter() - t_start))
@@ -276,13 +286,16 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
     termination = "max_iters"
     for t in range(1, config.max_iters + 1):
         try:
-            X_new, info = iterate_once(X, y, B, dims, config,
-                                       factors=factors, iteration=t)
+            X_new, info = iterate_once(X, y, B, dims, config, factors=factors,
+                                       iteration=t, residual=resid_vec)
         except (DivergenceError, np.linalg.LinAlgError) as exc:
             termination = f"diverged: {exc}"
             X = best_X
             break
-        resid = float(np.linalg.norm(measure(X_new, B) - y))
+        # Evaluated once: it is the trace's residual of X_new and the gradient
+        # residual of the next step.
+        resid_vec = measure(X_new, B) - y
+        resid = float(np.linalg.norm(resid_vec))
         trace.records.append(TraceRecord(t, resid, rel_err(X_new),
                                          time.perf_counter() - t_start))
         if resid < best_resid:

@@ -5,8 +5,10 @@ import json
 import numpy as np
 
 from hankelsr.cli import (SEED_DERIVATION_ZERO, TrialRecord, aggregate_sweep,
-                          main, seed_derivation, write_trace)
-from hankelsr.solver import ConvergenceTrace, TraceRecord
+                          main, seed_derivation, synth_instance, write_trace)
+from hankelsr.model import measure
+from hankelsr.solver import (ConvergenceTrace, SolverConfig, TraceRecord,
+                             relative_error, solve)
 
 # frozen regression value for the documented test vector
 SEED_ZERO_CONSTANT = 12035550249420947055
@@ -31,6 +33,21 @@ class TestSeedDerivation:
 
 def run_cli(*args):
     return main(list(args))
+
+
+# A fast-mode run that diverges: `--n 48 --s 4 --r 2 --seed 2 --step-size 40`.
+DIVERGING = ["--n", "48", "--s", "4", "--r", "2", "--seed", "2", "--step-size", "40",
+             "--max-iters", "100", "--mode", "fast"]
+
+
+def solve_diverging():
+    """What solve returns on the DIVERGING instance, plus that instance's B, y, truth."""
+    derived = seed_derivation(2, 0)
+    _, dims, B, X_true, y = synth_instance(48, 4, 2, derived)
+    X_hat, trace = solve(y, B, dims, SolverConfig(
+        rank=2, max_iters=100, residual_tol=1e-10, mode="fast", step_size=40.0,
+        seed=derived))
+    return X_hat, trace, B, y, X_true
 
 
 class TestRun:
@@ -79,6 +96,19 @@ class TestRun:
                        "--out", str(out))
         assert code == 2
         assert out.exists()  # trace still written
+
+    def test_divergence_reports_the_returned_estimate(self, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        assert run_cli("run", *DIVERGING, "--out", str(out)) == 2
+        X_hat, trace, B, y, X_true = solve_diverging()
+        meta = json.loads((tmp_path / "trace.csv.meta.json").read_text())
+        assert meta["final_rel_error"] == relative_error(X_hat, X_true)
+        assert meta["final_residual"] == float(np.linalg.norm(measure(X_hat, B) - y))
+        assert meta["iterations"] == trace.records[-1].iteration
+        # the last trace row is the diverged iterate, far from the returned one
+        last_err = float(out.read_text().strip().split("\n")[-1].split(",")[2])
+        assert last_err > 1e3 * meta["final_rel_error"]
+        assert f"rel_error={meta['final_rel_error']:.3e}" in capsys.readouterr().out
 
     def test_usage_error_exit_code(self):
         assert run_cli("run", "--n", "0") == 1
@@ -143,6 +173,14 @@ class TestSweep:
                  for row in summary[1:]}
         assert rates[("32", "2", "2")] == 1.0
         assert rates[("32", "2", "20")] == 0.0
+
+    def test_diverged_trial_reports_the_returned_estimate(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", *DIVERGING, "--trials", "1", "--out", str(out)) == 0
+        X_hat, _, _, _, X_true = solve_diverging()
+        row = out.read_text().strip().split("\n")[1]
+        assert row.split(",")[5] == repr(relative_error(X_hat, X_true))
+        assert "diverged" in row and row.endswith(",0")
 
     def test_aggregate_is_pure_function_of_records(self):
         def rec(n, trial, success):

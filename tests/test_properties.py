@@ -1,0 +1,106 @@
+"""Property tests: the FFT products and the tangent truncation against dense oracles."""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from hankelsr.hankel import (adjoint_lift, adjoint_lift_lowrank, choose_dims,
+                             lift, lift_matvec, lift_rmatvec)
+from hankelsr.lowrank import (LowRankFactors, TangentSpace, project_tangent,
+                              project_tangent_truncate, truncate_rank)
+
+# Few, reproducible examples: each draws a fresh shape, so a handful covers
+# the edge splits without slowing the suite.
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
+
+
+def crandn(rng, *shape):
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+
+@st.composite
+def lifts(draw):
+    """A random signal and split: s=1, n1 in {1, n}, odd and non-power-of-two n."""
+    n = draw(st.integers(2, 40))
+    s = draw(st.integers(1, 4))
+    n1 = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = choose_dims(n, s, n1)
+    return dims, crandn(rng, s, n), k, rng
+
+
+def assert_close(actual, expected):
+    scale = max(1.0, float(np.max(np.abs(expected), initial=0.0)))
+    np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-12 * scale)
+
+
+@PROPERTY
+@given(lifts(), st.booleans())
+def test_lift_matvec_matches_dense(case, vector):
+    dims, X, k, rng = case
+    v = crandn(rng, dims.n2) if vector else crandn(rng, dims.n2, k)
+    out = lift_matvec(X, v, dims)
+    assert out.shape == (dims.s * dims.n1,) + (() if vector else (k,))
+    assert out.flags.f_contiguous  # column-major, as the QRs downstream want
+    assert_close(out, lift(X, dims) @ v)
+
+
+@PROPERTY
+@given(lifts(), st.booleans())
+def test_lift_rmatvec_matches_dense(case, vector):
+    dims, X, k, rng = case
+    m = dims.s * dims.n1
+    u = crandn(rng, m) if vector else crandn(rng, m, k)
+    out = lift_rmatvec(X, u, dims)
+    assert out.shape == (dims.n2,) + (() if vector else (k,))
+    assert out.flags.f_contiguous
+    assert_close(out, lift(X, dims).conj().T @ u)
+
+
+@PROPERTY
+@given(lifts())
+def test_adjoint_lift_lowrank_matches_dense(case):
+    dims, _, k, rng = case
+    U = crandn(rng, dims.s * dims.n1, k)
+    V = crandn(rng, dims.n2, k)
+    sigma = np.sort(rng.uniform(0.1, 2.0, k))[::-1]
+    assert_close(adjoint_lift_lowrank(U, sigma, V, dims),
+                 adjoint_lift((U * sigma) @ V.conj().T, dims))
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3),
+       st.sampled_from(["zero", "rank_one", "random"]),
+       st.sampled_from(["zero", "rank_one", "random"]))
+def test_project_tangent_truncate_degenerate_off_tangent_blocks(seed, k, b_kind, d_kind):
+    """P_T(M) = U A + B V^H with B or D zero or rank-deficient still truncates exactly."""
+    rng = np.random.default_rng(seed)
+    m, p = 5 * k + 3, 4 * k + 2
+    U = np.linalg.qr(crandn(rng, m, k))[0]
+    V = np.linalg.qr(crandn(rng, p, k))[0]
+    Pu, Pv = np.eye(m) - U @ U.conj().T, np.eye(p) - V @ V.conj().T
+
+    def off_tangent(kind, P, rows):
+        if kind == "zero":
+            return np.zeros((rows, k), dtype=complex)
+        if kind == "rank_one":
+            return np.outer(P @ crandn(rng, rows), crandn(rng, k))
+        return P @ crandn(rng, rows, k)
+
+    # M = U (core V^H + D^H) + B V^H + (a part the tangent projection removes),
+    # so that M V - U U^H M V = B and (I - V V^H) M^H U = D.
+    B = off_tangent(b_kind, Pu, m)
+    D = off_tangent(d_kind, Pv, p)
+    core = crandn(rng, k, k)
+    M = U @ (core @ V.conj().T + D.conj().T) + B @ V.conj().T + Pu @ crandn(rng, m, p) @ Pv
+    T = TangentSpace(U=U, V=V)
+    r = k
+    svals = np.linalg.svd(project_tangent(M, T), compute_uv=False)
+    assume(svals[r - 1] - svals[r] > 1e-6 * svals[0])  # a well-defined rank-r truncation
+
+    got = project_tangent_truncate(lambda x: M @ x, lambda x: M.conj().T @ x, T, r)
+    # Re-validating the factors re-runs LowRankFactors' orthonormality check.
+    LowRankFactors(U=got.U, sigma=got.sigma, V=got.V)
+    want = truncate_rank(project_tangent(M, T), r).reconstruct()
+    np.testing.assert_allclose(got.reconstruct(), want, rtol=0, atol=1e-10 * svals[0])

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from hankelsr import solver
 from hankelsr.diagnostics import spectral_distance
 from hankelsr.hankel import choose_dims, lift, pinv_lift
 from hankelsr.model import (adjoint_measure, build_signal, measure,
                             sample_subspace, synth_model)
 from hankelsr.solver import (ConvergenceTrace, DivergenceError, SolverConfig,
-                             initialize, iterate_once, relative_error, solve)
+                             _initialize_factors, initialize, iterate_once,
+                             relative_error, solve)
 
 
 def crandn(rng, *shape):
@@ -206,3 +208,46 @@ class TestSolve:
         dims = choose_dims(16, 2)
         with pytest.raises(ValueError):
             solve(np.zeros(8), np.zeros((2, 16)), dims, SolverConfig(rank=1))
+
+    @pytest.mark.parametrize("mode", ["dense", "fast"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_input_rejected_up_front(self, mode, bad, monkeypatch):
+        dims, B, _, y = make_instance(32, 2, 2, 16)
+        cfg = SolverConfig(rank=2, mode=mode)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("solve started work on non-finite input")
+
+        monkeypatch.setattr(solver, "_initialize_factors", no_work)
+        y_bad = y.copy()
+        y_bad[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solve(y_bad, B, dims, cfg)
+        B_bad = B.copy()
+        B_bad[1, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solve(y, B_bad, dims, cfg)
+
+    @pytest.mark.parametrize("mode", ["dense", "fast"])
+    def test_residual_evaluated_once_per_iteration(self, mode, monkeypatch):
+        dims, B, X_true, y = make_instance(48, 2, 2, 17)
+        cfg = SolverConfig(rank=2, max_iters=6, mode=mode, step_size=0.5)
+        # Reference: the same iteration with every step evaluating its own residual.
+        X, factors = _initialize_factors(y, B, dims, 2)
+        expected = [float(np.linalg.norm(measure(X, B) - y))]
+        for t in range(1, 7):
+            X, info = iterate_once(X, y, B, dims, cfg, factors=factors, iteration=t)
+            factors = info.factors
+            expected.append(float(np.linalg.norm(measure(X, B) - y)))
+
+        calls = []
+
+        def counted(X, B):
+            calls.append(1)
+            return measure(X, B)
+
+        monkeypatch.setattr(solver, "measure", counted)
+        _, trace = solve(y, B, dims, cfg)
+        assert trace.termination == "max_iters"
+        assert len(calls) == len(trace.records)  # the initialization plus one per iteration
+        assert [rec.residual for rec in trace.records] == expected
