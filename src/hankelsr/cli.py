@@ -239,6 +239,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
         "residual_tol": cfg.tol, "complex_subspace": cfg.complex_subspace,
         "termination": trace.termination,
         "iterations": iterations,
+        "returned_iteration": trace.returned_iteration,
         "final_residual": final_residual,
         "final_rel_error": final_rel_error,
         "timing": {

@@ -14,6 +14,7 @@ large matrix never needs to be materialized on the fast execution path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -147,6 +148,8 @@ def adjoint_lift_isometric(Z: np.ndarray, dims: HankelDims) -> np.ndarray:
 # sums over signal rows or factors are taken on the spectra, before the
 # inverse transform: by linearity the sum of inverse transforms is the
 # inverse transform of the sum, so one inverse FFT serves the whole sum.
+# Products with the same lifted matrix share the spectrum of its signal
+# through a SignalSpectrum.
 
 
 def _fft_last(a: np.ndarray, L: int) -> np.ndarray:
@@ -156,6 +159,30 @@ def _fft_last(a: np.ndarray, L: int) -> np.ndarray:
     view would come out strided too; a C-ordered copy keeps them contiguous.
     """
     return np.fft.fft(np.ascontiguousarray(a), L, axis=-1)
+
+
+@dataclass(frozen=True, eq=False)
+class SignalSpectrum:
+    """A signal X with the zero-padded FFT of its rows, computed on first use.
+
+    ``lift_matvec`` and ``lift_rmatvec`` accept one in place of X, so that
+    several products with lift(X) pay for the s forward transforms of X once.
+    X must not change while the spectrum is in use.
+    """
+
+    X: np.ndarray
+
+    @cached_property
+    def F(self) -> np.ndarray:
+        return _fft_last(self.X, _next_pow2(self.X.shape[-1]))  # (s, L)
+
+
+def _row_spectrum(X, dims: HankelDims) -> np.ndarray:
+    """Length-L FFTs of the rows of a signal, or the cached ones of a SignalSpectrum."""
+    if isinstance(X, SignalSpectrum):
+        _check_signal(X.X, dims)
+        return X.F
+    return _fft_last(_check_signal(X, dims), _next_pow2(dims.n))
 
 
 def _check_block(v: np.ndarray, length: int) -> tuple[np.ndarray, bool]:
@@ -174,17 +201,19 @@ def lift_matvec(X: np.ndarray, v: np.ndarray, dims: HankelDims) -> np.ndarray:
     Row block i of the product is sum_j x_{i+j} v[j], a cross-correlation of
     each of the s signal rows with each column of v, evaluated with FFTs of
     length the next power of two >= n: s + k forward and s*k inverse
-    transforms for k columns.  v may be a vector of length n2 or an (n2, k)
-    block; a block product is returned column-major, the layout LAPACK's QR
-    works in.
+    transforms for k columns (k forward ones when X is a SignalSpectrum
+    whose transforms are already cached).  v may be a vector of length n2 or
+    an (n2, k) block; a block product is returned column-major, the layout
+    LAPACK's QR works in.
     """
-    X = _check_signal(X, dims)
+    Fx = _row_spectrum(X, dims)  # (s, L)
     vv, single = _check_block(v, dims.n2)
     k = vv.shape[1]
-    L = _next_pow2(dims.n)
-    Fx = _fft_last(X, L)  # (s, L)
+    L = Fx.shape[-1]
     Fv = _fft_last(vv[::-1].T, L)  # (k, L)
-    conv = np.fft.ifft(Fx[:, None, :] * Fv[None, :, :], axis=-1)  # (s, k, L)
+    conv = Fx[:, None, :] * Fv[None, :, :]  # (s, k, L)
+    # In place: the (s, k, L) spectra are the largest temporary of a product.
+    np.fft.ifft(conv, axis=-1, out=conv)
     blocks = conv[:, :, dims.n2 - 1:dims.n2 - 1 + dims.n1]  # (s, k, n1)
     # Entry (i*s + a, j) is blocks[a, j, i]; laying blocks out as (k, n1, s)
     # makes each column of the product contiguous.
@@ -197,19 +226,24 @@ def lift_rmatvec(X: np.ndarray, u: np.ndarray, dims: HankelDims) -> np.ndarray:
 
     Column j of the product sums, over the s signal rows, the correlation of
     that row with the matching rows of the j-th column of u.  The sum is taken
-    on the spectra, so k columns cost s + s*k forward and only k inverse
-    transforms.  u may be a vector of length s*n1 or an (s*n1, k) block; a
-    block product is returned column-major.
+    on the spectra, so k columns cost s + s*k forward (s*k with a cached
+    SignalSpectrum) and only k inverse transforms.  u may be a vector of
+    length s*n1 or an (s*n1, k) block; a block product is returned
+    column-major.
     """
-    X = _check_signal(X, dims)
+    Fx = _row_spectrum(X, dims)  # (s, L)
     uu, single = _check_block(u, dims.s * dims.n1)
     k = uu.shape[1]
-    W = np.conj(uu.reshape(dims.n1, dims.s, k)).transpose(1, 2, 0)  # (s, k, n1)
-    L = _next_pow2(dims.n)
-    Fx = _fft_last(X, L)  # (s, L)
-    Fw = _fft_last(W[:, :, ::-1], L)  # (s, k, L)
+    # The reversed rows of the blocks of u, conjugated straight into C order;
+    # freed before the spectra are summed and inverted in place, which keeps
+    # the product's peak memory to its (s, k, L) spectra.
+    W = np.conj(uu.reshape(dims.n1, dims.s, k).transpose(1, 2, 0)[:, :, ::-1],
+                order="C")  # (s, k, n1)
+    Fw = _fft_last(W, Fx.shape[-1])  # (s, k, L)
+    del W
     Fw *= Fx[:, None, :]
-    conv = np.fft.ifft(Fw.sum(axis=0), axis=-1)  # (k, L)
+    conv = Fw.sum(axis=0)  # (k, L)
+    np.fft.ifft(conv, axis=-1, out=conv)
     out = np.conj(conv[:, dims.n1 - 1:dims.n1 - 1 + dims.n2]).T  # (n2, k)
     return out[:, 0] if single else out
 

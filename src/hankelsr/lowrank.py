@@ -17,6 +17,16 @@ import numpy as np
 
 _ORTHO_TOL = 1e-10
 _TRIM_REL = 1e-15
+# Largest cond(B) at which the tangent completion trusts CholeskyQR2.  With
+# unit roundoff u = 2**-53 ~ 1.1e-16, CholeskyQR leaves Q^H Q - I of order
+# u cond(B)^2 and its Cholesky factorization can break down once that nears 1;
+# the sufficient condition of Yamamoto et al. for CholeskyQR2 to return Q
+# orthonormal to O(u), 8 cond(B) sqrt(u (m k + k (k + 1))) <= 1, holds at
+# cond(B) = 1e4 for m k up to ~1.4e6 (m = 131072, k = 5 gives 6.6e5), and the
+# rounding of B R^-1 leaves components along U of order u cond(B) <= ~1e-12.
+# For larger m the condition is pessimistic (the typical loss stays near
+# u cond(B)^2 ~ 1e-8), and LowRankFactors re-checks orthonormality anyway.
+_CHOLQR_COND_MAX = 1e4
 
 
 class RankTruncationError(RuntimeError):
@@ -189,16 +199,53 @@ def truncate_rank_operator(matvec: Callable[[np.ndarray], np.ndarray],
         f"(last relative change {change:.3e})", residual=change)
 
 
+def _householder_completion(U: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Completion by Householder QR of the stacked [U, B]: orthonormal for any B."""
+    k = U.shape[1]
+    Q1 = np.linalg.qr(_stack_columns(U, B))[0][:, k:]
+    return Q1, Q1.conj().T @ B
+
+
+def _complete(U: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal completion of U along a block B already projected off U.
+
+    Returns Q1 (m, k) with orthonormal columns orthogonal to U, and R1 (k, k)
+    with Q1 R1 = (I - U U^H) B.  B is projected against U a second time
+    ("twice is enough"), then factorized by CholeskyQR2: B = Q R with R the
+    Cholesky factor of B^H B, and once more Q = Q1 R2, so R1 = R2 R.  When
+    the Cholesky factorization fails or R does not certify
+    cond(B) <= _CHOLQR_COND_MAX, the Householder QR of [U, B] is used instead.
+    """
+    B = B - U @ (U.conj().T @ B)
+    try:
+        L = np.linalg.cholesky(B.conj().T @ B)  # B^H B = L L^H, so R = L^H
+        Linv = np.linalg.inv(L)
+        # ||R||_F ||R^-1||_F bounds cond_2(R) = cond_2(B) from above; NaN fails it.
+        if np.linalg.norm(L) * np.linalg.norm(Linv) <= _CHOLQR_COND_MAX:
+            Q = B @ Linv.conj().T
+            L2 = np.linalg.cholesky(Q.conj().T @ Q)
+            return Q @ np.linalg.inv(L2).conj().T, (L @ L2).conj().T
+    except np.linalg.LinAlgError:
+        pass
+    return _householder_completion(U, B)
+
+
 def project_tangent_truncate(matvec: Callable[[np.ndarray], np.ndarray],
                              adjoint_matvec: Callable[[np.ndarray], np.ndarray],
                              T: TangentSpace, r: int) -> LowRankFactors:
     """Best rank-r factors of P_T(M) with M touched only via operator products.
 
     P_T(M) = U A + B V^H with A = U^H M and B = (I - U U^H) M V, so it lives
-    in the span of [U, orth(B)] x [V, orth(D)] with D = (I - V V^H) A^H; an
-    SVD of the small 2k-by-2k core yields the truncation exactly.  Matches
-    ``truncate_rank(project_tangent(M, T), r)`` up to roundoff at a cost of
-    O(k) operator products plus factor-scale dense work.
+    in the span of [U, Q1] x [V, Q2], where Q1 R1 = B and Q2 R2 = D =
+    (I - V V^H) A^H complete U and V orthonormally; an SVD of the small
+    2k-by-2k core [[A V, R2^H], [R1, 0]] yields the truncation exactly.  The
+    completions run CholeskyQR2 (two Cholesky passes over the m-by-k block,
+    after projecting it against U twice) whenever the first Cholesky factor
+    certifies the block as well conditioned, and fall back to the Householder
+    QR of the stacked [U, B] otherwise, e.g. for a rank-deficient B near a
+    fixed point.  Only the r kept columns of [U, Q1] Uc and [V, Q2] Vc are
+    formed.  Matches ``truncate_rank(project_tangent(M, T), r)`` up to
+    roundoff at a cost of O(k) operator products plus factor-scale dense work.
     """
     U, V = T.U, T.V
     m, p = U.shape[0], V.shape[0]
@@ -211,22 +258,13 @@ def project_tangent_truncate(matvec: Callable[[np.ndarray], np.ndarray],
     C = matvec(V)  # (m, k) = M V
     A = adjoint_matvec(U).conj().T  # (k, p) = U^H M
     AV = A @ V  # (k, k)
-    # Orthonormal completions of U and V along B and D: Householder QR of the
-    # stacked blocks stays orthonormal to machine precision even when B or D
-    # are (nearly) rank-deficient, which plain qr(B) does not guarantee.
-    UB = _stack_columns(U, C - U @ AV)
-    VD = _stack_columns(V, A.conj().T - V @ AV.conj().T)
-    B = UB[:, k:]  # (m, k), orthogonal to U
-    D = VD[:, k:]  # (p, k), orthogonal to V
-    Q1 = np.linalg.qr(UB)[0][:, k:]
-    Q2 = np.linalg.qr(VD)[0][:, k:]
-    R1 = Q1.conj().T @ B
-    R2 = Q2.conj().T @ D
+    Q1, R1 = _complete(U, C - U @ AV)  # B = (I - U U^H) M V
+    Q2, R2 = _complete(V, A.conj().T - V @ AV.conj().T)  # D = (I - V V^H) M^H U
     core = np.block([[AV, R2.conj().T],
                      [R1, np.zeros((k, k), dtype=R1.dtype)]])
     if not np.all(np.isfinite(core)):
         raise np.linalg.LinAlgError("projected core contains non-finite entries")
     Uc, sigma, Vch = np.linalg.svd(core)
-    Ufull = np.hstack([U, Q1]) @ Uc
-    Vfull = np.hstack([V, Q2]) @ Vch.conj().T
-    return _trim(Ufull, sigma, Vfull, r)
+    Vc = Vch.conj().T
+    return _trim(U @ Uc[:k, :r] + Q1 @ Uc[k:, :r], sigma,
+                 V @ Vc[:k, :r] + Q2 @ Vc[k:, :r], r)

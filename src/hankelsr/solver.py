@@ -35,7 +35,6 @@ from .model import adjoint_measure, measure
 
 MODES = ("dense", "fast")
 VARIANTS = ("algorithm1", "weighted")
-INIT_METHODS = ("dense", "operator")
 
 
 class DivergenceError(RuntimeError):
@@ -53,7 +52,6 @@ class SolverConfig:
     step_size: float = 1.0
     variant: str = "algorithm1"
     seed: int = 0
-    init_method: str = "dense"
     divergence_factor: float = 10.0
     divergence_window: int = 10
 
@@ -68,8 +66,6 @@ class SolverConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.init_method not in INIT_METHODS:
-            raise ValueError(f"init_method must be one of {INIT_METHODS}")
 
 
 @dataclass(frozen=True)
@@ -82,10 +78,15 @@ class TraceRecord:
 
 @dataclass
 class ConvergenceTrace:
-    """One record per completed iteration, plus the t=0 initialization record."""
+    """One record per completed iteration, plus the t=0 initialization record.
+
+    ``returned_iteration`` is the iteration of the estimate ``solve``
+    returned: the last one run, or after a divergence the best by residual.
+    """
 
     records: list[TraceRecord] = field(default_factory=list)
     termination: str = ""
+    returned_iteration: int = 0
 
     @property
     def iterations(self) -> np.ndarray:
@@ -129,14 +130,20 @@ def _empty_factors(dims: HankelDims) -> LowRankFactors:
 
 
 def _initialize_factors(y: np.ndarray, B: np.ndarray, dims: HankelDims, r: int,
-                        method: str = "dense", seed: int = 0,
+                        mode: str = "dense", seed: int = 0,
                         ) -> tuple[np.ndarray, LowRankFactors]:
+    """Rank-r truncation of the lifted back-projection, and its de-lift.
+
+    ``fast`` mode runs the randomized operator SVD seeded by ``seed`` on FFT
+    products; ``dense`` mode takes the SVD of the materialized lift.
+    """
     back = adjoint_measure(y, B)
-    if method == "operator":
+    if mode == "fast":
         controls = SubspaceControls(seed=seed, tol=1e-12, max_iters=256)
+        spectrum = hankel.SignalSpectrum(back)
         factors = truncate_rank_operator(
-            lambda v: hankel.lift_matvec(back, v, dims),
-            lambda u: hankel.lift_rmatvec(back, u, dims),
+            lambda v: hankel.lift_matvec(spectrum, v, dims),
+            lambda u: hankel.lift_rmatvec(spectrum, u, dims),
             dims.lifted_shape, r, controls)
     else:
         factors = truncate_rank(hankel.lift(back, dims), r)
@@ -170,9 +177,10 @@ def _step_algorithm1(X, factors, y, B, dims, config, residual):
     if factors.rank == 0:
         return np.zeros_like(Xt), _empty_factors(dims), float(np.linalg.norm(resid_vec))
     if config.mode == "fast":
+        spectrum = hankel.SignalSpectrum(Xt)
         new = project_tangent_truncate(
-            lambda v: hankel.lift_matvec(Xt, v, dims),
-            lambda u: hankel.lift_rmatvec(Xt, u, dims),
+            lambda v: hankel.lift_matvec(spectrum, v, dims),
+            lambda u: hankel.lift_rmatvec(spectrum, u, dims),
             factors.tangent(), config.rank)
         X_new = hankel.pinv_lift_lowrank(new.U, new.sigma, new.V, dims)
     else:
@@ -199,9 +207,10 @@ def _step_weighted(X, factors, y, B, dims, config, residual):
     if not np.all(np.isfinite(G_step)):
         raise DivergenceError("gradient update is not finite")
     if config.mode == "fast":
+        spectrum = hankel.SignalSpectrum(G_step)
         new = project_tangent_truncate(
-            lambda v: _lowrank_matvec(factors, v) - hankel.lift_matvec(G_step, v, dims),
-            lambda u: _lowrank_rmatvec(factors, u) - hankel.lift_rmatvec(G_step, u, dims),
+            lambda v: _lowrank_matvec(factors, v) - hankel.lift_matvec(spectrum, v, dims),
+            lambda u: _lowrank_rmatvec(factors, u) - hankel.lift_rmatvec(spectrum, u, dims),
             factors.tangent(), config.rank)
         X_new = hankel.pinv_lift_lowrank(new.U, new.sigma, new.V, dims)
     else:
@@ -249,13 +258,17 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
           ) -> tuple[np.ndarray, ConvergenceTrace]:
     """Run the full solver: spectral initialization then hard-thresholded iterations.
 
-    Stops on a small relative data residual, on stagnation of the iterates,
-    at max_iters, or on divergence (residual growing well past its running
+    The initialization follows the mode: the operator SVD seeded by
+    ``config.seed`` in ``fast`` mode, the dense SVD in ``dense`` mode.  Stops
+    on a small relative data residual, on stagnation of the iterates, at
+    max_iters, or on divergence (residual growing well past its running
     minimum, or a non-finite iterate), in which case the best iterate by
     residual is returned.  The trace carries the residual, the relative error
-    against ``ground_truth`` when supplied, and wall-clock timestamps.  Raises
-    ``ValueError`` before any work when y or B has the wrong shape or a
-    non-finite entry.
+    against ``ground_truth`` when supplied, wall-clock timestamps and the
+    iteration of the returned estimate.  Raises ``ValueError`` before any
+    work when y or B has the wrong shape or a non-finite entry, or when the
+    rank is infeasible for the lift: the tangent space at a rank-r point
+    needs 2r <= min(s*n1, n2) in both modes.
     """
     config.validate()
     y = np.asarray(y)
@@ -264,6 +277,9 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
         raise ValueError("y/B shapes inconsistent with dims")
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(B))):
         raise ValueError("y and B must be finite")
+    if 2 * config.rank > min(dims.lifted_shape):
+        raise ValueError(f"rank {config.rank} infeasible for lifted shape "
+                         f"{dims.lifted_shape}: need 2*rank <= {min(dims.lifted_shape)}")
 
     y_norm = float(np.linalg.norm(y))
     denom = y_norm if y_norm > 0 else 1.0
@@ -273,14 +289,15 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
         return relative_error(X, ground_truth) if ground_truth is not None else None
 
     X, factors = _initialize_factors(y, B, dims, config.rank,
-                                     method=config.init_method, seed=config.seed)
+                                     mode=config.mode, seed=config.seed)
     resid_vec = measure(X, B) - y
     resid = float(np.linalg.norm(resid_vec))
     trace = ConvergenceTrace()
     trace.records.append(TraceRecord(0, resid, rel_err(X),
                                      time.perf_counter() - t_start))
 
-    best_resid, best_X = resid, X.copy()
+    best_resid, best_X, best_t = resid, X.copy(), 0
+    returned_t = 0
     min_resid = resid
     stagnant = grown = 0
     termination = "max_iters"
@@ -290,7 +307,7 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
                                        iteration=t, residual=resid_vec)
         except (DivergenceError, np.linalg.LinAlgError) as exc:
             termination = f"diverged: {exc}"
-            X = best_X
+            X, returned_t = best_X, best_t
             break
         # Evaluated once: it is the trace's residual of X_new and the gradient
         # residual of the next step.
@@ -299,10 +316,10 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
         trace.records.append(TraceRecord(t, resid, rel_err(X_new),
                                          time.perf_counter() - t_start))
         if resid < best_resid:
-            best_resid, best_X = resid, X_new.copy()
+            best_resid, best_X, best_t = resid, X_new.copy(), t
         step_norm = np.linalg.norm(X_new - X)
         X_scale = np.linalg.norm(X)
-        X, factors = X_new, info.factors
+        X, factors, returned_t = X_new, info.factors, t
 
         if resid / denom <= config.residual_tol:
             termination = "converged"
@@ -314,9 +331,10 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
         grown = grown + 1 if resid > config.divergence_factor * min_resid else 0
         if grown >= config.divergence_window:
             termination = "diverged: residual grew past its running minimum"
-            X = best_X
+            X, returned_t = best_X, best_t
             break
         min_resid = min(min_resid, resid)
 
     trace.termination = termination
+    trace.returned_iteration = returned_t
     return X, trace

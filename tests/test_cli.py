@@ -62,6 +62,7 @@ class TestRun:
         assert iters == list(range(len(iters)))
         meta = json.loads((tmp_path / "trace.csv.meta.json").read_text())
         assert meta["split"] == {"n1": 32, "n2": 33}
+        assert meta["returned_iteration"] == meta["iterations"] == iters[-1]
         assert meta["timing"]["total_s"] > 0
         assert len(meta["timing"]["per_record_elapsed_s"]) == len(iters)
 
@@ -105,6 +106,8 @@ class TestRun:
         assert meta["final_rel_error"] == relative_error(X_hat, X_true)
         assert meta["final_residual"] == float(np.linalg.norm(measure(X_hat, B) - y))
         assert meta["iterations"] == trace.records[-1].iteration
+        # the returned estimate is the initialization, and the sidecar says so
+        assert meta["returned_iteration"] == trace.returned_iteration == 0
         # the last trace row is the diverged iterate, far from the returned one
         last_err = float(out.read_text().strip().split("\n")[-1].split(",")[2])
         assert last_err > 1e3 * meta["final_rel_error"]

@@ -1,9 +1,12 @@
 """Property tests: the FFT products and the tangent truncation against dense oracles."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hankelsr import lowrank
 from hankelsr.hankel import (adjoint_lift, adjoint_lift_lowrank, choose_dims,
                              lift, lift_matvec, lift_rmatvec)
 from hankelsr.lowrank import (LowRankFactors, TangentSpace, project_tangent,
@@ -69,29 +72,60 @@ def test_adjoint_lift_lowrank_matches_dense(case):
                  adjoint_lift((U * sigma) @ V.conj().T, dims))
 
 
+# Off-tangent blocks: random ones are well conditioned; zero, rank-one and
+# ill-conditioned (by their condition number) ones are not.
+BLOCK_KINDS = ["zero", "rank_one", "random", 1e6, 1e9, 1e13]
+
+
+def off_tangent(rng, kind, U, k):
+    """An (m, k) block orthogonal to the orthonormal columns of U."""
+    m = U.shape[0]
+    P = np.eye(m) - U @ U.conj().T
+    if kind == "zero":
+        return np.zeros((m, k), dtype=complex)
+    if kind == "rank_one":
+        return np.outer(P @ crandn(rng, m), crandn(rng, k))
+    if kind == "random":
+        return P @ crandn(rng, m, k)
+    left = np.linalg.qr(P @ crandn(rng, m, k))[0]
+    right = np.linalg.qr(crandn(rng, k, k))[0]
+    return (left * np.geomspace(1.0, 1.0 / kind, k)) @ right.conj().T
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(0, 3 * 5),
+       st.sampled_from(BLOCK_KINDS))
+def test_complete_cholesky_qr2_or_householder_fallback(seed, k, extra_rows, kind):
+    """Well-conditioned blocks take CholeskyQR2, the rest the stacked Householder QR."""
+    rng = np.random.default_rng(seed)
+    m = 3 * k + extra_rows
+    U = np.linalg.qr(crandn(rng, m, k))[0]
+    B = off_tangent(rng, kind, U, k)
+    with mock.patch.object(lowrank, "_householder_completion",
+                           wraps=lowrank._householder_completion) as fallback:
+        Q1, R1 = lowrank._complete(U, B)
+    assert fallback.called == (kind != "random")
+    assert Q1.shape == (m, k) and R1.shape == (k, k)
+    UQ = np.hstack([U, Q1])
+    assert np.max(np.abs(UQ.conj().T @ UQ - np.eye(2 * k))) <= 1e-12
+    assert np.linalg.norm(Q1 @ R1 - B) <= 1e-12 * np.linalg.norm(B)
+
+
 @PROPERTY
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3),
-       st.sampled_from(["zero", "rank_one", "random"]),
-       st.sampled_from(["zero", "rank_one", "random"]))
+       st.sampled_from(BLOCK_KINDS), st.sampled_from(BLOCK_KINDS))
 def test_project_tangent_truncate_degenerate_off_tangent_blocks(seed, k, b_kind, d_kind):
-    """P_T(M) = U A + B V^H with B or D zero or rank-deficient still truncates exactly."""
+    """P_T(M) = U A + B V^H with B or D zero, rank-deficient or ill-conditioned still truncates exactly."""
     rng = np.random.default_rng(seed)
     m, p = 5 * k + 3, 4 * k + 2
     U = np.linalg.qr(crandn(rng, m, k))[0]
     V = np.linalg.qr(crandn(rng, p, k))[0]
     Pu, Pv = np.eye(m) - U @ U.conj().T, np.eye(p) - V @ V.conj().T
 
-    def off_tangent(kind, P, rows):
-        if kind == "zero":
-            return np.zeros((rows, k), dtype=complex)
-        if kind == "rank_one":
-            return np.outer(P @ crandn(rng, rows), crandn(rng, k))
-        return P @ crandn(rng, rows, k)
-
     # M = U (core V^H + D^H) + B V^H + (a part the tangent projection removes),
     # so that M V - U U^H M V = B and (I - V V^H) M^H U = D.
-    B = off_tangent(b_kind, Pu, m)
-    D = off_tangent(d_kind, Pv, p)
+    B = off_tangent(rng, b_kind, U, k)
+    D = off_tangent(rng, d_kind, V, k)
     core = crandn(rng, k, k)
     M = U @ (core @ V.conj().T + D.conj().T) + B @ V.conj().T + Pu @ crandn(rng, m, p) @ Pv
     T = TangentSpace(U=U, V=V)

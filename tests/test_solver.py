@@ -125,6 +125,7 @@ class TestSolve:
         assert relative_error(X_hat, X_true) < 1e-8
         assert trace.records[0].iteration == 0
         assert [rec.iteration for rec in trace.records] == list(range(len(trace.records)))
+        assert trace.returned_iteration == trace.records[-1].iteration
 
     def test_eventually_geometric(self):
         dims, B, X_true, y = make_instance(128, 2, 2, 8)
@@ -169,6 +170,9 @@ class TestSolve:
         assert trace.termination.startswith("diverged")
         returned_resid = np.linalg.norm(measure(X_hat, B) - y)
         assert returned_resid <= np.min(trace.residuals) * (1 + 1e-12)
+        # the trace names the returned iterate, not the last one run
+        assert trace.records[trace.returned_iteration].residual == returned_resid
+        assert trace.returned_iteration < trace.records[-1].iteration
 
     def test_weighted_variant_reduces_error(self):
         dims, B, X_true, y = make_instance(128, 2, 2, 13)
@@ -181,8 +185,7 @@ class TestSolve:
         dims, B, X_true, y = make_instance(64, 2, 2, 14)
         base = SolverConfig(rank=2, max_iters=0)
         X_dense, _ = solve(y, B, dims, base)
-        X_op, _ = solve(y, B, dims, SolverConfig(rank=2, max_iters=0,
-                                                 init_method="operator", seed=3))
+        X_op, _ = solve(y, B, dims, SolverConfig(rank=2, max_iters=0, mode="fast", seed=3))
         assert relative_error(X_op, X_dense) < 1e-6
 
     def test_delift_nonexpansive(self):
@@ -210,6 +213,37 @@ class TestSolve:
             solve(np.zeros(8), np.zeros((2, 16)), dims, SolverConfig(rank=1))
 
     @pytest.mark.parametrize("mode", ["dense", "fast"])
+    def test_infeasible_rank_rejected_up_front_in_both_modes(self, mode, monkeypatch):
+        # lifted shape (20, 6): the tangent space at rank 5 would need 10 columns
+        dims, B, _, y = make_instance(10, 4, 2, 18)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("solve started work on an infeasible rank")
+
+        monkeypatch.setattr(solver, "_initialize_factors", no_work)
+        with pytest.raises(ValueError, match=r"\(20, 6\)"):
+            solve(y, B, dims, SolverConfig(rank=5, mode=mode))
+        with pytest.raises(ValueError, match=r"\(20, 6\)"):
+            solve(y, B, dims, SolverConfig(rank=4, mode=mode))
+
+    def test_fast_mode_transforms_each_signal_once(self, monkeypatch):
+        # The operator initialization and each iteration's pair of products
+        # with the lifted matrix share one spectrum of their signal.
+        dims, B, _, y = make_instance(48, 2, 2, 19)
+        shapes = []
+        fft = np.fft.fft
+
+        def recorded(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return fft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", recorded)
+        _, trace = solve(y, B, dims, SolverConfig(rank=2, max_iters=5, mode="fast",
+                                                  step_size=0.5))
+        assert len(trace.records) == 6
+        assert shapes.count((dims.s, dims.n)) == len(trace.records)
+
+    @pytest.mark.parametrize("mode", ["dense", "fast"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_input_rejected_up_front(self, mode, bad, monkeypatch):
         dims, B, _, y = make_instance(32, 2, 2, 16)
@@ -233,7 +267,7 @@ class TestSolve:
         dims, B, X_true, y = make_instance(48, 2, 2, 17)
         cfg = SolverConfig(rank=2, max_iters=6, mode=mode, step_size=0.5)
         # Reference: the same iteration with every step evaluating its own residual.
-        X, factors = _initialize_factors(y, B, dims, 2)
+        X, factors = _initialize_factors(y, B, dims, 2, mode=mode, seed=cfg.seed)
         expected = [float(np.linalg.norm(measure(X, B) - y))]
         for t in range(1, 7):
             X, info = iterate_once(X, y, B, dims, cfg, factors=factors, iteration=t)
