@@ -158,24 +158,35 @@ def check_fixed_point(seed: int = 6) -> CheckResult:
 
 
 def check_fast_dense_equivalence(seed: int = 8, iters: int = 12) -> CheckResult:
+    """Fast against dense iterates from a shared start, and the two initializations.
+
+    The iterations of both modes start from the dense initialization, so
+    their gap is roundoff; the operator initialization of ``fast`` mode is
+    compared with the dense one on its own, to the 1e-6 its subspace
+    iteration reaches.
+    """
     rng = np.random.default_rng(seed)
     m = model.synth_model(2, 48, 2, rng)
     dims = hankel.choose_dims(m.n, m.s)
     X_true = model.build_signal(m)
     B = model.sample_subspace(m.s, m.n, rng)
     y = model.measure(X_true, B)
+    inits = {mode: solver._initialize_factors(y, B, dims, m.r, mode=mode)
+             for mode in solver.MODES}
+    init_gap = solver.relative_error(inits["fast"][0], inits["dense"][0])
     worst = 0.0
     for variant in solver.VARIANTS:
-        iterates = {}
-        for mode in solver.MODES:
-            cfg = solver.SolverConfig(rank=m.r, max_iters=iters, residual_tol=1e-300,
-                                      mode=mode, variant=variant)
-            _, trace = solver.solve(y, B, dims, cfg, ground_truth=X_true)
-            iterates[mode] = trace.residuals
-        worst = max(worst, float(np.max(np.abs(iterates["dense"] - iterates["fast"])
-                                        / (np.abs(iterates["dense"]) + 1e-300))))
-    return CheckResult("fast_dense_equivalence", worst < 1e-8,
-                       f"worst residual-path rel gap {worst:.2e}")
+        state = dict.fromkeys(solver.MODES, inits["dense"])
+        for _ in range(iters):
+            for mode in solver.MODES:
+                cfg = solver.SolverConfig(rank=m.r, mode=mode, variant=variant)
+                X, factors = state[mode]
+                X, info = solver.iterate_once(X, y, B, dims, cfg, factors=factors)
+                state[mode] = (X, info.factors)
+            worst = max(worst, solver.relative_error(state["fast"][0], state["dense"][0]))
+    return CheckResult("fast_dense_equivalence", worst < 1e-8 and init_gap < 1e-6,
+                       f"worst per-iterate gap {worst:.2e} from a shared start, "
+                       f"operator vs dense initialization {init_gap:.2e}")
 
 
 def run_all(fault: str | None = None) -> list[CheckResult]:

@@ -177,7 +177,7 @@ class SignalSpectrum:
         return _fft_last(self.X, _next_pow2(self.X.shape[-1]))  # (s, L)
 
 
-def _row_spectrum(X, dims: HankelDims) -> np.ndarray:
+def _row_spectrum(X: np.ndarray | SignalSpectrum, dims: HankelDims) -> np.ndarray:
     """Length-L FFTs of the rows of a signal, or the cached ones of a SignalSpectrum."""
     if isinstance(X, SignalSpectrum):
         _check_signal(X.X, dims)
@@ -195,7 +195,8 @@ def _check_block(v: np.ndarray, length: int) -> tuple[np.ndarray, bool]:
     return vv, single
 
 
-def lift_matvec(X: np.ndarray, v: np.ndarray, dims: HankelDims) -> np.ndarray:
+def lift_matvec(X: np.ndarray | SignalSpectrum, v: np.ndarray,
+                dims: HankelDims) -> np.ndarray:
     """Compute lift(X) @ v without materializing the lifted matrix.
 
     Row block i of the product is sum_j x_{i+j} v[j], a cross-correlation of
@@ -212,7 +213,8 @@ def lift_matvec(X: np.ndarray, v: np.ndarray, dims: HankelDims) -> np.ndarray:
     L = Fx.shape[-1]
     Fv = _fft_last(vv[::-1].T, L)  # (k, L)
     conv = Fx[:, None, :] * Fv[None, :, :]  # (s, k, L)
-    # In place: the (s, k, L) spectra are the largest temporary of a product.
+    # In place (``out=`` needs NumPy >= 2.0): the (s, k, L) spectra are the
+    # largest temporary of a product.
     np.fft.ifft(conv, axis=-1, out=conv)
     blocks = conv[:, :, dims.n2 - 1:dims.n2 - 1 + dims.n1]  # (s, k, n1)
     # Entry (i*s + a, j) is blocks[a, j, i]; laying blocks out as (k, n1, s)
@@ -221,7 +223,8 @@ def lift_matvec(X: np.ndarray, v: np.ndarray, dims: HankelDims) -> np.ndarray:
     return out[:, 0] if single else out
 
 
-def lift_rmatvec(X: np.ndarray, u: np.ndarray, dims: HankelDims) -> np.ndarray:
+def lift_rmatvec(X: np.ndarray | SignalSpectrum, u: np.ndarray,
+                 dims: HankelDims) -> np.ndarray:
     """Compute lift(X)^H @ u matrix-free; adjoint companion of ``lift_matvec``.
 
     Column j of the product sums, over the s signal rows, the correlation of

@@ -259,7 +259,9 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
     """Run the full solver: spectral initialization then hard-thresholded iterations.
 
     The initialization follows the mode: the operator SVD seeded by
-    ``config.seed`` in ``fast`` mode, the dense SVD in ``dense`` mode.  Stops
+    ``config.seed`` in ``fast`` mode, the dense SVD in ``dense`` mode.  From
+    a shared initialization the two modes agree per iterate to roundoff;
+    whole runs differ also by how closely the two initializations agree.  Stops
     on a small relative data residual, on stagnation of the iterates, at
     max_iters, or on divergence (residual growing well past its running
     minimum, or a non-finite iterate), in which case the best iterate by
