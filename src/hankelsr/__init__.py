@@ -6,14 +6,14 @@ from .hankel import (HankelDims, adjoint_lift, adjoint_lift_isometric,
                      adjoint_lift_lowrank, apply_weights, choose_dims, lift,
                      lift_isometric, lift_matvec, lift_rmatvec, pinv_lift,
                      pinv_lift_lowrank)
-from .lowrank import (LowRankFactors, RankTruncationError, SubspaceControls,
-                      TangentSpace, project_tangent, project_tangent_truncate,
-                      truncate_rank, truncate_rank_operator)
-from .model import (MeasurementSetup, PointSourceModel, adjoint_measure,
-                    build_signal, hankel_factorization, lifted_signal, measure,
-                    sample_subspace, steering_vector, synth_model)
+from .lowrank import (LowRankFactors, RankTruncationError, TangentSpace,
+                      project_tangent, project_tangent_truncate, truncate_rank,
+                      truncate_rank_operator)
+from .model import (PointSourceModel, adjoint_measure, build_signal,
+                    hankel_factorization, measure, sample_subspace,
+                    steering_vector, synth_model)
 from .solver import (ConvergenceTrace, DivergenceError, SolverConfig,
-                     StepInfo, TraceRecord, initialize, iterate_once,
-                     relative_error, solve)
+                     TraceRecord, initialize, iterate_once, relative_error,
+                     solve)
 from .diagnostics import (AssumptionReport, assumption_report, estimate_rip_norm,
                           measure_mu0, measure_mu1, spectral_distance)

@@ -143,18 +143,15 @@ def check_tangent_projection(seed: int = 5, trials: int = 20) -> CheckResult:
 
 def check_fixed_point(seed: int = 6) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for variant in solver.VARIANTS:
-        m = model.synth_model(2, 32, 2, rng)
-        dims = hankel.choose_dims(m.n, m.s)
-        X_true = model.build_signal(m)
-        B = model.sample_subspace(m.s, m.n, rng)
-        y = model.measure(X_true, B)
-        cfg = solver.SolverConfig(rank=m.r, variant=variant)
-        X_next, _ = solver.iterate_once(X_true, y, B, dims, cfg)
-        worst = max(worst, solver.relative_error(X_next, X_true))
-    return CheckResult("solver_fixed_point", worst < 1e-10,
-                       f"worst one-step movement {worst:.2e}")
+    m = model.synth_model(2, 32, 2, rng)
+    dims = hankel.choose_dims(m.n, m.s)
+    X_true = model.build_signal(m)
+    B = model.sample_subspace(m.s, m.n, rng)
+    y = model.measure(X_true, B)
+    X_next, _ = solver.iterate_once(X_true, y, B, dims, solver.SolverConfig(rank=m.r))
+    movement = solver.relative_error(X_next, X_true)
+    return CheckResult("solver_fixed_point", movement < 1e-10,
+                       f"one-step movement {movement:.2e}")
 
 
 def check_fast_dense_equivalence(seed: int = 8, iters: int = 12) -> CheckResult:
@@ -175,15 +172,13 @@ def check_fast_dense_equivalence(seed: int = 8, iters: int = 12) -> CheckResult:
              for mode in solver.MODES}
     init_gap = solver.relative_error(inits["fast"][0], inits["dense"][0])
     worst = 0.0
-    for variant in solver.VARIANTS:
-        state = dict.fromkeys(solver.MODES, inits["dense"])
-        for _ in range(iters):
-            for mode in solver.MODES:
-                cfg = solver.SolverConfig(rank=m.r, mode=mode, variant=variant)
-                X, factors = state[mode]
-                X, info = solver.iterate_once(X, y, B, dims, cfg, factors=factors)
-                state[mode] = (X, info.factors)
-            worst = max(worst, solver.relative_error(state["fast"][0], state["dense"][0]))
+    state = dict.fromkeys(solver.MODES, inits["dense"])
+    for _ in range(iters):
+        for mode in solver.MODES:
+            cfg = solver.SolverConfig(rank=m.r, mode=mode)
+            X, factors = state[mode]
+            state[mode] = solver.iterate_once(X, y, B, dims, cfg, factors=factors)
+        worst = max(worst, solver.relative_error(state["fast"][0], state["dense"][0]))
     return CheckResult("fast_dense_equivalence", worst < 1e-8 and init_gap < 1e-6,
                        f"worst per-iterate gap {worst:.2e} from a shared start, "
                        f"operator vs dense initialization {init_gap:.2e}")

@@ -50,7 +50,6 @@ _DEFAULTS: dict = {
     "max_iters": 300,
     "tol": 1e-10,
     "mode": "dense",
-    "variant": "algorithm1",
     # The solver API defaults to the verbatim unit gradient step; the harness
     # damps it, which keeps the default experiment scale (n=256, s=4, r=5)
     # inside the contraction region.  Override with --step-size.
@@ -107,7 +106,6 @@ class ExperimentConfig:
     max_iters: int
     tol: float
     mode: str
-    variant: str
     step_size: float
     n1: int | None
     out: str | None
@@ -122,10 +120,10 @@ class ExperimentConfig:
                 raise ValueError(f"--{name} values must be positive integers")
         if self.trials < 1:
             raise ValueError("--trials must be >= 1")
-        if self.max_iters < 0:
-            raise ValueError("--max-iters must be >= 0")
-        if self.tol <= 0 or self.success_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not self.success_tol > 0:  # also rejects NaN
+            raise ValueError(f"--success-tol must be positive, got {self.success_tol}")
+        # --max-iters, --tol, --mode and --step-size, before any instance is solved
+        self.solver_config(rank=1, seed=0).validate()
 
     def single(self, name: str) -> int:
         grid = getattr(self, name)
@@ -136,8 +134,7 @@ class ExperimentConfig:
     def solver_config(self, rank: int, seed: int) -> SolverConfig:
         return SolverConfig(rank=rank, max_iters=self.max_iters,
                             residual_tol=self.tol, mode=self.mode,
-                            step_size=self.step_size, variant=self.variant,
-                            seed=seed)
+                            step_size=self.step_size, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -234,7 +231,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
         "n": n, "s": s, "r": r,
         "seed": cfg.seed, "derived_seed": derived,
         "split": {"n1": dims.n1, "n2": dims.n2},
-        "mode": cfg.mode, "variant": cfg.variant,
+        "mode": cfg.mode,
         "step_size": cfg.step_size, "max_iters": cfg.max_iters,
         "residual_tol": cfg.tol, "complex_subspace": cfg.complex_subspace,
         "termination": trace.termination,
@@ -247,10 +244,10 @@ def cmd_run(cfg: ExperimentConfig) -> int:
             "per_record_elapsed_s": [rec.elapsed_s for rec in trace.records],
         },
     })
-    print(f"run n={n} s={s} r={r} seed={cfg.seed} mode={cfg.mode} "
-          f"variant={cfg.variant}: {trace.termination} after {iterations} "
-          f"iterations, residual={final_residual:.3e}, "
-          f"rel_error={final_rel_error:.3e}, trace={out}")
+    print(f"run n={n} s={s} r={r} seed={cfg.seed} mode={cfg.mode}: "
+          f"{trace.termination} after {iterations} iterations, "
+          f"residual={final_residual:.3e}, rel_error={final_rel_error:.3e}, "
+          f"trace={out}")
     return EXIT_DIVERGED if trace.termination.startswith("diverged") else EXIT_OK
 
 
@@ -397,7 +394,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--tol", type=float, default=None,
                         help="relative residual stopping tolerance")
     common.add_argument("--mode", choices=["dense", "fast"], default=None)
-    common.add_argument("--variant", choices=["algorithm1", "weighted"], default=None)
     common.add_argument("--step-size", type=float, default=None, dest="step_size")
     common.add_argument("--n1", type=int, default=None, help="override the Hankel split")
     common.add_argument("--out", default=None, help="output path")
@@ -448,7 +444,6 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
         max_iters=int(merged["max_iters"]),
         tol=float(merged["tol"]),
         mode=str(merged["mode"]),
-        variant=str(merged["variant"]),
         step_size=float(merged["step_size"]),
         n1=None if merged["n1"] is None else int(merged["n1"]),
         out=merged["out"],
@@ -475,7 +470,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "report":
             return cmd_report(cfg)
         raise _UsageError(f"unknown command {args.command!r}")
-    except (_UsageError, ValueError) as exc:
+    except (_UsageError, ValueError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -27,6 +27,10 @@ _TRIM_REL = 1e-15
 # For larger m the condition is pessimistic (the typical loss stays near
 # u cond(B)^2 ~ 1e-8), and LowRankFactors re-checks orthonormality anyway.
 _CHOLQR_COND_MAX = 1e4
+# Randomized subspace iteration: sketch width r + _OVERSAMPLE, and sweeps
+# before the first convergence test.
+_OVERSAMPLE = 8
+_POWER_ITERS = 2
 
 
 class RankTruncationError(RuntimeError):
@@ -93,17 +97,6 @@ class TangentSpace:
     V: np.ndarray
 
 
-@dataclass(frozen=True)
-class SubspaceControls:
-    """Knobs for the randomized subspace iteration behind the operator SVD."""
-
-    oversample: int = 8
-    power_iters: int = 2
-    max_iters: int = 64
-    tol: float = 1e-8
-    seed: int = 0
-
-
 def _trim(U: np.ndarray, sigma: np.ndarray, V: np.ndarray, r: int) -> LowRankFactors:
     """Keep the top r factors, dropping (numerically) zero singular values."""
     r = min(r, len(sigma))
@@ -156,38 +149,38 @@ def project_tangent(W: np.ndarray, T: TangentSpace) -> np.ndarray:
 
 def truncate_rank_operator(matvec: Callable[[np.ndarray], np.ndarray],
                            adjoint_matvec: Callable[[np.ndarray], np.ndarray],
-                           shape: tuple[int, int], r: int,
-                           controls: SubspaceControls | None = None) -> LowRankFactors:
+                           shape: tuple[int, int], r: int, *, seed: int = 0,
+                           tol: float = 1e-12, max_iters: int = 256) -> LowRankFactors:
     """Leading-r SVD factors of a matrix seen only through operator products.
 
-    Runs seeded randomized subspace iteration (Gaussian sketch of width
-    r + oversample, alternating orthonormalized products) until the leading
-    singular values stabilize to the relative tolerance, then raises
-    ``RankTruncationError`` if the cap is hit first.  matvec and
-    adjoint_matvec must accept (dim, k) blocks; products returned
-    column-major, as the hankel FFT products are, reach the QRs without a
-    strided copy (see ``_stack_columns``).
+    Runs randomized subspace iteration seeded by ``seed`` (Gaussian sketch of
+    width r + _OVERSAMPLE, alternating orthonormalized products) until the
+    leading singular values change by at most ``tol`` relative to the largest
+    from one sweep to the next; raises ``RankTruncationError`` if
+    ``max_iters`` sweeps run first.  matvec and adjoint_matvec must accept
+    (dim, k) blocks; products returned column-major, as the hankel FFT
+    products are, reach the QRs without a strided copy (see
+    ``_stack_columns``).
     """
-    controls = controls or SubspaceControls()
     m, p = shape
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     if r > min(m, p):
         raise ValueError(f"rank {r} exceeds operator shape {shape}")
-    k = min(r + controls.oversample, m, p)
-    rng = np.random.default_rng(controls.seed)
+    k = min(r + _OVERSAMPLE, m, p)
+    rng = np.random.default_rng(seed)
     Omega = (rng.standard_normal((p, k)) + 1j * rng.standard_normal((p, k))) / np.sqrt(2.0)
 
     Q, _ = np.linalg.qr(matvec(Omega))
     sig_prev = None
     change = np.inf
-    for sweep in range(controls.max_iters):
+    for sweep in range(max_iters):
         Yh = adjoint_matvec(Q)  # (p, k) = M^H Q
         sig = np.linalg.svd(Yh, compute_uv=False)[:r]
-        if sig_prev is not None and sweep >= controls.power_iters:
+        if sig_prev is not None and sweep >= _POWER_ITERS:
             scale = max(sig[0], np.finfo(float).tiny)
             change = float(np.max(np.abs(sig - sig_prev)) / scale)
-            if change <= controls.tol:
+            if change <= tol:
                 P, svals, Th = np.linalg.svd(Yh, full_matrices=False)
                 # M ~ Q Q^H M = Q Yh^H, so left factors are Q rotated by Th^H.
                 return _trim(Q @ Th.conj().T, svals, P, r)
@@ -195,7 +188,7 @@ def truncate_rank_operator(matvec: Callable[[np.ndarray], np.ndarray],
         Qp, _ = np.linalg.qr(Yh)
         Q, _ = np.linalg.qr(matvec(Qp))
     raise RankTruncationError(
-        f"singular values did not stabilize within {controls.max_iters} sweeps "
+        f"singular values did not stabilize within {max_iters} sweeps "
         f"(last relative change {change:.3e})", residual=change)
 
 

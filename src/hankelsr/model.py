@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hankel import HankelDims, choose_dims, lift
+from .hankel import HankelDims, choose_dims
 
 _TAU_COLLISION_TOL = 1e-12
 _MAX_TAU_RESAMPLES = 16
@@ -46,22 +46,6 @@ class PointSourceModel:
             raise ValueError("coefficient vectors must have unit norm")
         if self.r > 1 and _min_pairwise_gap(self.taus) <= _TAU_COLLISION_TOL:
             raise ValueError("locations must be pairwise distinct")
-
-
-@dataclass(frozen=True, eq=False)
-class MeasurementSetup:
-    """A sensing matrix (one column per observation) and the observed sequence."""
-
-    B: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        if self.B.ndim != 2:
-            raise ValueError("B must be a matrix")
-        if self.y.shape != (self.B.shape[1],):
-            raise ValueError(
-                f"y must have one entry per column of B; got {self.y.shape} vs {self.B.shape}"
-            )
 
 
 def _min_pairwise_gap(taus: np.ndarray) -> float:
@@ -175,10 +159,3 @@ def hankel_factorization(model: PointSourceModel, dims: HankelDims | None = None
     ER = np.exp(-2j * np.pi * np.outer(np.arange(dims.n2), model.taus))  # (n2, r)
     KR = (EL[:, None, :] * model.coeffs[None, :, :]).reshape(dims.n1 * dims.s, model.r)
     return (KR * model.amps[None, :]) @ ER.T
-
-
-def lifted_signal(model: PointSourceModel, dims: HankelDims | None = None) -> np.ndarray:
-    """Dense lifted ground truth, lift(build_signal(model))."""
-    if dims is None:
-        dims = choose_dims(model.n, model.s)
-    return lift(build_signal(model), dims)

@@ -6,21 +6,13 @@ initialization (back-project the data, lift, hard-threshold to rank r,
 de-lift) and then repeats: gradient step on the data misfit, lift, project
 onto the current fixed-rank tangent space, hard-threshold to rank r, de-lift.
 
-Two algebraically distinct update rules ship:
-
-* ``algorithm1`` (default): the gradient step is taken in signal space and
-  the raw lift of the update is projected.
-* ``weighted``: the iteration is carried on the lifted matrix itself with the
-  weight-compensated (isometric) lift, which is the form whose contraction
-  analysis is cleanest; its data vector is the column-weighted observation
-  sequence, recomputable from the given one.
-
-Both support a dense reference path and an FFT-based fast path whose
+The iteration runs on a dense reference path or an FFT-based fast path whose
 per-iteration cost stays at O(r^2 s n + r s n log n).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -28,13 +20,20 @@ import numpy as np
 
 from . import hankel
 from .hankel import HankelDims
-from .lowrank import (LowRankFactors, SubspaceControls, project_tangent,
-                      project_tangent_truncate, truncate_rank,
-                      truncate_rank_operator)
+from .lowrank import (LowRankFactors, project_tangent, project_tangent_truncate,
+                      truncate_rank, truncate_rank_operator)
 from .model import adjoint_measure, measure
 
 MODES = ("dense", "fast")
-VARIANTS = ("algorithm1", "weighted")
+
+# Stopping rules of ``solve``: stagnation after _STAGNATION_WINDOW steps in a
+# row shorter than _STAGNATION_TOL times the iterate's norm; divergence after
+# _DIVERGENCE_WINDOW residuals in a row above _DIVERGENCE_FACTOR times the
+# running minimum.
+_STAGNATION_TOL = 1e-14
+_STAGNATION_WINDOW = 5
+_DIVERGENCE_FACTOR = 10.0
+_DIVERGENCE_WINDOW = 10
 
 
 class DivergenceError(RuntimeError):
@@ -46,26 +45,21 @@ class SolverConfig:
     rank: int
     max_iters: int = 300
     residual_tol: float = 1e-10
-    stagnation_tol: float = 1e-14
-    stagnation_window: int = 5
     mode: str = "dense"
     step_size: float = 1.0
-    variant: str = "algorithm1"
     seed: int = 0
-    divergence_factor: float = 10.0
-    divergence_window: int = 10
 
     def validate(self) -> None:
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if self.residual_tol <= 0 or self.stagnation_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not self.residual_tol > 0:  # also rejects NaN
+            raise ValueError(f"residual_tol must be positive, got {self.residual_tol}")
+        if not (math.isfinite(self.step_size) and self.step_size >= 0):
+            raise ValueError(f"step_size must be finite and >= 0, got {self.step_size}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
 
 @dataclass(frozen=True)
@@ -102,15 +96,6 @@ class ConvergenceTrace:
                          for rec in self.records])
 
 
-@dataclass(frozen=True)
-class StepInfo:
-    """Diagnostics from one iteration: carried factors and the gradient residual."""
-
-    factors: LowRankFactors
-    gradient_residual: float
-    effective_rank: int
-
-
 def relative_error(X: np.ndarray, X_ref: np.ndarray) -> float:
     """Frobenius-norm error of X relative to a nonzero reference."""
     X = np.asarray(X)
@@ -123,12 +108,6 @@ def relative_error(X: np.ndarray, X_ref: np.ndarray) -> float:
     return float(np.linalg.norm(X - X_ref) / denom)
 
 
-def _empty_factors(dims: HankelDims) -> LowRankFactors:
-    m, p = dims.lifted_shape
-    return LowRankFactors(U=np.zeros((m, 0), dtype=complex), sigma=np.zeros(0),
-                          V=np.zeros((p, 0), dtype=complex))
-
-
 def _initialize_factors(y: np.ndarray, B: np.ndarray, dims: HankelDims, r: int,
                         mode: str = "dense", seed: int = 0,
                         ) -> tuple[np.ndarray, LowRankFactors]:
@@ -139,12 +118,11 @@ def _initialize_factors(y: np.ndarray, B: np.ndarray, dims: HankelDims, r: int,
     """
     back = adjoint_measure(y, B)
     if mode == "fast":
-        controls = SubspaceControls(seed=seed, tol=1e-12, max_iters=256)
         spectrum = hankel.SignalSpectrum(back)
         factors = truncate_rank_operator(
             lambda v: hankel.lift_matvec(spectrum, v, dims),
             lambda u: hankel.lift_rmatvec(spectrum, u, dims),
-            dims.lifted_shape, r, controls)
+            dims.lifted_shape, r, seed=seed)
     else:
         factors = truncate_rank(hankel.lift(back, dims), r)
     X0 = hankel.pinv_lift_lowrank(factors.U, factors.sigma, factors.V, dims)
@@ -157,100 +135,52 @@ def initialize(y: np.ndarray, B: np.ndarray, dims: HankelDims, r: int) -> np.nda
     return X0
 
 
-def _lowrank_matvec(factors: LowRankFactors, v: np.ndarray) -> np.ndarray:
-    t = factors.V.conj().T @ v
-    t = factors.sigma[:, None] * t if t.ndim == 2 else factors.sigma * t
-    return factors.U @ t
-
-
-def _lowrank_rmatvec(factors: LowRankFactors, u: np.ndarray) -> np.ndarray:
-    t = factors.U.conj().T @ u
-    t = factors.sigma[:, None] * t if t.ndim == 2 else factors.sigma * t
-    return factors.V @ t
-
-
-def _step_algorithm1(X, factors, y, B, dims, config, residual):
-    resid_vec = measure(X, B) - y if residual is None else residual
-    Xt = X - config.step_size * adjoint_measure(resid_vec, B)
-    if not np.all(np.isfinite(Xt)):
-        raise DivergenceError("gradient update is not finite")
-    if factors.rank == 0:
-        return np.zeros_like(Xt), _empty_factors(dims), float(np.linalg.norm(resid_vec))
-    if config.mode == "fast":
-        spectrum = hankel.SignalSpectrum(Xt)
-        new = project_tangent_truncate(
-            lambda v: hankel.lift_matvec(spectrum, v, dims),
-            lambda u: hankel.lift_rmatvec(spectrum, u, dims),
-            factors.tangent(), config.rank)
-        X_new = hankel.pinv_lift_lowrank(new.U, new.sigma, new.V, dims)
-    else:
-        W = project_tangent(hankel.lift(Xt, dims), factors.tangent())
-        new = truncate_rank(W, config.rank)
-        X_new = hankel.pinv_lift(new.reconstruct(), dims)
-    return X_new, new, float(np.linalg.norm(resid_vec))
-
-
-def _step_weighted(X, factors, y, B, dims, config, residual):
-    # Iteration carried on the lifted matrix through the isometric lift; its
-    # data vector weights each observation by sqrt(w_j).  Its residual is
-    # taken at the weighted de-lift of the factors, not at X, so a residual
-    # passed for X is not used.
-    y_w = np.sqrt(dims.weights.astype(float)) * y
-    if factors.rank == 0:
-        resid_vec = -y_w
-        return np.zeros_like(np.asarray(X)), _empty_factors(dims), float(np.linalg.norm(resid_vec))
-    X_G = hankel.apply_weights(
-        hankel.adjoint_lift_lowrank(factors.U, factors.sigma, factors.V, dims), dims, -1)
-    resid_vec = measure(X_G, B) - y_w
-    G_step = hankel.apply_weights(
-        config.step_size * adjoint_measure(resid_vec, B), dims, -1)
-    if not np.all(np.isfinite(G_step)):
-        raise DivergenceError("gradient update is not finite")
-    if config.mode == "fast":
-        spectrum = hankel.SignalSpectrum(G_step)
-        new = project_tangent_truncate(
-            lambda v: _lowrank_matvec(factors, v) - hankel.lift_matvec(spectrum, v, dims),
-            lambda u: _lowrank_rmatvec(factors, u) - hankel.lift_rmatvec(spectrum, u, dims),
-            factors.tangent(), config.rank)
-        X_new = hankel.pinv_lift_lowrank(new.U, new.sigma, new.V, dims)
-    else:
-        Zt = factors.reconstruct() - hankel.lift(G_step, dims)
-        W = project_tangent(Zt, factors.tangent())
-        new = truncate_rank(W, config.rank)
-        X_new = hankel.pinv_lift(new.reconstruct(), dims)
-    return X_new, new, float(np.linalg.norm(resid_vec))
-
-
 def iterate_once(X: np.ndarray, y: np.ndarray, B: np.ndarray, dims: HankelDims,
                  config: SolverConfig, factors: LowRankFactors | None = None,
                  iteration: int | None = None, residual: np.ndarray | None = None,
-                 ) -> tuple[np.ndarray, StepInfo]:
+                 ) -> tuple[np.ndarray, LowRankFactors]:
     """One solver iteration from X (and the carried rank-r factors).
 
-    When no factors are supplied they are recomputed as the rank-r truncation
-    of lift(X); inside ``solve`` the factors produced by the previous
-    truncation are carried instead, which also keeps the fast path free of
-    dense lifts.  Likewise ``residual``, the data residual measure(X, B) - y,
-    is computed here unless the caller passes it; ``solve`` passes the one it
-    evaluated for its trace.  Raises ``DivergenceError`` (naming the
-    iteration when given) if the update stops being finite.
+    Takes a gradient step on the data misfit, lifts it, projects the lift onto
+    the tangent space at the carried factors, truncates to rank r and
+    de-lifts; returns the new iterate and its rank-r factors.  When no factors
+    are supplied they are recomputed as the rank-r truncation of lift(X);
+    inside ``solve`` the factors produced by the previous truncation are
+    carried instead, which also keeps the fast path free of dense lifts.
+    Likewise ``residual``, the data residual measure(X, B) - y, is computed
+    here unless the caller passes it; ``solve`` passes the one it evaluated
+    for its trace.  Raises ``DivergenceError`` (naming the iteration when
+    given) if the update stops being finite.
     """
     config.validate()
     X = np.asarray(X)
-    step = _step_weighted if config.variant == "weighted" else _step_algorithm1
     try:
         if not np.all(np.isfinite(X)):
             raise DivergenceError("iterate is not finite")
         if factors is None:
             factors = truncate_rank(hankel.lift(X, dims), config.rank)
-        X_new, new_factors, grad_resid = step(X, factors, y, B, dims, config, residual)
+        if residual is None:
+            residual = measure(X, B) - y
+        Xt = X - config.step_size * adjoint_measure(residual, B)
+        if not np.all(np.isfinite(Xt)):
+            raise DivergenceError("gradient update is not finite")
+        if config.mode == "fast":
+            spectrum = hankel.SignalSpectrum(Xt)
+            new = project_tangent_truncate(
+                lambda v: hankel.lift_matvec(spectrum, v, dims),
+                lambda u: hankel.lift_rmatvec(spectrum, u, dims),
+                factors.tangent(), config.rank)
+            X_new = hankel.pinv_lift_lowrank(new.U, new.sigma, new.V, dims)
+        else:
+            W = project_tangent(hankel.lift(Xt, dims), factors.tangent())
+            new = truncate_rank(W, config.rank)
+            X_new = hankel.pinv_lift(new.reconstruct(), dims)
         if not np.all(np.isfinite(X_new)):
             raise DivergenceError("iterate is not finite")
     except DivergenceError as exc:
         where = f" at iteration {iteration}" if iteration is not None else ""
         raise DivergenceError(f"{exc}{where}") from None
-    return X_new, StepInfo(factors=new_factors, gradient_residual=grad_resid,
-                           effective_rank=new_factors.rank)
+    return X_new, new
 
 
 def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
@@ -305,8 +235,8 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
     termination = "max_iters"
     for t in range(1, config.max_iters + 1):
         try:
-            X_new, info = iterate_once(X, y, B, dims, config, factors=factors,
-                                       iteration=t, residual=resid_vec)
+            X_new, new_factors = iterate_once(X, y, B, dims, config, factors=factors,
+                                              iteration=t, residual=resid_vec)
         except (DivergenceError, np.linalg.LinAlgError) as exc:
             termination = f"diverged: {exc}"
             X, returned_t = best_X, best_t
@@ -321,17 +251,17 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
             best_resid, best_X, best_t = resid, X_new.copy(), t
         step_norm = np.linalg.norm(X_new - X)
         X_scale = np.linalg.norm(X)
-        X, factors, returned_t = X_new, info.factors, t
+        X, factors, returned_t = X_new, new_factors, t
 
         if resid / denom <= config.residual_tol:
             termination = "converged"
             break
-        stagnant = stagnant + 1 if step_norm < config.stagnation_tol * max(X_scale, 1e-300) else 0
-        if stagnant >= config.stagnation_window:
+        stagnant = stagnant + 1 if step_norm < _STAGNATION_TOL * max(X_scale, 1e-300) else 0
+        if stagnant >= _STAGNATION_WINDOW:
             termination = "stagnated"
             break
-        grown = grown + 1 if resid > config.divergence_factor * min_resid else 0
-        if grown >= config.divergence_window:
+        grown = grown + 1 if resid > _DIVERGENCE_FACTOR * min_resid else 0
+        if grown >= _DIVERGENCE_WINDOW:
             termination = "diverged: residual grew past its running minimum"
             X, returned_t = best_X, best_t
             break

@@ -210,8 +210,7 @@ def test_criterion_5_fast_path_equivalence_and_speed():
             for mode in ("dense", "fast"):
                 X, f = state[mode]
                 cfg = SolverConfig(rank=5, mode=mode, step_size=0.5)
-                X_next, info = iterate_once(X, y, B, dims, cfg, factors=f)
-                new[mode] = (X_next, info.factors)
+                new[mode] = iterate_once(X, y, B, dims, cfg, factors=f)
             gap = (np.linalg.norm(new["dense"][0] - new["fast"][0])
                    / np.linalg.norm(new["dense"][0]))
             worst = max(worst, gap)
@@ -225,12 +224,10 @@ def test_criterion_5_fast_path_equivalence_and_speed():
     for mode, iters in (("dense", 3), ("fast", 30)):
         cfg = SolverConfig(rank=3, mode=mode, step_size=0.5)
         X, f = X0.copy(), f0
-        X, info = iterate_once(X, y, B, dims, cfg, factors=f)  # warm-up
-        f = info.factors
+        X, f = iterate_once(X, y, B, dims, cfg, factors=f)  # warm-up
         t0 = time.perf_counter()
         for _ in range(iters):
-            X, info = iterate_once(X, y, B, dims, cfg, factors=f)
-            f = info.factors
+            X, f = iterate_once(X, y, B, dims, cfg, factors=f)
         per_iter[mode] = (time.perf_counter() - t0) / iters
     speedup = per_iter["dense"] / per_iter["fast"]
     assert speedup >= 5.0, f"fast mode only {speedup:.1f}x faster"

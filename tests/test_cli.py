@@ -1,11 +1,17 @@
 """Harness tests: seed derivation, trace files, sweeps, checks, reports."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from hankelsr.cli import (SEED_DERIVATION_ZERO, TrialRecord, aggregate_sweep,
-                          main, seed_derivation, synth_instance, write_trace)
+from hankelsr import cli
+from hankelsr.cli import (EXIT_USAGE, SEED_DERIVATION_ZERO, TrialRecord,
+                          aggregate_sweep, main, seed_derivation, synth_instance,
+                          write_trace)
 from hankelsr.model import measure
 from hankelsr.solver import (ConvergenceTrace, SolverConfig, TraceRecord,
                              relative_error, solve)
@@ -155,6 +161,43 @@ class TestRun:
         write_trace(str(path), trace, include_timing=False)
         lines = path.read_text().strip().split("\n")
         assert lines == ["iter,residual", "0,1.0", "1,0.5"]
+
+
+class TestRejectedInput:
+    @pytest.mark.parametrize("flags", [
+        ["--tol", "nan"], ["--success-tol", "nan"], ["--step-size", "nan"],
+        ["--step-size", "inf"], ["--step-size", "-1"], ["--variant", "weighted"]])
+    def test_bad_flags_rejected_before_solving(self, flags, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("an instance was solved despite a bad flag")
+
+        monkeypatch.setattr(cli, "solve", no_solve)
+        for command in ("run", "sweep"):
+            out = tmp_path / f"{command}.csv"
+            code = run_cli(command, "--n", "32", "--s", "2", "--r", "2", *flags,
+                           "--out", str(out))
+            assert code == EXIT_USAGE
+            assert capsys.readouterr().err.startswith("error: ")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "report"])
+    def test_unwritable_out_is_a_usage_error(self, command, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.csv"
+        code = run_cli(command, "--n", "32", "--s", "2", "--r", "2",
+                       "--max-iters", "2", "--out", str(out))
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+
+    def test_readme_lists_every_shared_flag(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        listed = re.search(r"Shared flags: `([^`]*)`", readme).group(1)
+        subparsers = next(action for action in cli._build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        options = {opt for action in subparsers.choices["run"]._actions
+                   for opt in action.option_strings
+                   if opt.startswith("--") and opt != "--help"}
+        assert set(re.findall(r"--[a-z0-9-]+", listed)) == options
 
 
 class TestSweep:

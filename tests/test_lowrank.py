@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from hankelsr.hankel import choose_dims, lift, lift_matvec, lift_rmatvec
-from hankelsr.lowrank import (LowRankFactors, RankTruncationError,
-                              SubspaceControls, TangentSpace, project_tangent,
-                              project_tangent_truncate, truncate_rank,
-                              truncate_rank_operator)
+from hankelsr.lowrank import (LowRankFactors, RankTruncationError, TangentSpace,
+                              project_tangent, project_tangent_truncate,
+                              truncate_rank, truncate_rank_operator)
 from hankelsr.model import build_signal, synth_model
 
 
@@ -164,10 +163,9 @@ class TestTruncateRankOperator:
     def test_nonconvergence_raises_with_residual(self):
         rng = np.random.default_rng(8)
         M = crandn(rng, 10, 10)
-        controls = SubspaceControls(max_iters=2, tol=1e-30)
         with pytest.raises(RankTruncationError) as excinfo:
             truncate_rank_operator(lambda v: M @ v, lambda u: M.conj().T @ u,
-                                   M.shape, 2, controls)
+                                   M.shape, 2, max_iters=2, tol=1e-30)
         assert excinfo.value.residual >= 0.0
 
     def test_seeded_determinism(self):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from hankelsr.hankel import choose_dims, lift
-from hankelsr.model import (MeasurementSetup, PointSourceModel, adjoint_measure,
-                            build_signal, hankel_factorization, measure,
-                            sample_subspace, steering_vector, synth_model)
+from hankelsr.model import (PointSourceModel, adjoint_measure, build_signal,
+                            hankel_factorization, measure, sample_subspace,
+                            steering_vector, synth_model)
 
 
 def crandn(rng, *shape):
@@ -160,15 +160,6 @@ class TestAdjointMeasure:
             lhs = np.vdot(measure(X, B), y)
             rhs = np.vdot(X, adjoint_measure(y, B))
             assert abs(lhs - rhs) <= 1e-10 * (np.linalg.norm(X) * np.linalg.norm(y))
-
-
-class TestMeasurementSetup:
-    def test_valid(self):
-        MeasurementSetup(B=np.zeros((2, 5)), y=np.zeros(5))
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            MeasurementSetup(B=np.zeros((2, 5)), y=np.zeros(4))
 
 
 class TestHankelFactorization:

@@ -1,4 +1,5 @@
-"""Property tests: the FFT products and the tangent truncation against dense oracles."""
+"""Property tests: the dense lift's identities, and the FFT products and the
+tangent truncation against dense oracles."""
 
 from unittest import mock
 
@@ -7,8 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hankelsr import lowrank
-from hankelsr.hankel import (adjoint_lift, adjoint_lift_lowrank, choose_dims,
-                             lift, lift_matvec, lift_rmatvec)
+from hankelsr.hankel import (adjoint_lift, adjoint_lift_isometric,
+                             adjoint_lift_lowrank, choose_dims, lift,
+                             lift_isometric, lift_matvec, lift_rmatvec,
+                             pinv_lift)
 from hankelsr.lowrank import (LowRankFactors, TangentSpace, project_tangent,
                               project_tangent_truncate, truncate_rank)
 
@@ -36,6 +39,32 @@ def lifts(draw):
 def assert_close(actual, expected):
     scale = max(1.0, float(np.max(np.abs(expected), initial=0.0)))
     np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-12 * scale)
+
+
+@PROPERTY
+@given(lifts())
+def test_lift_adjoint_identity(case):
+    dims, X, _, rng = case
+    Z = crandn(rng, *dims.lifted_shape)
+    lifted = lift(X, dims)
+    defect = abs(np.vdot(lifted, Z) - np.vdot(X, adjoint_lift(Z, dims)))
+    assert defect <= 1e-12 * np.linalg.norm(lifted) * np.linalg.norm(Z)
+
+
+@PROPERTY
+@given(lifts())
+def test_pinv_lift_inverts_lift(case):
+    dims, X, _, _ = case
+    assert_close(pinv_lift(lift(X, dims), dims), X)
+
+
+@PROPERTY
+@given(lifts())
+def test_isometric_lift_inverse_and_isometry(case):
+    dims, X, _, _ = case
+    Z = lift_isometric(X, dims)
+    assert_close(adjoint_lift_isometric(Z, dims), X)
+    assert abs(np.linalg.norm(Z) - np.linalg.norm(X)) <= 1e-12 * np.linalg.norm(X)
 
 
 @PROPERTY
