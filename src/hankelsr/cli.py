@@ -202,6 +202,13 @@ def write_trace(path: str, trace, include_timing: bool) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _open_outputs(*paths: str) -> None:
+    """Create or truncate each output file, so that an unwritable path fails before any solve."""
+    for path in paths:
+        with open(path, "w"):
+            pass
+
+
 def _write_sidecar(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
@@ -213,12 +220,13 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     derived = seed_derivation(cfg.seed, 0)
     _, dims, B, X_true, y = synth_instance(n, s, r, derived, cfg.n1,
                                            cfg.complex_subspace)
+    out = cfg.out or "run_trace.csv"
+    _open_outputs(out, out + ".meta.json")
     t0 = time.perf_counter()
     X_hat, trace = solve(y, B, dims, cfg.solver_config(r, derived),
                          ground_truth=X_true)
     total_s = time.perf_counter() - t0
 
-    out = cfg.out or "run_trace.csv"
     write_trace(out, trace, include_timing=cfg.timing)
     # After a divergence solve returns its best iterate, not the last one the
     # trace records, so the final figures are taken from the returned estimate.
@@ -279,13 +287,15 @@ _REPORT_COLUMNS = ("mu0", "mu1", "kappa", "sigma_r", "rip_norm_estimate",
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
+    out = cfg.out or "sweep_results.csv"
+    summary_path = out.rsplit(".", 1)[0] + "_summary.csv"
+    _open_outputs(out, summary_path)
     records = [
         _run_trial(cfg, n, s, r, trial)
         for n in cfg.n for s in cfg.s for r in cfg.r
         for trial in range(cfg.trials)
     ]
 
-    out = cfg.out or "sweep_results.csv"
     header = ["n", "s", "r", "trial", "derived_seed", "rel_error",
               "iterations", "termination", "elapsed_ms", "success"]
     if cfg.with_report:
@@ -304,7 +314,6 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
         fh.write("\n".join(lines) + "\n")
 
     summary = aggregate_sweep(records)
-    summary_path = out.rsplit(".", 1)[0] + "_summary.csv"
     with open(summary_path, "w") as fh:
         fh.write("n,s,r,trials,successes,success_rate\n")
         for cell in summary:
@@ -351,6 +360,8 @@ def cmd_report(cfg: ExperimentConfig) -> int:
     derived = seed_derivation(cfg.seed, 0)
     mdl, dims, B, _, _ = synth_instance(n, s, r, derived, cfg.n1,
                                         cfg.complex_subspace)
+    if cfg.out:
+        _open_outputs(cfg.out)
     report = assumption_report(mdl, B, dims)
     payload = {"n": n, "s": s, "r": r, "seed": cfg.seed,
                "derived_seed": derived, "n1": dims.n1, "n2": dims.n2,

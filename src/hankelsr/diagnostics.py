@@ -91,9 +91,10 @@ def estimate_rip_norm(B: np.ndarray, dims: HankelDims, T: TangentSpace,
     if aa_map is None:
         aa_map = lambda X: adjoint_measure(measure(X, B), B)
 
+    # Every power iterate is already in T (the seeded start and each apply
+    # output are projected), so the map's leading P_T is the identity here.
     def apply(Z):
-        Zt = project_tangent(Z, T)
-        Xg = hankel.adjoint_lift_isometric(Zt, dims)
+        Xg = hankel.adjoint_lift_isometric(Z, dims)
         diff = Xg - aa_map(Xg)
         return project_tangent(hankel.lift_isometric(diff, dims), T)
 

@@ -6,8 +6,12 @@ initialization (back-project the data, lift, hard-threshold to rank r,
 de-lift) and then repeats: gradient step on the data misfit, lift, project
 onto the current fixed-rank tangent space, hard-threshold to rank r, de-lift.
 
-The iteration runs on a dense reference path or an FFT-based fast path whose
-per-iteration cost stays at O(r^2 s n + r s n log n).
+Both modes project and truncate in one step, through the SVD of a 2r-by-2r
+core (``lowrank.project_tangent_truncate``); they differ in how they form the
+products with the lifted matrix.  ``dense`` mode materializes the lift once
+per iteration and de-lifts densely; ``fast`` mode forms the products and the
+de-lift by FFTs, at O(r^2 s n + r s n log n) per iteration.  A full SVD runs
+only in the dense initialization.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ import numpy as np
 
 from . import hankel
 from .hankel import HankelDims
-from .lowrank import (LowRankFactors, project_tangent, project_tangent_truncate,
-                      truncate_rank, truncate_rank_operator)
+from .lowrank import (LowRankFactors, project_tangent_truncate, truncate_rank,
+                      truncate_rank_operator)
 from .model import adjoint_measure, measure
 
 MODES = ("dense", "fast")
@@ -108,6 +112,13 @@ def relative_error(X: np.ndarray, X_ref: np.ndarray) -> float:
     return float(np.linalg.norm(X - X_ref) / denom)
 
 
+def _check_rank_feasible(rank: int, dims: HankelDims) -> None:
+    """The tangent space at a rank-r point of the lift needs 2r <= min(s*n1, n2)."""
+    if 2 * rank > min(dims.lifted_shape):
+        raise ValueError(f"rank {rank} infeasible for lifted shape "
+                         f"{dims.lifted_shape}: need 2*rank <= {min(dims.lifted_shape)}")
+
+
 def _initialize_factors(y: np.ndarray, B: np.ndarray, dims: HankelDims, r: int,
                         mode: str = "dense", seed: int = 0,
                         ) -> tuple[np.ndarray, LowRankFactors]:
@@ -149,10 +160,15 @@ def iterate_once(X: np.ndarray, y: np.ndarray, B: np.ndarray, dims: HankelDims,
     carried instead, which also keeps the fast path free of dense lifts.
     Likewise ``residual``, the data residual measure(X, B) - y, is computed
     here unless the caller passes it; ``solve`` passes the one it evaluated
-    for its trace.  Raises ``DivergenceError`` (naming the iteration when
-    given) if the update stops being finite.
+    for its trace.  Both modes truncate through the 2r-by-2r core of
+    ``project_tangent_truncate``: ``dense`` forms its products with the
+    materialized lift of the gradient step, ``fast`` with FFTs.  Raises
+    ``ValueError`` when the rank is infeasible for the lift, as ``solve``
+    does, and ``DivergenceError`` (naming the iteration when given) if the
+    update stops being finite.
     """
     config.validate()
+    _check_rank_feasible(config.rank, dims)
     X = np.asarray(X)
     try:
         if not np.all(np.isfinite(X)):
@@ -166,15 +182,17 @@ def iterate_once(X: np.ndarray, y: np.ndarray, B: np.ndarray, dims: HankelDims,
             raise DivergenceError("gradient update is not finite")
         if config.mode == "fast":
             spectrum = hankel.SignalSpectrum(Xt)
-            new = project_tangent_truncate(
-                lambda v: hankel.lift_matvec(spectrum, v, dims),
-                lambda u: hankel.lift_rmatvec(spectrum, u, dims),
-                factors.tangent(), config.rank)
-            X_new = hankel.pinv_lift_lowrank(new.U, new.sigma, new.V, dims)
+            matvec = lambda v: hankel.lift_matvec(spectrum, v, dims)
+            rmatvec = lambda u: hankel.lift_rmatvec(spectrum, u, dims)
+            delift = lambda f: hankel.pinv_lift_lowrank(f.U, f.sigma, f.V, dims)
         else:
-            W = project_tangent(hankel.lift(Xt, dims), factors.tangent())
-            new = truncate_rank(W, config.rank)
-            X_new = hankel.pinv_lift(new.reconstruct(), dims)
+            Z = hankel.lift(Xt, dims)
+            matvec = lambda v: Z @ v
+            # Z^H u as (u^H Z)^H: conjugates the small factor, never all of Z.
+            rmatvec = lambda u: (u.conj().T @ Z).conj().T
+            delift = lambda f: hankel.pinv_lift(f.reconstruct(), dims)
+        new = project_tangent_truncate(matvec, rmatvec, factors.tangent(), config.rank)
+        X_new = delift(new)
         if not np.all(np.isfinite(X_new)):
             raise DivergenceError("iterate is not finite")
     except DivergenceError as exc:
@@ -209,9 +227,7 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
         raise ValueError("y/B shapes inconsistent with dims")
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(B))):
         raise ValueError("y and B must be finite")
-    if 2 * config.rank > min(dims.lifted_shape):
-        raise ValueError(f"rank {config.rank} infeasible for lifted shape "
-                         f"{dims.lifted_shape}: need 2*rank <= {min(dims.lifted_shape)}")
+    _check_rank_feasible(config.rank, dims)
 
     y_norm = float(np.linalg.norm(y))
     denom = y_norm if y_norm > 0 else 1.0

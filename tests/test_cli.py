@@ -181,7 +181,13 @@ class TestRejectedInput:
             assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep", "report"])
-    def test_unwritable_out_is_a_usage_error(self, command, tmp_path, capsys):
+    def test_unwritable_out_is_a_usage_error(self, command, tmp_path, capsys, monkeypatch):
+        # reported before any instance is solved or reported on
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --out was opened")
+
+        monkeypatch.setattr(cli, "solve", no_work)
+        monkeypatch.setattr(cli, "assumption_report", no_work)
         out = tmp_path / "missing" / "out.csv"
         code = run_cli(command, "--n", "32", "--s", "2", "--r", "2",
                        "--max-iters", "2", "--out", str(out))

@@ -7,10 +7,11 @@ import pytest
 
 from hankelsr.diagnostics import (assumption_report, estimate_rip_norm,
                                   measure_mu0, measure_mu1, spectral_distance)
-from hankelsr.hankel import choose_dims, lift
-from hankelsr.lowrank import truncate_rank
-from hankelsr.model import (PointSourceModel, build_signal, sample_subspace,
-                            synth_model)
+from hankelsr.hankel import (adjoint_lift_isometric, choose_dims, lift,
+                             lift_isometric)
+from hankelsr.lowrank import project_tangent, truncate_rank
+from hankelsr.model import (PointSourceModel, adjoint_measure, build_signal,
+                            measure, sample_subspace, synth_model)
 
 
 def crandn(rng, *shape):
@@ -87,6 +88,26 @@ class TestRipNorm:
         B = np.ones((1, 32))
         est = estimate_rip_norm(B, dims, f.tangent(), iters=50)
         assert est <= 1e-8
+
+    def test_matches_two_projection_reference(self):
+        # The power iteration on P_T G (I - A*A) G* P_T written out with both
+        # projections, from the same seeded start.
+        B, dims, f = self._tangent(48, 2, 2, 3)
+        T = f.tangent()
+
+        def apply(Z):
+            Xg = adjoint_lift_isometric(project_tangent(Z, T), dims)
+            diff = Xg - adjoint_measure(measure(Xg, B), B)
+            return project_tangent(lift_isometric(diff, dims), T)
+
+        Z = project_tangent(crandn(np.random.default_rng(7), *dims.lifted_shape), T)
+        Z /= np.linalg.norm(Z)
+        for _ in range(60):
+            AZ = apply(Z)
+            ref = np.linalg.norm(AZ)
+            Z = AZ / ref
+        est = estimate_rip_norm(B, dims, T, iters=60, seed=7)
+        assert abs(est - ref) <= 1e-12 * ref
 
     def test_iters_precondition(self):
         B, dims, f = self._tangent(16, 2, 1, 2)

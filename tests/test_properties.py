@@ -8,12 +8,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hankelsr import lowrank
+from hankelsr.checks import reference_step
 from hankelsr.hankel import (adjoint_lift, adjoint_lift_isometric,
                              adjoint_lift_lowrank, choose_dims, lift,
                              lift_isometric, lift_matvec, lift_rmatvec,
                              pinv_lift)
 from hankelsr.lowrank import (LowRankFactors, TangentSpace, project_tangent,
                               project_tangent_truncate, truncate_rank)
+from hankelsr.model import adjoint_measure, measure
+from hankelsr.solver import SolverConfig, iterate_once, relative_error
 
 # Few, reproducible examples: each draws a fresh shape, so a handful covers
 # the edge splits without slowing the suite.
@@ -167,3 +170,23 @@ def test_project_tangent_truncate_degenerate_off_tangent_blocks(seed, k, b_kind,
     LowRankFactors(U=got.U, sigma=got.sigma, V=got.V)
     want = truncate_rank(project_tangent(M, T), r).reconstruct()
     np.testing.assert_allclose(got.reconstruct(), want, rtol=0, atol=1e-10 * svals[0])
+
+
+@PROPERTY
+@given(lifts())
+def test_dense_step_matches_reference_step(case):
+    """Dense iterate_once against the full-SVD step on every feasible split, up to 2r = min(s*n1, n2)."""
+    dims, X, k, rng = case
+    r = min(k, min(dims.lifted_shape) // 2)
+    assume(r >= 1)
+    B = rng.standard_normal((dims.s, dims.n))
+    y = crandn(rng, dims.n)
+    cfg = SolverConfig(rank=r, mode="dense", step_size=0.5)
+    factors = truncate_rank(lift(X, dims), r)
+    Xt = X - cfg.step_size * adjoint_measure(measure(X, B) - y, B)
+    svals = np.linalg.svd(project_tangent(lift(Xt, dims), factors.tangent()), compute_uv=False)
+    assume(svals[r - 1] - svals[r] > 1e-3 * svals[0])  # a well-defined rank-r truncation
+
+    X_new, _ = iterate_once(X, y, B, dims, cfg, factors=factors)
+    X_ref, _ = reference_step(X, y, B, dims, cfg, factors)
+    assert relative_error(X_new, X_ref) < 1e-10

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from hankelsr import solver
+from hankelsr import lowrank, solver
+from hankelsr.checks import reference_step
 from hankelsr.diagnostics import spectral_distance
 from hankelsr.hankel import choose_dims, lift, pinv_lift
 from hankelsr.model import (adjoint_measure, build_signal, measure,
@@ -78,11 +79,39 @@ class TestInitialize:
 class TestIterateOnce:
     @pytest.mark.parametrize("mode", ["dense", "fast"])
     def test_truth_is_fixed_point(self, mode):
+        # At the truth the off-tangent blocks are roundoff, and the step
+        # still matches the full-SVD reference step.
         dims, B, X_true, y = make_instance(32, 2, 2, 3)
         cfg = SolverConfig(rank=2, mode=mode)
         X_next, factors = iterate_once(X_true, y, B, dims, cfg)
         assert relative_error(X_next, X_true) < 1e-10
         assert factors.rank == 2
+        X_ref, _ = reference_step(X_true, y, B, dims, cfg,
+                                  lowrank.truncate_rank(lift(X_true, dims), 2))
+        assert relative_error(X_next, X_ref) < 1e-10
+
+    def test_dense_mode_matches_reference_step(self):
+        # The 2r-by-2r core truncation against the full SVD of the projected
+        # lift, each carrying its own iterate from the dense initialization.
+        dims, B, X_true, y = make_instance(256, 4, 5, 20)
+        cfg = SolverConfig(rank=5, mode="dense", step_size=0.5)
+        X, factors = X_ref, ref_factors = _initialize_factors(y, B, dims, 5)
+        for _ in range(12):
+            X, factors = iterate_once(X, y, B, dims, cfg, factors=factors)
+            X_ref, ref_factors = reference_step(X_ref, y, B, dims, cfg, ref_factors)
+            assert relative_error(X, X_ref) < 1e-10
+
+    @pytest.mark.parametrize("mode", ["dense", "fast"])
+    def test_infeasible_rank_rejected_as_in_solve(self, mode):
+        # lifted shape (20, 6): the tangent space at rank 4 would need 8 columns
+        dims, B, X_true, y = make_instance(10, 4, 2, 18)
+        cfg = SolverConfig(rank=4, mode=mode)
+        with pytest.raises(ValueError) as stepped:
+            iterate_once(X_true, y, B, dims, cfg)
+        with pytest.raises(ValueError) as solved:
+            solve(y, B, dims, cfg)
+        assert str(stepped.value) == str(solved.value)
+        assert "rank 4 infeasible for lifted shape (20, 6)" in str(stepped.value)
 
     def test_zero_step_is_identity_on_model_signals(self):
         dims, B, X_true, y = make_instance(24, 2, 2, 4)
