@@ -161,8 +161,8 @@ def reference_step(X: np.ndarray, y: np.ndarray, B: np.ndarray,
                    ) -> tuple[np.ndarray, lowrank.LowRankFactors]:
     """The solver step as written: gradient step, lift, project, full SVD, de-lift.
 
-    Shares no code with ``project_tangent_truncate``, which both solver modes
-    truncate through.
+    Shares no code with ``project_tangent_truncate`` or the FFT products and
+    de-lift that every solver iteration runs.
     """
     Xt = X - config.step_size * model.adjoint_measure(model.measure(X, B) - y, B)
     W = lowrank.project_tangent(hankel.lift(Xt, dims), factors.tangent())
@@ -171,12 +171,12 @@ def reference_step(X: np.ndarray, y: np.ndarray, B: np.ndarray,
 
 
 def check_fast_dense_equivalence(seed: int = 8, iters: int = 12) -> CheckResult:
-    """Both modes' iterates against the reference step, and the two initializations.
+    """The solver's iterates against the reference step, and the two initializations.
 
-    The iterations of both modes and of ``reference_step`` start from the
-    dense initialization, so their gaps are roundoff; the operator
-    initialization of ``fast`` mode is compared with the dense one on its
-    own, to the 1e-6 its subspace iteration reaches.
+    The solver iteration, which is the same in both modes, and
+    ``reference_step`` start from the dense initialization, so their gap is
+    roundoff; the operator initialization of ``fast`` mode is compared with
+    the dense one on its own, to the 1e-6 its subspace iteration reaches.
     """
     rng = np.random.default_rng(seed)
     m = model.synth_model(2, 48, 2, rng)
@@ -187,17 +187,13 @@ def check_fast_dense_equivalence(seed: int = 8, iters: int = 12) -> CheckResult:
     inits = {mode: solver._initialize_factors(y, B, dims, m.r, mode=mode)
              for mode in solver.MODES}
     init_gap = solver.relative_error(inits["fast"][0], inits["dense"][0])
+    cfg = solver.SolverConfig(rank=m.r)
     worst = 0.0
-    reference = inits["dense"]
-    states = dict.fromkeys(solver.MODES, inits["dense"])
+    X, factors = X_ref, ref_factors = inits["dense"]
     for _ in range(iters):
-        X, factors = reference
-        reference = reference_step(X, y, B, dims, solver.SolverConfig(rank=m.r), factors)
-        for mode in solver.MODES:
-            cfg = solver.SolverConfig(rank=m.r, mode=mode)
-            X, factors = states[mode]
-            states[mode] = solver.iterate_once(X, y, B, dims, cfg, factors=factors)
-            worst = max(worst, solver.relative_error(states[mode][0], reference[0]))
+        X, factors = solver.iterate_once(X, y, B, dims, cfg, factors=factors)
+        X_ref, ref_factors = reference_step(X_ref, y, B, dims, cfg, ref_factors)
+        worst = max(worst, solver.relative_error(X, X_ref))
     return CheckResult("fast_dense_equivalence", worst < 1e-8 and init_gap < 1e-6,
                        f"worst per-iterate gap to the reference step {worst:.2e} "
                        f"from a shared start, operator vs dense initialization "

@@ -32,7 +32,7 @@ from .checks import run_all
 from .diagnostics import AssumptionReport, assumption_report
 from .hankel import choose_dims
 from .model import build_signal, measure, sample_subspace, synth_model
-from .solver import SolverConfig, relative_error, solve
+from .solver import SolverConfig, _check_rank_feasible, relative_error, solve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -221,6 +221,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     _, dims, B, X_true, y = synth_instance(n, s, r, derived, cfg.n1,
                                            cfg.complex_subspace)
     out = cfg.out or "run_trace.csv"
+    _check_rank_feasible(r, dims)  # solve's rule, before any output exists
     _open_outputs(out, out + ".meta.json")
     t0 = time.perf_counter()
     X_hat, trace = solve(y, B, dims, cfg.solver_config(r, derived),

@@ -3,10 +3,10 @@
 A rank-r matrix is carried as a compact SVD triple (U, sigma, V).  The
 tangent space of the fixed-rank manifold at such a point consists of matrices
 U N^H + M V^H; projecting onto it and re-truncating is the inner step of the
-solver.  Both solver modes run it as ``project_tangent_truncate``, which
-touches the full matrix only through operator products and ends in the SVD
-of a 2k-by-2k core, keeping the per-iteration cost at the factor scale.  The
-dense ``project_tangent`` and ``truncate_rank`` serve the dense
+solver.  Every solver iteration runs it as ``project_tangent_truncate``,
+which touches the full matrix only through operator products and ends in
+the SVD of a 2k-by-2k core, keeping the per-iteration cost at the factor
+scale.  The dense ``project_tangent`` and ``truncate_rank`` serve the dense
 initialization, the diagnostics and the checks, as the oracle of that step.
 """
 

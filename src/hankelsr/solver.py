@@ -6,12 +6,14 @@ initialization (back-project the data, lift, hard-threshold to rank r,
 de-lift) and then repeats: gradient step on the data misfit, lift, project
 onto the current fixed-rank tangent space, hard-threshold to rank r, de-lift.
 
-Both modes project and truncate in one step, through the SVD of a 2r-by-2r
-core (``lowrank.project_tangent_truncate``); they differ in how they form the
-products with the lifted matrix.  ``dense`` mode materializes the lift once
-per iteration and de-lifts densely; ``fast`` mode forms the products and the
-de-lift by FFTs, at O(r^2 s n + r s n log n) per iteration.  A full SVD runs
-only in the dense initialization.
+An iteration never forms the lifted matrix: it takes the products with the
+lift of the gradient step by FFTs on one spectrum of that signal, projects
+and truncates in one step through the SVD of a 2r-by-2r core
+(``lowrank.project_tangent_truncate``) and de-lifts the rank-r factors by
+FFTs, at O(r^2 s n + r s n log n) per iteration.  The mode picks only the
+initialization: ``dense`` takes the exact SVD of the materialized lifted
+back-projection, ``fast`` the seeded operator SVD on FFT products, which is
+the one that fits at large n.
 """
 
 from __future__ import annotations
@@ -157,15 +159,16 @@ def iterate_once(X: np.ndarray, y: np.ndarray, B: np.ndarray, dims: HankelDims,
     de-lifts; returns the new iterate and its rank-r factors.  When no factors
     are supplied they are recomputed as the rank-r truncation of lift(X);
     inside ``solve`` the factors produced by the previous truncation are
-    carried instead, which also keeps the fast path free of dense lifts.
+    carried instead, which keeps the iteration free of dense lifts.
     Likewise ``residual``, the data residual measure(X, B) - y, is computed
     here unless the caller passes it; ``solve`` passes the one it evaluated
-    for its trace.  Both modes truncate through the 2r-by-2r core of
-    ``project_tangent_truncate``: ``dense`` forms its products with the
-    materialized lift of the gradient step, ``fast`` with FFTs.  Raises
-    ``ValueError`` when the rank is infeasible for the lift, as ``solve``
-    does, and ``DivergenceError`` (naming the iteration when given) if the
-    update stops being finite.
+    for its trace.  The products with the lifted gradient step and the
+    de-lift run by FFTs, and the truncation through the 2r-by-2r core of
+    ``project_tangent_truncate``; ``config.mode`` is not read here, since it
+    selects only the initialization of ``solve``.  Raises ``ValueError`` when
+    the rank is infeasible for the lift, as ``solve`` does, and
+    ``DivergenceError`` (naming the iteration when given) if the update stops
+    being finite.
     """
     config.validate()
     _check_rank_feasible(config.rank, dims)
@@ -180,19 +183,12 @@ def iterate_once(X: np.ndarray, y: np.ndarray, B: np.ndarray, dims: HankelDims,
         Xt = X - config.step_size * adjoint_measure(residual, B)
         if not np.all(np.isfinite(Xt)):
             raise DivergenceError("gradient update is not finite")
-        if config.mode == "fast":
-            spectrum = hankel.SignalSpectrum(Xt)
-            matvec = lambda v: hankel.lift_matvec(spectrum, v, dims)
-            rmatvec = lambda u: hankel.lift_rmatvec(spectrum, u, dims)
-            delift = lambda f: hankel.pinv_lift_lowrank(f.U, f.sigma, f.V, dims)
-        else:
-            Z = hankel.lift(Xt, dims)
-            matvec = lambda v: Z @ v
-            # Z^H u as (u^H Z)^H: conjugates the small factor, never all of Z.
-            rmatvec = lambda u: (u.conj().T @ Z).conj().T
-            delift = lambda f: hankel.pinv_lift(f.reconstruct(), dims)
-        new = project_tangent_truncate(matvec, rmatvec, factors.tangent(), config.rank)
-        X_new = delift(new)
+        spectrum = hankel.SignalSpectrum(Xt)
+        new = project_tangent_truncate(
+            lambda v: hankel.lift_matvec(spectrum, v, dims),
+            lambda u: hankel.lift_rmatvec(spectrum, u, dims),
+            factors.tangent(), config.rank)
+        X_new = hankel.pinv_lift_lowrank(new.U, new.sigma, new.V, dims)
         if not np.all(np.isfinite(X_new)):
             raise DivergenceError("iterate is not finite")
     except DivergenceError as exc:
@@ -207,9 +203,9 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
     """Run the full solver: spectral initialization then hard-thresholded iterations.
 
     The initialization follows the mode: the operator SVD seeded by
-    ``config.seed`` in ``fast`` mode, the dense SVD in ``dense`` mode.  From
-    a shared initialization the two modes agree per iterate to roundoff;
-    whole runs differ also by how closely the two initializations agree.  Stops
+    ``config.seed`` in ``fast`` mode, the dense SVD in ``dense`` mode; the
+    iterations that follow run the same step in both modes, so whole runs
+    differ only by how closely the two initializations agree.  Stops
     on a small relative data residual, on stagnation of the iterates, at
     max_iters, or on divergence (residual growing well past its running
     minimum, or a non-finite iterate), in which case the best iterate by

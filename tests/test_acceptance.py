@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 
+from hankelsr.checks import reference_step
 from hankelsr.cli import seed_derivation
 from hankelsr.diagnostics import estimate_rip_norm, spectral_distance
 from hankelsr.hankel import (adjoint_lift, adjoint_lift_isometric, choose_dims,
@@ -199,41 +200,36 @@ def test_criterion_4_fixed_point_and_linear_convergence():
 
 
 def test_criterion_5_fast_path_equivalence_and_speed():
-    # per-iterate agreement on 10 instances
+    # per-iterate agreement with the textbook step (dense projection, full
+    # SVD, dense de-lift) on 10 instances, each carrying its own iterate
     worst = 0.0
     for trial in range(10):
         _, dims, B, X_true, y = make_instance(256, 4, 5, seed_derivation(55, trial))
-        X0, f0 = _initialize_factors(y, B, dims, 5)
-        state = {mode: (X0.copy(), f0) for mode in ("dense", "fast")}
+        cfg = SolverConfig(rank=5, step_size=0.5)
+        X, f = X_ref, f_ref = _initialize_factors(y, B, dims, 5)
         for t in range(12):
-            new = {}
-            for mode in ("dense", "fast"):
-                X, f = state[mode]
-                cfg = SolverConfig(rank=5, mode=mode, step_size=0.5)
-                new[mode] = iterate_once(X, y, B, dims, cfg, factors=f)
-            gap = (np.linalg.norm(new["dense"][0] - new["fast"][0])
-                   / np.linalg.norm(new["dense"][0]))
-            worst = max(worst, gap)
-            state = new
-    assert worst < 1e-8, f"modes diverged by {worst:.2e}"
+            X, f = iterate_once(X, y, B, dims, cfg, factors=f)
+            X_ref, f_ref = reference_step(X_ref, y, B, dims, cfg, f_ref)
+            worst = max(worst, np.linalg.norm(X - X_ref) / np.linalg.norm(X_ref))
+    assert worst < 1e-8, f"fast step diverged from the reference step by {worst:.2e}"
 
     # coarse per-iteration cost comparison at a larger size
     _, dims, B, X_true, y = make_instance(1024, 2, 3, seed_derivation(56, 0))
     X0, f0 = _initialize_factors(y, B, dims, 3)
+    cfg = SolverConfig(rank=3, step_size=0.5)
     per_iter = {}
-    for mode, iters in (("dense", 3), ("fast", 30)):
-        cfg = SolverConfig(rank=3, mode=mode, step_size=0.5)
-        X, f = X0.copy(), f0
-        X, f = iterate_once(X, y, B, dims, cfg, factors=f)  # warm-up
+    for name, step, iters in (("reference", reference_step, 3),
+                              ("fast", iterate_once, 30)):
+        X, f = step(X0, y, B, dims, cfg, factors=f0)  # warm-up
         t0 = time.perf_counter()
         for _ in range(iters):
-            X, f = iterate_once(X, y, B, dims, cfg, factors=f)
-        per_iter[mode] = (time.perf_counter() - t0) / iters
-    speedup = per_iter["dense"] / per_iter["fast"]
-    assert speedup >= 5.0, f"fast mode only {speedup:.1f}x faster"
-    print(f"\n[criterion 5] PASS fast path: worst per-iterate gap {worst:.2e}, "
-          f"speedup {speedup:.0f}x (dense {per_iter['dense']*1e3:.0f} ms/iter, "
-          f"fast {per_iter['fast']*1e3:.1f} ms/iter)")
+            X, f = step(X, y, B, dims, cfg, factors=f)
+        per_iter[name] = (time.perf_counter() - t0) / iters
+    speedup = per_iter["reference"] / per_iter["fast"]
+    assert speedup >= 5.0, f"fast step only {speedup:.1f}x faster"
+    print(f"\n[criterion 5] PASS fast path: worst per-iterate gap to the reference "
+          f"step {worst:.2e}, speedup {speedup:.0f}x (reference "
+          f"{per_iter['reference']*1e3:.0f} ms/iter, fast {per_iter['fast']*1e3:.1f} ms/iter)")
 
 
 def test_criterion_6_initialization_quality_trend():

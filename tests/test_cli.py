@@ -195,6 +195,14 @@ class TestRejectedInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out) in err
 
+    def test_infeasible_rank_leaves_no_output(self, tmp_path, capsys):
+        # lifted shape (20, 6): the tangent space at rank 4 would need 8 columns
+        out = tmp_path / "x.csv"
+        code = run_cli("run", "--n", "10", "--s", "4", "--r", "4", "--out", str(out))
+        assert code == EXIT_USAGE
+        assert "rank 4 infeasible for lifted shape (20, 6)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_readme_lists_every_shared_flag(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         listed = re.search(r"Shared flags: `([^`]*)`", readme).group(1)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hankelsr import lowrank, solver
+from hankelsr import hankel, lowrank, solver
 from hankelsr.checks import reference_step
 from hankelsr.diagnostics import spectral_distance
 from hankelsr.hankel import choose_dims, lift, pinv_lift
@@ -274,6 +274,23 @@ class TestSolve:
                                                   step_size=0.5))
         assert len(trace.records) == 6
         assert shapes.count((dims.s, dims.n)) == len(trace.records)
+
+    def test_dense_mode_lifts_only_to_initialize(self, monkeypatch):
+        # The dense initialization materializes the lift once; every
+        # iteration forms its products with it by FFTs.
+        dims, B, _, y = make_instance(48, 2, 2, 17)
+        calls = []
+        lift_ = hankel.lift
+
+        def counted(X, dims):
+            calls.append(1)
+            return lift_(X, dims)
+
+        monkeypatch.setattr(hankel, "lift", counted)
+        _, trace = solve(y, B, dims, SolverConfig(rank=2, max_iters=6, mode="dense",
+                                                  step_size=0.5))
+        assert trace.termination == "max_iters"
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("mode", ["dense", "fast"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
