@@ -6,8 +6,8 @@ from .hankel import (HankelDims, adjoint_lift, adjoint_lift_isometric,
                      adjoint_lift_lowrank, apply_weights, choose_dims, lift,
                      lift_isometric, lift_matvec, lift_rmatvec, pinv_lift,
                      pinv_lift_lowrank)
-from .lowrank import (LowRankFactors, RankTruncationError, TangentSpace,
-                      project_tangent, project_tangent_truncate, truncate_rank,
+from .lowrank import (LowRankFactors, RankTruncationError, project_tangent,
+                      project_tangent_truncate, truncate_rank,
                       truncate_rank_operator)
 from .model import (PointSourceModel, adjoint_measure, build_signal,
                     hankel_factorization, measure, sample_subspace,

@@ -130,12 +130,13 @@ def check_tangent_projection(seed: int = 5, trials: int = 20) -> CheckResult:
     for _ in range(trials):
         m, p = int(rng.integers(5, 12)), int(rng.integers(5, 12))
         r = int(rng.integers(1, min(m, p) // 2 + 1))
-        T = lowrank.truncate_rank(_crandn(rng, m, p), r).tangent()
+        point = lowrank.truncate_rank(_crandn(rng, m, p), r)
         W1, W2 = _crandn(rng, m, p), _crandn(rng, m, p)
-        P1 = lowrank.project_tangent(W1, T)
-        idem = np.linalg.norm(lowrank.project_tangent(P1, T) - P1) / max(np.linalg.norm(P1), 1e-300)
+        P1 = lowrank.project_tangent(W1, point)
+        idem = (np.linalg.norm(lowrank.project_tangent(P1, point) - P1)
+                / max(np.linalg.norm(P1), 1e-300))
         lhs = np.vdot(P1, W2)
-        rhs = np.vdot(W1, lowrank.project_tangent(W2, T))
+        rhs = np.vdot(W1, lowrank.project_tangent(W2, point))
         sa = abs(lhs - rhs) / (np.linalg.norm(W1) * np.linalg.norm(W2))
         worst = max(worst, idem, sa)
     return CheckResult("tangent_projection", worst < 1e-10,
@@ -149,7 +150,8 @@ def check_fixed_point(seed: int = 6) -> CheckResult:
     X_true = model.build_signal(m)
     B = model.sample_subspace(m.s, m.n, rng)
     y = model.measure(X_true, B)
-    X_next, _ = solver.iterate_once(X_true, y, B, dims, solver.SolverConfig(rank=m.r))
+    truth = lowrank.truncate_rank(hankel.lift(X_true, dims), m.r)
+    X_next, _ = solver.iterate_once(X_true, y, B, dims, solver.SolverConfig(rank=m.r), truth)
     movement = solver.relative_error(X_next, X_true)
     return CheckResult("solver_fixed_point", movement < 1e-10,
                        f"one-step movement {movement:.2e}")
@@ -165,7 +167,7 @@ def reference_step(X: np.ndarray, y: np.ndarray, B: np.ndarray,
     de-lift that every solver iteration runs.
     """
     Xt = X - config.step_size * model.adjoint_measure(model.measure(X, B) - y, B)
-    W = lowrank.project_tangent(hankel.lift(Xt, dims), factors.tangent())
+    W = lowrank.project_tangent(hankel.lift(Xt, dims), factors)
     new = lowrank.truncate_rank(W, config.rank)
     return hankel.pinv_lift(new.reconstruct(), dims), new
 
@@ -191,7 +193,7 @@ def check_fast_dense_equivalence(seed: int = 8, iters: int = 12) -> CheckResult:
     worst = 0.0
     X, factors = X_ref, ref_factors = inits["dense"]
     for _ in range(iters):
-        X, factors = solver.iterate_once(X, y, B, dims, cfg, factors=factors)
+        X, factors = solver.iterate_once(X, y, B, dims, cfg, factors)
         X_ref, ref_factors = reference_step(X_ref, y, B, dims, cfg, ref_factors)
         worst = max(worst, solver.relative_error(X, X_ref))
     return CheckResult("fast_dense_equivalence", worst < 1e-8 and init_gap < 1e-6,

@@ -32,7 +32,7 @@ from .checks import run_all
 from .diagnostics import AssumptionReport, assumption_report
 from .hankel import choose_dims
 from .model import build_signal, measure, sample_subspace, synth_model
-from .solver import SolverConfig, _check_rank_feasible, relative_error, solve
+from .solver import SolverConfig, relative_error, solve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -47,13 +47,10 @@ _DEFAULTS: dict = {
     "r": "5",
     "seed": 1,
     "trials": 1,
-    "max_iters": 300,
-    "tol": 1e-10,
-    "mode": "dense",
-    # The solver API defaults to the verbatim unit gradient step; the harness
-    # damps it, which keeps the default experiment scale (n=256, s=4, r=5)
-    # inside the contraction region.  Override with --step-size.
-    "step_size": 0.5,
+    "max_iters": SolverConfig.max_iters,
+    "tol": SolverConfig.residual_tol,
+    "mode": SolverConfig.mode,
+    "step_size": SolverConfig.step_size,
     "n1": None,
     "out": None,
     "success_tol": 1e-4,
@@ -85,13 +82,9 @@ def seed_derivation(master_seed: int, trial_index: int) -> int:
     Deterministic, and injective in the trial index for a fixed master seed
     (both rounds are bijections on 64-bit integers), so distinct trials never
     collide.  Regression vector: seed_derivation(0, 0) ==
-    SEED_DERIVATION_ZERO.
+    12035550249420947055.
     """
     return _splitmix64(_splitmix64(master_seed & _MASK64) + (trial_index & _MASK64))
-
-
-# Frozen output of seed_derivation(0, 0); recomputed in the test suite.
-SEED_DERIVATION_ZERO = _splitmix64(_splitmix64(0))
 
 
 @dataclass(frozen=True)
@@ -221,7 +214,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     _, dims, B, X_true, y = synth_instance(n, s, r, derived, cfg.n1,
                                            cfg.complex_subspace)
     out = cfg.out or "run_trace.csv"
-    _check_rank_feasible(r, dims)  # solve's rule, before any output exists
+    dims.check_rank(r)  # solve's rule, before any output exists
     _open_outputs(out, out + ".meta.json")
     t0 = time.perf_counter()
     X_hat, trace = solve(y, B, dims, cfg.solver_config(r, derived),
@@ -361,6 +354,7 @@ def cmd_report(cfg: ExperimentConfig) -> int:
     derived = seed_derivation(cfg.seed, 0)
     mdl, dims, B, _, _ = synth_instance(n, s, r, derived, cfg.n1,
                                         cfg.complex_subspace)
+    dims.check_rank(r)  # solve's rule, before any output exists
     if cfg.out:
         _open_outputs(cfg.out)
     report = assumption_report(mdl, B, dims)

@@ -6,19 +6,21 @@ spread of the lifted signal's singular subspaces over block rows and columns
 (mu1), conditioning of the lifted signal (kappa), a power-iteration estimate
 of how far the tangent-restricted measurement map is from an isometry, and
 the spectral distance of the initialization from the lifted truth.  They are
-advisory: the solver never gates on them.
+advisory: the solver never gates on them.  The report obeys the solver's rank
+rule (``HankelDims.check_rank``), so it rejects exactly the ranks ``solve``
+rejects, and takes the subspace constants and the tangent space from the
+rank-r truncation of the lifted truth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import hankel
 from .hankel import HankelDims
-from .lowrank import LowRankFactors, TangentSpace, project_tangent
+from .lowrank import LowRankFactors, project_tangent, truncate_rank
 from .model import PointSourceModel, adjoint_measure, build_signal, measure
 from .solver import initialize
 
@@ -35,14 +37,7 @@ class AssumptionReport:
     init_spectral_distance: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "mu0": self.mu0,
-            "mu1": self.mu1,
-            "kappa": self.kappa,
-            "sigma_r": self.sigma_r,
-            "rip_norm_estimate": self.rip_norm_estimate,
-            "init_spectral_distance": self.init_spectral_distance,
-        }
+        return asdict(self)
 
 
 def measure_mu0(B: np.ndarray) -> float:
@@ -68,37 +63,30 @@ def measure_mu1(factors: LowRankFactors, dims: HankelDims) -> float:
     return dims.n / r * max(u_max, v_max)
 
 
-def _seeded_start(T: TangentSpace, dims: HankelDims, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    m, p = dims.lifted_shape
-    Z = (rng.standard_normal((m, p)) + 1j * rng.standard_normal((m, p))) / np.sqrt(2.0)
-    return project_tangent(Z, T)
-
-
-def estimate_rip_norm(B: np.ndarray, dims: HankelDims, T: TangentSpace,
-                      iters: int = 200, seed: int = 7,
-                      aa_map: Callable[[np.ndarray], np.ndarray] | None = None) -> float:
+def estimate_rip_norm(B: np.ndarray, dims: HankelDims, point: LowRankFactors,
+                      iters: int = 100) -> float:
     """Operator norm of the tangent-restricted measurement-isometry defect.
 
-    Power iteration on the Hermitian map Z -> P_T (G (I - A*A) G*) P_T (Z),
-    where G is the isometric lift and A*A the back-projected measurement map
-    (overridable through ``aa_map``, e.g. with the identity the map vanishes).
-    Values well below 1 indicate the measurements act nearly isometrically on
-    the tangent space.
+    Power iteration, from a fixed seeded start, on the Hermitian map
+    Z -> P_T (G (I - A*A) G*) P_T (Z), where T is the tangent space at
+    ``point``, G the isometric lift and A*A the back-projected measurement
+    map.  Values well below 1 indicate the measurements act nearly
+    isometrically on the tangent space.
     """
     if iters < 1:
         raise ValueError(f"need iters >= 1, got {iters}")
-    if aa_map is None:
-        aa_map = lambda X: adjoint_measure(measure(X, B), B)
 
     # Every power iterate is already in T (the seeded start and each apply
     # output are projected), so the map's leading P_T is the identity here.
     def apply(Z):
         Xg = hankel.adjoint_lift_isometric(Z, dims)
-        diff = Xg - aa_map(Xg)
-        return project_tangent(hankel.lift_isometric(diff, dims), T)
+        diff = Xg - adjoint_measure(measure(Xg, B), B)
+        return project_tangent(hankel.lift_isometric(diff, dims), point)
 
-    Z = _seeded_start(T, dims, seed)
+    rng = np.random.default_rng(7)
+    m, p = dims.lifted_shape
+    Z = (rng.standard_normal((m, p)) + 1j * rng.standard_normal((m, p))) / np.sqrt(2.0)
+    Z = project_tangent(Z, point)
     nz = np.linalg.norm(Z)
     if nz == 0:
         return 0.0
@@ -123,23 +111,25 @@ def spectral_distance(Z_a: np.ndarray, Z_b: np.ndarray) -> float:
 
 
 def assumption_report(model: PointSourceModel, B: np.ndarray,
-                      dims: HankelDims, rip_iters: int = 100,
-                      seed: int = 7) -> AssumptionReport:
+                      dims: HankelDims) -> AssumptionReport:
     """Aggregate all instance constants for a desk-scale ground-truth model.
 
-    Uses a dense SVD of the lifted signal for kappa and sigma_r, and runs the
-    initialization on the exact measurements to report its spectral distance
-    from the lifted truth.
+    Rejects a rank the solver rejects, with ``solve``'s ``ValueError``.  Uses
+    the dense rank-r truncation of the lifted signal for kappa, sigma_r, mu1
+    and the tangent space of the isometry defect, and runs the initialization
+    on the exact measurements to report its spectral distance from the
+    lifted truth.
     """
+    dims.check_rank(model.r)
     X_true = build_signal(model)
     Z_true = hankel.lift(X_true, dims)
-    U, svals, Vh = np.linalg.svd(Z_true, full_matrices=False)
-    sigma_r = float(svals[model.r - 1])
-    kappa = float(svals[0] / sigma_r)
-    factors = LowRankFactors(U=U[:, :model.r], sigma=svals[:model.r].astype(float),
-                             V=Vh[:model.r].conj().T)
+    factors = truncate_rank(Z_true, model.r)
+    if factors.rank < model.r:
+        raise ValueError(f"lifted signal has numerical rank {factors.rank} < {model.r}")
+    sigma_r = float(factors.sigma[-1])
+    kappa = float(factors.sigma[0] / sigma_r)
     mu1 = measure_mu1(factors, dims)
-    rip = estimate_rip_norm(B, dims, factors.tangent(), iters=rip_iters, seed=seed)
+    rip = estimate_rip_norm(B, dims, factors)
     X0 = initialize(measure(X_true, B), B, dims, model.r)
     dist = spectral_distance(hankel.lift(X0, dims), Z_true)
     return AssumptionReport(mu0=measure_mu0(B), mu1=mu1, kappa=kappa,

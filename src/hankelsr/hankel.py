@@ -55,6 +55,13 @@ class HankelDims:
     def lifted_shape(self) -> tuple[int, int]:
         return (self.s * self.n1, self.n2)
 
+    def check_rank(self, rank: int) -> None:
+        """The tangent space at a rank-r point of the lift needs 2r <= min(s*n1, n2)."""
+        room = min(self.lifted_shape)
+        if 2 * rank > room:
+            raise ValueError(f"rank {rank} infeasible for lifted shape "
+                             f"{self.lifted_shape}: need 2*rank <= {room}")
+
 
 def weight_vector(n: int, n1: int, n2: int) -> np.ndarray:
     """Closed-form anti-diagonal weights w_i = min(i+1, n1, n2, n-i)."""

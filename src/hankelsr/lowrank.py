@@ -1,13 +1,16 @@
 """Rank-r manifold machinery: truncated SVDs and tangent-space projection.
 
-A rank-r matrix is carried as a compact SVD triple (U, sigma, V).  The
-tangent space of the fixed-rank manifold at such a point consists of matrices
-U N^H + M V^H; projecting onto it and re-truncating is the inner step of the
-solver.  Every solver iteration runs it as ``project_tangent_truncate``,
-which touches the full matrix only through operator products and ends in
-the SVD of a 2k-by-2k core, keeping the per-iteration cost at the factor
-scale.  The dense ``project_tangent`` and ``truncate_rank`` serve the dense
-initialization, the diagnostics and the checks, as the oracle of that step.
+A rank-r matrix is carried as a compact SVD triple (U, sigma, V),
+``LowRankFactors``.  The tangent space of the fixed-rank manifold at such a
+point consists of matrices U N^H + M V^H and depends on the point only
+through U and V, so the projections take the point's factors themselves.
+Projecting onto it and re-truncating is the inner step of the solver.  Every
+solver iteration runs it as ``project_tangent_truncate``, which touches the
+full matrix only through operator products and ends in the SVD of a
+2k-by-2k core, keeping the per-iteration cost at the factor scale.  The
+dense ``truncate_rank`` serves the dense initialization and, with the dense
+``project_tangent``, the diagnostics and the checks, as the oracle of that
+step.
 """
 
 from __future__ import annotations
@@ -87,16 +90,6 @@ class LowRankFactors:
             return np.zeros(self.shape, dtype=complex)
         return (self.U * self.sigma[None, :]) @ self.V.conj().T
 
-    def tangent(self) -> "TangentSpace":
-        return TangentSpace(U=self.U, V=self.V)
-
-
-@dataclass(frozen=True, eq=False)
-class TangentSpace:
-    """The (U, V) pair defining the fixed-rank tangent space at a point."""
-
-    U: np.ndarray
-    V: np.ndarray
 
 
 def _trim(U: np.ndarray, sigma: np.ndarray, V: np.ndarray, r: int) -> LowRankFactors:
@@ -135,18 +128,17 @@ def truncate_rank(W: np.ndarray, r: int) -> LowRankFactors:
     return _trim(U, sigma, Vh.conj().T, r)
 
 
-def project_tangent(W: np.ndarray, T: TangentSpace) -> np.ndarray:
-    """Orthogonal projection U U^H W + W V V^H - U U^H W V V^H onto T."""
+def project_tangent(W: np.ndarray, point: LowRankFactors) -> np.ndarray:
+    """Projection U U^H W + W V V^H - U U^H W V V^H onto the tangent space at point."""
     W = np.asarray(W)
-    if W.shape != (T.U.shape[0], T.V.shape[0]):
-        raise ValueError(
-            f"expected shape {(T.U.shape[0], T.V.shape[0])}, got {W.shape}"
-        )
-    if T.U.shape[1] == 0:
+    if W.shape != point.shape:
+        raise ValueError(f"expected shape {point.shape}, got {W.shape}")
+    if point.rank == 0:
         return np.zeros_like(W, dtype=np.result_type(W.dtype, np.complex128))
-    A = T.U.conj().T @ W  # (k, p)
-    C = W @ T.V  # (m, k)
-    return T.U @ A + (C - T.U @ (A @ T.V)) @ T.V.conj().T
+    U, V = point.U, point.V
+    A = U.conj().T @ W  # (k, p)
+    C = W @ V  # (m, k)
+    return U @ A + (C - U @ (A @ V)) @ V.conj().T
 
 
 def truncate_rank_operator(matvec: Callable[[np.ndarray], np.ndarray],
@@ -227,9 +219,10 @@ def _complete(U: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def project_tangent_truncate(matvec: Callable[[np.ndarray], np.ndarray],
                              adjoint_matvec: Callable[[np.ndarray], np.ndarray],
-                             T: TangentSpace, r: int) -> LowRankFactors:
+                             point: LowRankFactors, r: int) -> LowRankFactors:
     """Best rank-r factors of P_T(M) with M touched only via operator products.
 
+    T is the tangent space at ``point`` = (U, sigma, V), and
     P_T(M) = U A + B V^H with A = U^H M and B = (I - U U^H) M V, so it lives
     in the span of [U, Q1] x [V, Q2], where Q1 R1 = B and Q2 R2 = D =
     (I - V V^H) A^H complete U and V orthonormally; an SVD of the small
@@ -239,12 +232,11 @@ def project_tangent_truncate(matvec: Callable[[np.ndarray], np.ndarray],
     certifies the block as well conditioned, and fall back to the Householder
     QR of the stacked [U, B] otherwise, e.g. for a rank-deficient B near a
     fixed point.  Only the r kept columns of [U, Q1] Uc and [V, Q2] Vc are
-    formed.  Matches ``truncate_rank(project_tangent(M, T), r)`` up to
+    formed.  Matches ``truncate_rank(project_tangent(M, point), r)`` up to
     roundoff at a cost of O(k) operator products plus factor-scale dense work.
     """
-    U, V = T.U, T.V
-    m, p = U.shape[0], V.shape[0]
-    k = U.shape[1]
+    U, V = point.U, point.V
+    (m, p), k = point.shape, point.rank
     if k == 0:
         return LowRankFactors(U=np.zeros((m, 0), dtype=complex),
                               sigma=np.zeros(0), V=np.zeros((p, 0), dtype=complex))

@@ -14,6 +14,10 @@ FFTs, at O(r^2 s n + r s n log n) per iteration.  The mode picks only the
 initialization: ``dense`` takes the exact SVD of the materialized lifted
 back-projection, ``fast`` the seeded operator SVD on FFT products, which is
 the one that fits at large n.
+
+``SolverConfig`` owns the solver's defaults, which the command line reads
+from it, and ``HankelDims.check_rank`` the one rank rule, 2r <= min(s*n1, n2),
+that ``solve`` and ``iterate_once`` enforce.
 """
 
 from __future__ import annotations
@@ -52,7 +56,9 @@ class SolverConfig:
     max_iters: int = 300
     residual_tol: float = 1e-10
     mode: str = "dense"
-    step_size: float = 1.0
+    # Half the verbatim gradient step: at the default experiment scale
+    # (n=256, s=4, r=5) the unit step routinely leaves the contraction region.
+    step_size: float = 0.5
     seed: int = 0
 
     def validate(self) -> None:
@@ -114,13 +120,6 @@ def relative_error(X: np.ndarray, X_ref: np.ndarray) -> float:
     return float(np.linalg.norm(X - X_ref) / denom)
 
 
-def _check_rank_feasible(rank: int, dims: HankelDims) -> None:
-    """The tangent space at a rank-r point of the lift needs 2r <= min(s*n1, n2)."""
-    if 2 * rank > min(dims.lifted_shape):
-        raise ValueError(f"rank {rank} infeasible for lifted shape "
-                         f"{dims.lifted_shape}: need 2*rank <= {min(dims.lifted_shape)}")
-
-
 def _initialize_factors(y: np.ndarray, B: np.ndarray, dims: HankelDims, r: int,
                         mode: str = "dense", seed: int = 0,
                         ) -> tuple[np.ndarray, LowRankFactors]:
@@ -149,35 +148,33 @@ def initialize(y: np.ndarray, B: np.ndarray, dims: HankelDims, r: int) -> np.nda
 
 
 def iterate_once(X: np.ndarray, y: np.ndarray, B: np.ndarray, dims: HankelDims,
-                 config: SolverConfig, factors: LowRankFactors | None = None,
+                 config: SolverConfig, factors: LowRankFactors,
                  iteration: int | None = None, residual: np.ndarray | None = None,
                  ) -> tuple[np.ndarray, LowRankFactors]:
-    """One solver iteration from X (and the carried rank-r factors).
+    """One solver iteration from X and the carried rank-r factors of its lift.
 
     Takes a gradient step on the data misfit, lifts it, projects the lift onto
-    the tangent space at the carried factors, truncates to rank r and
-    de-lifts; returns the new iterate and its rank-r factors.  When no factors
-    are supplied they are recomputed as the rank-r truncation of lift(X);
-    inside ``solve`` the factors produced by the previous truncation are
-    carried instead, which keeps the iteration free of dense lifts.
-    Likewise ``residual``, the data residual measure(X, B) - y, is computed
-    here unless the caller passes it; ``solve`` passes the one it evaluated
-    for its trace.  The products with the lifted gradient step and the
-    de-lift run by FFTs, and the truncation through the 2r-by-2r core of
-    ``project_tangent_truncate``; ``config.mode`` is not read here, since it
+    the tangent space at ``factors``, truncates to rank r and de-lifts;
+    returns the new iterate and its rank-r factors, which the next iteration
+    carries.  ``solve`` passes the factors of the previous truncation; a
+    caller starting elsewhere passes its own, e.g.
+    ``truncate_rank(lift(X, dims), rank)``.  ``residual``, the data residual
+    measure(X, B) - y, is computed here unless the caller passes it;
+    ``solve`` passes the one it evaluated for its trace.  The products with
+    the lifted gradient step and the de-lift run by FFTs, and the truncation
+    through the 2r-by-2r core of ``project_tangent_truncate``, so no
+    iteration forms the lift; ``config.mode`` is not read here, since it
     selects only the initialization of ``solve``.  Raises ``ValueError`` when
     the rank is infeasible for the lift, as ``solve`` does, and
     ``DivergenceError`` (naming the iteration when given) if the update stops
     being finite.
     """
     config.validate()
-    _check_rank_feasible(config.rank, dims)
+    dims.check_rank(config.rank)
     X = np.asarray(X)
     try:
         if not np.all(np.isfinite(X)):
             raise DivergenceError("iterate is not finite")
-        if factors is None:
-            factors = truncate_rank(hankel.lift(X, dims), config.rank)
         if residual is None:
             residual = measure(X, B) - y
         Xt = X - config.step_size * adjoint_measure(residual, B)
@@ -187,7 +184,7 @@ def iterate_once(X: np.ndarray, y: np.ndarray, B: np.ndarray, dims: HankelDims,
         new = project_tangent_truncate(
             lambda v: hankel.lift_matvec(spectrum, v, dims),
             lambda u: hankel.lift_rmatvec(spectrum, u, dims),
-            factors.tangent(), config.rank)
+            factors, config.rank)
         X_new = hankel.pinv_lift_lowrank(new.U, new.sigma, new.V, dims)
         if not np.all(np.isfinite(X_new)):
             raise DivergenceError("iterate is not finite")
@@ -214,7 +211,7 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
     iteration of the returned estimate.  Raises ``ValueError`` before any
     work when y or B has the wrong shape or a non-finite entry, or when the
     rank is infeasible for the lift: the tangent space at a rank-r point
-    needs 2r <= min(s*n1, n2) in both modes.
+    needs 2r <= min(s*n1, n2) in both modes (``HankelDims.check_rank``).
     """
     config.validate()
     y = np.asarray(y)
@@ -223,7 +220,7 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
         raise ValueError("y/B shapes inconsistent with dims")
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(B))):
         raise ValueError("y and B must be finite")
-    _check_rank_feasible(config.rank, dims)
+    dims.check_rank(config.rank)
 
     y_norm = float(np.linalg.norm(y))
     denom = y_norm if y_norm > 0 else 1.0

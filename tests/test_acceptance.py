@@ -115,7 +115,7 @@ def test_criterion_3_truncation_and_tangent_properties():
         tail = np.sqrt(np.sum(svals[r:] ** 2))
         worst_ey = max(worst_ey, abs(resid - tail) / svals[0])
 
-        T = truncate_rank(crandn(rng, m, p), r).tangent()
+        T = truncate_rank(crandn(rng, m, p), r)
         W1, W2 = crandn(rng, m, p), crandn(rng, m, p)
         P1 = project_tangent(W1, T)
         worst_idem = max(worst_idem,
@@ -161,9 +161,10 @@ def test_criterion_4_fixed_point_and_linear_convergence():
     start = time.perf_counter()
     # (a) the exact solution moves less than 1e-10 in one iteration
     _, dims, B, X_true, y = make_instance(256, 4, 5, seed_derivation(1, 0))
+    truth = truncate_rank(lift(X_true, dims), 5)
     for mode in ("dense", "fast"):
         cfg = SolverConfig(rank=5, mode=mode, step_size=0.5)
-        X_next, _ = iterate_once(X_true, y, B, dims, cfg)
+        X_next, _ = iterate_once(X_true, y, B, dims, cfg, truth)
         move = np.linalg.norm(X_next - X_true) / np.linalg.norm(X_true)
         assert move < 1e-10, f"fixed point moved {move:.2e} in {mode} mode"
 
@@ -256,7 +257,7 @@ def test_criterion_7_tangent_restricted_isometry_trend():
         for trial in range(20):
             _, dims, B, X_true, y = make_instance(n, 2, 2, seed_derivation(7, trial))
             factors = truncate_rank(lift(X_true, dims), 2)
-            vals.append(estimate_rip_norm(B, dims, factors.tangent(), iters=100))
+            vals.append(estimate_rip_norm(B, dims, factors, iters=100))
         vals = np.array(vals)
         medians[n] = float(np.median(vals))
         below_one[n] = float(np.mean(vals < 1.0))

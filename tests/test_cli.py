@@ -9,21 +9,17 @@ import numpy as np
 import pytest
 
 from hankelsr import cli
-from hankelsr.cli import (EXIT_USAGE, SEED_DERIVATION_ZERO, TrialRecord,
-                          aggregate_sweep, main, seed_derivation, synth_instance,
-                          write_trace)
+from hankelsr.cli import (EXIT_USAGE, TrialRecord, aggregate_sweep, main,
+                          seed_derivation, synth_instance, write_trace)
 from hankelsr.model import measure
 from hankelsr.solver import (ConvergenceTrace, SolverConfig, TraceRecord,
                              relative_error, solve)
 
-# frozen regression value for the documented test vector
-SEED_ZERO_CONSTANT = 12035550249420947055
-
 
 class TestSeedDerivation:
     def test_published_zero_vector(self):
-        assert seed_derivation(0, 0) == SEED_ZERO_CONSTANT
-        assert SEED_DERIVATION_ZERO == SEED_ZERO_CONSTANT
+        # the regression vector README publishes
+        assert seed_derivation(0, 0) == 12035550249420947055
 
     def test_deterministic(self):
         assert seed_derivation(123, 45) == seed_derivation(123, 45)
@@ -162,6 +158,11 @@ class TestRun:
         lines = path.read_text().strip().split("\n")
         assert lines == ["iter,residual", "0,1.0", "1,0.5"]
 
+    def test_run_defaults_are_the_solver_defaults(self):
+        # max_iters, tol, mode and step_size have one default, SolverConfig's
+        cfg = cli._merge_config(cli._build_parser().parse_args(["run"]))
+        assert cfg.solver_config(rank=5, seed=0) == SolverConfig(rank=5)
+
 
 class TestRejectedInput:
     @pytest.mark.parametrize("flags", [
@@ -201,6 +202,20 @@ class TestRejectedInput:
         code = run_cli("run", "--n", "10", "--s", "4", "--r", "4", "--out", str(out))
         assert code == EXIT_USAGE
         assert "rank 4 infeasible for lifted shape (20, 6)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags", [["--n", "10", "--s", "4", "--r", "4"],
+                                       ["--n", "8", "--s", "1", "--r", "4", "--n1", "1"]])
+    def test_report_rejects_the_ranks_run_rejects(self, flags, tmp_path, capsys):
+        # lifted shapes (20, 6) and (1, 8): rank 4 would need 8 columns and 8 rows
+        errors = []
+        for command in ("run", "report"):
+            out = tmp_path / f"{command}.json"
+            assert run_cli(command, *flags, "--out", str(out)) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith("error: rank 4 infeasible") and "Traceback" not in err
+            errors.append(err)
+        assert errors[0] == errors[1]
         assert list(tmp_path.iterdir()) == []
 
     def test_readme_lists_every_shared_flag(self):

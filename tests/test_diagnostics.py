@@ -9,9 +9,10 @@ from hankelsr.diagnostics import (assumption_report, estimate_rip_norm,
                                   measure_mu0, measure_mu1, spectral_distance)
 from hankelsr.hankel import (adjoint_lift_isometric, choose_dims, lift,
                              lift_isometric)
-from hankelsr.lowrank import project_tangent, truncate_rank
+from hankelsr.lowrank import LowRankFactors, project_tangent, truncate_rank
 from hankelsr.model import (PointSourceModel, adjoint_measure, build_signal,
                             measure, sample_subspace, synth_model)
+from hankelsr.solver import SolverConfig, solve
 
 
 def crandn(rng, *shape):
@@ -74,57 +75,51 @@ class TestRipNorm:
         B = sample_subspace(s, n, seed + 1)
         return B, dims, f
 
-    def test_identity_hook_gives_zero(self):
-        B, dims, f = self._tangent(32, 2, 2, 0)
-        est = estimate_rip_norm(B, dims, f.tangent(), iters=20,
-                                aa_map=lambda X: X)
-        assert est <= 1e-10
-
     def test_unit_scalar_sensing_gives_zero(self):
         # s = 1 with all-ones sensing vectors re-measures each column exactly
         mdl = synth_model(1, 32, 2, 1)
         dims = choose_dims(32, 1)
         f = truncate_rank(lift(build_signal(mdl), dims), 2)
         B = np.ones((1, 32))
-        est = estimate_rip_norm(B, dims, f.tangent(), iters=50)
+        est = estimate_rip_norm(B, dims, f, iters=50)
         assert est <= 1e-8
 
     def test_matches_two_projection_reference(self):
         # The power iteration on P_T G (I - A*A) G* P_T written out with both
         # projections, from the same seeded start.
         B, dims, f = self._tangent(48, 2, 2, 3)
-        T = f.tangent()
 
         def apply(Z):
-            Xg = adjoint_lift_isometric(project_tangent(Z, T), dims)
+            Xg = adjoint_lift_isometric(project_tangent(Z, f), dims)
             diff = Xg - adjoint_measure(measure(Xg, B), B)
-            return project_tangent(lift_isometric(diff, dims), T)
+            return project_tangent(lift_isometric(diff, dims), f)
 
-        Z = project_tangent(crandn(np.random.default_rng(7), *dims.lifted_shape), T)
+        Z = project_tangent(crandn(np.random.default_rng(7), *dims.lifted_shape), f)
         Z /= np.linalg.norm(Z)
         for _ in range(60):
             AZ = apply(Z)
             ref = np.linalg.norm(AZ)
             Z = AZ / ref
-        est = estimate_rip_norm(B, dims, T, iters=60, seed=7)
+        est = estimate_rip_norm(B, dims, f, iters=60)
         assert abs(est - ref) <= 1e-12 * ref
 
     def test_iters_precondition(self):
         B, dims, f = self._tangent(16, 2, 1, 2)
         with pytest.raises(ValueError):
-            estimate_rip_norm(B, dims, f.tangent(), iters=0)
+            estimate_rip_norm(B, dims, f, iters=0)
 
     def test_unit_phase_invariance(self):
         B, dims, f = self._tangent(48, 2, 2, 3)
-        est1 = estimate_rip_norm(B, dims, f.tangent(), iters=60)
+        est1 = estimate_rip_norm(B, dims, f, iters=60)
         phases = np.exp(1j * np.array([0.4, -1.3]))
-        T2 = type(f.tangent())(U=f.U * phases[None, :], V=f.V * phases[None, :])
-        est2 = estimate_rip_norm(B, dims, T2, iters=60)
+        f2 = LowRankFactors(U=f.U * phases[None, :], sigma=f.sigma,
+                            V=f.V * phases[None, :])
+        est2 = estimate_rip_norm(B, dims, f2, iters=60)
         assert abs(est1 - est2) < 1e-10
 
     def test_reasonable_magnitude(self):
         B, dims, f = self._tangent(256, 2, 2, 4)
-        est = estimate_rip_norm(B, dims, f.tangent(), iters=60)
+        est = estimate_rip_norm(B, dims, f, iters=60)
         assert 0.0 < est < 2.0
 
 
@@ -172,6 +167,27 @@ class TestAssumptionReport:
         rep2 = assumption_report(scaled, B, dims)
         assert abs(rep2.sigma_r - 10.0 * rep1.sigma_r) < 1e-10 * rep2.sigma_r
         assert abs(rep2.kappa - rep1.kappa) < 1e-10 * rep1.kappa
+
+    @pytest.mark.parametrize("n, s, n1", [(10, 4, None), (8, 1, 1)])
+    def test_infeasible_rank_rejected_as_in_solve(self, n, s, n1):
+        # lifted shapes (20, 6) and (1, 8): rank 4 would need 8 columns and 8 rows
+        dims = choose_dims(n, s, n1)
+        mdl = synth_model(s, n, 4, 13)
+        B = sample_subspace(s, n, 14)
+        with pytest.raises(ValueError) as reported:
+            assumption_report(mdl, B, dims)
+        with pytest.raises(ValueError) as solved:
+            solve(measure(build_signal(mdl), B), B, dims, SolverConfig(rank=4))
+        assert str(reported.value) == str(solved.value)
+        assert str(reported.value).startswith("rank 4 infeasible")
+
+    def test_rank_deficient_truth_rejected(self):
+        # sources of zero amplitude lift to the zero matrix: no sigma_r, no kappa
+        base = synth_model(2, 32, 2, 9)
+        mdl = PointSourceModel(s=2, n=32, r=2, taus=base.taus,
+                               amps=np.zeros(2, dtype=complex), coeffs=base.coeffs)
+        with pytest.raises(ValueError, match="numerical rank 0 < 2"):
+            assumption_report(mdl, sample_subspace(2, 32, 15), choose_dims(32, 2))
 
     def test_desk_scale_runtime(self):
         mdl = synth_model(4, 256, 5, 11)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hankelsr.hankel import choose_dims, lift, lift_matvec, lift_rmatvec
-from hankelsr.lowrank import (LowRankFactors, RankTruncationError, TangentSpace,
+from hankelsr.lowrank import (LowRankFactors, RankTruncationError,
                               project_tangent, project_tangent_truncate,
                               truncate_rank, truncate_rank_operator)
 from hankelsr.model import build_signal, synth_model
@@ -69,7 +69,7 @@ class TestLowRankFactors:
 class TestProjectTangent:
     def _axis_tangent(self):
         U = np.array([[1.0], [0.0]], dtype=complex)
-        return TangentSpace(U=U, V=U.copy())
+        return LowRankFactors(U=U, sigma=np.ones(1), V=U.copy())
 
     def test_orthogonal_complement_maps_to_zero(self):
         T = self._axis_tangent()
@@ -87,15 +87,15 @@ class TestProjectTangent:
         f = truncate_rank(crandn(rng, 8, 6), 2)
         N, M = crandn(rng, 6, 2), crandn(rng, 8, 2)
         W = f.U @ N.conj().T + M @ f.V.conj().T
-        out = project_tangent(W, f.tangent())
+        out = project_tangent(W, f)
         assert np.linalg.norm(out - W) <= 1e-12 * np.linalg.norm(W)
 
     def test_idempotent(self):
         rng = np.random.default_rng(4)
         f = truncate_rank(crandn(rng, 9, 7), 3)
         W = crandn(rng, 9, 7)
-        P1 = project_tangent(W, f.tangent())
-        P2 = project_tangent(P1, f.tangent())
+        P1 = project_tangent(W, f)
+        P2 = project_tangent(P1, f)
         assert np.linalg.norm(P2 - P1) <= 1e-12 * max(np.linalg.norm(P1), 1.0)
 
     def test_self_adjoint_randomized(self):
@@ -103,7 +103,7 @@ class TestProjectTangent:
         for _ in range(100):
             m, p = int(rng.integers(4, 10)), int(rng.integers(4, 10))
             r = int(rng.integers(1, min(m, p) // 2 + 1))
-            T = truncate_rank(crandn(rng, m, p), r).tangent()
+            T = truncate_rank(crandn(rng, m, p), r)
             W1, W2 = crandn(rng, m, p), crandn(rng, m, p)
             lhs = np.vdot(project_tangent(W1, T), W2)
             rhs = np.vdot(W1, project_tangent(W2, T))
@@ -184,7 +184,7 @@ class TestProjectTangentTruncate:
         for _ in range(20):
             m, p = int(rng.integers(8, 16)), int(rng.integers(8, 16))
             r = int(rng.integers(1, 4))
-            T = truncate_rank(crandn(rng, m, p), r).tangent()
+            T = truncate_rank(crandn(rng, m, p), r)
             M = crandn(rng, m, p)
             fast = project_tangent_truncate(lambda v: M @ v,
                                             lambda u: M.conj().T @ u, T, r)
@@ -200,12 +200,12 @@ class TestProjectTangentTruncate:
         f = truncate_rank(crandn(rng, 12, 9), 2)
         M = f.reconstruct()
         out = project_tangent_truncate(lambda v: M @ v, lambda u: M.conj().T @ u,
-                                       f.tangent(), 2)
+                                       f, 2)
         assert np.linalg.norm(out.reconstruct() - M) <= 1e-10 * f.sigma[0]
 
     def test_empty_tangent(self):
-        T = TangentSpace(U=np.zeros((5, 0), dtype=complex),
-                         V=np.zeros((4, 0), dtype=complex))
+        T = LowRankFactors(U=np.zeros((5, 0), dtype=complex), sigma=np.zeros(0),
+                           V=np.zeros((4, 0), dtype=complex))
         out = project_tangent_truncate(lambda v: np.zeros((5, v.shape[-1])),
                                        lambda u: np.zeros((4, u.shape[-1])), T, 2)
         assert out.rank == 0

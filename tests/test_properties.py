@@ -13,7 +13,7 @@ from hankelsr.hankel import (adjoint_lift, adjoint_lift_isometric,
                              adjoint_lift_lowrank, choose_dims, lift,
                              lift_isometric, lift_matvec, lift_rmatvec,
                              pinv_lift)
-from hankelsr.lowrank import (LowRankFactors, TangentSpace, project_tangent,
+from hankelsr.lowrank import (LowRankFactors, project_tangent,
                               project_tangent_truncate, truncate_rank)
 from hankelsr.model import adjoint_measure, measure
 from hankelsr.solver import SolverConfig, iterate_once, relative_error
@@ -160,15 +160,15 @@ def test_project_tangent_truncate_degenerate_off_tangent_blocks(seed, k, b_kind,
     D = off_tangent(rng, d_kind, V, k)
     core = crandn(rng, k, k)
     M = U @ (core @ V.conj().T + D.conj().T) + B @ V.conj().T + Pu @ crandn(rng, m, p) @ Pv
-    T = TangentSpace(U=U, V=V)
+    point = LowRankFactors(U=U, sigma=np.ones(k), V=V)
     r = k
-    svals = np.linalg.svd(project_tangent(M, T), compute_uv=False)
+    svals = np.linalg.svd(project_tangent(M, point), compute_uv=False)
     assume(svals[r - 1] - svals[r] > 1e-6 * svals[0])  # a well-defined rank-r truncation
 
-    got = project_tangent_truncate(lambda x: M @ x, lambda x: M.conj().T @ x, T, r)
+    got = project_tangent_truncate(lambda x: M @ x, lambda x: M.conj().T @ x, point, r)
     # Re-validating the factors re-runs LowRankFactors' orthonormality check.
     LowRankFactors(U=got.U, sigma=got.sigma, V=got.V)
-    want = truncate_rank(project_tangent(M, T), r).reconstruct()
+    want = truncate_rank(project_tangent(M, point), r).reconstruct()
     np.testing.assert_allclose(got.reconstruct(), want, rtol=0, atol=1e-10 * svals[0])
 
 
@@ -184,9 +184,9 @@ def test_dense_step_matches_reference_step(case):
     cfg = SolverConfig(rank=r, mode="dense", step_size=0.5)
     factors = truncate_rank(lift(X, dims), r)
     Xt = X - cfg.step_size * adjoint_measure(measure(X, B) - y, B)
-    svals = np.linalg.svd(project_tangent(lift(Xt, dims), factors.tangent()), compute_uv=False)
+    svals = np.linalg.svd(project_tangent(lift(Xt, dims), factors), compute_uv=False)
     assume(svals[r - 1] - svals[r] > 1e-3 * svals[0])  # a well-defined rank-r truncation
 
-    X_new, _ = iterate_once(X, y, B, dims, cfg, factors=factors)
+    X_new, _ = iterate_once(X, y, B, dims, cfg, factors)
     X_ref, _ = reference_step(X, y, B, dims, cfg, factors)
     assert relative_error(X_new, X_ref) < 1e-10
