@@ -2,9 +2,9 @@
 
 __version__ = "0.1.0"
 
-from .hankel import (HankelDims, adjoint_lift, adjoint_lift_isometric,
-                     adjoint_lift_lowrank, apply_weights, choose_dims, lift,
-                     lift_isometric, lift_matvec, lift_rmatvec, pinv_lift,
+from .hankel import (HankelDims, SignalSpectrum, adjoint_lift,
+                     adjoint_lift_isometric, adjoint_lift_lowrank, choose_dims,
+                     lift, lift_isometric, lift_matvec, lift_rmatvec, pinv_lift,
                      pinv_lift_lowrank)
 from .lowrank import (LowRankFactors, RankTruncationError, project_tangent,
                       project_tangent_truncate, truncate_rank,

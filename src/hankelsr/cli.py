@@ -14,6 +14,8 @@ Exit codes: 0 success, 1 usage/configuration error, 2 divergence,
 
 Flags may also be supplied through ``--config FILE`` (JSON, keys mirroring
 the long flag names with underscores); explicit flags override the file.
+Each shared flag is one field of ``ExperimentConfig``, which declares its
+default, the parser of its value and its help once.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .checks import run_all
 from .diagnostics import AssumptionReport, assumption_report
 from .hankel import choose_dims
 from .model import build_signal, measure, sample_subspace, synth_model
-from .solver import SolverConfig, relative_error, solve
+from .solver import MODES, SolverConfig, relative_error, solve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -40,24 +42,6 @@ EXIT_DIVERGED = 2
 EXIT_CHECK_FAILED = 3
 
 _MASK64 = (1 << 64) - 1
-
-_DEFAULTS: dict = {
-    "n": "256",
-    "s": "4",
-    "r": "5",
-    "seed": 1,
-    "trials": 1,
-    "max_iters": SolverConfig.max_iters,
-    "tol": SolverConfig.residual_tol,
-    "mode": SolverConfig.mode,
-    "step_size": SolverConfig.step_size,
-    "n1": None,
-    "out": None,
-    "success_tol": 1e-4,
-    "complex_subspace": False,
-    "timing": False,
-    "with_report": False,
-}
 
 
 class _UsageError(Exception):
@@ -87,25 +71,58 @@ def seed_derivation(master_seed: int, trial_index: int) -> int:
     return _splitmix64(_splitmix64(master_seed & _MASK64) + (trial_index & _MASK64))
 
 
+def _grid(value) -> tuple[int, ...]:
+    """An integer, a JSON list of integers or a comma list of them."""
+    if isinstance(value, bool):
+        raise ValueError("expected integers")
+    if isinstance(value, int):
+        return (value,)
+    if isinstance(value, (list, tuple)):
+        return tuple(int(v) for v in value)
+    return tuple(int(part) for part in str(value).split(",") if part != "")
+
+
+def _flag(default, parse, help: str, **argparse_kwargs):
+    """A shared flag: its default, the parser of its command-line text or
+    ``--config`` value, and its help; ``bool`` flags are switches."""
+    if parse is bool:
+        argparse_kwargs.update(action="store_const", const=True)
+    return field(default=default,
+                 metadata={"parse": parse, "argparse": {"help": help, **argparse_kwargs}})
+
+
+def _option(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Harness-level configuration for one command invocation."""
+    """Harness-level configuration for one command invocation.
 
-    n: tuple[int, ...]
-    s: tuple[int, ...]
-    r: tuple[int, ...]
-    seed: int
-    trials: int
-    max_iters: int
-    tol: float
-    mode: str
-    step_size: float
-    n1: int | None
-    out: str | None
-    success_tol: float
-    complex_subspace: bool
-    timing: bool
-    with_report: bool
+    Each field is the shared flag ``--<name>``, underscores written as dashes.
+    """
+
+    n: tuple[int, ...] = _flag((256,), _grid, "signal length (comma list for sweep)")
+    s: tuple[int, ...] = _flag((4,), _grid, "subspace dimension (comma list for sweep)")
+    r: tuple[int, ...] = _flag((5,), _grid, "number of point sources (comma list for sweep)")
+    seed: int = _flag(1, int, "master seed")
+    trials: int = _flag(1, int, "trials per sweep cell")
+    max_iters: int = _flag(SolverConfig.max_iters, int, "iteration cap of a solve")
+    tol: float = _flag(SolverConfig.residual_tol, float,
+                       "relative residual stopping tolerance")
+    mode: str = _flag(SolverConfig.mode, str, "initialization: exact dense SVD or "
+                      "seeded operator SVD", choices=MODES)
+    step_size: float = _flag(SolverConfig.step_size, float, "gradient step size")
+    n1: int | None = _flag(None, int, "override the Hankel split")
+    out: str | None = _flag(None, str, "output path")
+    success_tol: float = _flag(1e-4, float,
+                               "sweep success threshold on the final relative error")
+    complex_subspace: bool = _flag(False, bool, "draw complex Gaussian sensing "
+                                   "vectors instead of real")
+    timing: bool = _flag(False, bool, "include wall-clock elapsed_ms in the trace file "
+                         "(off by default so identical seeds give identical files)")
+    with_report: bool = _flag(False, bool,
+                              "attach the instance-constants report to each sweep trial")
 
     def validate(self) -> None:
         for name, grid in (("n", self.n), ("s", self.s), ("r", self.r)):
@@ -276,8 +293,7 @@ def _run_trial(cfg: ExperimentConfig, n: int, s: int, r: int, trial: int) -> Tri
             elapsed_ms=(time.perf_counter() - t0) * 1000.0, success=False)
 
 
-_REPORT_COLUMNS = ("mu0", "mu1", "kappa", "sigma_r", "rip_norm_estimate",
-                   "init_spectral_distance")
+_REPORT_COLUMNS = tuple(f.name for f in fields(AssumptionReport))
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
@@ -338,8 +354,8 @@ def aggregate_sweep(records: list[TrialRecord]) -> list[dict]:
     return out
 
 
-def cmd_check(fault: str | None = None) -> int:
-    results = run_all(fault=fault)
+def cmd_check() -> int:
+    results = run_all()
     failed = 0
     for res in results:
         tag = "PASS" if res.passed else "FAIL"
@@ -369,19 +385,6 @@ def cmd_report(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _parse_int_list(value, flag: str) -> tuple[int, ...]:
-    if isinstance(value, bool):
-        raise _UsageError(f"--{flag} expects integers")
-    if isinstance(value, int):
-        return (value,)
-    if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
-    try:
-        return tuple(int(part) for part in str(value).split(",") if part != "")
-    except ValueError:
-        raise _UsageError(f"--{flag} expects an integer or comma list, got {value!r}")
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hankelsr",
                      description="Blind super-resolution recovery harness")
@@ -391,73 +394,44 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None,
                         help="JSON file with keys mirroring the flags; flags override it")
-    common.add_argument("--n", default=None, help="signal length (comma list for sweep)")
-    common.add_argument("--s", default=None, help="subspace dimension (comma list for sweep)")
-    common.add_argument("--r", default=None, help="number of point sources (comma list for sweep)")
-    common.add_argument("--seed", type=int, default=None, help="master seed")
-    common.add_argument("--trials", type=int, default=None, help="trials per sweep cell")
-    common.add_argument("--max-iters", type=int, default=None, dest="max_iters")
-    common.add_argument("--tol", type=float, default=None,
-                        help="relative residual stopping tolerance")
-    common.add_argument("--mode", choices=["dense", "fast"], default=None)
-    common.add_argument("--step-size", type=float, default=None, dest="step_size")
-    common.add_argument("--n1", type=int, default=None, help="override the Hankel split")
-    common.add_argument("--out", default=None, help="output path")
-    common.add_argument("--success-tol", type=float, default=None, dest="success_tol",
-                        help="sweep success threshold on the final relative error")
-    common.add_argument("--complex-subspace", action="store_const", const=True,
-                        default=None, dest="complex_subspace",
-                        help="draw complex Gaussian sensing vectors instead of real")
-    common.add_argument("--timing", action="store_const", const=True, default=None,
-                        help="include wall-clock elapsed_ms in the trace file "
-                             "(off by default so identical seeds give identical files)")
-    common.add_argument("--with-report", action="store_const", const=True,
-                        default=None, dest="with_report",
-                        help="attach the instance-constants report to each sweep trial")
+    for flag in fields(ExperimentConfig):
+        # None marks a flag not given, which leaves the file's value or the default.
+        common.add_argument(_option(flag.name), dest=flag.name, default=None,
+                            **flag.metadata["argparse"])
 
     sub.add_parser("run", parents=[common], help="solve one synthesized instance")
     sub.add_parser("sweep", parents=[common], help="Monte Carlo grid of instances")
     sub.add_parser("report", parents=[common], help="emit instance constants")
-    check_p = sub.add_parser("check", help="run the invariant suite")
-    check_p.add_argument("--inject-fault", default=None, dest="inject_fault",
-                         help=argparse.SUPPRESS)
+    sub.add_parser("check", help="run the invariant suite")
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
-    merged = dict(_DEFAULTS)
-    path = getattr(args, "config", None)
-    if path:
+    """The defaults, overridden by the ``--config`` file, overridden by the flags."""
+    flags = {flag.name: flag for flag in fields(ExperimentConfig)}
+    given = {}
+    if args.config:
         try:
-            with open(path) as fh:
-                file_cfg = json.load(fh)
+            with open(args.config) as fh:
+                given = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise _UsageError(f"cannot read config file {path}: {exc}")
-        unknown = set(file_cfg) - set(_DEFAULTS)
+            raise _UsageError(f"cannot read config file {args.config}: {exc}")
+        if not isinstance(given, dict):
+            raise _UsageError(f"config file {args.config} must hold a JSON object")
+        unknown = set(given) - set(flags)
         if unknown:
             raise _UsageError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(file_cfg)
-    for key in _DEFAULTS:
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    cfg = ExperimentConfig(
-        n=_parse_int_list(merged["n"], "n"),
-        s=_parse_int_list(merged["s"], "s"),
-        r=_parse_int_list(merged["r"], "r"),
-        seed=int(merged["seed"]),
-        trials=int(merged["trials"]),
-        max_iters=int(merged["max_iters"]),
-        tol=float(merged["tol"]),
-        mode=str(merged["mode"]),
-        step_size=float(merged["step_size"]),
-        n1=None if merged["n1"] is None else int(merged["n1"]),
-        out=merged["out"],
-        success_tol=float(merged["success_tol"]),
-        complex_subspace=bool(merged["complex_subspace"]),
-        timing=bool(merged["timing"]),
-        with_report=bool(merged["with_report"]),
-    )
+    given.update((name, getattr(args, name)) for name in flags
+                 if getattr(args, name) is not None)
+    values = {}
+    for name, value in given.items():
+        if value is None:  # a null in the file keeps the default
+            continue
+        try:
+            values[name] = flags[name].metadata["parse"](value)
+        except (TypeError, ValueError):
+            raise _UsageError(f"invalid value {value!r} for {_option(name)}")
+    cfg = ExperimentConfig(**values)
     cfg.validate()
     return cfg
 
@@ -467,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "check":
-            return cmd_check(fault=args.inject_fault)
+            return cmd_check()
         cfg = _merge_config(args)
         if args.command == "run":
             return cmd_run(cfg)

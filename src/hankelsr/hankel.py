@@ -5,10 +5,10 @@ block-Hankel matrix of shape (s*n1, n2), n1 + n2 = n + 1, whose block (i, j)
 of height s equals column x_{i+j}.  Column i of X then occupies w_i positions
 of the lifted matrix, where w_i counts the pairs (j, k) with j + k = i.
 
-This module provides the lift, its adjoint, the anti-diagonal weight scaling,
-the pseudoinverse de-lift (weighted anti-diagonal averaging), the isometric
-variants, and FFT-based matrix-free products with the lifted matrix so the
-large matrix never needs to be materialized on the fast execution path.
+This module provides the lift, its adjoint, the pseudoinverse de-lift
+(weighted anti-diagonal averaging), the isometric variants, and FFT-based
+matrix-free products with the lifted matrix of a ``SignalSpectrum`` and
+(dim, k) blocks, so that no solver iteration materializes the lift.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-_WEIGHT_POWERS = (-2, -1, 1, 2)
 
 
 def _next_pow2(n: int) -> int:
@@ -118,14 +116,10 @@ def adjoint_lift(Z: np.ndarray, dims: HankelDims) -> np.ndarray:
     return out
 
 
-def apply_weights(X: np.ndarray, dims: HankelDims, power: int) -> np.ndarray:
-    """Scale column i of X by w_i**(power/2); power in {-2, -1, 1, 2}."""
-    X = _check_signal(X, dims)
-    if power not in _WEIGHT_POWERS:
-        raise ValueError(f"power must be one of {_WEIGHT_POWERS}, got {power}")
+def _weigh(X: np.ndarray, dims: HankelDims, power: int) -> np.ndarray:
+    """Scale column i of X by w_i**(power/2): power -2 de-lifts, -1 is isometric."""
     w = dims.weights.astype(np.float64)
-    scale = w ** (power / 2.0)
-    return X * scale[None, :]
+    return _check_signal(X, dims) * (w ** (power / 2.0))[None, :]
 
 
 def pinv_lift(Z: np.ndarray, dims: HankelDims) -> np.ndarray:
@@ -134,17 +128,17 @@ def pinv_lift(Z: np.ndarray, dims: HankelDims) -> np.ndarray:
     Left inverse of ``lift``; equals the minimum-residual signal whose lift is
     closest to Z in Frobenius norm.
     """
-    return apply_weights(adjoint_lift(Z, dims), dims, -2)
+    return _weigh(adjoint_lift(Z, dims), dims, -2)
 
 
 def lift_isometric(X: np.ndarray, dims: HankelDims) -> np.ndarray:
     """Weight-compensated lift; a Frobenius isometry from signals to lifted matrices."""
-    return lift(apply_weights(X, dims, -1), dims)
+    return lift(_weigh(X, dims, -1), dims)
 
 
 def adjoint_lift_isometric(Z: np.ndarray, dims: HankelDims) -> np.ndarray:
     """Adjoint of the isometric lift; inverts it on its range."""
-    return apply_weights(adjoint_lift(Z, dims), dims, -1)
+    return _weigh(adjoint_lift(Z, dims), dims, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +166,9 @@ def _fft_last(a: np.ndarray, L: int) -> np.ndarray:
 class SignalSpectrum:
     """A signal X with the zero-padded FFT of its rows, computed on first use.
 
-    ``lift_matvec`` and ``lift_rmatvec`` accept one in place of X, so that
-    several products with lift(X) pay for the s forward transforms of X once.
-    X must not change while the spectrum is in use.
+    ``lift_matvec`` and ``lift_rmatvec`` take one, so that several products
+    with lift(X) pay for the s forward transforms of X once.  X must not
+    change while the spectrum is in use.
     """
 
     X: np.ndarray
@@ -184,41 +178,29 @@ class SignalSpectrum:
         return _fft_last(self.X, _next_pow2(self.X.shape[-1]))  # (s, L)
 
 
-def _row_spectrum(X: np.ndarray | SignalSpectrum, dims: HankelDims) -> np.ndarray:
-    """Length-L FFTs of the rows of a signal, or the cached ones of a SignalSpectrum."""
-    if isinstance(X, SignalSpectrum):
-        _check_signal(X.X, dims)
-        return X.F
-    return _fft_last(_check_signal(X, dims), _next_pow2(dims.n))
+def _checked_spectrum(spectrum: SignalSpectrum, block: np.ndarray, rows: int,
+                      dims: HankelDims) -> np.ndarray:
+    """The cached row spectrum of a signal of shape (s, n), after checking a (rows, k) block."""
+    _check_signal(spectrum.X, dims)
+    if block.ndim != 2 or block.shape[0] != rows:
+        raise ValueError(f"expected a ({rows}, k) block, got shape {block.shape}")
+    return spectrum.F
 
 
-def _check_block(v: np.ndarray, length: int) -> tuple[np.ndarray, bool]:
-    """View a vector or a (length, k) block as a block; flag the vector case."""
-    v = np.asarray(v)
-    single = v.ndim == 1
-    vv = v[:, None] if single else v
-    if vv.ndim != 2 or vv.shape[0] != length:
-        raise ValueError(f"expected vector(s) of length {length}, got shape {v.shape}")
-    return vv, single
-
-
-def lift_matvec(X: np.ndarray | SignalSpectrum, v: np.ndarray,
-                dims: HankelDims) -> np.ndarray:
+def lift_matvec(spectrum: SignalSpectrum, v: np.ndarray, dims: HankelDims) -> np.ndarray:
     """Compute lift(X) @ v without materializing the lifted matrix.
 
     Row block i of the product is sum_j x_{i+j} v[j], a cross-correlation of
-    each of the s signal rows with each column of v, evaluated with FFTs of
-    length the next power of two >= n: s + k forward and s*k inverse
-    transforms for k columns (k forward ones when X is a SignalSpectrum
-    whose transforms are already cached).  v may be a vector of length n2 or
-    an (n2, k) block; a block product is returned column-major, the layout
+    each of the s signal rows with each column of the (n2, k) block v,
+    evaluated with FFTs of length the next power of two >= n: k forward
+    (plus s for the spectrum of X, once per ``SignalSpectrum``) and s*k
+    inverse transforms.  The product is returned column-major, the layout
     LAPACK's QR works in.
     """
-    Fx = _row_spectrum(X, dims)  # (s, L)
-    vv, single = _check_block(v, dims.n2)
-    k = vv.shape[1]
+    Fx = _checked_spectrum(spectrum, v, dims.n2, dims)  # (s, L)
+    k = v.shape[1]
     L = Fx.shape[-1]
-    Fv = _fft_last(vv[::-1].T, L)  # (k, L)
+    Fv = _fft_last(v[::-1].T, L)  # (k, L)
     conv = Fx[:, None, :] * Fv[None, :, :]  # (s, k, L)
     # In place (``out=`` needs NumPy >= 2.0): the (s, k, L) spectra are the
     # largest temporary of a product.
@@ -226,36 +208,31 @@ def lift_matvec(X: np.ndarray | SignalSpectrum, v: np.ndarray,
     blocks = conv[:, :, dims.n2 - 1:dims.n2 - 1 + dims.n1]  # (s, k, n1)
     # Entry (i*s + a, j) is blocks[a, j, i]; laying blocks out as (k, n1, s)
     # makes each column of the product contiguous.
-    out = np.ascontiguousarray(blocks.transpose(1, 2, 0)).reshape(k, -1).T
-    return out[:, 0] if single else out
+    return np.ascontiguousarray(blocks.transpose(1, 2, 0)).reshape(k, -1).T
 
 
-def lift_rmatvec(X: np.ndarray | SignalSpectrum, u: np.ndarray,
-                 dims: HankelDims) -> np.ndarray:
+def lift_rmatvec(spectrum: SignalSpectrum, u: np.ndarray, dims: HankelDims) -> np.ndarray:
     """Compute lift(X)^H @ u matrix-free; adjoint companion of ``lift_matvec``.
 
     Column j of the product sums, over the s signal rows, the correlation of
-    that row with the matching rows of the j-th column of u.  The sum is taken
-    on the spectra, so k columns cost s + s*k forward (s*k with a cached
-    SignalSpectrum) and only k inverse transforms.  u may be a vector of
-    length s*n1 or an (s*n1, k) block; a block product is returned
-    column-major.
+    that row with the matching rows of the j-th column of the (s*n1, k) block
+    u.  The sum is taken on the spectra, so k columns cost s*k forward (plus
+    s for the spectrum of X, once per ``SignalSpectrum``) and only k inverse
+    transforms.  The product is returned column-major.
     """
-    Fx = _row_spectrum(X, dims)  # (s, L)
-    uu, single = _check_block(u, dims.s * dims.n1)
-    k = uu.shape[1]
+    Fx = _checked_spectrum(spectrum, u, dims.s * dims.n1, dims)  # (s, L)
+    k = u.shape[1]
     # The reversed rows of the blocks of u, conjugated straight into C order;
     # freed before the spectra are summed and inverted in place, which keeps
     # the product's peak memory to its (s, k, L) spectra.
-    W = np.conj(uu.reshape(dims.n1, dims.s, k).transpose(1, 2, 0)[:, :, ::-1],
+    W = np.conj(u.reshape(dims.n1, dims.s, k).transpose(1, 2, 0)[:, :, ::-1],
                 order="C")  # (s, k, n1)
     Fw = _fft_last(W, Fx.shape[-1])  # (s, k, L)
     del W
     Fw *= Fx[:, None, :]
     conv = Fw.sum(axis=0)  # (k, L)
     np.fft.ifft(conv, axis=-1, out=conv)
-    out = np.conj(conv[:, dims.n1 - 1:dims.n1 - 1 + dims.n2]).T  # (n2, k)
-    return out[:, 0] if single else out
+    return np.conj(conv[:, dims.n1 - 1:dims.n1 - 1 + dims.n2]).T  # (n2, k)
 
 
 def adjoint_lift_lowrank(U: np.ndarray, sigma: np.ndarray, V: np.ndarray,
@@ -284,4 +261,4 @@ def adjoint_lift_lowrank(U: np.ndarray, sigma: np.ndarray, V: np.ndarray,
 def pinv_lift_lowrank(U: np.ndarray, sigma: np.ndarray, V: np.ndarray,
                       dims: HankelDims) -> np.ndarray:
     """Pseudoinverse de-lift of a factored matrix, matrix-free."""
-    return apply_weights(adjoint_lift_lowrank(U, sigma, V, dims), dims, -2)
+    return _weigh(adjoint_lift_lowrank(U, sigma, V, dims), dims, -2)

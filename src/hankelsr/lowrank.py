@@ -32,10 +32,13 @@ _TRIM_REL = 1e-15
 # For larger m the condition is pessimistic (the typical loss stays near
 # u cond(B)^2 ~ 1e-8), and LowRankFactors re-checks orthonormality anyway.
 _CHOLQR_COND_MAX = 1e4
-# Randomized subspace iteration: sketch width r + _OVERSAMPLE, and sweeps
-# before the first convergence test.
+# Randomized subspace iteration: sketch width r + _OVERSAMPLE, sweeps before
+# the first convergence test, the relative change of the leading singular
+# values that ends it, and the sweeps it may take.
 _OVERSAMPLE = 8
 _POWER_ITERS = 2
+_SVAL_TOL = 1e-12
+_MAX_SWEEPS = 256
 
 
 class RankTruncationError(RuntimeError):
@@ -143,15 +146,14 @@ def project_tangent(W: np.ndarray, point: LowRankFactors) -> np.ndarray:
 
 def truncate_rank_operator(matvec: Callable[[np.ndarray], np.ndarray],
                            adjoint_matvec: Callable[[np.ndarray], np.ndarray],
-                           shape: tuple[int, int], r: int, *, seed: int = 0,
-                           tol: float = 1e-12, max_iters: int = 256) -> LowRankFactors:
+                           shape: tuple[int, int], r: int, *, seed: int = 0) -> LowRankFactors:
     """Leading-r SVD factors of a matrix seen only through operator products.
 
     Runs randomized subspace iteration seeded by ``seed`` (Gaussian sketch of
     width r + _OVERSAMPLE, alternating orthonormalized products) until the
-    leading singular values change by at most ``tol`` relative to the largest
-    from one sweep to the next; raises ``RankTruncationError`` if
-    ``max_iters`` sweeps run first.  matvec and adjoint_matvec must accept
+    leading singular values change by at most _SVAL_TOL relative to the
+    largest from one sweep to the next; raises ``RankTruncationError`` if
+    _MAX_SWEEPS sweeps run first.  matvec and adjoint_matvec must accept
     (dim, k) blocks; products returned column-major, as the hankel FFT
     products are, reach the QRs without a strided copy (see
     ``_stack_columns``).
@@ -168,13 +170,13 @@ def truncate_rank_operator(matvec: Callable[[np.ndarray], np.ndarray],
     Q, _ = np.linalg.qr(matvec(Omega))
     sig_prev = None
     change = np.inf
-    for sweep in range(max_iters):
+    for sweep in range(_MAX_SWEEPS):
         Yh = adjoint_matvec(Q)  # (p, k) = M^H Q
         sig = np.linalg.svd(Yh, compute_uv=False)[:r]
         if sig_prev is not None and sweep >= _POWER_ITERS:
             scale = max(sig[0], np.finfo(float).tiny)
             change = float(np.max(np.abs(sig - sig_prev)) / scale)
-            if change <= tol:
+            if change <= _SVAL_TOL:
                 P, svals, Th = np.linalg.svd(Yh, full_matrices=False)
                 # M ~ Q Q^H M = Q Yh^H, so left factors are Q rotated by Th^H.
                 return _trim(Q @ Th.conj().T, svals, P, r)
@@ -182,7 +184,7 @@ def truncate_rank_operator(matvec: Callable[[np.ndarray], np.ndarray],
         Qp, _ = np.linalg.qr(Yh)
         Q, _ = np.linalg.qr(matvec(Qp))
     raise RankTruncationError(
-        f"singular values did not stabilize within {max_iters} sweeps "
+        f"singular values did not stabilize within {_MAX_SWEEPS} sweeps "
         f"(last relative change {change:.3e})", residual=change)
 
 

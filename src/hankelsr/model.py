@@ -152,9 +152,7 @@ def hankel_factorization(model: PointSourceModel, dims: HankelDims | None = None
     if dims.n != model.n or dims.s != model.s:
         raise ValueError("dims inconsistent with the model")
     if model.r > min(dims.s * dims.n1, dims.n2):
-        raise ValueError(
-            f"rank {model.r} infeasible for lifted shape {dims.lifted_shape}"
-        )
+        raise ValueError(f"rank {model.r} exceeds lifted shape {dims.lifted_shape}")
     EL = np.exp(-2j * np.pi * np.outer(np.arange(dims.n1), model.taus))  # (n1, r)
     ER = np.exp(-2j * np.pi * np.outer(np.arange(dims.n2), model.taus))  # (n2, r)
     KR = (EL[:, None, :] * model.coeffs[None, :, :]).reshape(dims.n1 * dims.s, model.r)

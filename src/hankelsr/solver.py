@@ -149,7 +149,7 @@ def initialize(y: np.ndarray, B: np.ndarray, dims: HankelDims, r: int) -> np.nda
 
 def iterate_once(X: np.ndarray, y: np.ndarray, B: np.ndarray, dims: HankelDims,
                  config: SolverConfig, factors: LowRankFactors,
-                 iteration: int | None = None, residual: np.ndarray | None = None,
+                 residual: np.ndarray | None = None,
                  ) -> tuple[np.ndarray, LowRankFactors]:
     """One solver iteration from X and the carried rank-r factors of its lift.
 
@@ -166,31 +166,27 @@ def iterate_once(X: np.ndarray, y: np.ndarray, B: np.ndarray, dims: HankelDims,
     iteration forms the lift; ``config.mode`` is not read here, since it
     selects only the initialization of ``solve``.  Raises ``ValueError`` when
     the rank is infeasible for the lift, as ``solve`` does, and
-    ``DivergenceError`` (naming the iteration when given) if the update stops
-    being finite.
+    ``DivergenceError`` if the update stops being finite; ``solve`` names the
+    iteration in its termination.
     """
     config.validate()
     dims.check_rank(config.rank)
     X = np.asarray(X)
-    try:
-        if not np.all(np.isfinite(X)):
-            raise DivergenceError("iterate is not finite")
-        if residual is None:
-            residual = measure(X, B) - y
-        Xt = X - config.step_size * adjoint_measure(residual, B)
-        if not np.all(np.isfinite(Xt)):
-            raise DivergenceError("gradient update is not finite")
-        spectrum = hankel.SignalSpectrum(Xt)
-        new = project_tangent_truncate(
-            lambda v: hankel.lift_matvec(spectrum, v, dims),
-            lambda u: hankel.lift_rmatvec(spectrum, u, dims),
-            factors, config.rank)
-        X_new = hankel.pinv_lift_lowrank(new.U, new.sigma, new.V, dims)
-        if not np.all(np.isfinite(X_new)):
-            raise DivergenceError("iterate is not finite")
-    except DivergenceError as exc:
-        where = f" at iteration {iteration}" if iteration is not None else ""
-        raise DivergenceError(f"{exc}{where}") from None
+    if not np.all(np.isfinite(X)):
+        raise DivergenceError("iterate is not finite")
+    if residual is None:
+        residual = measure(X, B) - y
+    Xt = X - config.step_size * adjoint_measure(residual, B)
+    if not np.all(np.isfinite(Xt)):
+        raise DivergenceError("gradient update is not finite")
+    spectrum = hankel.SignalSpectrum(Xt)
+    new = project_tangent_truncate(
+        lambda v: hankel.lift_matvec(spectrum, v, dims),
+        lambda u: hankel.lift_rmatvec(spectrum, u, dims),
+        factors, config.rank)
+    X_new = hankel.pinv_lift_lowrank(new.U, new.sigma, new.V, dims)
+    if not np.all(np.isfinite(X_new)):
+        raise DivergenceError("iterate is not finite")
     return X_new, new
 
 
@@ -205,13 +201,14 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
     differ only by how closely the two initializations agree.  Stops
     on a small relative data residual, on stagnation of the iterates, at
     max_iters, or on divergence (residual growing well past its running
-    minimum, or a non-finite iterate), in which case the best iterate by
-    residual is returned.  The trace carries the residual, the relative error
-    against ``ground_truth`` when supplied, wall-clock timestamps and the
-    iteration of the returned estimate.  Raises ``ValueError`` before any
-    work when y or B has the wrong shape or a non-finite entry, or when the
-    rank is infeasible for the lift: the tangent space at a rank-r point
-    needs 2r <= min(s*n1, n2) in both modes (``HankelDims.check_rank``).
+    minimum, or a step that fails, as ``diverged: <reason> at iteration t``),
+    in which case the best iterate by residual is returned.  The trace
+    carries the residual, the relative error against ``ground_truth`` when
+    supplied, wall-clock timestamps and the iteration of the returned
+    estimate.  Raises ``ValueError`` before any work when y or B has the
+    wrong shape or a non-finite entry, or when the rank is infeasible for the
+    lift: the tangent space at a rank-r point needs 2r <= min(s*n1, n2) in
+    both modes (``HankelDims.check_rank``).
     """
     config.validate()
     y = np.asarray(y)
@@ -245,9 +242,9 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
     for t in range(1, config.max_iters + 1):
         try:
             X_new, new_factors = iterate_once(X, y, B, dims, config, factors=factors,
-                                              iteration=t, residual=resid_vec)
+                                              residual=resid_vec)
         except (DivergenceError, np.linalg.LinAlgError) as exc:
-            termination = f"diverged: {exc}"
+            termination = f"diverged: {exc} at iteration {t}"
             X, returned_t = best_X, best_t
             break
         # Evaluated once: it is the trace's residual of X_new and the gradient

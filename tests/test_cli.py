@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hankelsr import cli
+from hankelsr import checks, cli
 from hankelsr.cli import (EXIT_USAGE, TrialRecord, aggregate_sweep, main,
                           seed_derivation, synth_instance, write_trace)
 from hankelsr.model import measure
@@ -308,14 +308,20 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "[FAIL]" not in out
 
-    def test_injected_weights_fault_fails_only_weights(self, capsys):
-        assert run_cli("check", "--inject-fault", "weights") == 3
+    def test_injected_weights_fault_fails_only_weights(self, capsys, monkeypatch):
+        # the suite discriminates: a wrong oracle count fails one property
+        count = checks.brute_force_weights
+
+        def miscounted(n, n1):
+            w = count(n, n1)
+            w[n // 2] += 1
+            return w
+
+        monkeypatch.setattr(checks, "brute_force_weights", miscounted)
+        assert run_cli("check") == 3
         out = capsys.readouterr().out
         failed = [l for l in out.splitlines() if l.startswith("[FAIL]")]
         assert len(failed) == 1 and "weights_closed_form" in failed[0]
-
-    def test_unknown_fault(self):
-        assert run_cli("check", "--inject-fault", "gremlins") == 1
 
 
 class TestReport:

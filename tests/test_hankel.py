@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from hankelsr.hankel import (HankelDims, adjoint_lift, adjoint_lift_isometric,
-                             adjoint_lift_lowrank, apply_weights, choose_dims,
-                             lift, lift_isometric, lift_matvec, lift_rmatvec,
-                             pinv_lift, pinv_lift_lowrank, weight_vector)
+from hankelsr.hankel import (SignalSpectrum, _weigh, adjoint_lift,
+                             adjoint_lift_isometric, adjoint_lift_lowrank,
+                             choose_dims, lift, lift_isometric, lift_matvec,
+                             lift_rmatvec, pinv_lift, pinv_lift_lowrank,
+                             weight_vector)
 from hankelsr.lowrank import truncate_rank
 
 
@@ -117,21 +118,18 @@ class TestAdjointLift:
 
 class TestWeights:
     def test_power_inverse_pair(self):
+        # power -1 undoes a scaling of each column by the root of its weight
         rng = np.random.default_rng(6)
         dims = choose_dims(9, 2)
         X = crandn(rng, 2, 9)
-        back = apply_weights(apply_weights(X, dims, 1), dims, -1)
+        back = _weigh(X * np.sqrt(brute_force_weights(9, dims.n1))[None, :], dims, -1)
         np.testing.assert_allclose(back, X, atol=1e-14)
 
     def test_square_power_matches_counts(self):
+        # power -2 divides each column by its count, as the de-lift averages
         dims = choose_dims(3, 1)
-        out = apply_weights(np.ones((1, 3)), dims, 2)
-        np.testing.assert_array_equal(out, [brute_force_weights(3, dims.n1)])
-
-    def test_invalid_power(self):
-        dims = choose_dims(4, 1)
-        with pytest.raises(ValueError):
-            apply_weights(np.ones((1, 4)), dims, 3)
+        out = _weigh(np.ones((1, 3)), dims, -2)
+        np.testing.assert_array_equal(out, [1.0 / brute_force_weights(3, dims.n1)])
 
 
 class TestPinvLift:
@@ -193,11 +191,11 @@ class TestFastProducts:
         rng = np.random.default_rng(12)
         dims = choose_dims(10, 2)
         X = crandn(rng, 2, 10)
-        e0 = np.zeros(dims.n2)
+        e0 = np.zeros((dims.n2, 1))
         e0[0] = 1.0
-        out = lift_matvec(X, e0, dims)
+        out = lift_matvec(SignalSpectrum(X), e0, dims)
         expected = X[:, :dims.n1].T.reshape(-1)  # columns x_0..x_{n1-1} stacked
-        np.testing.assert_allclose(out, expected, atol=1e-12)
+        np.testing.assert_allclose(out[:, 0], expected, atol=1e-12)
 
     def test_matvec_matches_dense(self):
         rng = np.random.default_rng(13)
@@ -205,8 +203,8 @@ class TestFastProducts:
             dims = choose_dims(n, s, n1)
             X = crandn(rng, s, n)
             Z = lift(X, dims)
-            v = crandn(rng, dims.n2)
-            got = lift_matvec(X, v, dims)
+            v = crandn(rng, dims.n2, 1)
+            got = lift_matvec(SignalSpectrum(X), v, dims)
             want = Z @ v
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -214,10 +212,10 @@ class TestFastProducts:
         rng = np.random.default_rng(14)
         dims = choose_dims(9, 2)
         X = crandn(rng, 2, 9)
-        e0 = np.zeros(dims.s * dims.n1)
+        e0 = np.zeros((dims.s * dims.n1, 1))
         e0[0] = 1.0
-        got = lift_rmatvec(X, e0, dims)
-        np.testing.assert_allclose(got, np.conj(X[0, :dims.n2]), atol=1e-12)
+        got = lift_rmatvec(SignalSpectrum(X), e0, dims)
+        np.testing.assert_allclose(got[:, 0], np.conj(X[0, :dims.n2]), atol=1e-12)
 
     def test_rmatvec_matches_dense(self):
         rng = np.random.default_rng(15)
@@ -225,8 +223,8 @@ class TestFastProducts:
             dims = choose_dims(n, s, n1)
             X = crandn(rng, s, n)
             Z = lift(X, dims)
-            u = crandn(rng, dims.s * dims.n1)
-            got = lift_rmatvec(X, u, dims)
+            u = crandn(rng, dims.s * dims.n1, 1)
+            got = lift_rmatvec(SignalSpectrum(X), u, dims)
             want = Z.conj().T @ u
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -237,8 +235,18 @@ class TestFastProducts:
         Z = lift(X, dims)
         V = crandn(rng, dims.n2, 3)
         U = crandn(rng, dims.s * dims.n1, 3)
-        np.testing.assert_allclose(lift_matvec(X, V, dims), Z @ V, atol=1e-10)
-        np.testing.assert_allclose(lift_rmatvec(X, U, dims), Z.conj().T @ U, atol=1e-10)
+        spectrum = SignalSpectrum(X)
+        np.testing.assert_allclose(lift_matvec(spectrum, V, dims), Z @ V, atol=1e-10)
+        np.testing.assert_allclose(lift_rmatvec(spectrum, U, dims), Z.conj().T @ U,
+                                   atol=1e-10)
+
+    def test_vector_input_rejected(self):
+        dims = choose_dims(12, 2)
+        spectrum = SignalSpectrum(np.ones((2, 12)))
+        with pytest.raises(ValueError, match="block"):
+            lift_matvec(spectrum, np.ones(dims.n2), dims)
+        with pytest.raises(ValueError, match="block"):
+            lift_rmatvec(spectrum, np.ones(dims.s * dims.n1), dims)
 
     def test_lowrank_delift_matches_dense(self):
         rng = np.random.default_rng(17)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from hankelsr.hankel import choose_dims, lift, lift_matvec, lift_rmatvec
+from hankelsr import lowrank
+from hankelsr.hankel import (SignalSpectrum, choose_dims, lift, lift_matvec,
+                             lift_rmatvec)
 from hankelsr.lowrank import (LowRankFactors, RankTruncationError,
                               project_tangent, project_tangent_truncate,
                               truncate_rank, truncate_rank_operator)
@@ -153,19 +155,21 @@ class TestTruncateRankOperator:
     def test_lifted_model_singular_values(self):
         m = synth_model(2, 32, 3, 17)
         dims = choose_dims(32, 2)
-        X = build_signal(m)
-        f = truncate_rank_operator(lambda v: lift_matvec(X, v, dims),
-                                   lambda u: lift_rmatvec(X, u, dims),
+        spectrum = SignalSpectrum(build_signal(m))
+        f = truncate_rank_operator(lambda v: lift_matvec(spectrum, v, dims),
+                                   lambda u: lift_rmatvec(spectrum, u, dims),
                                    dims.lifted_shape, 3)
-        dense = np.linalg.svd(lift(X, dims), compute_uv=False)[:3]
+        dense = np.linalg.svd(lift(spectrum.X, dims), compute_uv=False)[:3]
         np.testing.assert_allclose(f.sigma, dense, rtol=1e-8)
 
-    def test_nonconvergence_raises_with_residual(self):
+    def test_nonconvergence_raises_with_residual(self, monkeypatch):
         rng = np.random.default_rng(8)
         M = crandn(rng, 10, 10)
+        monkeypatch.setattr(lowrank, "_MAX_SWEEPS", 2)
+        monkeypatch.setattr(lowrank, "_SVAL_TOL", 1e-30)
         with pytest.raises(RankTruncationError) as excinfo:
             truncate_rank_operator(lambda v: M @ v, lambda u: M.conj().T @ u,
-                                   M.shape, 2, max_iters=2, tol=1e-30)
+                                   M.shape, 2)
         assert excinfo.value.residual >= 0.0
 
     def test_seeded_determinism(self):

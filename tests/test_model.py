@@ -193,5 +193,5 @@ class TestHankelFactorization:
     def test_infeasible_rank(self):
         m = synth_model(1, 8, 4, 3)
         bad = choose_dims(8, 1, n1=2)  # lifted shape (2, 7) cannot carry rank 4
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"rank 4 exceeds lifted shape \(2, 7\)"):
             hankel_factorization(m, bad)

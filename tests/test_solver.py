@@ -141,14 +141,24 @@ class TestIterateOnce:
         assert trace.termination == "converged"
         assert trace.records[-1].iteration == 1
 
-    def test_nonfinite_raises_naming_iteration(self):
+    def test_nonfinite_raises_naming_iteration(self, monkeypatch):
+        # the step rejects a non-finite iterate, and solve names the iteration
         dims, B, X_true, y = make_instance(16, 2, 2, 6)
         bad = X_true.copy()
         bad[0, 0] = np.inf
         cfg = SolverConfig(rank=2)
         factors = lowrank.truncate_rank(lift(X_true, dims), 2)
-        with pytest.raises(DivergenceError, match="iteration 7"):
-            iterate_once(bad, y, B, dims, cfg, factors, iteration=7)
+        with pytest.raises(DivergenceError, match="^iterate is not finite$"):
+            iterate_once(bad, y, B, dims, cfg, factors)
+        step, calls = solver.iterate_once, []
+
+        def poisoned(X, *args, **kwargs):
+            calls.append(1)
+            return step(bad if len(calls) == 7 else X, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "iterate_once", poisoned)
+        _, trace = solve(y, B, dims, cfg)
+        assert trace.termination == "diverged: iterate is not finite at iteration 7"
 
 
 class TestSolve:
@@ -208,6 +218,23 @@ class TestSolve:
         # the trace names the returned iterate, not the last one run
         assert trace.records[trace.returned_iteration].residual == returned_resid
         assert trace.returned_iteration < trace.records[-1].iteration
+
+    def test_core_failure_names_its_iteration(self, monkeypatch):
+        # a LinAlgError from the step ends the run as a DivergenceError does
+        dims, B, _, y = make_instance(32, 2, 2, 10)
+        truncate, calls = solver.project_tangent_truncate, []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("projected core contains non-finite entries")
+            return truncate(*args)
+
+        monkeypatch.setattr(solver, "project_tangent_truncate", failing)
+        _, trace = solve(y, B, dims, SolverConfig(rank=2))
+        assert "at iteration 3" in trace.termination
+        assert trace.termination.startswith("diverged: projected core")
+        assert trace.returned_iteration <= 2
 
     def test_operator_init_matches_dense_init(self):
         dims, B, X_true, y = make_instance(64, 2, 2, 14)
@@ -317,7 +344,7 @@ class TestSolve:
         X, factors = _initialize_factors(y, B, dims, 2, mode=mode, seed=cfg.seed)
         expected = [float(np.linalg.norm(measure(X, B) - y))]
         for t in range(1, 7):
-            X, factors = iterate_once(X, y, B, dims, cfg, factors, iteration=t)
+            X, factors = iterate_once(X, y, B, dims, cfg, factors)
             expected.append(float(np.linalg.norm(measure(X, B) - y)))
 
         calls = []
