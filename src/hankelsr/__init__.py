@@ -11,7 +11,7 @@ from .lowrank import (LowRankFactors, RankTruncationError, project_tangent,
                       truncate_rank_operator)
 from .model import (PointSourceModel, adjoint_measure, build_signal,
                     hankel_factorization, measure, sample_subspace,
-                    steering_vector, synth_model)
+                    steering_vector, synth_instance, synth_model)
 from .solver import (ConvergenceTrace, DivergenceError, SolverConfig,
                      TraceRecord, initialize, iterate_once, relative_error,
                      solve)

@@ -138,12 +138,7 @@ def check_tangent_projection() -> CheckResult:
 
 
 def check_fixed_point() -> CheckResult:
-    rng = np.random.default_rng(6)
-    m = model.synth_model(2, 32, 2, rng)
-    dims = hankel.choose_dims(m.n, m.s)
-    X_true = model.build_signal(m)
-    B = model.sample_subspace(m.s, m.n, rng)
-    y = model.measure(X_true, B)
+    m, dims, B, X_true, y = model.synth_instance(32, 2, 2, seed=6)
     truth = lowrank.truncate_rank(hankel.lift(X_true, dims), m.r)
     X_next, _ = solver.iterate_once(X_true, y, B, dims, solver.SolverConfig(rank=m.r), truth)
     movement = solver.relative_error(X_next, X_true)
@@ -174,12 +169,7 @@ def check_fast_dense_equivalence() -> CheckResult:
     roundoff; the operator initialization of ``fast`` mode is compared with
     the dense one on its own, to the 1e-6 its subspace iteration reaches.
     """
-    rng = np.random.default_rng(8)
-    m = model.synth_model(2, 48, 2, rng)
-    dims = hankel.choose_dims(m.n, m.s)
-    X_true = model.build_signal(m)
-    B = model.sample_subspace(m.s, m.n, rng)
-    y = model.measure(X_true, B)
+    m, dims, B, X_true, y = model.synth_instance(48, 2, 2, seed=8)
     inits = {mode: solver._initialize_factors(y, B, dims, m.r, mode=mode)
              for mode in solver.MODES}
     init_gap = solver.relative_error(inits["fast"][0], inits["dense"][0])

@@ -21,20 +21,20 @@ default, the parser of its value and its help once.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field, fields
-
-import numpy as np
+from typing import TextIO
 
 from . import __version__
 from .checks import run_all
 from .diagnostics import AssumptionReport, assumption_report
-from .hankel import choose_dims
-from .model import build_signal, measure, sample_subspace, synth_model
-from .solver import MODES, SolverConfig, relative_error, solve
+from .model import synth_instance
+from .solver import MODES, SolverConfig, solve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -71,21 +71,36 @@ def seed_derivation(master_seed: int, trial_index: int) -> int:
     return _splitmix64(_splitmix64(master_seed & _MASK64) + (trial_index & _MASK64))
 
 
+def _typed(convert, *types):
+    """The parser of a flag's command-line text or ``--config`` value: a value
+    whose type is not one of ``types`` is refused, not coerced, so a JSON bool
+    or float is no integer and a string is no switch."""
+    def parse(value):
+        if type(value) not in types:
+            raise TypeError(f"expected {convert.__name__}")
+        return convert(value)
+    return parse
+
+
+_integer = _typed(int, str, int)
+_real = _typed(float, str, int, float)
+_text = _typed(str, str)
+_switch = _typed(bool, bool)
+
+
 def _grid(value) -> tuple[int, ...]:
     """An integer, a JSON list of integers or a comma list of them."""
-    if isinstance(value, bool):
-        raise ValueError("expected integers")
-    if isinstance(value, int):
-        return (value,)
-    if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
-    return tuple(int(part) for part in str(value).split(",") if part != "")
+    if isinstance(value, str):
+        return tuple(int(part) for part in value.split(",") if part != "")
+    if isinstance(value, list):
+        return tuple(_integer(v) for v in value)
+    return (_integer(value),)
 
 
 def _flag(default, parse, help: str, **argparse_kwargs):
     """A shared flag: its default, the parser of its command-line text or
-    ``--config`` value, and its help; ``bool`` flags are switches."""
-    if parse is bool:
+    ``--config`` value, and its help; ``_switch`` flags take no value."""
+    if parse is _switch:
         argparse_kwargs.update(action="store_const", const=True)
     return field(default=default,
                  metadata={"parse": parse, "argparse": {"help": help, **argparse_kwargs}})
@@ -105,23 +120,21 @@ class ExperimentConfig:
     n: tuple[int, ...] = _flag((256,), _grid, "signal length (comma list for sweep)")
     s: tuple[int, ...] = _flag((4,), _grid, "subspace dimension (comma list for sweep)")
     r: tuple[int, ...] = _flag((5,), _grid, "number of point sources (comma list for sweep)")
-    seed: int = _flag(1, int, "master seed")
-    trials: int = _flag(1, int, "trials per sweep cell")
-    max_iters: int = _flag(SolverConfig.max_iters, int, "iteration cap of a solve")
-    tol: float = _flag(SolverConfig.residual_tol, float,
+    seed: int = _flag(1, _integer, "master seed")
+    trials: int = _flag(1, _integer, "trials per sweep cell")
+    max_iters: int = _flag(SolverConfig.max_iters, _integer, "iteration cap of a solve")
+    tol: float = _flag(SolverConfig.residual_tol, _real,
                        "relative residual stopping tolerance")
-    mode: str = _flag(SolverConfig.mode, str, "initialization: exact dense SVD or "
+    mode: str = _flag(SolverConfig.mode, _text, "initialization: exact dense SVD or "
                       "seeded operator SVD", choices=MODES)
-    step_size: float = _flag(SolverConfig.step_size, float, "gradient step size")
-    n1: int | None = _flag(None, int, "override the Hankel split")
-    out: str | None = _flag(None, str, "output path")
-    success_tol: float = _flag(1e-4, float,
+    step_size: float = _flag(SolverConfig.step_size, _real, "gradient step size")
+    n1: int | None = _flag(None, _integer, "override the Hankel split")
+    out: str | None = _flag(None, _text, "output path")
+    success_tol: float = _flag(1e-4, _real,
                                "sweep success threshold on the final relative error")
-    complex_subspace: bool = _flag(False, bool, "draw complex Gaussian sensing "
+    complex_subspace: bool = _flag(False, _switch, "draw complex Gaussian sensing "
                                    "vectors instead of real")
-    timing: bool = _flag(False, bool, "include wall-clock elapsed_ms in the trace file "
-                         "(off by default so identical seeds give identical files)")
-    with_report: bool = _flag(False, bool,
+    with_report: bool = _flag(False, _switch,
                               "attach the instance-constants report to each sweep trial")
 
     def validate(self) -> None:
@@ -164,18 +177,6 @@ class TrialRecord:
     report: AssumptionReport | None = None
 
 
-def synth_instance(n: int, s: int, r: int, seed: int, n1: int | None = None,
-                   complex_subspace: bool = False):
-    """Instance recipe shared by all commands: model, split, sensing matrix, data."""
-    dims = choose_dims(n, s, n1)
-    rng = np.random.default_rng(seed)
-    mdl = synth_model(s, n, r, rng)
-    B = sample_subspace(s, n, rng, complex_entries=complex_subspace)
-    X_true = build_signal(mdl)
-    y = measure(X_true, B)
-    return mdl, dims, B, X_true, y
-
-
 def _fmt(value: float | None) -> str:
     if value is None:
         return ""
@@ -184,20 +185,17 @@ def _fmt(value: float | None) -> str:
     return repr(float(value))
 
 
-def write_trace(path: str, trace, include_timing: bool) -> None:
-    """Write the per-iteration trace as CSV.
+def write_trace(fh: TextIO, trace) -> None:
+    """Write the per-iteration trace as CSV to an open text file.
 
-    The rel_error columns appear iff the trace carries ground-truth errors;
-    the elapsed_ms column appears only when timing was requested, so default
-    trace files are byte-reproducible for identical seeds (wall-clock always
-    travels in the sidecar instead).
+    The rel_error columns appear iff the trace carries ground-truth errors.
+    Wall-clock times stay out of the file, so identical seeds give
+    byte-identical traces; the ``run`` sidecar carries them.
     """
     has_err = any(rec.rel_error is not None for rec in trace.records)
     cols = ["iter", "residual"]
     if has_err:
         cols += ["rel_error", "log10_rel_error"]
-    if include_timing:
-        cols.append("elapsed_ms")
     lines = [",".join(cols)]
     for rec in trace.records:
         row = [str(rec.iteration), _fmt(rec.residual)]
@@ -205,24 +203,8 @@ def write_trace(path: str, trace, include_timing: bool) -> None:
             err = rec.rel_error
             log_err = math.log10(err) if err and err > 0 else -math.inf
             row += [_fmt(err), _fmt(log_err)]
-        if include_timing:
-            row.append(_fmt(rec.elapsed_s * 1000.0))
         lines.append(",".join(row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _open_outputs(*paths: str) -> None:
-    """Create or truncate each output file, so that an unwritable path fails before any solve."""
-    for path in paths:
-        with open(path, "w"):
-            pass
-
-
-def _write_sidecar(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    fh.write("\n".join(lines) + "\n")
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
@@ -232,40 +214,40 @@ def cmd_run(cfg: ExperimentConfig) -> int:
                                            cfg.complex_subspace)
     out = cfg.out or "run_trace.csv"
     dims.check_rank(r)  # solve's rule, before any output exists
-    _open_outputs(out, out + ".meta.json")
-    t0 = time.perf_counter()
-    X_hat, trace = solve(y, B, dims, cfg.solver_config(r, derived),
+    # Opened before the solve, so that an unwritable path fails first.
+    with open(out, "w") as trace_fh, open(out + ".meta.json", "w") as meta_fh:
+        t0 = time.perf_counter()
+        _, trace = solve(y, B, dims, cfg.solver_config(r, derived),
                          ground_truth=X_true)
-    total_s = time.perf_counter() - t0
-
-    write_trace(out, trace, include_timing=cfg.timing)
-    # After a divergence solve returns its best iterate, not the last one the
-    # trace records, so the final figures are taken from the returned estimate.
-    iterations = trace.records[-1].iteration
-    final_residual = float(np.linalg.norm(measure(X_hat, B) - y))
-    final_rel_error = relative_error(X_hat, X_true)
-    _write_sidecar(out + ".meta.json", {
-        "command": "run",
-        "version": __version__,
-        "n": n, "s": s, "r": r,
-        "seed": cfg.seed, "derived_seed": derived,
-        "split": {"n1": dims.n1, "n2": dims.n2},
-        "mode": cfg.mode,
-        "step_size": cfg.step_size, "max_iters": cfg.max_iters,
-        "residual_tol": cfg.tol, "complex_subspace": cfg.complex_subspace,
-        "termination": trace.termination,
-        "iterations": iterations,
-        "returned_iteration": trace.returned_iteration,
-        "final_residual": final_residual,
-        "final_rel_error": final_rel_error,
-        "timing": {
-            "total_s": total_s,
-            "per_record_elapsed_s": [rec.elapsed_s for rec in trace.records],
-        },
-    })
+        total_s = time.perf_counter() - t0
+        write_trace(trace_fh, trace)
+        # After a divergence solve returns its best iterate, not the last one
+        # the trace records, so the final figures are the returned estimate's.
+        iterations = trace.records[-1].iteration
+        final = trace.records[trace.returned_iteration]
+        json.dump({
+            "command": "run",
+            "version": __version__,
+            "n": n, "s": s, "r": r,
+            "seed": cfg.seed, "derived_seed": derived,
+            "split": {"n1": dims.n1, "n2": dims.n2},
+            "mode": cfg.mode,
+            "step_size": cfg.step_size, "max_iters": cfg.max_iters,
+            "residual_tol": cfg.tol, "complex_subspace": cfg.complex_subspace,
+            "termination": trace.termination,
+            "iterations": iterations,
+            "returned_iteration": trace.returned_iteration,
+            "final_residual": final.residual,
+            "final_rel_error": final.rel_error,
+            "timing": {
+                "total_s": total_s,
+                "per_record_elapsed_s": [rec.elapsed_s for rec in trace.records],
+            },
+        }, meta_fh, indent=2)
+        meta_fh.write("\n")
     print(f"run n={n} s={s} r={r} seed={cfg.seed} mode={cfg.mode}: "
           f"{trace.termination} after {iterations} iterations, "
-          f"residual={final_residual:.3e}, rel_error={final_rel_error:.3e}, "
+          f"residual={final.residual:.3e}, rel_error={final.rel_error:.3e}, "
           f"trace={out}")
     return EXIT_DIVERGED if trace.termination.startswith("diverged") else EXIT_OK
 
@@ -276,9 +258,9 @@ def _run_trial(cfg: ExperimentConfig, n: int, s: int, r: int, trial: int) -> Tri
     try:
         mdl, dims, B, X_true, y = synth_instance(n, s, r, derived, cfg.n1,
                                                  cfg.complex_subspace)
-        X_hat, trace = solve(y, B, dims, cfg.solver_config(r, derived),
-                             ground_truth=X_true)
-        rel_error = relative_error(X_hat, X_true)  # of the returned estimate
+        _, trace = solve(y, B, dims, cfg.solver_config(r, derived),
+                         ground_truth=X_true)
+        rel_error = trace.records[trace.returned_iteration].rel_error
         report = assumption_report(mdl, B, dims) if cfg.with_report else None
         return TrialRecord(
             n=n, s=s, r=r, trial=trial, derived_seed=derived,
@@ -298,37 +280,36 @@ _REPORT_COLUMNS = tuple(f.name for f in fields(AssumptionReport))
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
     out = cfg.out or "sweep_results.csv"
-    summary_path = out.rsplit(".", 1)[0] + "_summary.csv"
-    _open_outputs(out, summary_path)
-    records = [
-        _run_trial(cfg, n, s, r, trial)
-        for n in cfg.n for s in cfg.s for r in cfg.r
-        for trial in range(cfg.trials)
-    ]
+    summary_path = os.path.splitext(out)[0] + "_summary.csv"
+    # Opened before any trial, so that an unwritable path fails first.
+    with open(out, "w") as rows_fh, open(summary_path, "w") as summary_fh:
+        records = [
+            _run_trial(cfg, n, s, r, trial)
+            for n in cfg.n for s in cfg.s for r in cfg.r
+            for trial in range(cfg.trials)
+        ]
 
-    header = ["n", "s", "r", "trial", "derived_seed", "rel_error",
-              "iterations", "termination", "elapsed_ms", "success"]
-    if cfg.with_report:
-        header += list(_REPORT_COLUMNS)
-    lines = [",".join(header)]
-    for rec in records:
-        row = [str(rec.n), str(rec.s), str(rec.r), str(rec.trial),
-               str(rec.derived_seed), _fmt(rec.rel_error), str(rec.iterations),
-               '"' + rec.termination.replace('"', "'") + '"',
-               _fmt(rec.elapsed_ms), str(int(rec.success))]
+        header = ["n", "s", "r", "trial", "derived_seed", "rel_error",
+                  "iterations", "termination", "elapsed_ms", "success"]
         if cfg.with_report:
-            stats = rec.report.as_dict() if rec.report is not None else {}
-            row += [_fmt(stats.get(key)) for key in _REPORT_COLUMNS]
-        lines.append(",".join(row))
-    with open(out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+            header += list(_REPORT_COLUMNS)
+        lines = [",".join(header)]
+        for rec in records:
+            row = [str(rec.n), str(rec.s), str(rec.r), str(rec.trial),
+                   str(rec.derived_seed), _fmt(rec.rel_error), str(rec.iterations),
+                   '"' + rec.termination.replace('"', "'") + '"',
+                   _fmt(rec.elapsed_ms), str(int(rec.success))]
+            if cfg.with_report:
+                stats = rec.report.as_dict() if rec.report is not None else {}
+                row += [_fmt(stats.get(key)) for key in _REPORT_COLUMNS]
+            lines.append(",".join(row))
+        rows_fh.write("\n".join(lines) + "\n")
 
-    summary = aggregate_sweep(records)
-    with open(summary_path, "w") as fh:
-        fh.write("n,s,r,trials,successes,success_rate\n")
+        summary = aggregate_sweep(records)
+        summary_fh.write("n,s,r,trials,successes,success_rate\n")
         for cell in summary:
-            fh.write(f"{cell['n']},{cell['s']},{cell['r']},{cell['trials']},"
-                     f"{cell['successes']},{_fmt(cell['success_rate'])}\n")
+            summary_fh.write(f"{cell['n']},{cell['s']},{cell['r']},{cell['trials']},"
+                             f"{cell['successes']},{_fmt(cell['success_rate'])}\n")
     print(f"sweep wrote {len(records)} trials to {out}")
     print("n    s    r    success_rate")
     for cell in summary:
@@ -371,15 +352,14 @@ def cmd_report(cfg: ExperimentConfig) -> int:
     mdl, dims, B, _, _ = synth_instance(n, s, r, derived, cfg.n1,
                                         cfg.complex_subspace)
     dims.check_rank(r)  # solve's rule, before any output exists
-    if cfg.out:
-        _open_outputs(cfg.out)
-    report = assumption_report(mdl, B, dims)
-    payload = {"n": n, "s": s, "r": r, "seed": cfg.seed,
-               "derived_seed": derived, "n1": dims.n1, "n2": dims.n2,
-               **report.as_dict()}
-    text = json.dumps(payload, indent=2)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    # Opened before the report, so that an unwritable path fails first.
+    with open(cfg.out, "w") if cfg.out else contextlib.nullcontext() as fh:
+        report = assumption_report(mdl, B, dims)
+        payload = {"n": n, "s": s, "r": r, "seed": cfg.seed,
+                   "derived_seed": derived, "n1": dims.n1, "n2": dims.n2,
+                   **report.as_dict()}
+        text = json.dumps(payload, indent=2)
+        if fh is not None:
             fh.write(text + "\n")
     print(text)
     return EXIT_OK
@@ -447,9 +427,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_run(cfg)
         if args.command == "sweep":
             return cmd_sweep(cfg)
-        if args.command == "report":
-            return cmd_report(cfg)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return cmd_report(cfg)  # argparse has rejected any other command
     except (_UsageError, ValueError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

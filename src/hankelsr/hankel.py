@@ -27,27 +27,30 @@ def _next_pow2(n: int) -> int:
 class HankelDims:
     """Shape bookkeeping for the block-Hankel lift of an s-by-n matrix.
 
-    weights[i] is the number of lifted positions fed by column i, equal to
-    min(i+1, n1, n2, n-i); the weights sum to n1*n2.
+    The split n1 determines n2 = n + 1 - n1.  weights[i] is the number of
+    lifted positions fed by column i, equal to min(i+1, n1, n2, n-i); the
+    weights sum to n1*n2.
     """
 
     n: int
     s: int
     n1: int
-    n2: int
-    weights: np.ndarray
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"need n >= 2, got n={self.n}")
         if self.s < 1:
             raise ValueError(f"need s >= 1, got s={self.s}")
-        if self.n1 < 1 or self.n2 < 1 or self.n1 + self.n2 != self.n + 1:
-            raise ValueError(
-                f"invalid split (n1, n2)=({self.n1}, {self.n2}) for n={self.n}"
-            )
-        if self.weights.shape != (self.n,) or int(self.weights.sum()) != self.n1 * self.n2:
-            raise ValueError("weights inconsistent with the (n1, n2) split")
+        if not 1 <= self.n1 <= self.n:
+            raise ValueError(f"n1 must lie in [1, {self.n}], got {self.n1}")
+
+    @property
+    def n2(self) -> int:
+        return self.n + 1 - self.n1
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return weight_vector(self.n, self.n1, self.n2)
 
     @property
     def lifted_shape(self) -> tuple[int, int]:
@@ -74,14 +77,7 @@ def choose_dims(n: int, s: int, n1: int | None = None) -> HankelDims:
     n2 >= n1), which maximizes the feasible rank min(s*n1, n2) for s > 1.
     Pass n1 to override.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got n={n}")
-    if n1 is None:
-        n1 = (n + 1) // 2
-    if not 1 <= n1 <= n:
-        raise ValueError(f"n1 must lie in [1, {n}], got {n1}")
-    n2 = n + 1 - n1
-    return HankelDims(n=n, s=s, n1=n1, n2=n2, weights=weight_vector(n, n1, n2))
+    return HankelDims(n=n, s=s, n1=(n + 1) // 2 if n1 is None else n1)
 
 
 def _check_signal(X: np.ndarray, dims: HankelDims) -> np.ndarray:

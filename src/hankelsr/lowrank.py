@@ -103,20 +103,6 @@ def _trim(U: np.ndarray, sigma: np.ndarray, V: np.ndarray, r: int) -> LowRankFac
     return LowRankFactors(U=U[:, :k], sigma=sigma[:k].astype(float), V=V[:, :k])
 
 
-def _stack_columns(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """[left, right] built column-major, the order LAPACK factorizes in.
-
-    np.linalg.qr copies a C-ordered input into column-major order with
-    strided reads; an input that is column-major already is copied
-    contiguously.
-    """
-    m, k = left.shape
-    out = np.empty((m, k + right.shape[1]), dtype=np.result_type(left, right), order="F")
-    out[:, :k] = left
-    out[:, k:] = right
-    return out
-
-
 def truncate_rank(W: np.ndarray, r: int) -> LowRankFactors:
     """Best rank-r approximation factors of a dense matrix (truncated SVD)."""
     W = np.asarray(W)
@@ -155,8 +141,7 @@ def truncate_rank_operator(matvec: Callable[[np.ndarray], np.ndarray],
     largest from one sweep to the next; raises ``RankTruncationError`` if
     _MAX_SWEEPS sweeps run first.  matvec and adjoint_matvec must accept
     (dim, k) blocks; products returned column-major, as the hankel FFT
-    products are, reach the QRs without a strided copy (see
-    ``_stack_columns``).
+    products are, reach LAPACK's QR without a strided copy.
     """
     m, p = shape
     if r < 1:
@@ -191,7 +176,7 @@ def truncate_rank_operator(matvec: Callable[[np.ndarray], np.ndarray],
 def _householder_completion(U: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Completion by Householder QR of the stacked [U, B]: orthonormal for any B."""
     k = U.shape[1]
-    Q1 = np.linalg.qr(_stack_columns(U, B))[0][:, k:]
+    Q1 = np.linalg.qr(np.hstack([U, B]))[0][:, k:]
     return Q1, Q1.conj().T @ B
 
 

@@ -16,7 +16,6 @@ import numpy as np
 from .hankel import HankelDims, choose_dims
 
 _TAU_COLLISION_TOL = 1e-12
-_MAX_TAU_RESAMPLES = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,8 +71,8 @@ def synth_model(s: int, n: int, r: int,
     exp(-i*psi) with c uniform on [0, 1) and psi uniform on [0, 2*pi);
     coefficient vectors are standard complex Gaussian draws normalized to unit
     norm.  Draw order is taus, c, psi, coefficients, so results are
-    reproducible for a given seed.  Colliding locations are resampled a
-    bounded number of times.
+    reproducible for a given seed.  A draw of colliding locations (probability
+    about r**2 * 1e-12) is rejected by ``PointSourceModel``.
     """
     if r < 1 or s < 1:
         raise ValueError("need r >= 1 and s >= 1")
@@ -82,16 +81,6 @@ def synth_model(s: int, n: int, r: int,
     rng = np.random.default_rng(rng)
 
     taus = rng.uniform(size=r)
-    for _ in range(_MAX_TAU_RESAMPLES):
-        if _min_pairwise_gap(taus) > _TAU_COLLISION_TOL:
-            break
-        order = np.argsort(taus)
-        gaps = np.diff(taus[order])
-        bad = order[1:][gaps <= _TAU_COLLISION_TOL]
-        taus[bad] = rng.uniform(size=len(bad))
-    else:
-        raise ValueError("could not draw pairwise-distinct locations")
-
     c = rng.uniform(size=r)
     psi = rng.uniform(0.0, 2.0 * np.pi, size=r)
     amps = (1.0 + 10.0 ** c) * np.exp(-1j * psi)
@@ -138,6 +127,19 @@ def adjoint_measure(y: np.ndarray, B: np.ndarray) -> np.ndarray:
     if y.shape != (B.shape[1],):
         raise ValueError(f"y must have length {B.shape[1]}, got {y.shape}")
     return B * y[None, :]
+
+
+def synth_instance(n: int, s: int, r: int, seed: int, n1: int | None = None,
+                   complex_subspace: bool = False):
+    """Instance recipe shared by the commands and the checks: model, split,
+    sensing matrix, data."""
+    dims = choose_dims(n, s, n1)
+    rng = np.random.default_rng(seed)
+    mdl = synth_model(s, n, r, rng)
+    B = sample_subspace(s, n, rng, complex_entries=complex_subspace)
+    X_true = build_signal(mdl)
+    y = measure(X_true, B)
+    return mdl, dims, B, X_true, y
 
 
 def hankel_factorization(model: PointSourceModel, dims: HankelDims | None = None) -> np.ndarray:

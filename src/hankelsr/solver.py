@@ -268,7 +268,7 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
             break
         grown = grown + 1 if resid > _DIVERGENCE_FACTOR * min_resid else 0
         if grown >= _DIVERGENCE_WINDOW:
-            termination = "diverged: residual grew past its running minimum"
+            termination = f"diverged: residual grew past its running minimum at iteration {t}"
             X, returned_t = best_X, best_t
             break
         min_resid = min(min_resid, resid)

@@ -19,22 +19,13 @@ from hankelsr.hankel import (adjoint_lift, adjoint_lift_isometric, choose_dims,
                              lift, lift_isometric, pinv_lift, weight_vector)
 from hankelsr.lowrank import project_tangent, truncate_rank
 from hankelsr.model import (adjoint_measure, build_signal, hankel_factorization,
-                            measure, sample_subspace, synth_model)
+                            measure, synth_instance, synth_model)
 from hankelsr.solver import SolverConfig, initialize, iterate_once, solve
 from hankelsr.solver import _initialize_factors
 
 
 def crandn(rng, *shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-
-
-def make_instance(n, s, r, seed):
-    dims = choose_dims(n, s)
-    rng = np.random.default_rng(seed)
-    mdl = synth_model(s, n, r, rng)
-    B = sample_subspace(s, n, rng)
-    X_true = build_signal(mdl)
-    return mdl, dims, B, X_true, measure(X_true, B)
 
 
 def test_criterion_1_operator_identities():
@@ -159,7 +150,7 @@ def _geometric_phase_r2(errs):
 def test_criterion_4_fixed_point_and_linear_convergence():
     start = time.perf_counter()
     # (a) the exact solution moves less than 1e-10 in one iteration
-    _, dims, B, X_true, y = make_instance(256, 4, 5, seed_derivation(1, 0))
+    _, dims, B, X_true, y = synth_instance(256, 4, 5, seed_derivation(1, 0))
     truth = truncate_rank(lift(X_true, dims), 5)
     X_next, _ = iterate_once(X_true, y, B, dims, SolverConfig(rank=5, step_size=0.5), truth)
     move = np.linalg.norm(X_next - X_true) / np.linalg.norm(X_true)
@@ -171,7 +162,7 @@ def test_criterion_4_fixed_point_and_linear_convergence():
     r2_values = []
     slopes = []
     for trial in range(20):
-        _, dims, B, X_true, y = make_instance(256, 4, 5, seed_derivation(1, trial))
+        _, dims, B, X_true, y = synth_instance(256, 4, 5, seed_derivation(1, trial))
         cfg = SolverConfig(rank=5, max_iters=200, mode="fast", step_size=0.5)
         _, trace = solve(y, B, dims, cfg, ground_truth=X_true)
         errs = trace.rel_errors
@@ -202,7 +193,7 @@ def test_criterion_5_fast_path_equivalence_and_speed():
     # SVD, dense de-lift) on 10 instances, each carrying its own iterate
     worst = 0.0
     for trial in range(10):
-        _, dims, B, X_true, y = make_instance(256, 4, 5, seed_derivation(55, trial))
+        _, dims, B, X_true, y = synth_instance(256, 4, 5, seed_derivation(55, trial))
         cfg = SolverConfig(rank=5, step_size=0.5)
         X, f = X_ref, f_ref = _initialize_factors(y, B, dims, 5)
         for t in range(12):
@@ -212,7 +203,7 @@ def test_criterion_5_fast_path_equivalence_and_speed():
     assert worst < 1e-8, f"fast step diverged from the reference step by {worst:.2e}"
 
     # coarse per-iteration cost comparison at a larger size
-    _, dims, B, X_true, y = make_instance(1024, 2, 3, seed_derivation(56, 0))
+    _, dims, B, X_true, y = synth_instance(1024, 2, 3, seed_derivation(56, 0))
     X0, f0 = _initialize_factors(y, B, dims, 3)
     cfg = SolverConfig(rank=3, step_size=0.5)
     per_iter = {}
@@ -235,7 +226,7 @@ def test_criterion_6_initialization_quality_trend():
     for n in (64, 128, 256, 512):
         vals = []
         for trial in range(20):
-            _, dims, B, X_true, y = make_instance(n, 2, 2, seed_derivation(6, trial))
+            _, dims, B, X_true, y = synth_instance(n, 2, 2, seed_derivation(6, trial))
             Z_true = lift(X_true, dims)
             sigma_r = np.linalg.svd(Z_true, compute_uv=False)[1]
             X0 = initialize(y, B, dims, 2)
@@ -252,7 +243,7 @@ def test_criterion_7_tangent_restricted_isometry_trend():
     for n in (128, 512):
         vals = []
         for trial in range(20):
-            _, dims, B, X_true, y = make_instance(n, 2, 2, seed_derivation(7, trial))
+            _, dims, B, X_true, y = synth_instance(n, 2, 2, seed_derivation(7, trial))
             factors = truncate_rank(lift(X_true, dims), 2)
             vals.append(estimate_rip_norm(B, dims, factors, iters=100))
         vals = np.array(vals)

@@ -1,6 +1,7 @@
 """Harness tests: seed derivation, trace files, sweeps, checks, reports."""
 
 import argparse
+import io
 import json
 import re
 from pathlib import Path
@@ -85,12 +86,19 @@ class TestRun:
         assert run_cli(*args, "--out", str(out2)) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_timing_column_opt_in(self, tmp_path):
+    def test_complex_sensing_vectors(self, tmp_path):
         out = tmp_path / "trace.csv"
-        run_cli("run", "--n", "32", "--s", "2", "--r", "2", "--max-iters", "5",
-                "--timing", "--out", str(out))
-        header = out.read_text().split("\n")[0]
-        assert header.endswith(",elapsed_ms")
+        code = run_cli("run", "--n", "64", "--s", "2", "--r", "2", "--seed", "1",
+                       "--mode", "fast", "--complex-subspace", "--out", str(out))
+        assert code == 0
+        meta = json.loads((tmp_path / "trace.csv.meta.json").read_text())
+        assert meta["complex_subspace"] is True
+        assert meta["termination"] == "converged" and meta["final_rel_error"] < 1e-6
+        # the sensing vectors are complex, so the trace is not the real one's
+        real = tmp_path / "real.csv"
+        assert run_cli("run", "--n", "64", "--s", "2", "--r", "2", "--seed", "1",
+                       "--mode", "fast", "--out", str(real)) == 0
+        assert out.read_bytes() != real.read_bytes()
 
     def test_divergence_exit_code(self, tmp_path):
         out = tmp_path / "trace.csv"
@@ -110,6 +118,8 @@ class TestRun:
         assert meta["iterations"] == trace.records[-1].iteration
         # the returned estimate is the initialization, and the sidecar says so
         assert meta["returned_iteration"] == trace.returned_iteration == 0
+        assert meta["termination"] == trace.termination == (
+            "diverged: residual grew past its running minimum at iteration 10")
         # the last trace row is the diverged iterate, far from the returned one
         last_err = float(out.read_text().strip().split("\n")[-1].split(",")[2])
         assert last_err > 1e3 * meta["final_rel_error"]
@@ -135,6 +145,26 @@ class TestRun:
         cfg.write_text(json.dumps({"rank": 2}))
         assert run_cli("run", "--config", str(cfg)) == 1
 
+    @pytest.mark.parametrize("key,value", [
+        ("with_report", "false"), ("complex_subspace", 1), ("seed", 1.9),
+        ("seed", True), ("tol", False), ("n", [32.5]),
+        ("n", [True]), ("mode", 3)])
+    def test_config_value_of_the_wrong_type(self, key, value, tmp_path, capsys,
+                                            monkeypatch):
+        # refused, not coerced: "false" would turn a switch on, 1.9 become 1
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started despite a bad config value")
+
+        monkeypatch.setattr(cli, "solve", no_work)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 32, "s": 2, "r": 2, key: value}))
+        out = tmp_path / "out.csv"
+        for command in ("run", "sweep"):
+            assert run_cli(command, "--config", str(cfg), "--out", str(out)) == EXIT_USAGE
+            flag = "--" + key.replace("_", "-")
+            assert capsys.readouterr().err == f"error: invalid value {value!r} for {flag}\n"
+            assert not out.exists()
+
     def test_default_scale_run_error_is_affinely_decreasing(self, tmp_path):
         out = tmp_path / "trace.csv"
         code = run_cli("run", "--n", "256", "--s", "4", "--r", "5", "--seed", "1",
@@ -153,10 +183,9 @@ class TestRun:
         trace = ConvergenceTrace(records=[TraceRecord(0, 1.0, None, 0.01),
                                           TraceRecord(1, 0.5, None, 0.02)],
                                  termination="max_iters")
-        path = tmp_path / "blind.csv"
-        write_trace(str(path), trace, include_timing=False)
-        lines = path.read_text().strip().split("\n")
-        assert lines == ["iter,residual", "0,1.0", "1,0.5"]
+        buf = io.StringIO()
+        write_trace(buf, trace)
+        assert buf.getvalue() == "iter,residual\n0,1.0\n1,0.5\n"
 
     def test_run_defaults_are_the_solver_defaults(self):
         # max_iters, tol, mode and step_size have one default, SolverConfig's
@@ -248,6 +277,15 @@ class TestSweep:
                  for row in summary[1:]}
         assert rates[("32", "2", "2")] == 1.0
         assert rates[("32", "2", "20")] == 0.0
+
+    def test_summary_path_beside_a_dotted_directory(self, tmp_path, monkeypatch):
+        # the summary's name drops the extension of --out, not of its directory
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.b").mkdir()
+        assert run_cli("sweep", "--n", "32", "--s", "2", "--r", "2", "--max-iters", "5",
+                       "--out", "a.b/sweep") == 0
+        written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
+        assert written == ["a.b", "a.b/sweep", "a.b/sweep_summary.csv"]
 
     def test_diverged_trial_reports_the_returned_estimate(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -5,10 +5,11 @@ import pytest
 
 from hankelsr import hankel, lowrank, solver
 from hankelsr.checks import reference_step
+from hankelsr.cli import seed_derivation
 from hankelsr.diagnostics import spectral_distance
 from hankelsr.hankel import choose_dims, lift, pinv_lift
 from hankelsr.model import (adjoint_measure, build_signal, measure,
-                            sample_subspace, synth_model)
+                            sample_subspace, synth_instance, synth_model)
 from hankelsr.solver import (ConvergenceTrace, DivergenceError, SolverConfig,
                              _initialize_factors, initialize, iterate_once,
                              relative_error, solve)
@@ -19,12 +20,8 @@ def crandn(rng, *shape):
 
 
 def make_instance(n, s, r, seed):
-    dims = choose_dims(n, s)
-    rng = np.random.default_rng(seed)
-    mdl = synth_model(s, n, r, rng)
-    B = sample_subspace(s, n, rng)
-    X_true = build_signal(mdl)
-    return dims, B, X_true, measure(X_true, B)
+    _, dims, B, X_true, y = synth_instance(n, s, r, seed)
+    return dims, B, X_true, y
 
 
 class TestRelativeError:
@@ -218,6 +215,19 @@ class TestSolve:
         # the trace names the returned iterate, not the last one run
         assert trace.records[trace.returned_iteration].residual == returned_resid
         assert trace.returned_iteration < trace.records[-1].iteration
+
+    @pytest.mark.parametrize("mode", solver.MODES)
+    def test_noisy_data_stagnates(self, mode):
+        # off-model data: the iterates settle at a residual above the tolerance
+        derived = seed_derivation(1, 0)
+        _, dims, B, _, y = synth_instance(64, 2, 2, derived)
+        noise = np.random.default_rng(0).standard_normal(64)
+        y = y + 1e-3 * np.linalg.norm(y) / np.sqrt(64) * noise
+        cfg = SolverConfig(rank=2, mode=mode, seed=derived)
+        _, trace = solve(y, B, dims, cfg)
+        assert trace.termination == "stagnated"
+        assert trace.returned_iteration == trace.records[-1].iteration == 109
+        assert trace.residuals[-1] > cfg.residual_tol * np.linalg.norm(y)
 
     def test_core_failure_names_its_iteration(self, monkeypatch):
         # a LinAlgError from the step ends the run as a DivergenceError does
