@@ -170,7 +170,7 @@ def check_fast_dense_equivalence() -> CheckResult:
     the dense one on its own, to the 1e-6 its subspace iteration reaches.
     """
     m, dims, B, X_true, y = model.synth_instance(48, 2, 2, seed=8)
-    inits = {mode: solver._initialize_factors(y, B, dims, m.r, mode=mode)
+    inits = {mode: solver._initialize_factors(y, B, dims, solver.SolverConfig(rank=m.r, mode=mode))
              for mode in solver.MODES}
     init_gap = solver.relative_error(inits["fast"][0], inits["dense"][0])
     cfg = solver.SolverConfig(rank=m.r)

@@ -8,8 +8,10 @@ of how far the tangent-restricted measurement map is from an isometry, and
 the spectral distance of the initialization from the lifted truth.  They are
 advisory: the solver never gates on them.  The report obeys the solver's rank
 rule (``HankelDims.check_rank``), so it rejects exactly the ranks ``solve``
-rejects, and takes the subspace constants and the tangent space from the
-rank-r truncation of the lifted truth.
+rejects.  Like a solver iteration, it touches the lift only through FFT
+products, the FFT de-lift and the operator SVD, which gives the subspace
+constants and tangent space of the lifted truth; only the dense
+``solver.initialize`` forms a lifted matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import hankel
 from .hankel import HankelDims
-from .lowrank import LowRankFactors, project_tangent, truncate_rank
+from .lowrank import LowRankFactors, truncate_rank_operator
 from .model import PointSourceModel, adjoint_measure, build_signal, measure
 from .solver import initialize
 
@@ -67,47 +69,49 @@ def estimate_rip_norm(B: np.ndarray, dims: HankelDims, point: LowRankFactors,
                       iters: int = 100) -> float:
     """Operator norm of the tangent-restricted measurement-isometry defect.
 
-    Power iteration, from a fixed seeded start, on the Hermitian map
-    Z -> P_T (G (I - A*A) G*) P_T (Z), where T is the tangent space at
-    ``point``, G the isometric lift and A*A the back-projected measurement
-    map.  Values well below 1 indicate the measurements act nearly
+    Power iteration on the Hermitian map Z -> P_T (G (I - A*A) G*) P_T (Z),
+    where T is the tangent space at ``point``, G the isometric lift and A*A
+    the back-projected measurement map, from P_T G x0 for a seeded complex
+    Gaussian signal x0.  Iterates are kept as U N^H + M V^H with U^H M = 0,
+    of norm hypot(|N|, |M|), and a step takes one FFT de-lift and two FFT
+    products.  Values well below 1 indicate the measurements act nearly
     isometrically on the tangent space.
     """
     if iters < 1:
         raise ValueError(f"need iters >= 1, got {iters}")
+    U, V = point.U, point.V
+    w_isqrt = dims.weights ** -0.5
 
-    # Every power iterate is already in T (the seeded start and each apply
-    # output are projected), so the map's leading P_T is the identity here.
-    def apply(Z):
-        Xg = hankel.adjoint_lift_isometric(Z, dims)
-        diff = Xg - adjoint_measure(measure(Xg, B), B)
-        return project_tangent(hankel.lift_isometric(diff, dims), point)
+    def project_lift(X):
+        """N, M and the norm of P_T G(X) = U N^H + M V^H."""
+        matvec, rmatvec = hankel.lift_products(w_isqrt * X, dims)
+        C = matvec(V)
+        N, M = rmatvec(U), C - U @ (U.conj().T @ C)
+        return N, M, float(np.hypot(np.linalg.norm(N), np.linalg.norm(M)))
 
     rng = np.random.default_rng(7)
-    m, p = dims.lifted_shape
-    Z = (rng.standard_normal((m, p)) + 1j * rng.standard_normal((m, p))) / np.sqrt(2.0)
-    Z = project_tangent(Z, point)
-    nz = np.linalg.norm(Z)
-    if nz == 0:
-        return 0.0
-    Z /= nz
-    est = 0.0
+    shape = (dims.s, dims.n)
+    x0 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    N, M, est = project_lift(x0)
     for _ in range(iters):
-        AZ = apply(Z)
-        est = float(np.linalg.norm(AZ))
         if est < 1e-300:
-            return 0.0
-        Z = AZ / est
-    return est
+            break
+        # G* of the normalized iterate (U N^H + M V^H) / est
+        Xg = w_isqrt * hankel.adjoint_lift_lowrank(
+            np.hstack([U, M]), np.full(2 * point.rank, 1.0 / est), np.hstack([N, V]), dims)
+        N, M, est = project_lift(Xg - adjoint_measure(measure(Xg, B), B))
+    return est if est >= 1e-300 else 0.0
 
 
-def spectral_distance(Z_a: np.ndarray, Z_b: np.ndarray) -> float:
-    """Largest singular value of Z_a - Z_b."""
-    Z_a = np.asarray(Z_a)
-    Z_b = np.asarray(Z_b)
-    if Z_a.shape != Z_b.shape:
-        raise ValueError(f"shape mismatch: {Z_a.shape} vs {Z_b.shape}")
-    return float(np.linalg.norm(Z_a - Z_b, 2))
+def spectral_distance(X_a: np.ndarray, X_b: np.ndarray, dims: HankelDims) -> float:
+    """Largest singular value of lift(X_a - X_b), by a rank-1 operator SVD on FFT products."""
+    X_a = np.asarray(X_a)
+    X_b = np.asarray(X_b)
+    if X_a.shape != X_b.shape:
+        raise ValueError(f"shape mismatch: {X_a.shape} vs {X_b.shape}")
+    top = truncate_rank_operator(*hankel.lift_products(X_a - X_b, dims),
+                                 dims.lifted_shape, 1)
+    return float(top.sigma[0]) if top.rank else 0.0
 
 
 def assumption_report(model: PointSourceModel, B: np.ndarray,
@@ -115,23 +119,20 @@ def assumption_report(model: PointSourceModel, B: np.ndarray,
     """Aggregate all instance constants for a desk-scale ground-truth model.
 
     Rejects a rank the solver rejects, with ``solve``'s ``ValueError``.  Uses
-    the dense rank-r truncation of the lifted signal for kappa, sigma_r, mu1
-    and the tangent space of the isometry defect, and runs the initialization
-    on the exact measurements to report its spectral distance from the
-    lifted truth.
+    the operator SVD of the lifted signal, which has exact rank r, for kappa,
+    sigma_r, mu1 and the tangent space of the isometry defect, and runs the
+    (dense) initialization on the exact measurements to report its spectral
+    distance from the lifted truth.
     """
     dims.check_rank(model.r)
     X_true = build_signal(model)
-    Z_true = hankel.lift(X_true, dims)
-    factors = truncate_rank(Z_true, model.r)
+    factors = truncate_rank_operator(*hankel.lift_products(X_true, dims),
+                                     dims.lifted_shape, model.r)
     if factors.rank < model.r:
         raise ValueError(f"lifted signal has numerical rank {factors.rank} < {model.r}")
     sigma_r = float(factors.sigma[-1])
-    kappa = float(factors.sigma[0] / sigma_r)
-    mu1 = measure_mu1(factors, dims)
-    rip = estimate_rip_norm(B, dims, factors)
     X0 = initialize(measure(X_true, B), B, dims, model.r)
-    dist = spectral_distance(hankel.lift(X0, dims), Z_true)
-    return AssumptionReport(mu0=measure_mu0(B), mu1=mu1, kappa=kappa,
-                            sigma_r=sigma_r, rip_norm_estimate=rip,
-                            init_spectral_distance=dist)
+    return AssumptionReport(mu0=measure_mu0(B), mu1=measure_mu1(factors, dims),
+                            kappa=float(factors.sigma[0] / sigma_r), sigma_r=sigma_r,
+                            rip_norm_estimate=estimate_rip_norm(B, dims, factors),
+                            init_spectral_distance=spectral_distance(X0, X_true, dims))

@@ -6,15 +6,16 @@ of height s equals column x_{i+j}.  Column i of X then occupies w_i positions
 of the lifted matrix, where w_i counts the pairs (j, k) with j + k = i.
 
 This module provides the lift, its adjoint, the pseudoinverse de-lift
-(weighted anti-diagonal averaging), the isometric variants, and FFT-based
-matrix-free products with the lifted matrix of a ``SignalSpectrum`` and
-(dim, k) blocks, so that no solver iteration materializes the lift.
+(weighted anti-diagonal averaging), the isometric variants (the oracle of the
+diagnostics' restricted-isometry map), and FFT-based products with the lift
+of a ``SignalSpectrum``, so that no iteration or diagnostic materializes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -229,6 +230,13 @@ def lift_rmatvec(spectrum: SignalSpectrum, u: np.ndarray, dims: HankelDims) -> n
     conv = Fw.sum(axis=0)  # (k, L)
     np.fft.ifft(conv, axis=-1, out=conv)
     return np.conj(conv[:, dims.n1 - 1:dims.n1 - 1 + dims.n2]).T  # (n2, k)
+
+
+def lift_products(X: np.ndarray, dims: HankelDims) -> tuple[Callable, Callable]:
+    """The (matvec, rmatvec) pair of lift(X), sharing one ``SignalSpectrum`` of X."""
+    spectrum = SignalSpectrum(X)
+    return (lambda v: lift_matvec(spectrum, v, dims),
+            lambda u: lift_rmatvec(spectrum, u, dims))
 
 
 def adjoint_lift_lowrank(U: np.ndarray, sigma: np.ndarray, V: np.ndarray,

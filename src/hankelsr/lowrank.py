@@ -9,8 +9,8 @@ solver iteration runs it as ``project_tangent_truncate``, which touches the
 full matrix only through operator products and ends in the SVD of a
 2k-by-2k core, keeping the per-iteration cost at the factor scale.  The
 dense ``truncate_rank`` serves the dense initialization and, with the dense
-``project_tangent``, the diagnostics and the checks, as the oracle of that
-step.
+``project_tangent``, the checks and tests, as the oracle of that step; the
+diagnostics use ``truncate_rank_operator`` like the fast initialization.
 """
 
 from __future__ import annotations

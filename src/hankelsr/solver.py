@@ -120,30 +120,26 @@ def relative_error(X: np.ndarray, X_ref: np.ndarray) -> float:
     return float(np.linalg.norm(X - X_ref) / denom)
 
 
-def _initialize_factors(y: np.ndarray, B: np.ndarray, dims: HankelDims, r: int,
-                        mode: str = "dense", seed: int = 0,
-                        ) -> tuple[np.ndarray, LowRankFactors]:
+def _initialize_factors(y: np.ndarray, B: np.ndarray, dims: HankelDims,
+                        config: SolverConfig) -> tuple[np.ndarray, LowRankFactors]:
     """Rank-r truncation of the lifted back-projection, and its de-lift.
 
-    ``fast`` mode runs the randomized operator SVD seeded by ``seed`` on FFT
-    products; ``dense`` mode takes the SVD of the materialized lift.
+    ``fast`` mode runs the randomized operator SVD seeded by ``config.seed``
+    on FFT products; ``dense`` mode takes the SVD of the materialized lift.
     """
     back = adjoint_measure(y, B)
-    if mode == "fast":
-        spectrum = hankel.SignalSpectrum(back)
-        factors = truncate_rank_operator(
-            lambda v: hankel.lift_matvec(spectrum, v, dims),
-            lambda u: hankel.lift_rmatvec(spectrum, u, dims),
-            dims.lifted_shape, r, seed=seed)
+    if config.mode == "fast":
+        factors = truncate_rank_operator(*hankel.lift_products(back, dims),
+                                         dims.lifted_shape, config.rank, seed=config.seed)
     else:
-        factors = truncate_rank(hankel.lift(back, dims), r)
+        factors = truncate_rank(hankel.lift(back, dims), config.rank)
     X0 = hankel.pinv_lift_lowrank(factors.U, factors.sigma, factors.V, dims)
     return X0, factors
 
 
 def initialize(y: np.ndarray, B: np.ndarray, dims: HankelDims, r: int) -> np.ndarray:
-    """Spectral initialization: de-lifted rank-r truncation of the lifted back-projection."""
-    X0, _ = _initialize_factors(y, B, dims, r)
+    """Spectral initialization of ``solve`` at ``SolverConfig``'s defaults (the dense SVD)."""
+    X0, _ = _initialize_factors(y, B, dims, SolverConfig(rank=r))
     return X0
 
 
@@ -179,11 +175,7 @@ def iterate_once(X: np.ndarray, y: np.ndarray, B: np.ndarray, dims: HankelDims,
     Xt = X - config.step_size * adjoint_measure(residual, B)
     if not np.all(np.isfinite(Xt)):
         raise DivergenceError("gradient update is not finite")
-    spectrum = hankel.SignalSpectrum(Xt)
-    new = project_tangent_truncate(
-        lambda v: hankel.lift_matvec(spectrum, v, dims),
-        lambda u: hankel.lift_rmatvec(spectrum, u, dims),
-        factors, config.rank)
+    new = project_tangent_truncate(*hankel.lift_products(Xt, dims), factors, config.rank)
     X_new = hankel.pinv_lift_lowrank(new.U, new.sigma, new.V, dims)
     if not np.all(np.isfinite(X_new)):
         raise DivergenceError("iterate is not finite")
@@ -226,8 +218,7 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
     def rel_err(X):
         return relative_error(X, ground_truth) if ground_truth is not None else None
 
-    X, factors = _initialize_factors(y, B, dims, config.rank,
-                                     mode=config.mode, seed=config.seed)
+    X, factors = _initialize_factors(y, B, dims, config)
     resid_vec = measure(X, B) - y
     resid = float(np.linalg.norm(resid_vec))
     trace = ConvergenceTrace()

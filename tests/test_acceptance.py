@@ -195,7 +195,7 @@ def test_criterion_5_fast_path_equivalence_and_speed():
     for trial in range(10):
         _, dims, B, X_true, y = synth_instance(256, 4, 5, seed_derivation(55, trial))
         cfg = SolverConfig(rank=5, step_size=0.5)
-        X, f = X_ref, f_ref = _initialize_factors(y, B, dims, 5)
+        X, f = X_ref, f_ref = _initialize_factors(y, B, dims, cfg)
         for t in range(12):
             X, f = iterate_once(X, y, B, dims, cfg, factors=f)
             X_ref, f_ref = reference_step(X_ref, y, B, dims, cfg, f_ref)
@@ -204,8 +204,8 @@ def test_criterion_5_fast_path_equivalence_and_speed():
 
     # coarse per-iteration cost comparison at a larger size
     _, dims, B, X_true, y = synth_instance(1024, 2, 3, seed_derivation(56, 0))
-    X0, f0 = _initialize_factors(y, B, dims, 3)
     cfg = SolverConfig(rank=3, step_size=0.5)
+    X0, f0 = _initialize_factors(y, B, dims, cfg)
     per_iter = {}
     for name, step, iters in (("reference", reference_step, 3),
                               ("fast", iterate_once, 30)):
@@ -230,7 +230,7 @@ def test_criterion_6_initialization_quality_trend():
             Z_true = lift(X_true, dims)
             sigma_r = np.linalg.svd(Z_true, compute_uv=False)[1]
             X0 = initialize(y, B, dims, 2)
-            vals.append(spectral_distance(lift(X0, dims), Z_true) / sigma_r)
+            vals.append(spectral_distance(X0, X_true, dims) / sigma_r)
         medians.append(float(np.median(vals)))
     assert all(b <= a for a, b in zip(medians, medians[1:])), medians
     print(f"\n[criterion 6] PASS initialization trend: medians "

@@ -1,22 +1,43 @@
 """Instance-constant estimator tests against exhaustive-scan oracles."""
 
+import sys
 import time
 
 import numpy as np
 import pytest
 
+from hankelsr.cli import seed_derivation
 from hankelsr.diagnostics import (assumption_report, estimate_rip_norm,
                                   measure_mu0, measure_mu1, spectral_distance)
 from hankelsr.hankel import (adjoint_lift_isometric, choose_dims, lift,
                              lift_isometric)
 from hankelsr.lowrank import LowRankFactors, project_tangent, truncate_rank
 from hankelsr.model import (PointSourceModel, adjoint_measure, build_signal,
-                            measure, sample_subspace, synth_model)
-from hankelsr.solver import SolverConfig, solve
+                            measure, sample_subspace, synth_instance, synth_model)
+from hankelsr.solver import SolverConfig, initialize, solve
 
 
 def crandn(rng, *shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+
+def dense_rip_norm(B, dims, f, iters):
+    """The power iteration on P_T G (I - A*A) G* P_T written out with both
+    projections and the dense isometric lifts, from the seeded start P_T G x0
+    of ``estimate_rip_norm``."""
+    def apply(Z):
+        Xg = adjoint_lift_isometric(project_tangent(Z, f), dims)
+        diff = Xg - adjoint_measure(measure(Xg, B), B)
+        return project_tangent(lift_isometric(diff, dims), f)
+
+    x0 = crandn(np.random.default_rng(7), dims.s, dims.n)
+    Z = project_tangent(lift_isometric(x0, dims), f)
+    Z /= np.linalg.norm(Z)
+    for _ in range(iters):
+        AZ = apply(Z)
+        ref = np.linalg.norm(AZ)
+        Z = AZ / ref
+    return ref
 
 
 class TestMu0:
@@ -85,21 +106,8 @@ class TestRipNorm:
         assert est <= 1e-8
 
     def test_matches_two_projection_reference(self):
-        # The power iteration on P_T G (I - A*A) G* P_T written out with both
-        # projections, from the same seeded start.
         B, dims, f = self._tangent(48, 2, 2, 3)
-
-        def apply(Z):
-            Xg = adjoint_lift_isometric(project_tangent(Z, f), dims)
-            diff = Xg - adjoint_measure(measure(Xg, B), B)
-            return project_tangent(lift_isometric(diff, dims), f)
-
-        Z = project_tangent(crandn(np.random.default_rng(7), *dims.lifted_shape), f)
-        Z /= np.linalg.norm(Z)
-        for _ in range(60):
-            AZ = apply(Z)
-            ref = np.linalg.norm(AZ)
-            Z = AZ / ref
+        ref = dense_rip_norm(B, dims, f, iters=60)
         est = estimate_rip_norm(B, dims, f, iters=60)
         assert abs(est - ref) <= 1e-12 * ref
 
@@ -125,27 +133,32 @@ class TestRipNorm:
 
 class TestSpectralDistance:
     def test_identical_matrices(self):
-        Z = np.ones((4, 3))
-        assert spectral_distance(Z, Z) == 0.0
+        X = crandn(np.random.default_rng(4), 2, 12)
+        assert spectral_distance(X, X, choose_dims(12, 2)) == 0.0
 
     def test_matches_dense_svd(self):
         rng = np.random.default_rng(5)
-        Z = crandn(rng, 40, 25)
-        want = np.linalg.svd(Z, compute_uv=False)[0]
-        got = spectral_distance(Z, np.zeros_like(Z))
-        assert abs(got - want) <= 1e-8 * want
+        for n, s, n1 in [(40, 2, None), (33, 3, 5), (16, 1, 16)]:
+            dims = choose_dims(n, s, n1)
+            X_a, X_b = crandn(rng, s, n), crandn(rng, s, n)
+            want = np.linalg.norm(lift(X_a, dims) - lift(X_b, dims), 2)
+            got = spectral_distance(X_a, X_b, dims)
+            assert abs(got - want) <= 1e-8 * want
 
     def test_rank_one_difference(self):
+        # a single exponential c z^j lifts to the rank-one (z^i c)(z^j), whose
+        # norm is |c| sqrt(n1 n2) for |z| = 1
         rng = np.random.default_rng(6)
-        u, v = crandn(rng, 12), crandn(rng, 9)
-        D = np.outer(u, v.conj())
-        got = spectral_distance(D, np.zeros_like(D))
-        want = np.linalg.norm(u) * np.linalg.norm(v)
+        dims = choose_dims(21, 3)
+        c = crandn(rng, 3)
+        X = np.outer(c, np.exp(2j * np.pi * 0.3 * np.arange(21)))
+        got = spectral_distance(X, np.zeros_like(X), dims)
+        want = np.linalg.norm(c) * np.sqrt(dims.n1 * dims.n2)
         assert abs(got - want) <= 1e-10 * want
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            spectral_distance(np.zeros((2, 2)), np.zeros((2, 3)))
+            spectral_distance(np.zeros((2, 8)), np.zeros((2, 9)), choose_dims(8, 2))
 
 
 class TestAssumptionReport:
@@ -188,6 +201,53 @@ class TestAssumptionReport:
                                amps=np.zeros(2, dtype=complex), coeffs=base.coeffs)
         with pytest.raises(ValueError, match="numerical rank 0 < 2"):
             assumption_report(mdl, sample_subspace(2, 32, 15), choose_dims(32, 2))
+
+    @pytest.mark.parametrize("n, s, r, n1", [(64, 1, 2, None), (7, 1, 2, None),
+                                             (32, 4, 2, 1), (32, 4, 2, 29)])
+    def test_edge_shapes_match_dense_oracles(self, n, s, r, n1):
+        # s = 1, the smallest feasible n for s = 1 and r = 2 (lift (4, 4)),
+        # and the extreme splits n1 = 1 (lift (4, 32)) and n1 = n - 3
+        # (lift (116, 4))
+        for trial in range(3):
+            mdl, dims, B, X_true, y = synth_instance(n, s, r, seed_derivation(11, trial), n1=n1)
+            rep = assumption_report(mdl, B, dims)
+            assert np.isfinite(list(rep.as_dict().values())).all()
+            assert rep.kappa >= 1.0
+            f = truncate_rank(lift(X_true, dims), r)
+            X0 = initialize(y, B, dims, r)
+            want = {"mu0": measure_mu0(B), "mu1": measure_mu1(f, dims),
+                    "kappa": f.sigma[0] / f.sigma[-1], "sigma_r": f.sigma[-1],
+                    "init_spectral_distance": np.linalg.norm(lift(X0, dims) - lift(X_true, dims), 2),
+                    "rip_norm_estimate": dense_rip_norm(B, dims, f, iters=100)}
+            for key, value in want.items():
+                assert abs(getattr(rep, key) - value) <= 1e-10 * value, key
+
+    def test_report_forms_no_lift_of_its_own(self, monkeypatch):
+        # The dense initialization lifts and takes a full SVD once; every
+        # other field runs on FFT products and the operator SVD.
+        counted = [("hankel", "lift"), ("lowrank", "truncate_rank"),
+                   ("lowrank", "project_tangent"), ("hankel", "lift_isometric"),
+                   ("hankel", "adjoint_lift_isometric"), ("solver", "initialize")]
+        calls, open_spans = [], []
+        package = [mod for name, mod in sys.modules.items() if name.startswith("hankelsr")]
+        for module, name in counted:
+            original = getattr(sys.modules[f"hankelsr.{module}"], name)
+
+            def wrapper(*args, _name=name, _original=original, **kwargs):
+                calls.append((_name, "initialize" in open_spans))
+                open_spans.append(_name)
+                try:
+                    return _original(*args, **kwargs)
+                finally:
+                    open_spans.pop()
+
+            for mod in package:
+                if getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, wrapper)
+        mdl, dims, B, _, _ = synth_instance(48, 2, 2, seed_derivation(3, 0))
+        assumption_report(mdl, B, dims)
+        assert sorted(calls) == [("initialize", False), ("lift", True),
+                                 ("truncate_rank", True)]
 
     def test_desk_scale_runtime(self):
         mdl = synth_model(4, 256, 5, 11)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from hankelsr import lowrank
-from hankelsr.hankel import (SignalSpectrum, choose_dims, lift, lift_matvec,
-                             lift_rmatvec)
+from hankelsr.hankel import choose_dims, lift, lift_products
 from hankelsr.lowrank import (LowRankFactors, RankTruncationError,
                               project_tangent, project_tangent_truncate,
                               truncate_rank, truncate_rank_operator)
@@ -155,11 +154,9 @@ class TestTruncateRankOperator:
     def test_lifted_model_singular_values(self):
         m = synth_model(2, 32, 3, 17)
         dims = choose_dims(32, 2)
-        spectrum = SignalSpectrum(build_signal(m))
-        f = truncate_rank_operator(lambda v: lift_matvec(spectrum, v, dims),
-                                   lambda u: lift_rmatvec(spectrum, u, dims),
-                                   dims.lifted_shape, 3)
-        dense = np.linalg.svd(lift(spectrum.X, dims), compute_uv=False)[:3]
+        X = build_signal(m)
+        f = truncate_rank_operator(*lift_products(X, dims), dims.lifted_shape, 3)
+        dense = np.linalg.svd(lift(X, dims), compute_uv=False)[:3]
         np.testing.assert_allclose(f.sigma, dense, rtol=1e-8)
 
     def test_nonconvergence_raises_with_residual(self, monkeypatch):

@@ -1,5 +1,7 @@
 """Solver tests: initialization, single steps, full runs, stopping rules."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -68,7 +70,7 @@ class TestInitialize:
                 Z_true = lift(X_true, dims)
                 sigma_r = np.linalg.svd(Z_true, compute_uv=False)[1]
                 X0 = initialize(y, B, dims, 2)
-                vals.append(spectral_distance(lift(X0, dims), Z_true) / sigma_r)
+                vals.append(spectral_distance(X0, X_true, dims) / sigma_r)
             meds.append(np.median(vals))
         assert meds[2] < meds[1] < meds[0]
 
@@ -83,11 +85,8 @@ class TestIterateOnce:
         dims, B, X_true, y = make_instance(32, 2, 2, 3)
         cfg = SolverConfig(rank=2, mode=mode)
         if mode == "fast":
-            spectrum = hankel.SignalSpectrum(X_true)
             truth = lowrank.truncate_rank_operator(
-                lambda v: hankel.lift_matvec(spectrum, v, dims),
-                lambda u: hankel.lift_rmatvec(spectrum, u, dims),
-                dims.lifted_shape, 2, seed=cfg.seed)
+                *hankel.lift_products(X_true, dims), dims.lifted_shape, 2, seed=cfg.seed)
         else:
             truth = lowrank.truncate_rank(lift(X_true, dims), 2)
         X_next, factors = iterate_once(X_true, y, B, dims, cfg, truth)
@@ -101,7 +100,7 @@ class TestIterateOnce:
         # lift, each carrying its own iterate from the dense initialization.
         dims, B, X_true, y = make_instance(256, 4, 5, 20)
         cfg = SolverConfig(rank=5, mode="dense", step_size=0.5)
-        X, factors = X_ref, ref_factors = _initialize_factors(y, B, dims, 5)
+        X, factors = X_ref, ref_factors = _initialize_factors(y, B, dims, cfg)
         for _ in range(12):
             X, factors = iterate_once(X, y, B, dims, cfg, factors)
             X_ref, ref_factors = reference_step(X_ref, y, B, dims, cfg, ref_factors)
@@ -229,6 +228,41 @@ class TestSolve:
         assert trace.returned_iteration == trace.records[-1].iteration == 109
         assert trace.residuals[-1] > cfg.residual_tol * np.linalg.norm(y)
 
+    @pytest.mark.parametrize("t", [0, 2])
+    def test_error_scales_with_noise(self, t):
+        # off-model data: the returned error follows the noise level
+        derived = seed_derivation(1, t)
+        _, dims, B, X_true, y = synth_instance(64, 2, 2, derived)
+        noise = np.random.default_rng(0).standard_normal(64)
+        errors = []
+        for level in (1e-5, 1e-3, 1e-1):
+            y_noisy = y + level * np.linalg.norm(y) / np.sqrt(64) * noise
+            X_hat, trace = solve(y_noisy, B, dims, SolverConfig(rank=2, seed=derived))
+            assert trace.termination == "stagnated"
+            errors.append(relative_error(X_hat, X_true))
+            assert 0.1 * level <= errors[-1] <= level
+        assert errors[0] < errors[1] < errors[2]
+
+    @pytest.mark.parametrize("mode", solver.MODES)
+    @pytest.mark.parametrize("n, s, r, n1", [(64, 1, 2, None), (7, 1, 2, None),
+                                             (32, 4, 2, 1), (32, 4, 2, 29)])
+    def test_edge_shapes_report_their_outcome(self, n, s, r, n1, mode):
+        # s = 1, the smallest feasible n for s = 1 and r = 2 (lift (4, 4)),
+        # and the extreme splits n1 = 1 (lift (4, 32)) and n1 = n - 3
+        # (lift (116, 4)), at which every trial diverges: the outcome must
+        # be reported honestly, and the best estimate returned.
+        for trial in range(3):
+            derived = seed_derivation(11, trial)
+            _, dims, B, X_true, y = synth_instance(n, s, r, derived, n1=n1)
+            X_hat, trace = solve(y, B, dims, SolverConfig(rank=r, mode=mode, seed=derived))
+            assert (trace.termination in ("converged", "stagnated", "max_iters")
+                    or re.fullmatch(r"diverged: .+ at iteration \d+", trace.termination))
+            assert np.all(np.isfinite(X_hat))
+            returned = trace.records[trace.returned_iteration].residual
+            assert returned == np.linalg.norm(measure(X_hat, B) - y)
+            if trace.termination.startswith("diverged"):
+                assert returned == np.min(trace.residuals)
+
     def test_core_failure_names_its_iteration(self, monkeypatch):
         # a LinAlgError from the step ends the run as a DivergenceError does
         dims, B, _, y = make_instance(32, 2, 2, 10)
@@ -351,7 +385,7 @@ class TestSolve:
         dims, B, X_true, y = make_instance(48, 2, 2, 17)
         cfg = SolverConfig(rank=2, max_iters=6, mode=mode, step_size=0.5)
         # Reference: the same iteration with every step evaluating its own residual.
-        X, factors = _initialize_factors(y, B, dims, 2, mode=mode, seed=cfg.seed)
+        X, factors = _initialize_factors(y, B, dims, cfg)
         expected = [float(np.linalg.norm(measure(X, B) - y))]
         for t in range(1, 7):
             X, factors = iterate_once(X, y, B, dims, cfg, factors)
