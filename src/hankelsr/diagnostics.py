@@ -3,15 +3,17 @@
 These estimators quantify, on a concrete instance, the constants the solver's
 convergence behavior depends on: boundedness of the sensing vectors (mu0),
 spread of the lifted signal's singular subspaces over block rows and columns
-(mu1), conditioning of the lifted signal (kappa), a power-iteration estimate
-of how far the tangent-restricted measurement map is from an isometry, and
-the spectral distance of the initialization from the lifted truth.  They are
+(mu1), conditioning of the lifted signal (kappa), a Lanczos estimate of how
+far the tangent-restricted measurement map is from an isometry, and the
+spectral distance of the initialization from the lifted truth.  They are
 advisory: the solver never gates on them.  The report obeys the solver's rank
 rule (``HankelDims.check_rank``), so it rejects exactly the ranks ``solve``
 rejects.  Like a solver iteration, it touches the lift only through FFT
-products, the FFT de-lift and the operator SVD, which gives the subspace
-constants and tangent space of the lifted truth; only the dense
-``solver.initialize`` forms a lifted matrix.
+products, the FFT de-lift and the certified operator SVD, which gives the
+subspace constants and tangent space of the lifted truth and, through
+``solver.initialize``, the initialization; it forms no lifted matrix and
+takes no dense SVD, so it runs at any n that ``solve`` does in ``fast`` mode.
+Both iterative estimates stop on a residual certificate, not a step count.
 """
 
 from __future__ import annotations
@@ -25,6 +27,11 @@ from .hankel import HankelDims
 from .lowrank import LowRankFactors, truncate_rank_operator
 from .model import PointSourceModel, adjoint_measure, build_signal, measure
 from .solver import initialize
+
+# The Lanczos of ``estimate_rip_norm`` stops once the residual bound of its
+# extreme Ritz value is at most this fraction of that value; the value's own
+# error is then of order the squared residual over the spectral gap.
+_CERTIFICATE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -69,38 +76,60 @@ def estimate_rip_norm(B: np.ndarray, dims: HankelDims, point: LowRankFactors,
                       iters: int = 100) -> float:
     """Operator norm of the tangent-restricted measurement-isometry defect.
 
-    Power iteration on the Hermitian map Z -> P_T (G (I - A*A) G*) P_T (Z),
-    where T is the tangent space at ``point``, G the isometric lift and A*A
-    the back-projected measurement map, from P_T G x0 for a seeded complex
-    Gaussian signal x0.  Iterates are kept as U N^H + M V^H with U^H M = 0,
-    of norm hypot(|N|, |M|), and a step takes one FFT de-lift and two FFT
-    products.  Values well below 1 indicate the measurements act nearly
-    isometrically on the tangent space.
+    Lanczos on the Hermitian map Z -> P_T (G (I - A*A) G*) P_T (Z), where T
+    is the tangent space at ``point``, G the isometric lift and A*A the
+    back-projected measurement map, from P_T G x0 for a seeded complex
+    Gaussian signal x0.  Tangent vectors are kept as U N^H + M V^H with
+    U^H M = 0, so <Z, Z'> = <N', N> + <M, M'>, and applying the map takes one
+    FFT de-lift and two FFT products.  The three-term recurrence holds three
+    tangent vectors and no basis.  It stops once the residual bound
+    beta |s_last| of the Ritz value of largest magnitude is at most
+    _CERTIFICATE_TOL times that value, or after ``iters`` applications of
+    the map, and returns the magnitude of that Ritz value.  Values well below
+    1 indicate the measurements act nearly isometrically on the tangent
+    space.
     """
     if iters < 1:
         raise ValueError(f"need iters >= 1, got {iters}")
     U, V = point.U, point.V
     w_isqrt = dims.weights ** -0.5
+    ones = np.ones(2 * point.rank)
 
     def project_lift(X):
-        """N, M and the norm of P_T G(X) = U N^H + M V^H."""
+        """N and M of P_T G(X) = U N^H + M V^H."""
         matvec, rmatvec = hankel.lift_products(w_isqrt * X, dims)
         C = matvec(V)
-        N, M = rmatvec(U), C - U @ (U.conj().T @ C)
-        return N, M, float(np.hypot(np.linalg.norm(N), np.linalg.norm(M)))
+        return rmatvec(U), C - U @ (U.conj().T @ C)
+
+    def apply(N, M):
+        Xg = w_isqrt * hankel.adjoint_lift_lowrank(np.hstack([U, M]), ones,
+                                                   np.hstack([N, V]), dims)
+        return project_lift(Xg - adjoint_measure(measure(Xg, B), B))
 
     rng = np.random.default_rng(7)
     shape = (dims.s, dims.n)
     x0 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    N, M, est = project_lift(x0)
+    N, M = project_lift(x0)
+    beta = float(np.hypot(np.linalg.norm(N), np.linalg.norm(M)))
+    if beta < 1e-300:
+        return 0.0
+    N_prev = M_prev = 0.0
+    alphas, betas = [], []
     for _ in range(iters):
-        if est < 1e-300:
+        N, M = N / beta, M / beta
+        N_w, M_w = apply(N, M)
+        alpha = float(np.real(np.vdot(N, N_w) + np.vdot(M, M_w)))
+        N_w -= alpha * N + beta * N_prev
+        M_w -= alpha * M + beta * M_prev
+        alphas.append(alpha)
+        theta, S = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        top = int(np.argmax(np.abs(theta)))
+        beta = float(np.hypot(np.linalg.norm(N_w), np.linalg.norm(M_w)))
+        if beta * abs(S[-1, top]) <= _CERTIFICATE_TOL * abs(theta[top]):
             break
-        # G* of the normalized iterate (U N^H + M V^H) / est
-        Xg = w_isqrt * hankel.adjoint_lift_lowrank(
-            np.hstack([U, M]), np.full(2 * point.rank, 1.0 / est), np.hstack([N, V]), dims)
-        N, M, est = project_lift(Xg - adjoint_measure(measure(Xg, B), B))
-    return est if est >= 1e-300 else 0.0
+        betas.append(beta)
+        N_prev, M_prev, N, M = N, M, N_w, M_w
+    return float(abs(theta[top]))
 
 
 def spectral_distance(X_a: np.ndarray, X_b: np.ndarray, dims: HankelDims) -> float:
@@ -120,9 +149,9 @@ def assumption_report(model: PointSourceModel, B: np.ndarray,
 
     Rejects a rank the solver rejects, with ``solve``'s ``ValueError``.  Uses
     the operator SVD of the lifted signal, which has exact rank r, for kappa,
-    sigma_r, mu1 and the tangent space of the isometry defect, and runs the
-    (dense) initialization on the exact measurements to report its spectral
-    distance from the lifted truth.
+    sigma_r, mu1 and the tangent space of the isometry defect, and runs
+    ``solver.initialize`` (the ``fast`` initialization) on the exact
+    measurements to report its spectral distance from the lifted truth.
     """
     dims.check_rank(model.r)
     X_true = build_signal(model)

@@ -138,8 +138,12 @@ def _initialize_factors(y: np.ndarray, B: np.ndarray, dims: HankelDims,
 
 
 def initialize(y: np.ndarray, B: np.ndarray, dims: HankelDims, r: int) -> np.ndarray:
-    """Spectral initialization of ``solve`` at ``SolverConfig``'s defaults (the dense SVD)."""
-    X0, _ = _initialize_factors(y, B, dims, SolverConfig(rank=r))
+    """Spectral initialization of ``solve`` in ``fast`` mode with seed 0.
+
+    It forms no lifted matrix: the operator SVD on FFT products and the FFT
+    de-lift, so it runs at any n that ``solve`` does.
+    """
+    X0, _ = _initialize_factors(y, B, dims, SolverConfig(rank=r, mode="fast"))
     return X0
 
 

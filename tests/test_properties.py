@@ -14,7 +14,8 @@ from hankelsr.hankel import (SignalSpectrum, adjoint_lift, adjoint_lift_isometri
                              lift_isometric, lift_matvec, lift_rmatvec,
                              pinv_lift)
 from hankelsr.lowrank import (LowRankFactors, project_tangent,
-                              project_tangent_truncate, truncate_rank)
+                              project_tangent_truncate, truncate_rank,
+                              truncate_rank_operator)
 from hankelsr.model import adjoint_measure, measure
 from hankelsr.solver import SolverConfig, iterate_once, relative_error
 
@@ -189,3 +190,55 @@ def test_dense_step_matches_reference_step(case):
     X_new, _ = iterate_once(X, y, B, dims, cfg, factors)
     X_ref, _ = reference_step(X, y, B, dims, cfg, factors)
     assert relative_error(X_new, X_ref) < 1e-10
+
+
+@st.composite
+def hard_spectra(draw):
+    """A matrix, a rank r and the kind of its spectrum, one of the operator SVD's hard kinds.
+
+    ``flat_tail``: sigma_{r+1}/sigma_r in [0.9, 0.99], the tail decaying as
+    slowly; ``low_rank``: exact rank below the sketch width r + 8, which makes
+    the second Krylov block rank-deficient; ``zero``: the zero operator;
+    ``one_block``: at most r + 8 columns, so the first block fills the row
+    space.
+    """
+    kind = draw(st.sampled_from(["flat_tail", "low_rank", "zero", "one_block"]))
+    r = draw(st.integers(1, 4))
+    m = draw(st.integers(r, 48))
+    p = draw(st.integers(r, r + 8) if kind == "one_block" else st.integers(r + 9, 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = min(m, p)
+    sigma = np.sort(rng.uniform(0.2, 1.0, d))[::-1]
+    if kind == "flat_tail":
+        ratio = draw(st.floats(0.9, 0.99))
+        sigma[r:] = sigma[r - 1] * ratio ** np.arange(1, d - r + 1)
+    elif kind == "low_rank":
+        sigma[draw(st.integers(1, r + 7)):] = 0.0
+    elif kind == "zero":
+        sigma[:] = 0.0
+    Q1 = np.linalg.qr(crandn(rng, m, d))[0]
+    Q2 = np.linalg.qr(crandn(rng, p, d))[0]
+    return (Q1 * sigma) @ Q2.conj().T, r, kind
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(hard_spectra())
+def test_operator_svd_matches_dense_on_hard_spectra(case):
+    # Singular values are second order in the subspace error, so they match
+    # to 1e-8 sigma_1 on every kind.  So do the reconstructions where the
+    # Krylov space is exact (deflation, zero operator, one block).  On a flat
+    # tail the reconstruction is first order in the subspace angle, which
+    # the certificate bounds by about _CERTIFICATE_TOL (residual over Ritz
+    # gap), so its error by about _CERTIFICATE_TOL sigma_r.
+    M, r, kind = case
+    f = truncate_rank_operator(lambda v: M @ v, lambda u: M.conj().T @ u, M.shape, r)
+    ref = truncate_rank(M, r)
+    for Q in (f.U, f.V):
+        assert np.max(np.abs(Q.conj().T @ Q - np.eye(f.rank)), initial=0.0) <= 1e-10
+    sv = np.linalg.svd(M, compute_uv=False)
+    assert np.max(np.abs(np.pad(f.sigma, (0, r - f.rank))
+                         - np.pad(ref.sigma, (0, r - ref.rank)))) <= 1e-8 * sv[0]
+    bound = 1e-8 * sv[0]
+    if kind == "flat_tail" and len(sv) > r:
+        bound = lowrank._CERTIFICATE_TOL * sv[r - 1]
+    assert np.linalg.norm(f.reconstruct() - ref.reconstruct()) <= bound

@@ -74,6 +74,25 @@ class TestInitialize:
             meds.append(np.median(vals))
         assert meds[2] < meds[1] < meds[0]
 
+    def test_fast_initialization_product_count(self, monkeypatch):
+        # The block Krylov SVD ends the n=256 initialization within 10 blocks
+        # of two products (its basis then spans all 129 rows) plus one final
+        # product; the subspace iteration it replaced took 78 on trial 0.
+        counts = []
+        for name in ("lift_matvec", "lift_rmatvec"):
+            original = getattr(hankel, name)
+
+            def counted(*args, _original=original):
+                counts.append(1)
+                return _original(*args)
+
+            monkeypatch.setattr(hankel, name, counted)
+        for trial in range(5):
+            dims, B, X_true, y = make_instance(256, 4, 5, seed_derivation(3, trial))
+            counts.clear()
+            _initialize_factors(y, B, dims, SolverConfig(rank=5, mode="fast"))
+            assert len(counts) <= 25, f"trial {trial}: {len(counts)} products"
+
 
 class TestIterateOnce:
     @pytest.mark.parametrize("mode", ["dense", "fast"])
@@ -189,7 +208,7 @@ class TestSolve:
 
     def test_zero_iterations_returns_initialization(self):
         dims, B, X_true, y = make_instance(32, 2, 2, 10)
-        cfg = SolverConfig(rank=2, max_iters=0)
+        cfg = SolverConfig(rank=2, max_iters=0, mode="fast")
         X_hat, trace = solve(y, B, dims, cfg, ground_truth=X_true)
         assert len(trace.records) == 1
         assert trace.records[0].iteration == 0
