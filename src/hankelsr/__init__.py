@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .hankel import (HankelDims, SignalSpectrum, adjoint_lift,
+from .hankel import (FactorSpectrum, HankelDims, SignalSpectrum, adjoint_lift,
                      adjoint_lift_isometric, adjoint_lift_lowrank, choose_dims,
                      lift, lift_isometric, lift_matvec, lift_rmatvec, pinv_lift,
                      pinv_lift_lowrank)

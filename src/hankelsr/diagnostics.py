@@ -81,29 +81,31 @@ def estimate_rip_norm(B: np.ndarray, dims: HankelDims, point: LowRankFactors,
     back-projected measurement map, from P_T G x0 for a seeded complex
     Gaussian signal x0.  Tangent vectors are kept as U N^H + M V^H with
     U^H M = 0, so <Z, Z'> = <N', N> + <M, M'>, and applying the map takes one
-    FFT de-lift and two FFT products.  The three-term recurrence holds three
-    tangent vectors and no basis.  It stops once the residual bound
-    beta |s_last| of the Ritz value of largest magnitude is at most
-    _CERTIFICATE_TOL times that value, or after ``iters`` applications of
-    the map, and returns the magnitude of that Ritz value.  Values well below
-    1 indicate the measurements act nearly isometrically on the tangent
-    space.
+    FFT de-lift and two FFT products; the products read the spectra of U and
+    V from one ``hankel.FactorSpectrum`` of the point, taken once.  The
+    three-term recurrence holds three tangent vectors and no basis.  It
+    stops once the residual bound beta |s_last| of the Ritz value of largest
+    magnitude is at most _CERTIFICATE_TOL times that value, or after
+    ``iters`` applications of the map, and returns the magnitude of that
+    Ritz value.  Values well below 1 indicate the measurements act nearly
+    isometrically on the tangent space.
     """
     if iters < 1:
         raise ValueError(f"need iters >= 1, got {iters}")
     U, V = point.U, point.V
+    at_point = hankel.FactorSpectrum(U, V, dims)
     w_isqrt = dims.weights ** -0.5
     ones = np.ones(2 * point.rank)
 
     def project_lift(X):
         """N and M of P_T G(X) = U N^H + M V^H."""
-        matvec, rmatvec = hankel.lift_products(w_isqrt * X, dims)
-        C = matvec(V)
-        return rmatvec(U), C - U @ (U.conj().T @ C)
+        lifted = hankel.SignalSpectrum(w_isqrt * X)
+        C = hankel.lift_matvec(lifted, at_point, dims)
+        return hankel.lift_rmatvec(lifted, at_point, dims), C - U @ (U.conj().T @ C)
 
     def apply(N, M):
-        Xg = w_isqrt * hankel.adjoint_lift_lowrank(np.hstack([U, M]), ones,
-                                                   np.hstack([N, V]), dims)
+        tangent = hankel.FactorSpectrum(np.hstack([U, M]), np.hstack([N, V]), dims)
+        Xg = w_isqrt * hankel.adjoint_lift_lowrank(tangent, ones)
         return project_lift(Xg - adjoint_measure(measure(Xg, B), B))
 
     rng = np.random.default_rng(7)

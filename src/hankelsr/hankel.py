@@ -8,7 +8,8 @@ of the lifted matrix, where w_i counts the pairs (j, k) with j + k = i.
 This module provides the lift, its adjoint, the pseudoinverse de-lift
 (weighted anti-diagonal averaging), the isometric variants (the oracle of the
 diagnostics' restricted-isometry map), and FFT-based products with the lift
-of a ``SignalSpectrum``, so that no iteration or diagnostic materializes it.
+of a ``SignalSpectrum`` and the de-lift of the factors of a
+``FactorSpectrum``, so that no iteration or diagnostic materializes a lift.
 """
 
 from __future__ import annotations
@@ -142,12 +143,18 @@ def adjoint_lift_isometric(Z: np.ndarray, dims: HankelDims) -> np.ndarray:
 # FFT-based matrix-free products with the lifted matrix
 # ---------------------------------------------------------------------------
 #
-# Every batch of transforms below runs along the last, contiguous axis, and
-# sums over signal rows or factors are taken on the spectra, before the
-# inverse transform: by linearity the sum of inverse transforms is the
-# inverse transform of the sum, so one inverse FFT serves the whole sum.
-# Products with the same lifted matrix share the spectrum of its signal
-# through a SignalSpectrum.
+# Every batch of transforms below runs along the last, contiguous axis and
+# has length L, the next power of two >= n.  The products with lift(X) are
+# circular cross-correlations of the rows of X with the columns of a factor,
+# and the de-lift of U diag(sigma) V^H a circular convolution of U's block
+# rows with conj(V); their windows never wrap, since every index they read
+# lies below n <= L.  Sums over signal rows or factors are taken on the
+# spectra, before the inverse transform: by linearity one inverse FFT serves
+# the whole sum.  A SignalSpectrum shares the spectrum of X between the
+# products with lift(X), and a FactorSpectrum those of U and conj(V)
+# between their de-lift and the products with the next lift, so the solver
+# transforms each truncation's factors once.  These cached spectra are only
+# read; a call inverts its own temporaries in place.
 
 
 def _fft_last(a: np.ndarray, L: int) -> np.ndarray:
@@ -175,94 +182,144 @@ class SignalSpectrum:
         return _fft_last(self.X, _next_pow2(self.X.shape[-1]))  # (s, L)
 
 
-def _checked_spectrum(spectrum: SignalSpectrum, block: np.ndarray, rows: int,
-                      dims: HankelDims) -> np.ndarray:
-    """The cached row spectrum of a signal of shape (s, n), after checking a (rows, k) block."""
-    _check_signal(spectrum.X, dims)
+def _check_block(block: np.ndarray, rows: int) -> None:
     if block.ndim != 2 or block.shape[0] != rows:
         raise ValueError(f"expected a ({rows}, k) block, got shape {block.shape}")
+
+
+def _row_spectra(U: np.ndarray, dims: HankelDims) -> np.ndarray:
+    """FFTs of the s block rows of each column of an (s*n1, k) block: shape (s, k, L)."""
+    _check_block(U, dims.s * dims.n1)
+    return _fft_last(U.reshape(dims.n1, dims.s, -1).transpose(1, 2, 0), _next_pow2(dims.n))
+
+
+def _conj_spectra(V: np.ndarray, dims: HankelDims) -> np.ndarray:
+    """FFTs of the conjugated columns of an (n2, k) block: shape (k, L)."""
+    _check_block(V, dims.n2)
+    return _fft_last(np.conj(V).T, _next_pow2(dims.n))
+
+
+@dataclass(frozen=True, eq=False)
+class FactorSpectrum:
+    """Factors U (s*n1, k) and V (n2, k) of a lifted matrix, with their spectra.
+
+    ``FU`` holds the FFTs of U's block rows, shape (s, k, L), and ``FV``
+    those of conj(V), shape (k, L); both are computed on first use and are
+    pure functions of the factors.  The de-lift of U diag(sigma) V^H reads
+    both, and ``lift_matvec`` and ``lift_rmatvec`` take one in place of V or
+    U, so a truncation's factors are transformed once for their de-lift and
+    the products of the next iteration.  The factors must not change while
+    the spectra are in use, and no reader modifies the spectra.
+    """
+
+    U: np.ndarray
+    V: np.ndarray
+    dims: HankelDims
+
+    def __post_init__(self):
+        d, k = self.dims, self.U.shape[-1]
+        if self.U.shape != (d.s * d.n1, k) or self.V.shape != (d.n2, k):
+            raise ValueError(f"factor shapes {self.U.shape}, {self.V.shape} inconsistent "
+                             f"with lifted shape {d.lifted_shape}")
+
+    @cached_property
+    def FU(self) -> np.ndarray:
+        return _row_spectra(self.U, self.dims)
+
+    @cached_property
+    def FV(self) -> np.ndarray:
+        return _conj_spectra(self.V, self.dims)
+
+
+def _signal_spectrum(spectrum: SignalSpectrum, dims: HankelDims) -> np.ndarray:
+    _check_signal(spectrum.X, dims)
     return spectrum.F
 
 
-def lift_matvec(spectrum: SignalSpectrum, v: np.ndarray, dims: HankelDims) -> np.ndarray:
+def _factor_spectrum(factors: FactorSpectrum, dims: HankelDims) -> FactorSpectrum:
+    """``factors``, after checking that they were taken for the lift of ``dims``."""
+    if (factors.dims.n, factors.dims.s, factors.dims.n1) != (dims.n, dims.s, dims.n1):
+        raise ValueError("factor spectrum taken for another lift")
+    return factors
+
+
+def lift_matvec(spectrum: SignalSpectrum, v: np.ndarray | FactorSpectrum,
+                dims: HankelDims) -> np.ndarray:
     """Compute lift(X) @ v without materializing the lifted matrix.
 
-    Row block i of the product is sum_j x_{i+j} v[j], a cross-correlation of
-    each of the s signal rows with each column of the (n2, k) block v,
-    evaluated with FFTs of length the next power of two >= n: k forward
-    (plus s for the spectrum of X, once per ``SignalSpectrum``) and s*k
-    inverse transforms.  The product is returned column-major, the layout
-    LAPACK's QR works in.
+    Row block i of the product is sum_j x_{i+j} v[j], the window [0, n1) of
+    the circular cross-correlation ifft(F_x conj(DFT(conj v))) of each of the
+    s signal rows with each column of the (n2, k) block v.  v is a raw block,
+    transformed here (k forward transforms), or a ``FactorSpectrum`` whose V
+    is used with its cached spectrum; X's s forward transforms are paid once
+    per ``SignalSpectrum``, and the product takes s*k inverse transforms.  It
+    is returned column-major, the layout LAPACK's QR works in.
     """
-    Fx = _checked_spectrum(spectrum, v, dims.n2, dims)  # (s, L)
-    k = v.shape[1]
-    L = Fx.shape[-1]
-    Fv = _fft_last(v[::-1].T, L)  # (k, L)
-    conv = Fx[:, None, :] * Fv[None, :, :]  # (s, k, L)
+    Fx = _signal_spectrum(spectrum, dims)  # (s, L)
+    Fv = (_factor_spectrum(v, dims).FV if isinstance(v, FactorSpectrum)
+          else _conj_spectra(v, dims))  # (k, L)
+    k = Fv.shape[0]
+    conv = Fx[:, None, :] * Fv.conj()[None, :, :]  # (s, k, L)
     # In place (``out=`` needs NumPy >= 2.0): the (s, k, L) spectra are the
     # largest temporary of a product.
     np.fft.ifft(conv, axis=-1, out=conv)
-    blocks = conv[:, :, dims.n2 - 1:dims.n2 - 1 + dims.n1]  # (s, k, n1)
+    blocks = conv[:, :, :dims.n1]  # (s, k, n1)
     # Entry (i*s + a, j) is blocks[a, j, i]; laying blocks out as (k, n1, s)
     # makes each column of the product contiguous.
-    return np.ascontiguousarray(blocks.transpose(1, 2, 0)).reshape(k, -1).T
+    return np.ascontiguousarray(blocks.transpose(1, 2, 0)).reshape(k, dims.s * dims.n1).T
 
 
-def lift_rmatvec(spectrum: SignalSpectrum, u: np.ndarray, dims: HankelDims) -> np.ndarray:
+def lift_rmatvec(spectrum: SignalSpectrum, u: np.ndarray | FactorSpectrum,
+                 dims: HankelDims) -> np.ndarray:
     """Compute lift(X)^H @ u matrix-free; adjoint companion of ``lift_matvec``.
 
-    Column j of the product sums, over the s signal rows, the correlation of
-    that row with the matching rows of the j-th column of the (s*n1, k) block
-    u.  The sum is taken on the spectra, so k columns cost s*k forward (plus
-    s for the spectrum of X, once per ``SignalSpectrum``) and only k inverse
-    transforms.  The product is returned column-major.
+    Entry l of column j of the product is conj(sum_a sum_i x_a[i+l] conj(u_a[i]))
+    over the s signal rows a and the rows u_a of the blocks of the j-th column
+    of the (s*n1, k) block u: the window [0, n2) of the conjugated circular
+    cross-correlation conj(ifft(sum_a F_x[a] conj(F_u[a]))).  u is a raw
+    block, transformed here (s*k forward transforms), or a ``FactorSpectrum``
+    whose U is used with its cached spectrum.  The sum is taken on the
+    spectra, so k columns cost only k inverse transforms, plus s forward
+    ones once per ``SignalSpectrum``.  The product is returned column-major.
     """
-    Fx = _checked_spectrum(spectrum, u, dims.s * dims.n1, dims)  # (s, L)
-    k = u.shape[1]
-    # The reversed rows of the blocks of u, conjugated straight into C order;
-    # freed before the spectra are summed and inverted in place, which keeps
-    # the product's peak memory to its (s, k, L) spectra.
-    W = np.conj(u.reshape(dims.n1, dims.s, k).transpose(1, 2, 0)[:, :, ::-1],
-                order="C")  # (s, k, n1)
-    Fw = _fft_last(W, Fx.shape[-1])  # (s, k, L)
-    del W
-    Fw *= Fx[:, None, :]
-    conv = Fw.sum(axis=0)  # (k, L)
+    Fx = _signal_spectrum(spectrum, dims)  # (s, L)
+    Fu = (_factor_spectrum(u, dims).FU if isinstance(u, FactorSpectrum)
+          else _row_spectra(u, dims))  # (s, k, L)
+    # sum_a conj(F_x[a]) F_u[a] is the conjugate of the sum wanted; einsum
+    # takes it without an (s, k, L) temporary and leaves Fu unmodified.
+    conv = np.einsum("al,akl->kl", Fx.conj(), Fu)  # (k, L)
+    np.conj(conv, out=conv)
     np.fft.ifft(conv, axis=-1, out=conv)
-    return np.conj(conv[:, dims.n1 - 1:dims.n1 - 1 + dims.n2]).T  # (n2, k)
+    return np.conj(conv[:, :dims.n2]).T  # (n2, k)
 
 
 def lift_products(X: np.ndarray, dims: HankelDims) -> tuple[Callable, Callable]:
-    """The (matvec, rmatvec) pair of lift(X), sharing one ``SignalSpectrum`` of X."""
+    """The (matvec, rmatvec) pair of lift(X) on raw blocks, sharing one ``SignalSpectrum`` of X."""
     spectrum = SignalSpectrum(X)
     return (lambda v: lift_matvec(spectrum, v, dims),
             lambda u: lift_rmatvec(spectrum, u, dims))
 
 
-def adjoint_lift_lowrank(U: np.ndarray, sigma: np.ndarray, V: np.ndarray,
-                         dims: HankelDims) -> np.ndarray:
+def adjoint_lift_lowrank(factors: FactorSpectrum, sigma: np.ndarray) -> np.ndarray:
     """Adjoint lift of a factored matrix U @ diag(sigma) @ V^H, via FFTs.
 
     Row a of the result sums, over the k factors, the convolution of the a-th
-    rows of the blocks of U with sigma_j conj(V[:, j]).  sigma is folded into
-    the spectrum of V and the sum is taken on the spectra, so the cost is
-    s*k + k forward and s inverse transforms: O(k s n log n) instead of the
-    O(s n1 n2) of a dense lift.
+    rows of the blocks of U with sigma_j conj(V[:, j]).  The sum is taken on
+    the spectra of ``factors``, which are read but not scaled, so the cost is
+    s*k + k forward transforms, once per ``FactorSpectrum``, and s inverse
+    ones: O(k s n log n) instead of the O(s n1 n2) of a dense lift.
     """
-    k = len(sigma)
-    if k == 0:
+    dims = factors.dims
+    sigma = np.asarray(sigma)
+    if sigma.shape != (factors.U.shape[1],):
+        raise ValueError(f"expected {factors.U.shape[1]} singular values, got shape {sigma.shape}")
+    if len(sigma) == 0:
         return np.zeros((dims.s, dims.n), dtype=complex)
-    if U.shape != (dims.s * dims.n1, k) or V.shape != (dims.n2, k):
-        raise ValueError("factor shapes inconsistent with dims")
-    L = _next_pow2(dims.n)
-    Fu = _fft_last(U.reshape(dims.n1, dims.s, k).transpose(1, 2, 0), L)  # (s, k, L)
-    Fv = _fft_last(np.conj(V).T, L)  # (k, L)
-    Fv *= np.asarray(sigma)[:, None]
-    Fu *= Fv[None, :, :]
-    return np.fft.ifft(Fu.sum(axis=1), axis=-1)[:, :dims.n]  # (s, n)
+    conv = np.einsum("akl,kl->al", factors.FU, factors.FV * sigma[:, None])  # (s, L)
+    np.fft.ifft(conv, axis=-1, out=conv)
+    return conv[:, :dims.n]
 
 
-def pinv_lift_lowrank(U: np.ndarray, sigma: np.ndarray, V: np.ndarray,
-                      dims: HankelDims) -> np.ndarray:
+def pinv_lift_lowrank(factors: FactorSpectrum, sigma: np.ndarray) -> np.ndarray:
     """Pseudoinverse de-lift of a factored matrix, matrix-free."""
-    return _weigh(adjoint_lift_lowrank(U, sigma, V, dims), dims, -2)
+    return _weigh(adjoint_lift_lowrank(factors, sigma), factors.dims, -2)

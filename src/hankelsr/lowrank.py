@@ -5,13 +5,15 @@ A rank-r matrix is carried as a compact SVD triple (U, sigma, V),
 point consists of matrices U N^H + M V^H and depends on the point only
 through U and V, so the projections take the point's factors themselves.
 Projecting onto it and re-truncating is the inner step of the solver.  Every
-solver iteration runs it as ``project_tangent_truncate``, which touches the
-full matrix only through operator products and ends in the SVD of a
-2k-by-2k core, keeping the per-iteration cost at the factor scale.  The
-dense ``truncate_rank`` serves the dense initialization and, with the dense
-``project_tangent``, the checks and tests, as the oracle of that step; the
-fast initialization and the diagnostics use ``truncate_rank_operator``, a
-randomized block Krylov SVD that stops on a residual certificate.
+solver iteration runs it as ``project_tangent_truncate``, which reads the
+full matrix only through its products with the point's two factors and ends
+in the SVD of a 2k-by-2k core, keeping the per-iteration cost at the factor
+scale.  The dense ``truncate_rank`` serves the dense initialization and, with
+the dense ``project_tangent``, the checks and tests, as the oracle of that
+step; the fast initialization and the diagnostics use
+``truncate_rank_operator``, a randomized block Krylov SVD that stops on a
+residual certificate.  Hermitian products of tall factors conjugate one
+cache-sized block of rows at a time (``_hermitian``).
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ _CHOLQR_COND_MAX = 1e4
 _OVERSAMPLE = 8
 _CERTIFICATE_TOL = 1.2e-6
 _MAX_BLOCKS = 32
+# Rows per block of ``_hermitian``: the conjugate of one block (8192 rows of
+# k = 5 complex columns take 640 KiB) is still in cache when the product
+# reads it.
+_HERMITIAN_ROWS = 8192
 
 
 class RankTruncationError(RuntimeError):
@@ -80,7 +86,7 @@ class LowRankFactors:
             if np.any(self.sigma <= 0) or np.any(np.diff(self.sigma) > 0):
                 raise ValueError("sigma must be positive and non-increasing")
             for Q in (self.U, self.V):
-                gram = Q.conj().T @ Q
+                gram = _hermitian(Q, Q)
                 if np.max(np.abs(gram - np.eye(k))) > _ORTHO_TOL:
                     raise ValueError("factor columns must be orthonormal")
 
@@ -97,6 +103,29 @@ class LowRankFactors:
             return np.zeros(self.shape, dtype=complex)
         return (self.U * self.sigma[None, :]) @ self.V.conj().T
 
+
+def _hermitian(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X^H Y for tall X and Y, without a conjugate copy of the whole of X.
+
+    The product is summed over blocks of _HERMITIAN_ROWS rows, each
+    conjugated just before its product, so an m-row product makes no m-row
+    temporary and reads each block's conjugate from cache.
+    """
+    out = X[:_HERMITIAN_ROWS].conj().T @ Y[:_HERMITIAN_ROWS]
+    for start in range(_HERMITIAN_ROWS, X.shape[0], _HERMITIAN_ROWS):
+        stop = start + _HERMITIAN_ROWS
+        out += X[start:stop].conj().T @ Y[start:stop]
+    return out
+
+
+def _minus_product(A: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """A - X @ Y for a tall X, taken in the buffer of the product X @ Y.
+
+    The same operations as the plain expression, with one tall temporary
+    instead of two.
+    """
+    P = X @ Y
+    return np.subtract(A, P, out=P)
 
 
 def _trim(U: np.ndarray, sigma: np.ndarray, V: np.ndarray, r: int) -> LowRankFactors:
@@ -213,7 +242,7 @@ def _householder_completion(U: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, n
     """Completion by Householder QR of the stacked [U, B]: orthonormal for any B."""
     k = U.shape[1]
     Q1 = np.linalg.qr(np.hstack([U, B]))[0][:, k:]
-    return Q1, Q1.conj().T @ B
+    return Q1, _hermitian(Q1, B)
 
 
 def _complete(U: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -226,24 +255,23 @@ def _complete(U: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the Cholesky factorization fails or R does not certify
     cond(B) <= _CHOLQR_COND_MAX, the Householder QR of [U, B] is used instead.
     """
-    B = B - U @ (U.conj().T @ B)
+    B = _minus_product(B, U, _hermitian(U, B))
     try:
-        L = np.linalg.cholesky(B.conj().T @ B)  # B^H B = L L^H, so R = L^H
+        L = np.linalg.cholesky(_hermitian(B, B))  # B^H B = L L^H, so R = L^H
         Linv = np.linalg.inv(L)
         # ||R||_F ||R^-1||_F bounds cond_2(R) = cond_2(B) from above; NaN fails it.
         if np.linalg.norm(L) * np.linalg.norm(Linv) <= _CHOLQR_COND_MAX:
             Q = B @ Linv.conj().T
-            L2 = np.linalg.cholesky(Q.conj().T @ Q)
+            L2 = np.linalg.cholesky(_hermitian(Q, Q))
             return Q @ np.linalg.inv(L2).conj().T, (L @ L2).conj().T
     except np.linalg.LinAlgError:
         pass
     return _householder_completion(U, B)
 
 
-def project_tangent_truncate(matvec: Callable[[np.ndarray], np.ndarray],
-                             adjoint_matvec: Callable[[np.ndarray], np.ndarray],
-                             point: LowRankFactors, r: int) -> LowRankFactors:
-    """Best rank-r factors of P_T(M) with M touched only via operator products.
+def project_tangent_truncate(MV: np.ndarray, MhU: np.ndarray, point: LowRankFactors,
+                             r: int) -> LowRankFactors:
+    """Best rank-r factors of P_T(M), given M only through MV = M V and MhU = M^H U.
 
     T is the tangent space at ``point`` = (U, sigma, V), and
     P_T(M) = U A + B V^H with A = U^H M and B = (I - U U^H) M V, so it lives
@@ -256,7 +284,8 @@ def project_tangent_truncate(matvec: Callable[[np.ndarray], np.ndarray],
     QR of the stacked [U, B] otherwise, e.g. for a rank-deficient B near a
     fixed point.  Only the r kept columns of [U, Q1] Uc and [V, Q2] Vc are
     formed.  Matches ``truncate_rank(project_tangent(M, point), r)`` up to
-    roundoff at a cost of O(k) operator products plus factor-scale dense work.
+    roundoff; beyond the two products, which the caller takes, all work is
+    at the factor scale.
     """
     U, V = point.U, point.V
     (m, p), k = point.shape, point.rank
@@ -265,11 +294,9 @@ def project_tangent_truncate(matvec: Callable[[np.ndarray], np.ndarray],
                               sigma=np.zeros(0), V=np.zeros((p, 0), dtype=complex))
     if 2 * k > min(m, p):
         raise ValueError(f"tangent rank {k} too large for shape {(m, p)}")
-    C = matvec(V)  # (m, k) = M V
-    A = adjoint_matvec(U).conj().T  # (k, p) = U^H M
-    AV = A @ V  # (k, k)
-    Q1, R1 = _complete(U, C - U @ AV)  # B = (I - U U^H) M V
-    Q2, R2 = _complete(V, A.conj().T - V @ AV.conj().T)  # D = (I - V V^H) M^H U
+    AV = _hermitian(MhU, V)  # (k, k) = U^H M V
+    Q1, R1 = _complete(U, _minus_product(MV, U, AV))  # B = (I - U U^H) M V
+    Q2, R2 = _complete(V, _minus_product(MhU, V, AV.conj().T))  # D = (I - V V^H) M^H U
     core = np.block([[AV, R2.conj().T],
                      [R1, np.zeros((k, k), dtype=R1.dtype)]])
     if not np.all(np.isfinite(core)):

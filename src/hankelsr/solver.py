@@ -6,14 +6,16 @@ initialization (back-project the data, lift, hard-threshold to rank r,
 de-lift) and then repeats: gradient step on the data misfit, lift, project
 onto the current fixed-rank tangent space, hard-threshold to rank r, de-lift.
 
-An iteration never forms the lifted matrix: it takes the products with the
-lift of the gradient step by FFTs on one spectrum of that signal, projects
-and truncates in one step through the SVD of a 2r-by-2r core
+An iteration never forms the lifted matrix: it takes the products of the
+lift of the gradient step with the current factors by FFTs, projects and
+truncates in one step through the SVD of a 2r-by-2r core
 (``lowrank.project_tangent_truncate``) and de-lifts the rank-r factors by
-FFTs, at O(r^2 s n + r s n log n) per iteration.  The mode picks only the
-initialization: ``dense`` takes the exact SVD of the materialized lifted
-back-projection, ``fast`` the seeded operator SVD on FFT products, which is
-the one that fits at large n.
+FFTs, at O(r^2 s n + r s n log n) per iteration.  The spectra of each
+truncation's factors (a ``hankel.FactorSpectrum``) serve its de-lift and the
+next iteration's two products, so each factor is transformed once.  The mode
+picks only the initialization: ``dense`` takes the exact SVD of the
+materialized lifted back-projection, ``fast`` the seeded operator SVD on FFT
+products, which is the one that fits at large n.
 
 ``SolverConfig`` owns the solver's defaults, which the command line reads
 from it, and ``HankelDims.check_rank`` the one rank rule, 2r <= min(s*n1, n2),
@@ -120,9 +122,9 @@ def relative_error(X: np.ndarray, X_ref: np.ndarray) -> float:
     return float(np.linalg.norm(X - X_ref) / denom)
 
 
-def _initialize_factors(y: np.ndarray, B: np.ndarray, dims: HankelDims,
-                        config: SolverConfig) -> tuple[np.ndarray, LowRankFactors]:
-    """Rank-r truncation of the lifted back-projection, and its de-lift.
+def _initialize_factors(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
+                        ) -> tuple[np.ndarray, LowRankFactors, hankel.FactorSpectrum]:
+    """De-lift of the rank-r truncation of the lifted back-projection, its factors and spectrum.
 
     ``fast`` mode runs the randomized operator SVD seeded by ``config.seed``
     on FFT products; ``dense`` mode takes the SVD of the materialized lift.
@@ -133,8 +135,8 @@ def _initialize_factors(y: np.ndarray, B: np.ndarray, dims: HankelDims,
                                          dims.lifted_shape, config.rank, seed=config.seed)
     else:
         factors = truncate_rank(hankel.lift(back, dims), config.rank)
-    X0 = hankel.pinv_lift_lowrank(factors.U, factors.sigma, factors.V, dims)
-    return X0, factors
+    spectrum = hankel.FactorSpectrum(factors.U, factors.V, dims)
+    return hankel.pinv_lift_lowrank(spectrum, factors.sigma), factors, spectrum
 
 
 def initialize(y: np.ndarray, B: np.ndarray, dims: HankelDims, r: int) -> np.ndarray:
@@ -143,27 +145,30 @@ def initialize(y: np.ndarray, B: np.ndarray, dims: HankelDims, r: int) -> np.nda
     It forms no lifted matrix: the operator SVD on FFT products and the FFT
     de-lift, so it runs at any n that ``solve`` does.
     """
-    X0, _ = _initialize_factors(y, B, dims, SolverConfig(rank=r, mode="fast"))
-    return X0
+    return _initialize_factors(y, B, dims, SolverConfig(rank=r, mode="fast"))[0]
 
 
 def iterate_once(X: np.ndarray, y: np.ndarray, B: np.ndarray, dims: HankelDims,
                  config: SolverConfig, factors: LowRankFactors,
                  residual: np.ndarray | None = None,
-                 ) -> tuple[np.ndarray, LowRankFactors]:
+                 spectrum: hankel.FactorSpectrum | None = None,
+                 ) -> tuple[np.ndarray, LowRankFactors, hankel.FactorSpectrum]:
     """One solver iteration from X and the carried rank-r factors of its lift.
 
     Takes a gradient step on the data misfit, lifts it, projects the lift onto
     the tangent space at ``factors``, truncates to rank r and de-lifts;
-    returns the new iterate and its rank-r factors, which the next iteration
-    carries.  ``solve`` passes the factors of the previous truncation; a
-    caller starting elsewhere passes its own, e.g.
+    returns the new iterate, its rank-r factors and their spectrum, which the
+    next iteration carries.  ``solve`` passes the factors of the previous
+    truncation; a caller starting elsewhere passes its own, e.g.
     ``truncate_rank(lift(X, dims), rank)``.  ``residual``, the data residual
-    measure(X, B) - y, is computed here unless the caller passes it;
-    ``solve`` passes the one it evaluated for its trace.  The products with
-    the lifted gradient step and the de-lift run by FFTs, and the truncation
-    through the 2r-by-2r core of ``project_tangent_truncate``, so no
-    iteration forms the lift; ``config.mode`` is not read here, since it
+    measure(X, B) - y, and ``spectrum``, the ``hankel.FactorSpectrum`` of
+    ``factors``, are computed here unless the caller passes them; ``solve``
+    passes the residual it evaluated for its trace and the spectrum of the
+    previous de-lift.  The spectrum is a pure function of the factors, so a
+    step computes the same bits either way.  The products of the lifted
+    gradient step with the factors and the de-lift run by FFTs, and the
+    truncation through the 2r-by-2r core of ``project_tangent_truncate``, so
+    no iteration forms the lift; ``config.mode`` is not read here, since it
     selects only the initialization of ``solve``.  Raises ``ValueError`` when
     the rank is infeasible for the lift, as ``solve`` does, and
     ``DivergenceError`` if the update stops being finite; ``solve`` names the
@@ -179,11 +184,17 @@ def iterate_once(X: np.ndarray, y: np.ndarray, B: np.ndarray, dims: HankelDims,
     Xt = X - config.step_size * adjoint_measure(residual, B)
     if not np.all(np.isfinite(Xt)):
         raise DivergenceError("gradient update is not finite")
-    new = project_tangent_truncate(*hankel.lift_products(Xt, dims), factors, config.rank)
-    X_new = hankel.pinv_lift_lowrank(new.U, new.sigma, new.V, dims)
+    if spectrum is None:
+        spectrum = hankel.FactorSpectrum(factors.U, factors.V, dims)
+    lifted = hankel.SignalSpectrum(Xt)
+    new = project_tangent_truncate(hankel.lift_matvec(lifted, spectrum, dims),
+                                   hankel.lift_rmatvec(lifted, spectrum, dims),
+                                   factors, config.rank)
+    new_spectrum = hankel.FactorSpectrum(new.U, new.V, dims)
+    X_new = hankel.pinv_lift_lowrank(new_spectrum, new.sigma)
     if not np.all(np.isfinite(X_new)):
         raise DivergenceError("iterate is not finite")
-    return X_new, new
+    return X_new, new, new_spectrum
 
 
 def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
@@ -222,7 +233,7 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
     def rel_err(X):
         return relative_error(X, ground_truth) if ground_truth is not None else None
 
-    X, factors = _initialize_factors(y, B, dims, config)
+    X, factors, spectrum = _initialize_factors(y, B, dims, config)
     resid_vec = measure(X, B) - y
     resid = float(np.linalg.norm(resid_vec))
     trace = ConvergenceTrace()
@@ -236,8 +247,8 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
     termination = "max_iters"
     for t in range(1, config.max_iters + 1):
         try:
-            X_new, new_factors = iterate_once(X, y, B, dims, config, factors=factors,
-                                              residual=resid_vec)
+            X_new, new_factors, new_spectrum = iterate_once(
+                X, y, B, dims, config, factors=factors, residual=resid_vec, spectrum=spectrum)
         except (DivergenceError, np.linalg.LinAlgError) as exc:
             termination = f"diverged: {exc} at iteration {t}"
             X, returned_t = best_X, best_t
@@ -252,7 +263,7 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
             best_resid, best_X, best_t = resid, X_new.copy(), t
         step_norm = np.linalg.norm(X_new - X)
         X_scale = np.linalg.norm(X)
-        X, factors, returned_t = X_new, new_factors, t
+        X, factors, spectrum, returned_t = X_new, new_factors, new_spectrum, t
 
         if resid / denom <= config.residual_tol:
             termination = "converged"

@@ -152,7 +152,7 @@ def test_criterion_4_fixed_point_and_linear_convergence():
     # (a) the exact solution moves less than 1e-10 in one iteration
     _, dims, B, X_true, y = synth_instance(256, 4, 5, seed_derivation(1, 0))
     truth = truncate_rank(lift(X_true, dims), 5)
-    X_next, _ = iterate_once(X_true, y, B, dims, SolverConfig(rank=5, step_size=0.5), truth)
+    X_next, _, _ = iterate_once(X_true, y, B, dims, SolverConfig(rank=5, step_size=0.5), truth)
     move = np.linalg.norm(X_next - X_true) / np.linalg.norm(X_true)
     assert move < 1e-10, f"fixed point moved {move:.2e} in one iteration"
 
@@ -195,9 +195,10 @@ def test_criterion_5_fast_path_equivalence_and_speed():
     for trial in range(10):
         _, dims, B, X_true, y = synth_instance(256, 4, 5, seed_derivation(55, trial))
         cfg = SolverConfig(rank=5, step_size=0.5)
-        X, f = X_ref, f_ref = _initialize_factors(y, B, dims, cfg)
+        X, f, _ = _initialize_factors(y, B, dims, cfg)
+        X_ref, f_ref = X, f
         for t in range(12):
-            X, f = iterate_once(X, y, B, dims, cfg, factors=f)
+            X, f, _ = iterate_once(X, y, B, dims, cfg, factors=f)
             X_ref, f_ref = reference_step(X_ref, y, B, dims, cfg, f_ref)
             worst = max(worst, np.linalg.norm(X - X_ref) / np.linalg.norm(X_ref))
     assert worst < 1e-8, f"fast step diverged from the reference step by {worst:.2e}"
@@ -205,14 +206,15 @@ def test_criterion_5_fast_path_equivalence_and_speed():
     # coarse per-iteration cost comparison at a larger size
     _, dims, B, X_true, y = synth_instance(1024, 2, 3, seed_derivation(56, 0))
     cfg = SolverConfig(rank=3, step_size=0.5)
-    X0, f0 = _initialize_factors(y, B, dims, cfg)
+    X0, f0, _ = _initialize_factors(y, B, dims, cfg)
     per_iter = {}
     for name, step, iters in (("reference", reference_step, 3),
                               ("fast", iterate_once, 30)):
-        X, f = step(X0, y, B, dims, cfg, factors=f0)  # warm-up
+        # [:2]: the iterate and its factors; the fast step also returns their spectrum
+        X, f = step(X0, y, B, dims, cfg, factors=f0)[:2]  # warm-up
         t0 = time.perf_counter()
         for _ in range(iters):
-            X, f = step(X, y, B, dims, cfg, factors=f)
+            X, f = step(X, y, B, dims, cfg, factors=f)[:2]
         per_iter[name] = (time.perf_counter() - t0) / iters
     speedup = per_iter["reference"] / per_iter["fast"]
     assert speedup >= 5.0, f"fast step only {speedup:.1f}x faster"

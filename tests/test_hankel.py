@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hankelsr.hankel import (SignalSpectrum, _weigh, adjoint_lift,
+from hankelsr.hankel import (FactorSpectrum, SignalSpectrum, _weigh, adjoint_lift,
                              adjoint_lift_isometric, adjoint_lift_lowrank,
                              choose_dims, lift, lift_isometric, lift_matvec,
                              lift_rmatvec, pinv_lift, pinv_lift_lowrank,
@@ -254,14 +254,27 @@ class TestFastProducts:
         W = crandn(rng, *dims.lifted_shape)
         f = truncate_rank(W, 3)
         dense = adjoint_lift(f.reconstruct(), dims)
-        fast = adjoint_lift_lowrank(f.U, f.sigma, f.V, dims)
+        fast = adjoint_lift_lowrank(FactorSpectrum(f.U, f.V, dims), f.sigma)
         np.testing.assert_allclose(fast, dense, atol=1e-10 * np.linalg.norm(dense))
         dense_p = pinv_lift(f.reconstruct(), dims)
-        fast_p = pinv_lift_lowrank(f.U, f.sigma, f.V, dims)
+        fast_p = pinv_lift_lowrank(FactorSpectrum(f.U, f.V, dims), f.sigma)
         np.testing.assert_allclose(fast_p, dense_p, atol=1e-10 * np.linalg.norm(dense_p))
+
+    def test_factor_spectrum_checks_its_lift(self):
+        dims = choose_dims(12, 2)
+        with pytest.raises(ValueError, match="inconsistent"):
+            FactorSpectrum(np.ones((dims.s * dims.n1, 2)), np.ones((dims.n2 + 1, 2)), dims)
+        other = choose_dims(12, 2, n1=4)
+        spectrum = FactorSpectrum(np.ones((other.s * other.n1, 1)), np.ones((other.n2, 1)), other)
+        with pytest.raises(ValueError, match="another lift"):
+            lift_matvec(SignalSpectrum(np.ones((2, 12))), spectrum, dims)
+        with pytest.raises(ValueError, match="another lift"):
+            lift_rmatvec(SignalSpectrum(np.ones((2, 12))), spectrum, dims)
+        with pytest.raises(ValueError, match="singular values"):
+            adjoint_lift_lowrank(spectrum, np.ones(2))
 
     def test_lowrank_delift_empty_factors(self):
         dims = choose_dims(6, 2)
-        out = adjoint_lift_lowrank(np.zeros((dims.s * dims.n1, 0)), np.zeros(0),
-                                   np.zeros((dims.n2, 0)), dims)
+        out = adjoint_lift_lowrank(FactorSpectrum(np.zeros((dims.s * dims.n1, 0)),
+                                                  np.zeros((dims.n2, 0)), dims), np.zeros(0))
         np.testing.assert_array_equal(out, np.zeros((2, 6)))

@@ -108,7 +108,7 @@ class TestIterateOnce:
                 *hankel.lift_products(X_true, dims), dims.lifted_shape, 2, seed=cfg.seed)
         else:
             truth = lowrank.truncate_rank(lift(X_true, dims), 2)
-        X_next, factors = iterate_once(X_true, y, B, dims, cfg, truth)
+        X_next, factors, _ = iterate_once(X_true, y, B, dims, cfg, truth)
         assert relative_error(X_next, X_true) < 1e-10
         assert factors.rank == 2
         X_ref, _ = reference_step(X_true, y, B, dims, cfg, truth)
@@ -119,9 +119,10 @@ class TestIterateOnce:
         # lift, each carrying its own iterate from the dense initialization.
         dims, B, X_true, y = make_instance(256, 4, 5, 20)
         cfg = SolverConfig(rank=5, mode="dense", step_size=0.5)
-        X, factors = X_ref, ref_factors = _initialize_factors(y, B, dims, cfg)
+        X, factors, _ = _initialize_factors(y, B, dims, cfg)
+        X_ref, ref_factors = X, factors
         for _ in range(12):
-            X, factors = iterate_once(X, y, B, dims, cfg, factors)
+            X, factors, _ = iterate_once(X, y, B, dims, cfg, factors)
             X_ref, ref_factors = reference_step(X_ref, y, B, dims, cfg, ref_factors)
             assert relative_error(X, X_ref) < 1e-10
 
@@ -142,8 +143,8 @@ class TestIterateOnce:
     def test_zero_step_is_identity_on_model_signals(self):
         dims, B, X_true, y = make_instance(24, 2, 2, 4)
         cfg = SolverConfig(rank=2, step_size=0.0)
-        X_next, _ = iterate_once(X_true, y, B, dims, cfg,
-                                 lowrank.truncate_rank(lift(X_true, dims), 2))
+        X_next, _, _ = iterate_once(X_true, y, B, dims, cfg,
+                                    lowrank.truncate_rank(lift(X_true, dims), 2))
         assert relative_error(X_next, X_true) < 1e-12
 
     @pytest.mark.parametrize("mode", ["dense", "fast"])
@@ -174,6 +175,49 @@ class TestIterateOnce:
         monkeypatch.setattr(solver, "iterate_once", poisoned)
         _, trace = solve(y, B, dims, cfg)
         assert trace.termination == "diverged: iterate is not finite at iteration 7"
+
+
+class TestTransformCount:
+    """Length-L FFTs, counted as the benchmark's tracer counts them: out.size // out.shape[-1]."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"fft": 0, "ifft": 0}
+        for name in counts:
+            def counted(*args, _original=getattr(np.fft, name), _name=name, **kwargs):
+                out = _original(*args, **kwargs)
+                counts[_name] += out.size // out.shape[-1]
+                return out
+
+            monkeypatch.setattr(np.fft, name, counted)
+        return counts
+
+    def test_step_runs_58_transforms(self, counts):
+        # s=4, r=5.  Forward: 4 of the gradient step, 20 of the new U's block
+        # rows and 5 of its conj(V); inverse: 20 in lift_matvec, 5 in
+        # lift_rmatvec and 4 in the de-lift.  A step handed only the factors
+        # takes their 25 forward transforms anew.
+        dims, B, X_true, y = make_instance(256, 4, 5, seed_derivation(1, 0))
+        cfg = SolverConfig(rank=5, mode="fast", step_size=0.5)
+        X, factors, spectrum = _initialize_factors(y, B, dims, cfg)
+        counts.update(fft=0, ifft=0)
+        iterate_once(X, y, B, dims, cfg, factors, spectrum=spectrum)
+        assert counts == {"fft": 29, "ifft": 29}
+        counts.update(fft=0, ifft=0)
+        iterate_once(X, y, B, dims, cfg, factors)
+        assert counts == {"fft": 54, "ifft": 29}
+
+    def test_solve_transforms_each_truncation_once(self, counts):
+        # Beyond its initialization, every iteration of solve runs the 58
+        # transforms of a step handed its spectrum.
+        dims, B, X_true, y = make_instance(256, 4, 5, seed_derivation(1, 1))
+        cfg = SolverConfig(rank=5, max_iters=4, mode="fast", step_size=0.5)
+        _initialize_factors(y, B, dims, cfg)
+        init = dict(counts)
+        counts.update(fft=0, ifft=0)
+        _, trace = solve(y, B, dims, cfg)
+        assert trace.termination == "max_iters"
+        assert counts == {"fft": init["fft"] + 4 * 29, "ifft": init["ifft"] + 4 * 29}
 
 
 class TestSolve:
@@ -404,10 +448,10 @@ class TestSolve:
         dims, B, X_true, y = make_instance(48, 2, 2, 17)
         cfg = SolverConfig(rank=2, max_iters=6, mode=mode, step_size=0.5)
         # Reference: the same iteration with every step evaluating its own residual.
-        X, factors = _initialize_factors(y, B, dims, cfg)
+        X, factors, _ = _initialize_factors(y, B, dims, cfg)
         expected = [float(np.linalg.norm(measure(X, B) - y))]
         for t in range(1, 7):
-            X, factors = iterate_once(X, y, B, dims, cfg, factors)
+            X, factors, _ = iterate_once(X, y, B, dims, cfg, factors)
             expected.append(float(np.linalg.norm(measure(X, B) - y)))
 
         calls = []
