@@ -139,8 +139,8 @@ def check_tangent_projection() -> CheckResult:
 
 def check_fixed_point() -> CheckResult:
     m, dims, B, X_true, y = model.synth_instance(32, 2, 2, seed=6)
-    truth = lowrank.truncate_rank(hankel.lift(X_true, dims), m.r)
-    X_next, _, _ = solver.iterate_once(X_true, y, B, dims, solver.SolverConfig(rank=m.r), truth)
+    truth = hankel.FactorSpectrum(lowrank.truncate_rank(hankel.lift(X_true, dims), m.r), dims)
+    X_next, _ = solver.iterate_once(X_true, y, B, solver.SolverConfig(rank=m.r), truth)
     movement = solver.relative_error(X_next, X_true)
     return CheckResult("solver_fixed_point", movement < 1e-10,
                        f"one-step movement {movement:.2e}")
@@ -177,10 +177,10 @@ def check_fast_dense_equivalence() -> CheckResult:
     init_gap = solver.relative_error(inits["fast"][0], inits["dense"][0])
     cfg = solver.SolverConfig(rank=m.r)
     worst = 0.0
-    X, factors, _ = inits["dense"]
-    X_ref, ref_factors = X, factors
+    X, point = inits["dense"]
+    X_ref, ref_factors = X, point.factors
     for _ in range(12):
-        X, factors, _ = solver.iterate_once(X, y, B, dims, cfg, factors)
+        X, point = solver.iterate_once(X, y, B, cfg, point)
         X_ref, ref_factors = reference_step(X_ref, y, B, dims, cfg, ref_factors)
         worst = max(worst, solver.relative_error(X, X_ref))
     return CheckResult("fast_dense_equivalence", worst < 1e-8 and init_gap < 1e-6,

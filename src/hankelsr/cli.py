@@ -145,8 +145,8 @@ class ExperimentConfig:
             raise ValueError("--trials must be >= 1")
         if not self.success_tol > 0:  # also rejects NaN
             raise ValueError(f"--success-tol must be positive, got {self.success_tol}")
-        # --max-iters, --tol, --mode and --step-size, before any instance is solved
-        self.solver_config(rank=1, seed=0).validate()
+        # building one checks --max-iters, --tol, --mode and --step-size up front
+        self.solver_config(rank=1, seed=0)
 
     def single(self, name: str) -> int:
         grid = getattr(self, name)

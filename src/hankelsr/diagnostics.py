@@ -9,11 +9,13 @@ spectral distance of the initialization from the lifted truth.  They are
 advisory: the solver never gates on them.  The report obeys the solver's rank
 rule (``HankelDims.check_rank``), so it rejects exactly the ranks ``solve``
 rejects.  Like a solver iteration, it touches the lift only through FFT
-products, the FFT de-lift and the certified operator SVD, which gives the
+products, FFT de-lifts and the certified operator SVD, which gives the
 subspace constants and tangent space of the lifted truth and, through
 ``solver.initialize``, the initialization; it forms no lifted matrix and
 takes no dense SVD, so it runs at any n that ``solve`` does in ``fast`` mode.
-Both iterative estimates stop on a residual certificate, not a step count.
+The isometry estimate wraps its point in one ``hankel.FactorSpectrum``, so
+each application of its map transforms only its own signal and tangent
+vector.  Both iterative estimates stop on a residual certificate.
 """
 
 from __future__ import annotations
@@ -29,9 +31,11 @@ from .model import PointSourceModel, adjoint_measure, build_signal, measure
 from .solver import initialize
 
 # The Lanczos of ``estimate_rip_norm`` stops once the residual bound of its
-# extreme Ritz value is at most this fraction of that value; the value's own
-# error is then of order the squared residual over the spectral gap.
+# extreme Ritz value is at most _CERTIFICATE_TOL times that value, whose own
+# error is then of order the squared residual over the spectral gap, or after
+# _MAX_APPLICATIONS applications of its map.
 _CERTIFICATE_TOL = 1e-10
+_MAX_APPLICATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -72,40 +76,34 @@ def measure_mu1(factors: LowRankFactors, dims: HankelDims) -> float:
     return dims.n / r * max(u_max, v_max)
 
 
-def estimate_rip_norm(B: np.ndarray, dims: HankelDims, point: LowRankFactors,
-                      iters: int = 100) -> float:
+def estimate_rip_norm(B: np.ndarray, dims: HankelDims, point: LowRankFactors) -> float:
     """Operator norm of the tangent-restricted measurement-isometry defect.
 
     Lanczos on the Hermitian map Z -> P_T (G (I - A*A) G*) P_T (Z), where T
     is the tangent space at ``point``, G the isometric lift and A*A the
     back-projected measurement map, from P_T G x0 for a seeded complex
     Gaussian signal x0.  Tangent vectors are kept as U N^H + M V^H with
-    U^H M = 0, so <Z, Z'> = <N', N> + <M, M'>, and applying the map takes one
-    FFT de-lift and two FFT products; the products read the spectra of U and
-    V from one ``hankel.FactorSpectrum`` of the point, taken once.  The
-    three-term recurrence holds three tangent vectors and no basis.  It
-    stops once the residual bound beta |s_last| of the Ritz value of largest
-    magnitude is at most _CERTIFICATE_TOL times that value, or after
-    ``iters`` applications of the map, and returns the magnitude of that
-    Ritz value.  Values well below 1 indicate the measurements act nearly
-    isometrically on the tangent space.
+    U^H M = 0, so <Z, Z'> = <N', N> + <M, M'>.  Applying the map takes two
+    FFT products and the FFT de-lift ``hankel.adjoint_lift_tangent``, which
+    all read U's and V's spectra from one ``hankel.FactorSpectrum`` of the
+    point, so they transform only the signal, N and M.  The three-term
+    recurrence holds three tangent vectors and no basis.  It stops once the
+    residual bound beta |s_last| of the Ritz value of largest magnitude is at
+    most _CERTIFICATE_TOL times that value, or after _MAX_APPLICATIONS
+    applications, and returns that Ritz value's magnitude.  Values well
+    below 1 indicate the measurements act nearly isometrically on T.
     """
-    if iters < 1:
-        raise ValueError(f"need iters >= 1, got {iters}")
-    U, V = point.U, point.V
-    at_point = hankel.FactorSpectrum(U, V, dims)
+    at_point = hankel.FactorSpectrum(point, dims)
     w_isqrt = dims.weights ** -0.5
-    ones = np.ones(2 * point.rank)
 
     def project_lift(X):
         """N and M of P_T G(X) = U N^H + M V^H."""
         lifted = hankel.SignalSpectrum(w_isqrt * X)
         C = hankel.lift_matvec(lifted, at_point, dims)
-        return hankel.lift_rmatvec(lifted, at_point, dims), C - U @ (U.conj().T @ C)
+        return hankel.lift_rmatvec(lifted, at_point, dims), C - point.U @ (point.U.conj().T @ C)
 
     def apply(N, M):
-        tangent = hankel.FactorSpectrum(np.hstack([U, M]), np.hstack([N, V]), dims)
-        Xg = w_isqrt * hankel.adjoint_lift_lowrank(tangent, ones)
+        Xg = w_isqrt * hankel.adjoint_lift_tangent(at_point, N, M)
         return project_lift(Xg - adjoint_measure(measure(Xg, B), B))
 
     rng = np.random.default_rng(7)
@@ -117,7 +115,7 @@ def estimate_rip_norm(B: np.ndarray, dims: HankelDims, point: LowRankFactors,
         return 0.0
     N_prev = M_prev = 0.0
     alphas, betas = [], []
-    for _ in range(iters):
+    for _ in range(_MAX_APPLICATIONS):
         N, M = N / beta, M / beta
         N_w, M_w = apply(N, M)
         alpha = float(np.real(np.vdot(N, N_w) + np.vdot(M, M_w)))

@@ -8,8 +8,10 @@ of the lifted matrix, where w_i counts the pairs (j, k) with j + k = i.
 This module provides the lift, its adjoint, the pseudoinverse de-lift
 (weighted anti-diagonal averaging), the isometric variants (the oracle of the
 diagnostics' restricted-isometry map), and FFT-based products with the lift
-of a ``SignalSpectrum`` and the de-lift of the factors of a
-``FactorSpectrum``, so that no iteration or diagnostic materializes a lift.
+of a ``SignalSpectrum``.  A ``FactorSpectrum`` is a rank-k point of the lift
+with the spectra of its factors: the products take it in place of a factor,
+and the FFT de-lifts of the point and of a tangent vector U N^H + M V^H at it
+read it, so that no iteration or diagnostic materializes a lift.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
+
+from .lowrank import LowRankFactors
 
 
 def _next_pow2(n: int) -> int:
@@ -153,8 +157,9 @@ def adjoint_lift_isometric(Z: np.ndarray, dims: HankelDims) -> np.ndarray:
 # the whole sum.  A SignalSpectrum shares the spectrum of X between the
 # products with lift(X), and a FactorSpectrum those of U and conj(V)
 # between their de-lift and the products with the next lift, so the solver
-# transforms each truncation's factors once.  These cached spectra are only
-# read; a call inverts its own temporaries in place.
+# transforms each truncation's factors once; a tangent vector's de-lift
+# transforms only its own N and M.  These cached spectra are only read; a
+# call inverts its own temporaries in place.
 
 
 def _fft_last(a: np.ndarray, L: int) -> np.ndarray:
@@ -201,34 +206,31 @@ def _conj_spectra(V: np.ndarray, dims: HankelDims) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FactorSpectrum:
-    """Factors U (s*n1, k) and V (n2, k) of a lifted matrix, with their spectra.
+    """A rank-k point U diag(sigma) V^H of the lift, with the spectra of its factors.
 
-    ``FU`` holds the FFTs of U's block rows, shape (s, k, L), and ``FV``
-    those of conj(V), shape (k, L); both are computed on first use and are
-    pure functions of the factors.  The de-lift of U diag(sigma) V^H reads
-    both, and ``lift_matvec`` and ``lift_rmatvec`` take one in place of V or
-    U, so a truncation's factors are transformed once for their de-lift and
-    the products of the next iteration.  The factors must not change while
-    the spectra are in use, and no reader modifies the spectra.
+    Holds the point's ``LowRankFactors``, U (s*n1, k) and V (n2, k), and,
+    computed on first use, ``FU``, the FFTs of U's block rows, (s, k, L), and
+    ``FV``, those of conj(V), (k, L).  The de-lifts of the point and of its
+    tangent vectors read both, and ``lift_matvec`` and ``lift_rmatvec`` take
+    one in place of V or U, so the solver transforms a truncation's factors
+    once.  No reader modifies the factors or the spectra.
     """
 
-    U: np.ndarray
-    V: np.ndarray
+    factors: LowRankFactors
     dims: HankelDims
 
     def __post_init__(self):
-        d, k = self.dims, self.U.shape[-1]
-        if self.U.shape != (d.s * d.n1, k) or self.V.shape != (d.n2, k):
-            raise ValueError(f"factor shapes {self.U.shape}, {self.V.shape} inconsistent "
-                             f"with lifted shape {d.lifted_shape}")
+        if self.factors.shape != self.dims.lifted_shape:
+            raise ValueError(f"factor shape {self.factors.shape} inconsistent "
+                             f"with lifted shape {self.dims.lifted_shape}")
 
     @cached_property
     def FU(self) -> np.ndarray:
-        return _row_spectra(self.U, self.dims)
+        return _row_spectra(self.factors.U, self.dims)
 
     @cached_property
     def FV(self) -> np.ndarray:
-        return _conj_spectra(self.V, self.dims)
+        return _conj_spectra(self.factors.V, self.dims)
 
 
 def _signal_spectrum(spectrum: SignalSpectrum, dims: HankelDims) -> np.ndarray:
@@ -236,11 +238,11 @@ def _signal_spectrum(spectrum: SignalSpectrum, dims: HankelDims) -> np.ndarray:
     return spectrum.F
 
 
-def _factor_spectrum(factors: FactorSpectrum, dims: HankelDims) -> FactorSpectrum:
-    """``factors``, after checking that they were taken for the lift of ``dims``."""
-    if (factors.dims.n, factors.dims.s, factors.dims.n1) != (dims.n, dims.s, dims.n1):
+def _at(point: FactorSpectrum, dims: HankelDims) -> FactorSpectrum:
+    """``point``, after checking that it lies on the lift of ``dims``."""
+    if (point.dims.n, point.dims.s, point.dims.n1) != (dims.n, dims.s, dims.n1):
         raise ValueError("factor spectrum taken for another lift")
-    return factors
+    return point
 
 
 def lift_matvec(spectrum: SignalSpectrum, v: np.ndarray | FactorSpectrum,
@@ -256,8 +258,7 @@ def lift_matvec(spectrum: SignalSpectrum, v: np.ndarray | FactorSpectrum,
     is returned column-major, the layout LAPACK's QR works in.
     """
     Fx = _signal_spectrum(spectrum, dims)  # (s, L)
-    Fv = (_factor_spectrum(v, dims).FV if isinstance(v, FactorSpectrum)
-          else _conj_spectra(v, dims))  # (k, L)
+    Fv = _at(v, dims).FV if isinstance(v, FactorSpectrum) else _conj_spectra(v, dims)  # (k, L)
     k = Fv.shape[0]
     conv = Fx[:, None, :] * Fv.conj()[None, :, :]  # (s, k, L)
     # In place (``out=`` needs NumPy >= 2.0): the (s, k, L) spectra are the
@@ -283,8 +284,7 @@ def lift_rmatvec(spectrum: SignalSpectrum, u: np.ndarray | FactorSpectrum,
     ones once per ``SignalSpectrum``.  The product is returned column-major.
     """
     Fx = _signal_spectrum(spectrum, dims)  # (s, L)
-    Fu = (_factor_spectrum(u, dims).FU if isinstance(u, FactorSpectrum)
-          else _row_spectra(u, dims))  # (s, k, L)
+    Fu = _at(u, dims).FU if isinstance(u, FactorSpectrum) else _row_spectra(u, dims)  # (s, k, L)
     # sum_a conj(F_x[a]) F_u[a] is the conjugate of the sum wanted; einsum
     # takes it without an (s, k, L) temporary and leaves Fu unmodified.
     conv = np.einsum("al,akl->kl", Fx.conj(), Fu)  # (k, L)
@@ -300,26 +300,38 @@ def lift_products(X: np.ndarray, dims: HankelDims) -> tuple[Callable, Callable]:
             lambda u: lift_rmatvec(spectrum, u, dims))
 
 
-def adjoint_lift_lowrank(factors: FactorSpectrum, sigma: np.ndarray) -> np.ndarray:
-    """Adjoint lift of a factored matrix U @ diag(sigma) @ V^H, via FFTs.
-
-    Row a of the result sums, over the k factors, the convolution of the a-th
-    rows of the blocks of U with sigma_j conj(V[:, j]).  The sum is taken on
-    the spectra of ``factors``, which are read but not scaled, so the cost is
-    s*k + k forward transforms, once per ``FactorSpectrum``, and s inverse
-    ones: O(k s n log n) instead of the O(s n1 n2) of a dense lift.
-    """
-    dims = factors.dims
-    sigma = np.asarray(sigma)
-    if sigma.shape != (factors.U.shape[1],):
-        raise ValueError(f"expected {factors.U.shape[1]} singular values, got shape {sigma.shape}")
-    if len(sigma) == 0:
-        return np.zeros((dims.s, dims.n), dtype=complex)
-    conv = np.einsum("akl,kl->al", factors.FU, factors.FV * sigma[:, None])  # (s, L)
+def _delift(FU: np.ndarray, FV: np.ndarray, dims: HankelDims) -> np.ndarray:
+    """Adjoint lift of sum_j u_j v_j^H, from the spectra FU of the u_j and FV of the conj(v_j)."""
+    conv = np.einsum("akl,kl->al", FU, FV)  # (s, L)
     np.fft.ifft(conv, axis=-1, out=conv)
     return conv[:, :dims.n]
 
 
-def pinv_lift_lowrank(factors: FactorSpectrum, sigma: np.ndarray) -> np.ndarray:
-    """Pseudoinverse de-lift of a factored matrix, matrix-free."""
-    return _weigh(adjoint_lift_lowrank(factors, sigma), factors.dims, -2)
+def adjoint_lift_lowrank(point: FactorSpectrum) -> np.ndarray:
+    """Adjoint lift of the point U @ diag(sigma) @ V^H, via FFTs.
+
+    Row a of the result sums, over the k factors, the convolution of the a-th
+    rows of the blocks of U with sigma_j conj(V[:, j]).  The sum is taken on
+    the spectra of the point, which are read but not scaled, so the cost is
+    s*k + k forward transforms, once per ``FactorSpectrum``, and s inverse
+    ones: O(k s n log n) instead of the O(s n1 n2) of a dense lift.
+    """
+    return _delift(point.FU, point.FV * point.factors.sigma[:, None], point.dims)
+
+
+def pinv_lift_lowrank(point: FactorSpectrum) -> np.ndarray:
+    """Pseudoinverse de-lift of the point, matrix-free."""
+    return _weigh(adjoint_lift_lowrank(point), point.dims, -2)
+
+
+def adjoint_lift_tangent(point: FactorSpectrum, N: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Adjoint lift of the tangent vector U N^H + M V^H at the point, via FFTs.
+
+    N is (n2, k) and M (s*n1, k).  U's and V's spectra are read from the
+    point, so only N and M are transformed (s*k + k forward transforms), and
+    the 2k pairs of [U, M] and [N, V] are summed on the spectra.
+    """
+    dims = point.dims
+    FU = np.concatenate([point.FU, _row_spectra(M, dims)], axis=1)  # (s, 2k, L)
+    FV = np.concatenate([_conj_spectra(N, dims), point.FV])  # (2k, L)
+    return _delift(FU, FV, dims)

@@ -10,16 +10,17 @@ An iteration never forms the lifted matrix: it takes the products of the
 lift of the gradient step with the current factors by FFTs, projects and
 truncates in one step through the SVD of a 2r-by-2r core
 (``lowrank.project_tangent_truncate``) and de-lifts the rank-r factors by
-FFTs, at O(r^2 s n + r s n log n) per iteration.  The spectra of each
-truncation's factors (a ``hankel.FactorSpectrum``) serve its de-lift and the
-next iteration's two products, so each factor is transformed once.  The mode
-picks only the initialization: ``dense`` takes the exact SVD of the
-materialized lifted back-projection, ``fast`` the seeded operator SVD on FFT
-products, which is the one that fits at large n.
+FFTs, at O(r^2 s n + r s n log n) per iteration.  An iteration carries one
+rank-r point, a ``hankel.FactorSpectrum`` of the truncation's factors, whose
+spectra serve its de-lift and the next iteration's two products, so each
+factor is transformed once.  The mode picks only the initialization:
+``dense`` takes the exact SVD of the materialized lifted back-projection,
+``fast`` the seeded operator SVD on FFT products, which is the one that fits
+at large n.
 
 ``SolverConfig`` owns the solver's defaults, which the command line reads
-from it, and ``HankelDims.check_rank`` the one rank rule, 2r <= min(s*n1, n2),
-that ``solve`` and ``iterate_once`` enforce.
+from it, and rejects invalid ones when built; ``HankelDims.check_rank`` owns
+the one rank rule, 2r <= min(s*n1, n2), that ``solve`` and ``iterate_once`` enforce.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hankel
-from .hankel import HankelDims
-from .lowrank import (LowRankFactors, project_tangent_truncate, truncate_rank,
-                      truncate_rank_operator)
+from .hankel import FactorSpectrum, HankelDims
+from .lowrank import project_tangent_truncate, truncate_rank, truncate_rank_operator
 from .model import adjoint_measure, measure
 
 MODES = ("dense", "fast")
@@ -63,7 +63,7 @@ class SolverConfig:
     step_size: float = 0.5
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if self.max_iters < 0:
@@ -123,8 +123,8 @@ def relative_error(X: np.ndarray, X_ref: np.ndarray) -> float:
 
 
 def _initialize_factors(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
-                        ) -> tuple[np.ndarray, LowRankFactors, hankel.FactorSpectrum]:
-    """De-lift of the rank-r truncation of the lifted back-projection, its factors and spectrum.
+                        ) -> tuple[np.ndarray, FactorSpectrum]:
+    """De-lift of the rank-r truncation of the lifted back-projection, and that point.
 
     ``fast`` mode runs the randomized operator SVD seeded by ``config.seed``
     on FFT products; ``dense`` mode takes the SVD of the materialized lift.
@@ -135,8 +135,8 @@ def _initialize_factors(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: 
                                          dims.lifted_shape, config.rank, seed=config.seed)
     else:
         factors = truncate_rank(hankel.lift(back, dims), config.rank)
-    spectrum = hankel.FactorSpectrum(factors.U, factors.V, dims)
-    return hankel.pinv_lift_lowrank(spectrum, factors.sigma), factors, spectrum
+    point = FactorSpectrum(factors, dims)
+    return hankel.pinv_lift_lowrank(point), point
 
 
 def initialize(y: np.ndarray, B: np.ndarray, dims: HankelDims, r: int) -> np.ndarray:
@@ -148,33 +148,27 @@ def initialize(y: np.ndarray, B: np.ndarray, dims: HankelDims, r: int) -> np.nda
     return _initialize_factors(y, B, dims, SolverConfig(rank=r, mode="fast"))[0]
 
 
-def iterate_once(X: np.ndarray, y: np.ndarray, B: np.ndarray, dims: HankelDims,
-                 config: SolverConfig, factors: LowRankFactors,
-                 residual: np.ndarray | None = None,
-                 spectrum: hankel.FactorSpectrum | None = None,
-                 ) -> tuple[np.ndarray, LowRankFactors, hankel.FactorSpectrum]:
-    """One solver iteration from X and the carried rank-r factors of its lift.
+def iterate_once(X: np.ndarray, y: np.ndarray, B: np.ndarray, config: SolverConfig,
+                 point: FactorSpectrum, residual: np.ndarray | None = None,
+                 ) -> tuple[np.ndarray, FactorSpectrum]:
+    """One solver iteration from X and the carried rank-r point of its lift.
 
     Takes a gradient step on the data misfit, lifts it, projects the lift onto
-    the tangent space at ``factors``, truncates to rank r and de-lifts;
-    returns the new iterate, its rank-r factors and their spectrum, which the
-    next iteration carries.  ``solve`` passes the factors of the previous
-    truncation; a caller starting elsewhere passes its own, e.g.
-    ``truncate_rank(lift(X, dims), rank)``.  ``residual``, the data residual
-    measure(X, B) - y, and ``spectrum``, the ``hankel.FactorSpectrum`` of
-    ``factors``, are computed here unless the caller passes them; ``solve``
-    passes the residual it evaluated for its trace and the spectrum of the
-    previous de-lift.  The spectrum is a pure function of the factors, so a
-    step computes the same bits either way.  The products of the lifted
-    gradient step with the factors and the de-lift run by FFTs, and the
-    truncation through the 2r-by-2r core of ``project_tangent_truncate``, so
-    no iteration forms the lift; ``config.mode`` is not read here, since it
-    selects only the initialization of ``solve``.  Raises ``ValueError`` when
-    the rank is infeasible for the lift, as ``solve`` does, and
-    ``DivergenceError`` if the update stops being finite; ``solve`` names the
-    iteration in its termination.
+    the tangent space at ``point``, truncates to rank r and de-lifts; returns
+    the new iterate and the new point, which the next iteration carries.
+    ``solve`` passes the point of the previous truncation, whose spectra the
+    step's two products read; a caller starting elsewhere wraps its own
+    factors, e.g. ``FactorSpectrum(truncate_rank(lift(X, dims), r), dims)``.
+    ``residual``, the data residual measure(X, B) - y, is computed here
+    unless the caller passes it, as ``solve`` does.  The products and the
+    de-lift run by FFTs, and the truncation through the 2r-by-2r core of
+    ``project_tangent_truncate``, so no iteration forms the lift;
+    ``config.mode`` is not read here.  Raises ``ValueError`` when the rank
+    is infeasible for the lift, as ``solve`` does, and ``DivergenceError``
+    if the update stops being finite; ``solve`` names the iteration in its
+    termination.
     """
-    config.validate()
+    dims = point.dims
     dims.check_rank(config.rank)
     X = np.asarray(X)
     if not np.all(np.isfinite(X)):
@@ -184,17 +178,14 @@ def iterate_once(X: np.ndarray, y: np.ndarray, B: np.ndarray, dims: HankelDims,
     Xt = X - config.step_size * adjoint_measure(residual, B)
     if not np.all(np.isfinite(Xt)):
         raise DivergenceError("gradient update is not finite")
-    if spectrum is None:
-        spectrum = hankel.FactorSpectrum(factors.U, factors.V, dims)
     lifted = hankel.SignalSpectrum(Xt)
-    new = project_tangent_truncate(hankel.lift_matvec(lifted, spectrum, dims),
-                                   hankel.lift_rmatvec(lifted, spectrum, dims),
-                                   factors, config.rank)
-    new_spectrum = hankel.FactorSpectrum(new.U, new.V, dims)
-    X_new = hankel.pinv_lift_lowrank(new_spectrum, new.sigma)
+    new = FactorSpectrum(project_tangent_truncate(hankel.lift_matvec(lifted, point, dims),
+                                                  hankel.lift_rmatvec(lifted, point, dims),
+                                                  point.factors, config.rank), dims)
+    X_new = hankel.pinv_lift_lowrank(new)
     if not np.all(np.isfinite(X_new)):
         raise DivergenceError("iterate is not finite")
-    return X_new, new, new_spectrum
+    return X_new, new
 
 
 def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
@@ -204,20 +195,20 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
 
     The initialization follows the mode: the operator SVD seeded by
     ``config.seed`` in ``fast`` mode, the dense SVD in ``dense`` mode; the
-    iterations that follow run the same step in both modes, so whole runs
-    differ only by how closely the two initializations agree.  Stops
-    on a small relative data residual, on stagnation of the iterates, at
-    max_iters, or on divergence (residual growing well past its running
-    minimum, or a step that fails, as ``diverged: <reason> at iteration t``),
-    in which case the best iterate by residual is returned.  The trace
-    carries the residual, the relative error against ``ground_truth`` when
-    supplied, wall-clock timestamps and the iteration of the returned
-    estimate.  Raises ``ValueError`` before any work when y or B has the
-    wrong shape or a non-finite entry, or when the rank is infeasible for the
-    lift: the tangent space at a rank-r point needs 2r <= min(s*n1, n2) in
-    both modes (``HankelDims.check_rank``).
+    iterations that follow run the same step in both modes, each handing the
+    iterate and its rank-r point to the next, so whole runs differ only by
+    how closely the two initializations agree.  Stops on a small relative
+    data residual, on stagnation of the iterates, at max_iters, or on
+    divergence (residual growing well past its running minimum, or a step
+    that fails, as ``diverged: <reason> at iteration t``), in which case the
+    best iterate by residual is returned.  The trace carries the residual,
+    the relative error against ``ground_truth`` when supplied, wall-clock
+    timestamps and the iteration of the returned estimate.  Raises
+    ``ValueError`` before any work when y or B has the wrong shape or a
+    non-finite entry, or when the rank is infeasible for the lift: the
+    tangent space at a rank-r point needs 2r <= min(s*n1, n2) in both modes
+    (``HankelDims.check_rank``).
     """
-    config.validate()
     y = np.asarray(y)
     B = np.asarray(B)
     if B.shape != (dims.s, dims.n) or y.shape != (dims.n,):
@@ -233,22 +224,20 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
     def rel_err(X):
         return relative_error(X, ground_truth) if ground_truth is not None else None
 
-    X, factors, spectrum = _initialize_factors(y, B, dims, config)
+    X, point = _initialize_factors(y, B, dims, config)
     resid_vec = measure(X, B) - y
     resid = float(np.linalg.norm(resid_vec))
     trace = ConvergenceTrace()
     trace.records.append(TraceRecord(0, resid, rel_err(X),
                                      time.perf_counter() - t_start))
 
-    best_resid, best_X, best_t = resid, X.copy(), 0
+    best_resid, best_X, best_t = resid, X, 0
     returned_t = 0
-    min_resid = resid
     stagnant = grown = 0
     termination = "max_iters"
     for t in range(1, config.max_iters + 1):
         try:
-            X_new, new_factors, new_spectrum = iterate_once(
-                X, y, B, dims, config, factors=factors, residual=resid_vec, spectrum=spectrum)
+            X_new, new_point = iterate_once(X, y, B, config, point, residual=resid_vec)
         except (DivergenceError, np.linalg.LinAlgError) as exc:
             termination = f"diverged: {exc} at iteration {t}"
             X, returned_t = best_X, best_t
@@ -260,10 +249,10 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
         trace.records.append(TraceRecord(t, resid, rel_err(X_new),
                                          time.perf_counter() - t_start))
         if resid < best_resid:
-            best_resid, best_X, best_t = resid, X_new.copy(), t
+            best_resid, best_X, best_t = resid, X_new, t
         step_norm = np.linalg.norm(X_new - X)
         X_scale = np.linalg.norm(X)
-        X, factors, spectrum, returned_t = X_new, new_factors, new_spectrum, t
+        X, point, returned_t = X_new, new_point, t
 
         if resid / denom <= config.residual_tol:
             termination = "converged"
@@ -272,12 +261,11 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
         if stagnant >= _STAGNATION_WINDOW:
             termination = "stagnated"
             break
-        grown = grown + 1 if resid > _DIVERGENCE_FACTOR * min_resid else 0
+        grown = grown + 1 if resid > _DIVERGENCE_FACTOR * best_resid else 0
         if grown >= _DIVERGENCE_WINDOW:
             termination = f"diverged: residual grew past its running minimum at iteration {t}"
             X, returned_t = best_X, best_t
             break
-        min_resid = min(min_resid, resid)
 
     trace.termination = termination
     trace.returned_iteration = returned_t

@@ -15,8 +15,9 @@ import numpy as np
 from hankelsr.checks import reference_step
 from hankelsr.cli import seed_derivation
 from hankelsr.diagnostics import estimate_rip_norm, spectral_distance
-from hankelsr.hankel import (adjoint_lift, adjoint_lift_isometric, choose_dims,
-                             lift, lift_isometric, pinv_lift, weight_vector)
+from hankelsr.hankel import (FactorSpectrum, adjoint_lift, adjoint_lift_isometric,
+                             choose_dims, lift, lift_isometric, pinv_lift,
+                             weight_vector)
 from hankelsr.lowrank import project_tangent, truncate_rank
 from hankelsr.model import (adjoint_measure, build_signal, hankel_factorization,
                             measure, synth_instance, synth_model)
@@ -152,7 +153,8 @@ def test_criterion_4_fixed_point_and_linear_convergence():
     # (a) the exact solution moves less than 1e-10 in one iteration
     _, dims, B, X_true, y = synth_instance(256, 4, 5, seed_derivation(1, 0))
     truth = truncate_rank(lift(X_true, dims), 5)
-    X_next, _, _ = iterate_once(X_true, y, B, dims, SolverConfig(rank=5, step_size=0.5), truth)
+    X_next, _ = iterate_once(X_true, y, B, SolverConfig(rank=5, step_size=0.5),
+                             FactorSpectrum(truth, dims))
     move = np.linalg.norm(X_next - X_true) / np.linalg.norm(X_true)
     assert move < 1e-10, f"fixed point moved {move:.2e} in one iteration"
 
@@ -195,10 +197,10 @@ def test_criterion_5_fast_path_equivalence_and_speed():
     for trial in range(10):
         _, dims, B, X_true, y = synth_instance(256, 4, 5, seed_derivation(55, trial))
         cfg = SolverConfig(rank=5, step_size=0.5)
-        X, f, _ = _initialize_factors(y, B, dims, cfg)
-        X_ref, f_ref = X, f
+        X, point = _initialize_factors(y, B, dims, cfg)
+        X_ref, f_ref = X, point.factors
         for t in range(12):
-            X, f, _ = iterate_once(X, y, B, dims, cfg, factors=f)
+            X, point = iterate_once(X, y, B, cfg, point)
             X_ref, f_ref = reference_step(X_ref, y, B, dims, cfg, f_ref)
             worst = max(worst, np.linalg.norm(X - X_ref) / np.linalg.norm(X_ref))
     assert worst < 1e-8, f"fast step diverged from the reference step by {worst:.2e}"
@@ -206,15 +208,17 @@ def test_criterion_5_fast_path_equivalence_and_speed():
     # coarse per-iteration cost comparison at a larger size
     _, dims, B, X_true, y = synth_instance(1024, 2, 3, seed_derivation(56, 0))
     cfg = SolverConfig(rank=3, step_size=0.5)
-    X0, f0, _ = _initialize_factors(y, B, dims, cfg)
+    X0, point0 = _initialize_factors(y, B, dims, cfg)
     per_iter = {}
-    for name, step, iters in (("reference", reference_step, 3),
-                              ("fast", iterate_once, 30)):
-        # [:2]: the iterate and its factors; the fast step also returns their spectrum
-        X, f = step(X0, y, B, dims, cfg, factors=f0)[:2]  # warm-up
+    # Each step maps (X, carried point) to the next pair: the reference step
+    # carries the factors, the solver step their FactorSpectrum.
+    for name, step, start, iters in (
+            ("reference", lambda X, f: reference_step(X, y, B, dims, cfg, f), point0.factors, 3),
+            ("fast", lambda X, p: iterate_once(X, y, B, cfg, p), point0, 30)):
+        X, f = step(X0, start)  # warm-up
         t0 = time.perf_counter()
         for _ in range(iters):
-            X, f = step(X, y, B, dims, cfg, factors=f)[:2]
+            X, f = step(X, f)
         per_iter[name] = (time.perf_counter() - t0) / iters
     speedup = per_iter["reference"] / per_iter["fast"]
     assert speedup >= 5.0, f"fast step only {speedup:.1f}x faster"
@@ -247,7 +251,7 @@ def test_criterion_7_tangent_restricted_isometry_trend():
         for trial in range(20):
             _, dims, B, X_true, y = synth_instance(n, 2, 2, seed_derivation(7, trial))
             factors = truncate_rank(lift(X_true, dims), 2)
-            vals.append(estimate_rip_norm(B, dims, factors, iters=100))
+            vals.append(estimate_rip_norm(B, dims, factors))
         vals = np.array(vals)
         medians[n] = float(np.median(vals))
         below_one[n] = float(np.mean(vals < 1.0))

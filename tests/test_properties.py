@@ -11,8 +11,9 @@ from hankelsr import lowrank
 from hankelsr.checks import reference_step
 from hankelsr.hankel import (FactorSpectrum, SignalSpectrum, adjoint_lift,
                              adjoint_lift_isometric, adjoint_lift_lowrank,
-                             choose_dims, lift, lift_isometric, lift_matvec,
-                             lift_rmatvec, pinv_lift, pinv_lift_lowrank)
+                             adjoint_lift_tangent, choose_dims, lift,
+                             lift_isometric, lift_matvec, lift_rmatvec,
+                             pinv_lift, pinv_lift_lowrank)
 from hankelsr.lowrank import (LowRankFactors, project_tangent,
                               project_tangent_truncate, truncate_rank,
                               truncate_rank_operator)
@@ -38,6 +39,15 @@ def lifts(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dims = choose_dims(n, s, n1)
     return dims, crandn(rng, s, n), k, rng
+
+
+def random_point(dims, k, rng):
+    """A FactorSpectrum of random orthonormal factors, k capped by the lifted shape."""
+    k = min(k, *dims.lifted_shape)
+    U = np.linalg.qr(crandn(rng, dims.s * dims.n1, k))[0]
+    V = np.linalg.qr(crandn(rng, dims.n2, k))[0]
+    sigma = np.sort(rng.uniform(0.1, 2.0, k))[::-1]
+    return FactorSpectrum(LowRankFactors(U=U, sigma=sigma, V=V), dims)
 
 
 def assert_close(actual, expected):
@@ -97,11 +107,27 @@ def test_lift_rmatvec_matches_dense(case):
 @given(lifts())
 def test_adjoint_lift_lowrank_matches_dense(case):
     dims, _, k, rng = case
-    U = crandn(rng, dims.s * dims.n1, k)
-    V = crandn(rng, dims.n2, k)
-    sigma = np.sort(rng.uniform(0.1, 2.0, k))[::-1]
-    assert_close(adjoint_lift_lowrank(FactorSpectrum(U, V, dims), sigma),
-                 adjoint_lift((U * sigma) @ V.conj().T, dims))
+    point = random_point(dims, k, rng)
+    assert_close(adjoint_lift_lowrank(point), adjoint_lift(point.factors.reconstruct(), dims))
+
+
+@PROPERTY
+@given(lifts())
+def test_adjoint_lift_tangent_matches_dense(case):
+    """The tangent de-lift against the dense adjoint lift of U N^H + M V^H.
+
+    It reads the point's spectra and leaves them as computed.
+    """
+    dims, _, k, rng = case
+    point = random_point(dims, k, rng)
+    U, V = point.factors.U, point.factors.V
+    N = crandn(rng, dims.n2, U.shape[1])
+    M = crandn(rng, dims.s * dims.n1, U.shape[1])
+    FU, FV = point.FU.copy(), point.FV.copy()
+    assert_close(adjoint_lift_tangent(point, N, M),
+                 adjoint_lift(U @ N.conj().T + M @ V.conj().T, dims))
+    np.testing.assert_array_equal(point.FU, FU)
+    np.testing.assert_array_equal(point.FV, FV)
 
 
 @PROPERTY
@@ -114,23 +140,21 @@ def test_factor_spectrum_matches_raw_blocks_and_dense(case):
     as computed.
     """
     dims, X, k, rng = case
-    U = crandn(rng, dims.s * dims.n1, k)
-    V = crandn(rng, dims.n2, k)
-    sigma = np.sort(rng.uniform(0.1, 2.0, k))[::-1]
-    factors = FactorSpectrum(U, V, dims)
+    point = random_point(dims, k, rng)
+    U, V = point.factors.U, point.factors.V
     lifted = SignalSpectrum(X)
     Z = lift(X, dims)
-    for got, raw, dense in ((lift_matvec(lifted, factors, dims), lift_matvec(lifted, V, dims),
+    for got, raw, dense in ((lift_matvec(lifted, point, dims), lift_matvec(lifted, V, dims),
                              Z @ V),
-                            (lift_rmatvec(lifted, factors, dims), lift_rmatvec(lifted, U, dims),
+                            (lift_rmatvec(lifted, point, dims), lift_rmatvec(lifted, U, dims),
                              Z.conj().T @ U)):
         np.testing.assert_array_equal(got, raw)
         assert got.flags.f_contiguous
         assert_close(got, dense)
-    assert_close(pinv_lift_lowrank(factors, sigma), pinv_lift((U * sigma) @ V.conj().T, dims))
-    fresh = FactorSpectrum(U, V, dims)
-    np.testing.assert_array_equal(factors.FU, fresh.FU)
-    np.testing.assert_array_equal(factors.FV, fresh.FV)
+    assert_close(pinv_lift_lowrank(point), pinv_lift(point.factors.reconstruct(), dims))
+    fresh = FactorSpectrum(point.factors, dims)
+    np.testing.assert_array_equal(point.FU, fresh.FU)
+    np.testing.assert_array_equal(point.FV, fresh.FV)
 
 
 # Off-tangent blocks: random ones are well conditioned; zero, rank-one and
@@ -216,7 +240,7 @@ def test_dense_step_matches_reference_step(case):
     svals = np.linalg.svd(project_tangent(lift(Xt, dims), factors), compute_uv=False)
     assume(svals[r - 1] - svals[r] > 1e-3 * svals[0])  # a well-defined rank-r truncation
 
-    X_new, _, _ = iterate_once(X, y, B, dims, cfg, factors)
+    X_new, _ = iterate_once(X, y, B, cfg, FactorSpectrum(factors, dims))
     X_ref, _ = reference_step(X, y, B, dims, cfg, factors)
     assert relative_error(X_new, X_ref) < 1e-10
 

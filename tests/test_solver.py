@@ -8,8 +8,8 @@ import pytest
 from hankelsr import hankel, lowrank, solver
 from hankelsr.checks import reference_step
 from hankelsr.cli import seed_derivation
-from hankelsr.diagnostics import spectral_distance
-from hankelsr.hankel import choose_dims, lift, pinv_lift
+from hankelsr.diagnostics import estimate_rip_norm, spectral_distance
+from hankelsr.hankel import FactorSpectrum, choose_dims, lift, pinv_lift
 from hankelsr.model import (adjoint_measure, build_signal, measure,
                             sample_subspace, synth_instance, synth_model)
 from hankelsr.solver import (ConvergenceTrace, DivergenceError, SolverConfig,
@@ -108,9 +108,9 @@ class TestIterateOnce:
                 *hankel.lift_products(X_true, dims), dims.lifted_shape, 2, seed=cfg.seed)
         else:
             truth = lowrank.truncate_rank(lift(X_true, dims), 2)
-        X_next, factors, _ = iterate_once(X_true, y, B, dims, cfg, truth)
+        X_next, point = iterate_once(X_true, y, B, cfg, FactorSpectrum(truth, dims))
         assert relative_error(X_next, X_true) < 1e-10
-        assert factors.rank == 2
+        assert point.factors.rank == 2
         X_ref, _ = reference_step(X_true, y, B, dims, cfg, truth)
         assert relative_error(X_next, X_ref) < 1e-10
 
@@ -119,10 +119,10 @@ class TestIterateOnce:
         # lift, each carrying its own iterate from the dense initialization.
         dims, B, X_true, y = make_instance(256, 4, 5, 20)
         cfg = SolverConfig(rank=5, mode="dense", step_size=0.5)
-        X, factors, _ = _initialize_factors(y, B, dims, cfg)
-        X_ref, ref_factors = X, factors
+        X, point = _initialize_factors(y, B, dims, cfg)
+        X_ref, ref_factors = X, point.factors
         for _ in range(12):
-            X, factors, _ = iterate_once(X, y, B, dims, cfg, factors)
+            X, point = iterate_once(X, y, B, cfg, point)
             X_ref, ref_factors = reference_step(X_ref, y, B, dims, cfg, ref_factors)
             assert relative_error(X, X_ref) < 1e-10
 
@@ -132,9 +132,9 @@ class TestIterateOnce:
         # columns; the step's message is the one solve gives in each mode
         dims, B, X_true, y = make_instance(10, 4, 2, 18)
         cfg = SolverConfig(rank=4, mode=mode)
-        factors = lowrank.truncate_rank(lift(X_true, dims), 4)
+        point = FactorSpectrum(lowrank.truncate_rank(lift(X_true, dims), 4), dims)
         with pytest.raises(ValueError) as stepped:
-            iterate_once(X_true, y, B, dims, cfg, factors)
+            iterate_once(X_true, y, B, cfg, point)
         with pytest.raises(ValueError) as solved:
             solve(y, B, dims, cfg)
         assert str(stepped.value) == str(solved.value)
@@ -143,8 +143,8 @@ class TestIterateOnce:
     def test_zero_step_is_identity_on_model_signals(self):
         dims, B, X_true, y = make_instance(24, 2, 2, 4)
         cfg = SolverConfig(rank=2, step_size=0.0)
-        X_next, _, _ = iterate_once(X_true, y, B, dims, cfg,
-                                    lowrank.truncate_rank(lift(X_true, dims), 2))
+        X_next, _ = iterate_once(X_true, y, B, cfg,
+                                 FactorSpectrum(lowrank.truncate_rank(lift(X_true, dims), 2), dims))
         assert relative_error(X_next, X_true) < 1e-12
 
     @pytest.mark.parametrize("mode", ["dense", "fast"])
@@ -163,9 +163,9 @@ class TestIterateOnce:
         bad = X_true.copy()
         bad[0, 0] = np.inf
         cfg = SolverConfig(rank=2)
-        factors = lowrank.truncate_rank(lift(X_true, dims), 2)
+        point = FactorSpectrum(lowrank.truncate_rank(lift(X_true, dims), 2), dims)
         with pytest.raises(DivergenceError, match="^iterate is not finite$"):
-            iterate_once(bad, y, B, dims, cfg, factors)
+            iterate_once(bad, y, B, cfg, point)
         step, calls = solver.iterate_once, []
 
         def poisoned(X, *args, **kwargs):
@@ -195,17 +195,14 @@ class TestTransformCount:
     def test_step_runs_58_transforms(self, counts):
         # s=4, r=5.  Forward: 4 of the gradient step, 20 of the new U's block
         # rows and 5 of its conj(V); inverse: 20 in lift_matvec, 5 in
-        # lift_rmatvec and 4 in the de-lift.  A step handed only the factors
-        # takes their 25 forward transforms anew.
+        # lift_rmatvec and 4 in the de-lift.  The carried point's spectra
+        # were taken by the initialization's de-lift.
         dims, B, X_true, y = make_instance(256, 4, 5, seed_derivation(1, 0))
         cfg = SolverConfig(rank=5, mode="fast", step_size=0.5)
-        X, factors, spectrum = _initialize_factors(y, B, dims, cfg)
+        X, point = _initialize_factors(y, B, dims, cfg)
         counts.update(fft=0, ifft=0)
-        iterate_once(X, y, B, dims, cfg, factors, spectrum=spectrum)
+        iterate_once(X, y, B, cfg, point)
         assert counts == {"fft": 29, "ifft": 29}
-        counts.update(fft=0, ifft=0)
-        iterate_once(X, y, B, dims, cfg, factors)
-        assert counts == {"fft": 54, "ifft": 29}
 
     def test_solve_transforms_each_truncation_once(self, counts):
         # Beyond its initialization, every iteration of solve runs the 58
@@ -218,6 +215,27 @@ class TestTransformCount:
         _, trace = solve(y, B, dims, cfg)
         assert trace.termination == "max_iters"
         assert counts == {"fft": init["fft"] + 4 * 29, "ifft": init["ifft"] + 4 * 29}
+
+    def test_rip_map_application_runs_29_forward_transforms(self, counts, monkeypatch):
+        # s=4, r=5.  An application of the map forward-transforms the signal
+        # (4), N (5) and M (20), and inverts 20 + 5 in its products and 4 in
+        # the de-lift; the point's 25 spectra are taken once, by the first
+        # projection, which also transforms x0 (4) and inverts 25.
+        applications = []
+        delift = hankel.adjoint_lift_tangent
+
+        def counted(*args):
+            applications.append(1)
+            return delift(*args)
+
+        monkeypatch.setattr(hankel, "adjoint_lift_tangent", counted)
+        dims, B, X_true, _ = make_instance(256, 4, 5, seed_derivation(1, 0))
+        point = lowrank.truncate_rank(lift(X_true, dims), 5)
+        counts.update(fft=0, ifft=0)
+        estimate_rip_norm(B, dims, point)
+        a = len(applications)
+        assert a > 0
+        assert counts == {"fft": 29 + 29 * a, "ifft": 25 + 29 * a}
 
 
 class TestSolve:
@@ -361,15 +379,15 @@ class TestSolve:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SolverConfig(rank=0).validate()
+            SolverConfig(rank=0)
         with pytest.raises(ValueError):
-            SolverConfig(rank=1, mode="turbo").validate()
+            SolverConfig(rank=1, mode="turbo")
         with pytest.raises(ValueError):
-            SolverConfig(rank=1, residual_tol=0.0).validate()
+            SolverConfig(rank=1, residual_tol=0.0)
         for field, value in [("residual_tol", np.nan), ("step_size", np.nan),
                              ("step_size", np.inf), ("step_size", -1.0)]:
             with pytest.raises(ValueError, match=field):
-                SolverConfig(rank=1, **{field: value}).validate()
+                SolverConfig(rank=1, **{field: value})
 
     def test_shape_validation(self):
         dims = choose_dims(16, 2)
@@ -448,10 +466,10 @@ class TestSolve:
         dims, B, X_true, y = make_instance(48, 2, 2, 17)
         cfg = SolverConfig(rank=2, max_iters=6, mode=mode, step_size=0.5)
         # Reference: the same iteration with every step evaluating its own residual.
-        X, factors, _ = _initialize_factors(y, B, dims, cfg)
+        X, point = _initialize_factors(y, B, dims, cfg)
         expected = [float(np.linalg.norm(measure(X, B) - y))]
         for t in range(1, 7):
-            X, factors, _ = iterate_once(X, y, B, dims, cfg, factors)
+            X, point = iterate_once(X, y, B, cfg, point)
             expected.append(float(np.linalg.norm(measure(X, B) - y)))
 
         calls = []
