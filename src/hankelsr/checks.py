@@ -168,8 +168,9 @@ def check_fast_dense_equivalence() -> CheckResult:
     ``reference_step`` start from the dense initialization, so their gap is
     roundoff; the operator initialization of ``fast`` mode is compared with
     the dense one on its own, to 1e-6: its block Krylov SVD stops on a
-    residual certificate well inside that bound, and at this size its basis
-    spans the whole row space, so it is exact up to roundoff.
+    residual certificate well inside that bound.  At this size it certifies
+    before its basis spans the whole row space, so the gap is the
+    certificate's, not roundoff (about 5e-8).
     """
     m, dims, B, X_true, y = model.synth_instance(48, 2, 2, seed=8)
     inits = {mode: solver._initialize_factors(y, B, dims, solver.SolverConfig(rank=m.r, mode=mode))

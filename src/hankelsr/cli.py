@@ -9,8 +9,10 @@ sweep   run a grid of (n, s, r) cells with several seeded trials per cell;
 check   run the invariant suite at small sizes; nonzero exit on any failure.
 report  compute and emit the instance-constants report as flat JSON.
 
-Exit codes: 0 success, 1 usage/configuration error, 2 divergence,
-3 check-suite failure.
+Exit codes: 0 success, 1 usage/configuration error, 2 divergence, or a
+rank-r truncation that found no residual certificate within its budget
+(``RankTruncationError``: ``run`` and ``report`` then write no output, and
+``sweep`` records the trial as failed instead), 3 check-suite failure.
 
 Flags may also be supplied through ``--config FILE`` (JSON, keys mirroring
 the long flag names with underscores); explicit flags override the file.
@@ -33,6 +35,7 @@ from typing import TextIO
 from . import __version__
 from .checks import run_all
 from .diagnostics import AssumptionReport, assumption_report
+from .lowrank import RankTruncationError
 from .model import synth_instance
 from .solver import MODES, SolverConfig, solve
 
@@ -207,6 +210,24 @@ def write_trace(fh: TextIO, trace) -> None:
     fh.write("\n".join(lines) + "\n")
 
 
+@contextlib.contextmanager
+def _output_files(*paths: str):
+    """The files at ``paths``, opened for writing and removed again if the
+    command fails before it finishes, so that a failed command leaves no
+    empty output behind."""
+    with contextlib.ExitStack() as stack:
+        handles = []
+        try:
+            for path in paths:
+                handles.append(stack.enter_context(open(path, "w")))
+            yield handles
+        except Exception:
+            stack.close()
+            for fh in handles:
+                os.remove(fh.name)
+            raise
+
+
 def cmd_run(cfg: ExperimentConfig) -> int:
     n, s, r = cfg.single("n"), cfg.single("s"), cfg.single("r")
     derived = seed_derivation(cfg.seed, 0)
@@ -215,7 +236,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     out = cfg.out or "run_trace.csv"
     dims.check_rank(r)  # solve's rule, before any output exists
     # Opened before the solve, so that an unwritable path fails first.
-    with open(out, "w") as trace_fh, open(out + ".meta.json", "w") as meta_fh:
+    with _output_files(out, out + ".meta.json") as (trace_fh, meta_fh):
         t0 = time.perf_counter()
         _, trace = solve(y, B, dims, cfg.solver_config(r, derived),
                          ground_truth=X_true)
@@ -269,10 +290,13 @@ def _run_trial(cfg: ExperimentConfig, n: int, s: int, r: int, trial: int) -> Tri
             elapsed_ms=(time.perf_counter() - t0) * 1000.0,
             success=rel_error < cfg.success_tol, report=report)
     except ValueError as exc:
-        return TrialRecord(
-            n=n, s=s, r=r, trial=trial, derived_seed=derived, rel_error=None,
-            iterations=0, termination=f"config_error: {exc}",
-            elapsed_ms=(time.perf_counter() - t0) * 1000.0, success=False)
+        termination = f"config_error: {exc}"
+    except RankTruncationError as exc:
+        termination = f"truncation_error: {exc}"
+    return TrialRecord(
+        n=n, s=s, r=r, trial=trial, derived_seed=derived, rel_error=None,
+        iterations=0, termination=termination,
+        elapsed_ms=(time.perf_counter() - t0) * 1000.0, success=False)
 
 
 _REPORT_COLUMNS = tuple(f.name for f in fields(AssumptionReport))
@@ -353,13 +377,13 @@ def cmd_report(cfg: ExperimentConfig) -> int:
                                         cfg.complex_subspace)
     dims.check_rank(r)  # solve's rule, before any output exists
     # Opened before the report, so that an unwritable path fails first.
-    with open(cfg.out, "w") if cfg.out else contextlib.nullcontext() as fh:
+    with _output_files(*filter(None, [cfg.out])) as handles:
         report = assumption_report(mdl, B, dims)
         payload = {"n": n, "s": s, "r": r, "seed": cfg.seed,
                    "derived_seed": derived, "n1": dims.n1, "n2": dims.n2,
                    **report.as_dict()}
         text = json.dumps(payload, indent=2)
-        if fh is not None:
+        for fh in handles:
             fh.write(text + "\n")
     print(text)
     return EXIT_OK
@@ -431,6 +455,9 @@ def main(argv: list[str] | None = None) -> int:
     except (_UsageError, ValueError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RankTruncationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
 
 
 def console_main() -> None:

@@ -35,16 +35,18 @@ _TRIM_REL = 1e-15
 # For larger m the condition is pessimistic (the typical loss stays near
 # u cond(B)^2 ~ 1e-8), and LowRankFactors re-checks orthonormality anyway.
 _CHOLQR_COND_MAX = 1e4
-# Randomized block Krylov: blocks of r + _OVERSAMPLE columns, at most
-# _MAX_BLOCKS of them, until the residual of every leading Ritz pair is at
-# most _CERTIFICATE_TOL times the Ritz gap theta_r - theta_{r+1}.  By the
-# Davis-Kahan sin-theta bound that ratio bounds the angle to the leading
-# singular subspace, which sets the error of the truncation.  At s=4, r=5
-# the initialization ends after 4-5 blocks at n=65536 and 7-18 at
-# n=512-1024; the basis spans all n2 rows after 10 blocks at n=256.
-_OVERSAMPLE = 8
+# Randomized block Krylov: blocks of r columns (block Krylov needs no wider
+# block; Musco & Musco, NeurIPS 2015) until the residual of every leading
+# Ritz pair is at most _CERTIFICATE_TOL times the Ritz gap
+# theta_r - theta_{r+1}.  By the Davis-Kahan sin-theta bound that ratio
+# bounds the angle to the leading singular subspace, which sets the error of
+# the truncation.  The basis holds at most _MAX_COLUMNS columns, as many as
+# blocks of r + 8 = 13 columns were allowed at r=5 (32 blocks).  At s=4, r=5
+# the initialization ends after 5 blocks at n=65536, 6-9 at n=4096 and 8-25
+# at n=256-1024 (at most 125 columns); at n=48 its basis spans all n2 = 25
+# rows after 5 blocks.
 _CERTIFICATE_TOL = 1.2e-6
-_MAX_BLOCKS = 32
+_MAX_COLUMNS = 416
 # Rows per block of ``_hermitian``: the conjugate of one block (8192 rows of
 # k = 5 complex columns take 640 KiB) is still in cache when the product
 # reads it.
@@ -52,7 +54,7 @@ _HERMITIAN_ROWS = 8192
 
 
 class RankTruncationError(RuntimeError):
-    """Iterative factorization found no certificate within its block cap.
+    """Iterative factorization found no certificate within its column budget.
 
     Carries the last ratio of the leading Ritz pairs' residual to the Ritz
     gap in ``residual``.
@@ -169,37 +171,37 @@ def truncate_rank_operator(matvec: Callable[[np.ndarray], np.ndarray],
     """Leading-r SVD factors of a matrix M seen only through operator products.
 
     Runs randomized block Krylov: block Lanczos on M^H M from a Gaussian
-    block of width r + _OVERSAMPLE seeded by ``seed``, with every new block
-    orthogonalized twice against the basis held so far and then deflated
-    (directions of numerically zero norm are dropped), and Rayleigh-Ritz on
-    the whole basis after each block.  It stops once the residual
-    ||M^H M y - theta y|| of each of the r leading Ritz pairs is at most
-    _CERTIFICATE_TOL times the gap theta_r - theta_{r+1} between the r-th
-    and the next Ritz value (and no less than _CERTIFICATE_TOL times
-    theta_1), which bounds the angle to the leading singular subspace; or
-    once the basis spans the whole row space, where Rayleigh-Ritz is exact.
-    U and sigma then come from one product of width r.  Raises
-    ``RankTruncationError`` if _MAX_BLOCKS blocks run first.  Each block
-    costs one matvec and one adjoint_matvec, which must accept (dim, k)
-    blocks; the basis lives in one column-major array of shape[1] rows, and
-    no shape[0]-row block outlives the product that consumes it.
+    block of width r seeded by ``seed``, with every new block orthogonalized
+    twice against the basis held so far and then deflated (directions of
+    numerically zero norm are dropped), and Rayleigh-Ritz on the whole basis
+    after each block.  It stops once the residual ||M^H M y - theta y|| of
+    each of the r leading Ritz pairs is at most _CERTIFICATE_TOL times the
+    gap theta_r - theta_{r+1} between the r-th and the next Ritz value (and
+    no less than _CERTIFICATE_TOL times theta_1), which bounds the angle to
+    the leading singular subspace; or once the basis spans the whole row
+    space, where Rayleigh-Ritz is exact.  U and sigma then come from one
+    product of width r.  Raises ``RankTruncationError`` if the basis reaches
+    _MAX_COLUMNS columns first.  Each block costs one matvec and one
+    adjoint_matvec, which must accept (dim, k) blocks; the basis lives in one
+    column-major array of shape[1] rows, and no shape[0]-row block outlives
+    the product that consumes it.
     """
     m, p = shape
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     if r > min(m, p):
         raise ValueError(f"rank {r} exceeds operator shape {shape}")
-    k = min(r + _OVERSAMPLE, m, p)
     rng = np.random.default_rng(seed)
-    Omega = (rng.standard_normal((p, k)) + 1j * rng.standard_normal((p, k))) / np.sqrt(2.0)
+    Omega = (rng.standard_normal((p, r)) + 1j * rng.standard_normal((p, r))) / np.sqrt(2.0)
+    limit = min(p, _MAX_COLUMNS)
 
     # The basis vectors are the rows of Kt, so K = Kt.T is column-major.  Kt
     # holds only the blocks built: it is copied once per block, between
     # products, when their large temporaries are gone.
     Kt = np.linalg.qr(Omega)[0].T.copy(order="C")
     T = np.zeros((0, 0), dtype=complex)  # K^H M^H M K
-    start, c = 0, k
-    for block in range(1, _MAX_BLOCKS + 1):
+    start, c = 0, r
+    while True:
         K = Kt.T
         W = adjoint_matvec(matvec(K[:, start:c]))  # M^H M applied to the newest block
         T = np.pad(T, (0, c - start))
@@ -217,16 +219,16 @@ def truncate_rank_operator(matvec: Callable[[np.ndarray], np.ndarray],
         # undetermined at that accuracy, so the certificate asks no more.
         gap = max(theta[-r] - (theta[-r - 1] if c > r else 0.0), _CERTIFICATE_TOL * scale)
         if residual > _CERTIFICATE_TOL * gap and c < p:
-            if block == _MAX_BLOCKS:
+            if c >= limit:
                 raise RankTruncationError(
-                    f"no residual certificate within {_MAX_BLOCKS} Krylov blocks "
+                    f"no residual certificate within {c} Krylov basis columns "
                     f"(last residual over Ritz gap {residual / gap:.3e})",
                     residual=residual / gap)
             # Deflation: keep the directions of the new block above roundoff,
             # which one more projection makes orthogonal to the basis again.
             # If none is left, the Krylov space is invariant up to roundoff.
             P, sv, _ = np.linalg.svd(W, full_matrices=False)
-            P = P[:, sv > max(p, k) * np.finfo(float).eps * scale][:, :p - c]
+            P = P[:, sv > p * np.finfo(float).eps * scale][:, :limit - c]
             if P.shape[1]:
                 P -= K @ (K.conj().T @ P)
                 start, c = c, c + P.shape[1]

@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hankelsr import checks, cli
-from hankelsr.cli import (EXIT_USAGE, TrialRecord, aggregate_sweep, main,
-                          seed_derivation, synth_instance, write_trace)
+from hankelsr import checks, cli, lowrank
+from hankelsr.cli import (EXIT_DIVERGED, EXIT_USAGE, TrialRecord, aggregate_sweep,
+                          main, seed_derivation, synth_instance, write_trace)
 from hankelsr.model import measure
 from hankelsr.solver import (ConvergenceTrace, SolverConfig, TraceRecord,
                              relative_error, solve)
@@ -256,6 +256,44 @@ class TestRejectedInput:
                    for opt in action.option_strings
                    if opt.startswith("--") and opt != "--help"}
         assert set(re.findall(r"--[a-z0-9-]+", listed)) == options
+
+
+class TestUncertifiedTruncation:
+    """A ``RankTruncationError`` reaches no command as a traceback.
+
+    The operator SVD's budget is cut to 10 basis columns (five blocks at
+    r=2) and its certificate made unreachable, so it fails wherever the
+    lifted matrix has more than 10 columns; at n=16 its basis spans all 9
+    and is exact.
+    """
+
+    @pytest.fixture(autouse=True)
+    def small_budget(self, monkeypatch):
+        monkeypatch.setattr(lowrank, "_MAX_COLUMNS", 10)
+        monkeypatch.setattr(lowrank, "_CERTIFICATE_TOL", 1e-30)
+
+    @pytest.mark.parametrize("command", ["run", "report"])
+    def test_error_exit_and_no_output(self, command, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code = run_cli(command, "--n", "48", "--s", "2", "--r", "2", "--mode", "fast",
+                       "--out", str(out))
+        assert code == EXIT_DIVERGED
+        err = capsys.readouterr().err
+        assert err.startswith("error: no residual certificate within 10 Krylov basis columns")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_records_the_failed_trials_and_goes_on(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code = run_cli("sweep", "--n", "48,16", "--s", "2", "--r", "2", "--trials", "2",
+                       "--mode", "fast", "--out", str(out))
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+        assert [row[0] for row in rows] == ["48", "48", "16", "16"]
+        for row in rows[:2]:
+            assert row[5] == "" and row[6] == "0" and row[-1] == "0"
+            assert row[7].startswith('"truncation_error: no residual certificate')
+        assert all(row[7] == '"converged"' and row[-1] == "1" for row in rows[2:])
 
 
 class TestSweep:

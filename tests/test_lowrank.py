@@ -160,13 +160,14 @@ class TestTruncateRankOperator:
         np.testing.assert_allclose(f.sigma, dense, rtol=1e-8)
 
     def test_nonconvergence_raises_with_residual(self, monkeypatch):
-        # 30 columns, so two blocks of 10 leave the basis short of the full
-        # row space, where Rayleigh-Ritz would be exact
+        # 30 columns, so a budget of 10 basis columns (five blocks of 2)
+        # leaves the basis short of the full row space, where Rayleigh-Ritz
+        # would be exact
         rng = np.random.default_rng(8)
         M = crandn(rng, 40, 30)
-        monkeypatch.setattr(lowrank, "_MAX_BLOCKS", 2)
+        monkeypatch.setattr(lowrank, "_MAX_COLUMNS", 10)
         monkeypatch.setattr(lowrank, "_CERTIFICATE_TOL", 1e-30)
-        with pytest.raises(RankTruncationError) as excinfo:
+        with pytest.raises(RankTruncationError, match="within 10 Krylov basis columns") as excinfo:
             truncate_rank_operator(lambda v: M @ v, lambda u: M.conj().T @ u,
                                    M.shape, 2)
         assert excinfo.value.residual >= 0.0

@@ -249,16 +249,17 @@ def test_dense_step_matches_reference_step(case):
 def hard_spectra(draw):
     """A matrix, a rank r and the kind of its spectrum, one of the operator SVD's hard kinds.
 
-    ``flat_tail``: sigma_{r+1}/sigma_r in [0.9, 0.99], the tail decaying as
-    slowly; ``low_rank``: exact rank below the sketch width r + 8, which makes
-    the second Krylov block rank-deficient; ``zero``: the zero operator;
-    ``one_block``: at most r + 8 columns, so the first block fills the row
-    space.
+    The operator SVD runs blocks of width r.  ``flat_tail``: sigma_{r+1}/sigma_r
+    in [0.9, 0.99], the tail decaying as slowly; ``low_rank``: exact rank
+    below 2r, so the second Krylov block (rank below r) or the third (rank
+    between r and 2r) is rank-deficient, and at rank r the second block
+    completes the row space; ``zero``: the zero operator; ``one_block``: r
+    columns, so the first block fills the row space.
     """
     kind = draw(st.sampled_from(["flat_tail", "low_rank", "zero", "one_block"]))
     r = draw(st.integers(1, 4))
     m = draw(st.integers(r, 48))
-    p = draw(st.integers(r, r + 8) if kind == "one_block" else st.integers(r + 9, 48))
+    p = r if kind == "one_block" else draw(st.integers(r + 1, 48))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = min(m, p)
     sigma = np.sort(rng.uniform(0.2, 1.0, d))[::-1]
@@ -266,7 +267,7 @@ def hard_spectra(draw):
         ratio = draw(st.floats(0.9, 0.99))
         sigma[r:] = sigma[r - 1] * ratio ** np.arange(1, d - r + 1)
     elif kind == "low_rank":
-        sigma[draw(st.integers(1, r + 7)):] = 0.0
+        sigma[draw(st.integers(1, 2 * r - 1)):] = 0.0
     elif kind == "zero":
         sigma[:] = 0.0
     Q1 = np.linalg.qr(crandn(rng, m, d))[0]
