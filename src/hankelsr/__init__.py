@@ -12,7 +12,7 @@ from .lowrank import (LowRankFactors, RankTruncationError, project_tangent,
 from .model import (PointSourceModel, adjoint_measure, build_signal,
                     hankel_factorization, measure, sample_subspace,
                     steering_vector, synth_instance, synth_model)
-from .solver import (ConvergenceTrace, DivergenceError, SolverConfig,
+from .solver import (ConvergenceTrace, DivergenceError, Iterate, SolverConfig,
                      TraceRecord, initialize, iterate_once, relative_error,
                      solve)
 from .diagnostics import (AssumptionReport, assumption_report, estimate_rip_norm,

@@ -140,8 +140,9 @@ def check_tangent_projection() -> CheckResult:
 def check_fixed_point() -> CheckResult:
     m, dims, B, X_true, y = model.synth_instance(32, 2, 2, seed=6)
     truth = hankel.FactorSpectrum(lowrank.truncate_rank(hankel.lift(X_true, dims), m.r), dims)
-    X_next, _ = solver.iterate_once(X_true, y, B, solver.SolverConfig(rank=m.r), truth)
-    movement = solver.relative_error(X_next, X_true)
+    nxt = solver.iterate_once(solver.Iterate.at(X_true, truth, y, B), y, B,
+                              solver.SolverConfig(rank=m.r))
+    movement = solver.relative_error(nxt.X, X_true)
     return CheckResult("solver_fixed_point", movement < 1e-10,
                        f"one-step movement {movement:.2e}")
 
@@ -175,15 +176,15 @@ def check_fast_dense_equivalence() -> CheckResult:
     m, dims, B, X_true, y = model.synth_instance(48, 2, 2, seed=8)
     inits = {mode: solver._initialize_factors(y, B, dims, solver.SolverConfig(rank=m.r, mode=mode))
              for mode in solver.MODES}
-    init_gap = solver.relative_error(inits["fast"][0], inits["dense"][0])
+    init_gap = solver.relative_error(inits["fast"].X, inits["dense"].X)
     cfg = solver.SolverConfig(rank=m.r)
     worst = 0.0
-    X, point = inits["dense"]
-    X_ref, ref_factors = X, point.factors
+    it = inits["dense"]
+    X_ref, ref_factors = it.X, it.point.factors
     for _ in range(12):
-        X, point = solver.iterate_once(X, y, B, cfg, point)
+        it = solver.iterate_once(it, y, B, cfg)
         X_ref, ref_factors = reference_step(X_ref, y, B, dims, cfg, ref_factors)
-        worst = max(worst, solver.relative_error(X, X_ref))
+        worst = max(worst, solver.relative_error(it.X, X_ref))
     return CheckResult("fast_dense_equivalence", worst < 1e-8 and init_gap < 1e-6,
                        f"worst per-iterate gap to the reference step {worst:.2e} "
                        f"from a shared start, operator vs dense initialization "

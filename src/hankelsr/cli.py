@@ -306,7 +306,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     out = cfg.out or "sweep_results.csv"
     summary_path = os.path.splitext(out)[0] + "_summary.csv"
     # Opened before any trial, so that an unwritable path fails first.
-    with open(out, "w") as rows_fh, open(summary_path, "w") as summary_fh:
+    with _output_files(out, summary_path) as (rows_fh, summary_fh):
         records = [
             _run_trial(cfg, n, s, r, trial)
             for n in cfg.n for s in cfg.s for r in cfg.r

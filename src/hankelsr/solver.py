@@ -10,10 +10,10 @@ An iteration never forms the lifted matrix: it takes the products of the
 lift of the gradient step with the current factors by FFTs, projects and
 truncates in one step through the SVD of a 2r-by-2r core
 (``lowrank.project_tangent_truncate``) and de-lifts the rank-r factors by
-FFTs, at O(r^2 s n + r s n log n) per iteration.  An iteration carries one
-rank-r point, a ``hankel.FactorSpectrum`` of the truncation's factors, whose
-spectra serve its de-lift and the next iteration's two products, so each
-factor is transformed once.  The mode picks only the initialization:
+FFTs, at O(r^2 s n + r s n log n) per iteration.  Each iteration maps one
+``Iterate`` to the next: X, its data residual and the ``hankel.FactorSpectrum``
+of the truncation X came from, whose spectra the next step's products read,
+so each factor is transformed once.  The mode picks only the initialization:
 ``dense`` takes the exact SVD of the materialized lifted back-projection,
 ``fast`` the seeded operator SVD on FFT products, which is the one that fits
 at large n.
@@ -122,9 +122,29 @@ def relative_error(X: np.ndarray, X_ref: np.ndarray) -> float:
     return float(np.linalg.norm(X - X_ref) / denom)
 
 
+@dataclass(frozen=True)
+class Iterate:
+    """One iterate of ``solve``: X, the ``FactorSpectrum`` point X was de-lifted
+    from, its data residual measure(X, B) - y and that residual's norm, and its
+    iteration.  ``Iterate.at`` evaluates the residual, so it belongs to X."""
+
+    X: np.ndarray
+    point: FactorSpectrum
+    residual: np.ndarray
+    residual_norm: float
+    iteration: int
+
+    @classmethod
+    def at(cls, X: np.ndarray, point: FactorSpectrum, y: np.ndarray, B: np.ndarray,
+           iteration: int = 0) -> Iterate:
+        X = np.asarray(X)
+        residual = measure(X, B) - y
+        return cls(X, point, residual, float(np.linalg.norm(residual)), iteration)
+
+
 def _initialize_factors(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
-                        ) -> tuple[np.ndarray, FactorSpectrum]:
-    """De-lift of the rank-r truncation of the lifted back-projection, and that point.
+                        ) -> Iterate:
+    """Iteration 0: the de-lift of the rank-r truncation of the lifted back-projection.
 
     ``fast`` mode runs the randomized operator SVD seeded by ``config.seed``
     on FFT products; ``dense`` mode takes the SVD of the materialized lift.
@@ -136,7 +156,7 @@ def _initialize_factors(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: 
     else:
         factors = truncate_rank(hankel.lift(back, dims), config.rank)
     point = FactorSpectrum(factors, dims)
-    return hankel.pinv_lift_lowrank(point), point
+    return Iterate.at(hankel.pinv_lift_lowrank(point), point, y, B)
 
 
 def initialize(y: np.ndarray, B: np.ndarray, dims: HankelDims, r: int) -> np.ndarray:
@@ -145,47 +165,37 @@ def initialize(y: np.ndarray, B: np.ndarray, dims: HankelDims, r: int) -> np.nda
     It forms no lifted matrix: the operator SVD on FFT products and the FFT
     de-lift, so it runs at any n that ``solve`` does.
     """
-    return _initialize_factors(y, B, dims, SolverConfig(rank=r, mode="fast"))[0]
+    return _initialize_factors(y, B, dims, SolverConfig(rank=r, mode="fast")).X
 
 
-def iterate_once(X: np.ndarray, y: np.ndarray, B: np.ndarray, config: SolverConfig,
-                 point: FactorSpectrum, residual: np.ndarray | None = None,
-                 ) -> tuple[np.ndarray, FactorSpectrum]:
-    """One solver iteration from X and the carried rank-r point of its lift.
+def iterate_once(it: Iterate, y: np.ndarray, B: np.ndarray, config: SolverConfig) -> Iterate:
+    """One solver iteration: the ``Iterate`` that follows ``it``.
 
-    Takes a gradient step on the data misfit, lifts it, projects the lift onto
-    the tangent space at ``point``, truncates to rank r and de-lifts; returns
-    the new iterate and the new point, which the next iteration carries.
-    ``solve`` passes the point of the previous truncation, whose spectra the
-    step's two products read; a caller starting elsewhere wraps its own
-    factors, e.g. ``FactorSpectrum(truncate_rank(lift(X, dims), r), dims)``.
-    ``residual``, the data residual measure(X, B) - y, is computed here
-    unless the caller passes it, as ``solve`` does.  The products and the
-    de-lift run by FFTs, and the truncation through the 2r-by-2r core of
-    ``project_tangent_truncate``, so no iteration forms the lift;
-    ``config.mode`` is not read here.  Raises ``ValueError`` when the rank
-    is infeasible for the lift, as ``solve`` does, and ``DivergenceError``
-    if the update stops being finite; ``solve`` names the iteration in its
-    termination.
+    Takes a gradient step from ``it.residual``, lifts it, projects the lift
+    onto the tangent space at ``it.point``, truncates to rank r and de-lifts;
+    the new iterate carries the new point and its residual, the step's one
+    ``measure``.  To start elsewhere than ``solve``'s initialization, wrap
+    ``Iterate.at(X, FactorSpectrum(truncate_rank(lift(X, dims), r), dims), y, B)``.
+    Products and de-lift run by FFTs and the truncation through the 2r-by-2r
+    core of ``project_tangent_truncate``, so no iteration forms the lift or
+    reads ``config.mode``.  Raises ``ValueError`` on an infeasible rank, as
+    ``solve`` does, and ``DivergenceError`` if the update stops being finite.
     """
-    dims = point.dims
+    dims = it.point.dims
     dims.check_rank(config.rank)
-    X = np.asarray(X)
-    if not np.all(np.isfinite(X)):
+    if not np.all(np.isfinite(it.X)):
         raise DivergenceError("iterate is not finite")
-    if residual is None:
-        residual = measure(X, B) - y
-    Xt = X - config.step_size * adjoint_measure(residual, B)
+    Xt = it.X - config.step_size * adjoint_measure(it.residual, B)
     if not np.all(np.isfinite(Xt)):
         raise DivergenceError("gradient update is not finite")
     lifted = hankel.SignalSpectrum(Xt)
-    new = FactorSpectrum(project_tangent_truncate(hankel.lift_matvec(lifted, point, dims),
-                                                  hankel.lift_rmatvec(lifted, point, dims),
-                                                  point.factors, config.rank), dims)
+    new = FactorSpectrum(project_tangent_truncate(hankel.lift_matvec(lifted, it.point, dims),
+                                                  hankel.lift_rmatvec(lifted, it.point, dims),
+                                                  it.point.factors, config.rank), dims)
     X_new = hankel.pinv_lift_lowrank(new)
     if not np.all(np.isfinite(X_new)):
         raise DivergenceError("iterate is not finite")
-    return X_new, new
+    return Iterate.at(X_new, new, y, B, it.iteration + 1)
 
 
 def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
@@ -194,79 +204,68 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
     """Run the full solver: spectral initialization then hard-thresholded iterations.
 
     The initialization follows the mode: the operator SVD seeded by
-    ``config.seed`` in ``fast`` mode, the dense SVD in ``dense`` mode; the
-    iterations that follow run the same step in both modes, each handing the
-    iterate and its rank-r point to the next, so whole runs differ only by
-    how closely the two initializations agree.  Stops on a small relative
-    data residual, on stagnation of the iterates, at max_iters, or on
+    ``config.seed`` in ``fast`` mode, the dense SVD in ``dense`` mode; then
+    ``iterate_once`` maps one ``Iterate`` to the next in both modes, so whole
+    runs differ only by how closely the two initializations agree.  Stops on
+    a small relative data residual, on stagnation, at max_iters, or on
     divergence (residual growing well past its running minimum, or a step
-    that fails, as ``diverged: <reason> at iteration t``), in which case the
-    best iterate by residual is returned.  The trace carries the residual,
-    the relative error against ``ground_truth`` when supplied, wall-clock
-    timestamps and the iteration of the returned estimate.  Raises
-    ``ValueError`` before any work when y or B has the wrong shape or a
-    non-finite entry, or when the rank is infeasible for the lift: the
-    tangent space at a rank-r point needs 2r <= min(s*n1, n2) in both modes
-    (``HankelDims.check_rank``).
+    that fails, as ``diverged: <reason> at iteration t``), which returns the
+    best iterate by residual.  The trace carries the residual, the relative
+    error against ``ground_truth`` when supplied, wall-clock timestamps and
+    the iteration of the returned estimate.  Raises ``ValueError`` before any
+    work when y, B or ``ground_truth`` has the wrong shape or a non-finite
+    entry, ``ground_truth`` is zero, or the rank is infeasible for the lift:
+    a rank-r tangent space needs 2r <= min(s*n1, n2) (``HankelDims.check_rank``).
     """
-    y = np.asarray(y)
-    B = np.asarray(B)
+    y, B = np.asarray(y), np.asarray(B)
     if B.shape != (dims.s, dims.n) or y.shape != (dims.n,):
         raise ValueError("y/B shapes inconsistent with dims")
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(B))):
         raise ValueError("y and B must be finite")
+    if ground_truth is not None and (np.shape(ground_truth) != (dims.s, dims.n)
+                                     or not 0 < np.linalg.norm(ground_truth) < np.inf):
+        raise ValueError(f"ground_truth must be a finite nonzero {dims.s}x{dims.n} matrix")
     dims.check_rank(config.rank)
 
     y_norm = float(np.linalg.norm(y))
     denom = y_norm if y_norm > 0 else 1.0
     t_start = time.perf_counter()
-
-    def rel_err(X):
-        return relative_error(X, ground_truth) if ground_truth is not None else None
-
-    X, point = _initialize_factors(y, B, dims, config)
-    resid_vec = measure(X, B) - y
-    resid = float(np.linalg.norm(resid_vec))
     trace = ConvergenceTrace()
-    trace.records.append(TraceRecord(0, resid, rel_err(X),
-                                     time.perf_counter() - t_start))
 
-    best_resid, best_X, best_t = resid, X, 0
-    returned_t = 0
+    def record(it):
+        rel_error = relative_error(it.X, ground_truth) if ground_truth is not None else None
+        trace.records.append(TraceRecord(it.iteration, it.residual_norm, rel_error,
+                                         time.perf_counter() - t_start))
+
+    it = best = _initialize_factors(y, B, dims, config)
+    record(it)
     stagnant = grown = 0
     termination = "max_iters"
     for t in range(1, config.max_iters + 1):
+        X_prev = it.X
         try:
-            X_new, new_point = iterate_once(X, y, B, config, point, residual=resid_vec)
+            it = iterate_once(it, y, B, config)
         except (DivergenceError, np.linalg.LinAlgError) as exc:
             termination = f"diverged: {exc} at iteration {t}"
-            X, returned_t = best_X, best_t
+            it = best
             break
-        # Evaluated once: it is the trace's residual of X_new and the gradient
-        # residual of the next step.
-        resid_vec = measure(X_new, B) - y
-        resid = float(np.linalg.norm(resid_vec))
-        trace.records.append(TraceRecord(t, resid, rel_err(X_new),
-                                         time.perf_counter() - t_start))
-        if resid < best_resid:
-            best_resid, best_X, best_t = resid, X_new, t
-        step_norm = np.linalg.norm(X_new - X)
-        X_scale = np.linalg.norm(X)
-        X, point, returned_t = X_new, new_point, t
-
-        if resid / denom <= config.residual_tol:
+        record(it)
+        if it.residual_norm < best.residual_norm:
+            best = it
+        if it.residual_norm / denom <= config.residual_tol:
             termination = "converged"
             break
+        step_norm, X_scale = np.linalg.norm(it.X - X_prev), np.linalg.norm(X_prev)
         stagnant = stagnant + 1 if step_norm < _STAGNATION_TOL * max(X_scale, 1e-300) else 0
         if stagnant >= _STAGNATION_WINDOW:
             termination = "stagnated"
             break
-        grown = grown + 1 if resid > _DIVERGENCE_FACTOR * best_resid else 0
+        grown = grown + 1 if it.residual_norm > _DIVERGENCE_FACTOR * best.residual_norm else 0
         if grown >= _DIVERGENCE_WINDOW:
             termination = f"diverged: residual grew past its running minimum at iteration {t}"
-            X, returned_t = best_X, best_t
+            it = best
             break
 
     trace.termination = termination
-    trace.returned_iteration = returned_t
-    return X, trace
+    trace.returned_iteration = it.iteration
+    return it.X, trace

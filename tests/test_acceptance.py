@@ -21,7 +21,7 @@ from hankelsr.hankel import (FactorSpectrum, adjoint_lift, adjoint_lift_isometri
 from hankelsr.lowrank import project_tangent, truncate_rank
 from hankelsr.model import (adjoint_measure, build_signal, hankel_factorization,
                             measure, synth_instance, synth_model)
-from hankelsr.solver import SolverConfig, initialize, iterate_once, solve
+from hankelsr.solver import Iterate, SolverConfig, initialize, iterate_once, solve
 from hankelsr.solver import _initialize_factors
 
 
@@ -153,8 +153,8 @@ def test_criterion_4_fixed_point_and_linear_convergence():
     # (a) the exact solution moves less than 1e-10 in one iteration
     _, dims, B, X_true, y = synth_instance(256, 4, 5, seed_derivation(1, 0))
     truth = truncate_rank(lift(X_true, dims), 5)
-    X_next, _ = iterate_once(X_true, y, B, SolverConfig(rank=5, step_size=0.5),
-                             FactorSpectrum(truth, dims))
+    X_next = iterate_once(Iterate.at(X_true, FactorSpectrum(truth, dims), y, B), y, B,
+                          SolverConfig(rank=5, step_size=0.5)).X
     move = np.linalg.norm(X_next - X_true) / np.linalg.norm(X_true)
     assert move < 1e-10, f"fixed point moved {move:.2e} in one iteration"
 
@@ -197,28 +197,29 @@ def test_criterion_5_fast_path_equivalence_and_speed():
     for trial in range(10):
         _, dims, B, X_true, y = synth_instance(256, 4, 5, seed_derivation(55, trial))
         cfg = SolverConfig(rank=5, step_size=0.5)
-        X, point = _initialize_factors(y, B, dims, cfg)
-        X_ref, f_ref = X, point.factors
+        it = _initialize_factors(y, B, dims, cfg)
+        X_ref, f_ref = it.X, it.point.factors
         for t in range(12):
-            X, point = iterate_once(X, y, B, cfg, point)
+            it = iterate_once(it, y, B, cfg)
             X_ref, f_ref = reference_step(X_ref, y, B, dims, cfg, f_ref)
-            worst = max(worst, np.linalg.norm(X - X_ref) / np.linalg.norm(X_ref))
+            worst = max(worst, np.linalg.norm(it.X - X_ref) / np.linalg.norm(X_ref))
     assert worst < 1e-8, f"fast step diverged from the reference step by {worst:.2e}"
 
     # coarse per-iteration cost comparison at a larger size
     _, dims, B, X_true, y = synth_instance(1024, 2, 3, seed_derivation(56, 0))
     cfg = SolverConfig(rank=3, step_size=0.5)
-    X0, point0 = _initialize_factors(y, B, dims, cfg)
+    it0 = _initialize_factors(y, B, dims, cfg)
     per_iter = {}
-    # Each step maps (X, carried point) to the next pair: the reference step
-    # carries the factors, the solver step their FactorSpectrum.
+    # Each step maps its carried state to the next: the reference step an
+    # (X, factors) pair, the solver step an Iterate.
     for name, step, start, iters in (
-            ("reference", lambda X, f: reference_step(X, y, B, dims, cfg, f), point0.factors, 3),
-            ("fast", lambda X, p: iterate_once(X, y, B, cfg, p), point0, 30)):
-        X, f = step(X0, start)  # warm-up
+            ("reference", lambda st: reference_step(st[0], y, B, dims, cfg, st[1]),
+             (it0.X, it0.point.factors), 3),
+            ("fast", lambda it: iterate_once(it, y, B, cfg), it0, 30)):
+        state = step(start)  # warm-up
         t0 = time.perf_counter()
         for _ in range(iters):
-            X, f = step(X, f)
+            state = step(state)
         per_iter[name] = (time.perf_counter() - t0) / iters
     speedup = per_iter["reference"] / per_iter["fast"]
     assert speedup >= 5.0, f"fast step only {speedup:.1f}x faster"

@@ -225,6 +225,20 @@ class TestRejectedInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out) in err
 
+    def test_sweep_unwritable_summary_leaves_no_output(self, tmp_path, capsys, monkeypatch):
+        # the summary path is a directory: sweep fails before any trial and
+        # removes the rows file it had already opened
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --out was opened")
+
+        monkeypatch.setattr(cli, "solve", no_work)
+        (tmp_path / "x_summary.csv").mkdir()
+        code = run_cli("sweep", "--n", "32", "--s", "2", "--r", "2", "--trials", "1",
+                       "--out", str(tmp_path / "x.csv"))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["x_summary.csv"]
+
     def test_infeasible_rank_leaves_no_output(self, tmp_path, capsys):
         # lifted shape (20, 6): the tangent space at rank 4 would need 8 columns
         out = tmp_path / "x.csv"

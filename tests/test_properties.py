@@ -18,7 +18,7 @@ from hankelsr.lowrank import (LowRankFactors, project_tangent,
                               project_tangent_truncate, truncate_rank,
                               truncate_rank_operator)
 from hankelsr.model import adjoint_measure, measure
-from hankelsr.solver import SolverConfig, iterate_once, relative_error
+from hankelsr.solver import Iterate, SolverConfig, iterate_once, relative_error
 
 # Few, reproducible examples: each draws a fresh shape, so a handful covers
 # the edge splits without slowing the suite.
@@ -240,7 +240,7 @@ def test_dense_step_matches_reference_step(case):
     svals = np.linalg.svd(project_tangent(lift(Xt, dims), factors), compute_uv=False)
     assume(svals[r - 1] - svals[r] > 1e-3 * svals[0])  # a well-defined rank-r truncation
 
-    X_new, _ = iterate_once(X, y, B, cfg, FactorSpectrum(factors, dims))
+    X_new = iterate_once(Iterate.at(X, FactorSpectrum(factors, dims), y, B), y, B, cfg).X
     X_ref, _ = reference_step(X, y, B, dims, cfg, factors)
     assert relative_error(X_new, X_ref) < 1e-10
 

@@ -1,5 +1,6 @@
 """Solver tests: initialization, single steps, full runs, stopping rules."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -12,7 +13,7 @@ from hankelsr.diagnostics import estimate_rip_norm, spectral_distance
 from hankelsr.hankel import FactorSpectrum, choose_dims, lift, pinv_lift
 from hankelsr.model import (adjoint_measure, build_signal, measure,
                             sample_subspace, synth_instance, synth_model)
-from hankelsr.solver import (ConvergenceTrace, DivergenceError, SolverConfig,
+from hankelsr.solver import (ConvergenceTrace, DivergenceError, Iterate, SolverConfig,
                              _initialize_factors, initialize, iterate_once,
                              relative_error, solve)
 
@@ -111,9 +112,11 @@ class TestIterateOnce:
                 *hankel.lift_products(X_true, dims), dims.lifted_shape, 2, seed=cfg.seed)
         else:
             truth = lowrank.truncate_rank(lift(X_true, dims), 2)
-        X_next, point = iterate_once(X_true, y, B, cfg, FactorSpectrum(truth, dims))
+        nxt = iterate_once(Iterate.at(X_true, FactorSpectrum(truth, dims), y, B), y, B, cfg)
+        X_next, point = nxt.X, nxt.point
         assert relative_error(X_next, X_true) < 1e-10
         assert point.factors.rank == 2
+        assert nxt.iteration == 1
         X_ref, _ = reference_step(X_true, y, B, dims, cfg, truth)
         assert relative_error(X_next, X_ref) < 1e-10
 
@@ -122,12 +125,12 @@ class TestIterateOnce:
         # lift, each carrying its own iterate from the dense initialization.
         dims, B, X_true, y = make_instance(256, 4, 5, 20)
         cfg = SolverConfig(rank=5, mode="dense", step_size=0.5)
-        X, point = _initialize_factors(y, B, dims, cfg)
-        X_ref, ref_factors = X, point.factors
+        it = _initialize_factors(y, B, dims, cfg)
+        X_ref, ref_factors = it.X, it.point.factors
         for _ in range(12):
-            X, point = iterate_once(X, y, B, cfg, point)
+            it = iterate_once(it, y, B, cfg)
             X_ref, ref_factors = reference_step(X_ref, y, B, dims, cfg, ref_factors)
-            assert relative_error(X, X_ref) < 1e-10
+            assert relative_error(it.X, X_ref) < 1e-10
 
     @pytest.mark.parametrize("mode", ["dense", "fast"])
     def test_infeasible_rank_rejected_as_in_solve(self, mode):
@@ -137,7 +140,7 @@ class TestIterateOnce:
         cfg = SolverConfig(rank=4, mode=mode)
         point = FactorSpectrum(lowrank.truncate_rank(lift(X_true, dims), 4), dims)
         with pytest.raises(ValueError) as stepped:
-            iterate_once(X_true, y, B, cfg, point)
+            iterate_once(Iterate.at(X_true, point, y, B), y, B, cfg)
         with pytest.raises(ValueError) as solved:
             solve(y, B, dims, cfg)
         assert str(stepped.value) == str(solved.value)
@@ -146,9 +149,9 @@ class TestIterateOnce:
     def test_zero_step_is_identity_on_model_signals(self):
         dims, B, X_true, y = make_instance(24, 2, 2, 4)
         cfg = SolverConfig(rank=2, step_size=0.0)
-        X_next, _ = iterate_once(X_true, y, B, cfg,
-                                 FactorSpectrum(lowrank.truncate_rank(lift(X_true, dims), 2), dims))
-        assert relative_error(X_next, X_true) < 1e-12
+        point = FactorSpectrum(lowrank.truncate_rank(lift(X_true, dims), 2), dims)
+        nxt = iterate_once(Iterate.at(X_true, point, y, B), y, B, cfg)
+        assert relative_error(nxt.X, X_true) < 1e-12
 
     @pytest.mark.parametrize("mode", ["dense", "fast"])
     def test_zero_data_stays_at_zero(self, mode):
@@ -168,12 +171,12 @@ class TestIterateOnce:
         cfg = SolverConfig(rank=2)
         point = FactorSpectrum(lowrank.truncate_rank(lift(X_true, dims), 2), dims)
         with pytest.raises(DivergenceError, match="^iterate is not finite$"):
-            iterate_once(bad, y, B, cfg, point)
+            iterate_once(Iterate.at(bad, point, y, B), y, B, cfg)
         step, calls = solver.iterate_once, []
 
-        def poisoned(X, *args, **kwargs):
+        def poisoned(it, *args, **kwargs):
             calls.append(1)
-            return step(bad if len(calls) == 7 else X, *args, **kwargs)
+            return step(dataclasses.replace(it, X=bad) if len(calls) == 7 else it, *args, **kwargs)
 
         monkeypatch.setattr(solver, "iterate_once", poisoned)
         _, trace = solve(y, B, dims, cfg)
@@ -202,9 +205,9 @@ class TestTransformCount:
         # were taken by the initialization's de-lift.
         dims, B, X_true, y = make_instance(256, 4, 5, seed_derivation(1, 0))
         cfg = SolverConfig(rank=5, mode="fast", step_size=0.5)
-        X, point = _initialize_factors(y, B, dims, cfg)
+        it = _initialize_factors(y, B, dims, cfg)
         counts.update(fft=0, ifft=0)
-        iterate_once(X, y, B, cfg, point)
+        iterate_once(it, y, B, cfg)
         assert counts == {"fft": 29, "ifft": 29}
 
     def test_solve_transforms_each_truncation_once(self, counts):
@@ -359,10 +362,14 @@ class TestSolve:
             return truncate(*args)
 
         monkeypatch.setattr(solver, "project_tangent_truncate", failing)
-        _, trace = solve(y, B, dims, SolverConfig(rank=2))
+        X_hat, trace = solve(y, B, dims, SolverConfig(rank=2))
         assert "at iteration 3" in trace.termination
         assert trace.termination.startswith("diverged: projected core")
         assert trace.returned_iteration <= 2
+        # the residuals of iterations 0-2 fall, so the best iterate is the last one run
+        assert trace.returned_iteration == 2
+        assert (trace.records[2].residual == min(trace.residuals)
+                == np.linalg.norm(measure(X_hat, B) - y))
 
     def test_operator_init_matches_dense_init(self):
         dims, B, X_true, y = make_instance(64, 2, 2, 14)
@@ -464,16 +471,29 @@ class TestSolve:
         with pytest.raises(ValueError, match="finite"):
             solve(y, B_bad, dims, cfg)
 
+    @pytest.mark.parametrize("truth", ["zero", "wrong_shape", "nan"])
+    def test_bad_ground_truth_rejected_up_front(self, truth, monkeypatch):
+        dims, B, X_true, y = make_instance(32, 2, 2, 16)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("solve started work on a bad ground truth")
+
+        monkeypatch.setattr(solver, "_initialize_factors", no_work)
+        bad = {"zero": np.zeros_like(X_true), "wrong_shape": np.ones((3, 3)),
+               "nan": np.full_like(X_true, np.nan)}[truth]
+        with pytest.raises(ValueError, match="ground_truth"):
+            solve(y, B, dims, SolverConfig(rank=2), ground_truth=bad)
+
     @pytest.mark.parametrize("mode", ["dense", "fast"])
     def test_residual_evaluated_once_per_iteration(self, mode, monkeypatch):
         dims, B, X_true, y = make_instance(48, 2, 2, 17)
         cfg = SolverConfig(rank=2, max_iters=6, mode=mode, step_size=0.5)
-        # Reference: the same iteration with every step evaluating its own residual.
-        X, point = _initialize_factors(y, B, dims, cfg)
-        expected = [float(np.linalg.norm(measure(X, B) - y))]
+        # Reference: the same iterates, each residual evaluated afresh.
+        it = _initialize_factors(y, B, dims, cfg)
+        expected = [float(np.linalg.norm(measure(it.X, B) - y))]
         for t in range(1, 7):
-            X, point = iterate_once(X, y, B, cfg, point)
-            expected.append(float(np.linalg.norm(measure(X, B) - y)))
+            it = iterate_once(it, y, B, cfg)
+            expected.append(float(np.linalg.norm(measure(it.X, B) - y)))
 
         calls = []
 
