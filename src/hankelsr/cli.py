@@ -5,7 +5,8 @@ Subcommands
 run     synthesize one instance, solve it, write a per-iteration trace file
         (CSV) plus a JSON sidecar with the full configuration and timing.
 sweep   run a grid of (n, s, r) cells with several seeded trials per cell;
-        write one row per trial plus an aggregated success-rate table.
+        write one row per trial (the fields of ``TrialRecord``) plus an
+        aggregated success-rate table.
 check   run the invariant suite at small sizes; nonzero exit on any failure.
 report  compute and emit the instance-constants report as flat JSON.
 
@@ -17,13 +18,16 @@ rank-r truncation that found no residual certificate within its budget
 Flags may also be supplied through ``--config FILE`` (JSON, keys mirroring
 the long flag names with underscores); explicit flags override the file.
 Each shared flag is one field of ``ExperimentConfig``, which declares its
-default, the parser of its value and its help once.
+default, the parser of its value and its help once.  Every command draws its
+instances through ``ExperimentConfig.instance``, and writes CSV through
+``_write_csv``.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -151,11 +155,23 @@ class ExperimentConfig:
         # building one checks --max-iters, --tol, --mode and --step-size up front
         self.solver_config(rank=1, seed=0)
 
-    def single(self, name: str) -> int:
-        grid = getattr(self, name)
-        if len(grid) != 1:
-            raise ValueError(f"--{name} must be a single value for this command")
-        return grid[0]
+    def single(self) -> tuple[int, int, int]:
+        """The one ``(n, s, r)`` cell of a command that takes no grid."""
+        for name in ("n", "s", "r"):
+            if len(getattr(self, name)) != 1:
+                raise ValueError(f"--{name} must be a single value for this command")
+        return self.n[0], self.s[0], self.r[0]
+
+    def instance(self, n: int, s: int, r: int, trial: int):
+        """The trial's derived seed and ``synth_instance``'s five values,
+        ``(derived, model, dims, B, X_true, y)``: the one recipe of every
+        command's instances.  Raises ``ValueError`` on a rank ``solve`` would
+        reject, before any output exists."""
+        derived = seed_derivation(self.seed, trial)
+        mdl, dims, B, X_true, y = synth_instance(n, s, r, derived, self.n1,
+                                                 self.complex_subspace)
+        dims.check_rank(r)
+        return derived, mdl, dims, B, X_true, y
 
     def solver_config(self, rank: int, seed: int) -> SolverConfig:
         return SolverConfig(rank=rank, max_iters=self.max_iters,
@@ -180,12 +196,28 @@ class TrialRecord:
     report: AssumptionReport | None = None
 
 
-def _fmt(value: float | None) -> str:
+_TRIAL_COLUMNS = tuple(f.name for f in fields(TrialRecord) if f.name != "report")
+_REPORT_COLUMNS = tuple(f.name for f in fields(AssumptionReport))
+_SUMMARY_COLUMNS = ("n", "s", "r", "trials", "successes", "success_rate")
+
+
+def _field(value) -> str:
     if value is None:
         return ""
-    if math.isinf(value):
-        return "-inf" if value < 0 else "inf"
-    return repr(float(value))
+    if isinstance(value, str):
+        return '"' + value.replace('"', "'") + '"'
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(int(value))
+
+
+def _write_csv(fh: TextIO, header, rows) -> None:
+    """Write a header line and one line per row.  A field is empty for None,
+    a float's repr, an integer (a bool as 0/1), or a string in double quotes
+    with any ``"`` in it turned into ``'``, so that a termination is always
+    one field whatever it says."""
+    lines = [",".join(header)] + [",".join(map(_field, row)) for row in rows]
+    fh.write("\n".join(lines) + "\n")
 
 
 def write_trace(fh: TextIO, trace) -> None:
@@ -195,19 +227,11 @@ def write_trace(fh: TextIO, trace) -> None:
     Wall-clock times stay out of the file, so identical seeds give
     byte-identical traces; the ``run`` sidecar carries them.
     """
-    has_err = any(rec.rel_error is not None for rec in trace.records)
-    cols = ["iter", "residual"]
-    if has_err:
-        cols += ["rel_error", "log10_rel_error"]
-    lines = [",".join(cols)]
-    for rec in trace.records:
-        row = [str(rec.iteration), _fmt(rec.residual)]
-        if has_err:
-            err = rec.rel_error
-            log_err = math.log10(err) if err and err > 0 else -math.inf
-            row += [_fmt(err), _fmt(log_err)]
-        lines.append(",".join(row))
-    fh.write("\n".join(lines) + "\n")
+    width = 4 if any(rec.rel_error is not None for rec in trace.records) else 2
+    rows = [(rec.iteration, rec.residual, rec.rel_error,
+             math.log10(rec.rel_error) if (rec.rel_error or 0) > 0 else -math.inf)[:width]
+            for rec in trace.records]
+    _write_csv(fh, ("iter", "residual", "rel_error", "log10_rel_error")[:width], rows)
 
 
 @contextlib.contextmanager
@@ -229,12 +253,9 @@ def _output_files(*paths: str):
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
-    n, s, r = cfg.single("n"), cfg.single("s"), cfg.single("r")
-    derived = seed_derivation(cfg.seed, 0)
-    _, dims, B, X_true, y = synth_instance(n, s, r, derived, cfg.n1,
-                                           cfg.complex_subspace)
+    n, s, r = cfg.single()
+    derived, _, dims, B, X_true, y = cfg.instance(n, s, r, 0)
     out = cfg.out or "run_trace.csv"
-    dims.check_rank(r)  # solve's rule, before any output exists
     # Opened before the solve, so that an unwritable path fails first.
     with _output_files(out, out + ".meta.json") as (trace_fh, meta_fh):
         t0 = time.perf_counter()
@@ -274,66 +295,41 @@ def cmd_run(cfg: ExperimentConfig) -> int:
 
 
 def _run_trial(cfg: ExperimentConfig, n: int, s: int, r: int, trial: int) -> TrialRecord:
-    derived = seed_derivation(cfg.seed, trial)
     t0 = time.perf_counter()
+    rel_error, iterations, report = None, 0, None
     try:
-        mdl, dims, B, X_true, y = synth_instance(n, s, r, derived, cfg.n1,
-                                                 cfg.complex_subspace)
+        derived, mdl, dims, B, X_true, y = cfg.instance(n, s, r, trial)
         _, trace = solve(y, B, dims, cfg.solver_config(r, derived),
                          ground_truth=X_true)
-        rel_error = trace.records[trace.returned_iteration].rel_error
         report = assumption_report(mdl, B, dims) if cfg.with_report else None
-        return TrialRecord(
-            n=n, s=s, r=r, trial=trial, derived_seed=derived,
-            rel_error=rel_error, iterations=trace.records[-1].iteration,
-            termination=trace.termination,
-            elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-            success=rel_error < cfg.success_tol, report=report)
+        # Read after the report, so that a failed report leaves no outcome.
+        rel_error = trace.records[trace.returned_iteration].rel_error
+        iterations, termination = trace.records[-1].iteration, trace.termination
     except ValueError as exc:
         termination = f"config_error: {exc}"
     except RankTruncationError as exc:
         termination = f"truncation_error: {exc}"
     return TrialRecord(
-        n=n, s=s, r=r, trial=trial, derived_seed=derived, rel_error=None,
-        iterations=0, termination=termination,
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0, success=False)
-
-
-_REPORT_COLUMNS = tuple(f.name for f in fields(AssumptionReport))
+        n=n, s=s, r=r, trial=trial, derived_seed=seed_derivation(cfg.seed, trial),
+        rel_error=rel_error, iterations=iterations, termination=termination,
+        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
+        success=rel_error is not None and rel_error < cfg.success_tol, report=report)
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
     out = cfg.out or "sweep_results.csv"
     summary_path = os.path.splitext(out)[0] + "_summary.csv"
+    report_columns = _REPORT_COLUMNS if cfg.with_report else ()
     # Opened before any trial, so that an unwritable path fails first.
     with _output_files(out, summary_path) as (rows_fh, summary_fh):
-        records = [
-            _run_trial(cfg, n, s, r, trial)
-            for n in cfg.n for s in cfg.s for r in cfg.r
-            for trial in range(cfg.trials)
-        ]
-
-        header = ["n", "s", "r", "trial", "derived_seed", "rel_error",
-                  "iterations", "termination", "elapsed_ms", "success"]
-        if cfg.with_report:
-            header += list(_REPORT_COLUMNS)
-        lines = [",".join(header)]
-        for rec in records:
-            row = [str(rec.n), str(rec.s), str(rec.r), str(rec.trial),
-                   str(rec.derived_seed), _fmt(rec.rel_error), str(rec.iterations),
-                   '"' + rec.termination.replace('"', "'") + '"',
-                   _fmt(rec.elapsed_ms), str(int(rec.success))]
-            if cfg.with_report:
-                stats = rec.report.as_dict() if rec.report is not None else {}
-                row += [_fmt(stats.get(key)) for key in _REPORT_COLUMNS]
-            lines.append(",".join(row))
-        rows_fh.write("\n".join(lines) + "\n")
-
+        records = [_run_trial(cfg, n, s, r, trial) for n in cfg.n for s in cfg.s
+                   for r in cfg.r for trial in range(cfg.trials)]
+        _write_csv(rows_fh, _TRIAL_COLUMNS + report_columns, [
+            [getattr(rec, name) for name in _TRIAL_COLUMNS]
+            + [getattr(rec.report, name, None) for name in report_columns]
+            for rec in records])
         summary = aggregate_sweep(records)
-        summary_fh.write("n,s,r,trials,successes,success_rate\n")
-        for cell in summary:
-            summary_fh.write(f"{cell['n']},{cell['s']},{cell['r']},{cell['trials']},"
-                             f"{cell['successes']},{_fmt(cell['success_rate'])}\n")
+        _write_csv(summary_fh, _SUMMARY_COLUMNS, [cell.values() for cell in summary])
     print(f"sweep wrote {len(records)} trials to {out}")
     print("n    s    r    success_rate")
     for cell in summary:
@@ -344,38 +340,29 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 
 def aggregate_sweep(records: list[TrialRecord]) -> list[dict]:
     """Success-rate table per (n, s, r) cell; a pure function of trial records."""
-    cells: dict[tuple, dict] = {}
-    for rec in records:
-        key = (rec.n, rec.s, rec.r)
-        cell = cells.setdefault(key, {"n": rec.n, "s": rec.s, "r": rec.r,
-                                      "trials": 0, "successes": 0})
-        cell["trials"] += 1
-        cell["successes"] += int(rec.success)
-    out = []
-    for key in sorted(cells):
-        cell = cells[key]
-        cell["success_rate"] = cell["successes"] / cell["trials"]
-        out.append(cell)
-    return out
+    def cell(rec):
+        return rec.n, rec.s, rec.r
+
+    summary = []
+    for key, group in itertools.groupby(sorted(records, key=cell), key=cell):
+        successes = [rec.success for rec in group]
+        trials, wins = len(successes), sum(successes)
+        summary.append(dict(zip(_SUMMARY_COLUMNS, (*key, trials, wins, wins / trials))))
+    return summary
 
 
 def cmd_check() -> int:
     results = run_all()
-    failed = 0
     for res in results:
-        tag = "PASS" if res.passed else "FAIL"
-        print(f"[{tag}] {res.name}: {res.detail}")
-        failed += 0 if res.passed else 1
+        print(f"[{'PASS' if res.passed else 'FAIL'}] {res.name}: {res.detail}")
+    failed = sum(not res.passed for res in results)
     print(f"check: {len(results) - failed}/{len(results)} properties passed")
     return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
 
 
 def cmd_report(cfg: ExperimentConfig) -> int:
-    n, s, r = cfg.single("n"), cfg.single("s"), cfg.single("r")
-    derived = seed_derivation(cfg.seed, 0)
-    mdl, dims, B, _, _ = synth_instance(n, s, r, derived, cfg.n1,
-                                        cfg.complex_subspace)
-    dims.check_rank(r)  # solve's rule, before any output exists
+    n, s, r = cfg.single()
+    derived, mdl, dims, B, _, _ = cfg.instance(n, s, r, 0)
     # Opened before the report, so that an unwritable path fails first.
     with _output_files(*filter(None, [cfg.out])) as handles:
         report = assumption_report(mdl, B, dims)
@@ -447,17 +434,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "check":
             return cmd_check()
         cfg = _merge_config(args)
-        if args.command == "run":
-            return cmd_run(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        return cmd_report(cfg)  # argparse has rejected any other command
-    except (_UsageError, ValueError, OSError) as exc:  # OSError: an unwritable --out
+        # argparse has rejected any other command
+        return {"run": cmd_run, "sweep": cmd_sweep, "report": cmd_report}[args.command](cfg)
+    except (_UsageError, ValueError, OSError, RankTruncationError) as exc:  # OSError: --out
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except RankTruncationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+        return EXIT_DIVERGED if isinstance(exc, RankTruncationError) else EXIT_USAGE
 
 
 def console_main() -> None:

@@ -67,7 +67,7 @@ class RankTruncationError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class LowRankFactors:
-    """Compact SVD triple: U (m, k) and V (p, k) orthonormal, sigma descending > 0.
+    """Compact SVD triple: U (m, k) and V (p, k) orthonormal, sigma finite, descending > 0.
 
     k can fall below the requested rank when trailing singular values vanish;
     reconstructions, not raw factors, are the comparable quantity (factors are
@@ -85,11 +85,13 @@ class LowRankFactors:
         if self.U.shape[1] != k or self.V.shape[1] != k:
             raise ValueError("factor column counts must match len(sigma)")
         if k:
-            if np.any(self.sigma <= 0) or np.any(np.diff(self.sigma) > 0):
-                raise ValueError("sigma must be positive and non-increasing")
+            # Each test is written to fail on NaN, which compares False.
+            if not (np.all((self.sigma > 0) & (self.sigma < np.inf))
+                    and np.all(np.diff(self.sigma) <= 0)):
+                raise ValueError("sigma must be finite, positive and non-increasing")
             for Q in (self.U, self.V):
                 gram = _hermitian(Q, Q)
-                if np.max(np.abs(gram - np.eye(k))) > _ORTHO_TOL:
+                if not np.max(np.abs(gram - np.eye(k))) <= _ORTHO_TOL:
                     raise ValueError("factor columns must be orthonormal")
 
     @property

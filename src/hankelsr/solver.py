@@ -214,20 +214,21 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
     error against ``ground_truth`` when supplied, wall-clock timestamps and
     the iteration of the returned estimate.  Raises ``ValueError`` before any
     work when y, B or ``ground_truth`` has the wrong shape or a non-finite
-    entry, ``ground_truth`` is zero, or the rank is infeasible for the lift:
+    entry, the norm of y overflows (every relative residual would read 0),
+    ``ground_truth`` is zero, or the rank is infeasible for the lift:
     a rank-r tangent space needs 2r <= min(s*n1, n2) (``HankelDims.check_rank``).
     """
     y, B = np.asarray(y), np.asarray(B)
     if B.shape != (dims.s, dims.n) or y.shape != (dims.n,):
         raise ValueError("y/B shapes inconsistent with dims")
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(B))):
-        raise ValueError("y and B must be finite")
+    y_norm = float(np.linalg.norm(y))  # inf if an entry is, or if the sum overflows
+    if not (math.isfinite(y_norm) and np.all(np.isfinite(B))):
+        raise ValueError("y and B must be finite, and so must the norm of y")
     if ground_truth is not None and (np.shape(ground_truth) != (dims.s, dims.n)
                                      or not 0 < np.linalg.norm(ground_truth) < np.inf):
         raise ValueError(f"ground_truth must be a finite nonzero {dims.s}x{dims.n} matrix")
     dims.check_rank(config.rank)
 
-    y_norm = float(np.linalg.norm(y))
     denom = y_norm if y_norm > 0 else 1.0
     t_start = time.perf_counter()
     trace = ConvergenceTrace()

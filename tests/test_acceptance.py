@@ -6,9 +6,11 @@ pass/fail status is the pytest outcome itself.  Run with::
     python3 -m pytest tests/test_acceptance.py -v -s
 """
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -264,17 +266,21 @@ def test_criterion_7_tangent_restricted_isometry_trend():
 
 
 def test_criterion_8_determinism_and_check_suite(tmp_path):
+    # The child processes import the package from src/, as pytest does.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     args = [sys.executable, "-m", "hankelsr.cli", "run", "--n", "64", "--s", "2",
             "--r", "2", "--seed", "9", "--max-iters", "80", "--mode", "dense"]
     for name in ("a.csv", "b.csv"):
         proc = subprocess.run(args + ["--out", str(tmp_path / name)],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "hankelsr.cli", "check"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     elapsed = time.perf_counter() - start
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "[FAIL]" not in proc.stdout

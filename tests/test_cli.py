@@ -1,6 +1,7 @@
 """Harness tests: seed derivation, trace files, sweeps, checks, reports."""
 
 import argparse
+import csv
 import io
 import json
 import re
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 
 from hankelsr import checks, cli, lowrank
-from hankelsr.cli import (EXIT_DIVERGED, EXIT_USAGE, TrialRecord, aggregate_sweep,
-                          main, seed_derivation, synth_instance, write_trace)
+from hankelsr.cli import (EXIT_DIVERGED, EXIT_USAGE, ExperimentConfig, TrialRecord,
+                          aggregate_sweep, main, seed_derivation, synth_instance,
+                          write_trace)
 from hankelsr.model import measure
 from hankelsr.solver import (ConvergenceTrace, SolverConfig, TraceRecord,
                              relative_error, solve)
@@ -32,6 +34,29 @@ class TestSeedDerivation:
 
     def test_distinct_masters_differ(self):
         assert seed_derivation(0, 0) != seed_derivation(1, 0)
+
+
+class TestTrialRecipe:
+    def test_instance_is_synth_instance_at_the_derived_seed(self):
+        derived, *got = ExperimentConfig(seed=3, complex_subspace=True).instance(48, 2, 2, 1)
+        assert derived == seed_derivation(3, 1)
+        want = synth_instance(48, 2, 2, derived, None, True)
+        assert (got[1].n, got[1].s, got[1].n1) == (want[1].n, want[1].s, want[1].n1)
+        for a, b in zip(got[2:], want[2:]):
+            np.testing.assert_array_equal(a, b)
+
+    def test_instance_applies_the_solver_rank_rule(self):
+        # lifted shape (20, 6): the tangent space at rank 4 would need 8 columns
+        with pytest.raises(ValueError, match=re.escape("rank 4 infeasible for lifted "
+                                                       "shape (20, 6)")):
+            ExperimentConfig().instance(10, 4, 4, 0)
+
+    def test_single_checks_n_then_s_then_r(self):
+        assert ExperimentConfig(n=(32,), s=(2,), r=(3,)).single() == (32, 2, 3)
+        for grids, name in [(dict(n=(8, 16), s=(1, 2), r=(1, 2)), "n"),
+                            (dict(s=(1, 2), r=(1, 2)), "s"), (dict(r=(1, 2)), "r")]:
+            with pytest.raises(ValueError, match=f"^--{name} must be a single value"):
+                ExperimentConfig(**grids).single()
 
 
 def run_cli(*args):
@@ -329,6 +354,43 @@ class TestSweep:
                  for row in summary[1:]}
         assert rates[("32", "2", "2")] == 1.0
         assert rates[("32", "2", "20")] == 0.0
+
+    def test_rows_parse_as_csv(self, tmp_path):
+        # the r=20 termination holds a comma, so it must stay one quoted field
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--n", "32", "--s", "2", "--r", "2,20", "--trials", "1",
+                       "--mode", "fast", "--out", str(out)) == 0
+        with open(out, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert len(rows) == 2 and all(len(row) == len(header) for row in rows)
+        assert rows[1][header.index("termination")] == (
+            "config_error: need n >= 2r for a feasible rank-20 split, got n=32")
+
+    def test_infeasible_rank_row(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--n", "10", "--s", "4", "--r", "4",
+                       "--out", str(out)) == 0
+        row = out.read_text().strip().split("\n")[1]
+        assert row.startswith(f"10,4,4,0,{seed_derivation(1, 0)},,0,"
+                              '"config_error: rank 4 infeasible for lifted shape (20, 6)')
+        assert row.endswith(",0")
+
+    def test_failed_report_leaves_no_outcome(self, tmp_path, monkeypatch):
+        # the solve succeeds, the report raises: the row records neither
+        def failing_report(*args, **kwargs):
+            raise ValueError("report failed")
+
+        monkeypatch.setattr(cli, "assumption_report", failing_report)
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--n", "32", "--s", "2", "--r", "2", "--seed", "2",
+                       "--trials", "1", "--max-iters", "40", "--mode", "fast",
+                       "--with-report", "--out", str(out)) == 0
+        with open(out, newline="") as fh:
+            header, row = list(csv.reader(fh))
+        fields = dict(zip(header, row))
+        assert fields["rel_error"] == "" and fields["iterations"] == "0"
+        assert fields["termination"] == "config_error: report failed"
+        assert fields["success"] == "0" and fields["kappa"] == ""
 
     def test_summary_path_beside_a_dotted_directory(self, tmp_path, monkeypatch):
         # the summary's name drops the extension of --out, not of its directory

@@ -66,6 +66,22 @@ class TestLowRankFactors:
             LowRankFactors(U=np.eye(3)[:, :2], sigma=np.array([1.0, 2.0]),
                            V=np.eye(3)[:, :2])
 
+    @pytest.mark.parametrize("bad", ["nan_U", "nan_sigma", "nan_V", "inf_sigma"])
+    def test_validation_rejects_nonfinite(self, bad):
+        # each check must fail on NaN, which compares False both ways
+        Q = np.eye(3)[:, :2]
+        U, sigma, V = Q.copy(), np.array([2.0, 1.0]), Q.copy()
+        if bad == "nan_U":
+            U[0, 0] = np.nan
+        elif bad == "nan_sigma":
+            sigma[1] = np.nan
+        elif bad == "nan_V":
+            V[:] = np.nan
+        else:
+            U, sigma, V = Q[:, :1], np.array([np.inf]), Q[:, :1]
+        with pytest.raises(ValueError):
+            LowRankFactors(U=U, sigma=sigma, V=V)
+
 
 class TestProjectTangent:
     def _axis_tangent(self):

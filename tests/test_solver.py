@@ -471,6 +471,23 @@ class TestSolve:
         with pytest.raises(ValueError, match="finite"):
             solve(y, B_bad, dims, cfg)
 
+    @pytest.mark.parametrize("mode", ["dense", "fast"])
+    def test_overflowing_data_norm_rejected_up_front(self, mode, monkeypatch):
+        # every entry is finite, but ||y|| overflows: each residual over it
+        # would read 0 and pass any tolerance
+        _, dims, B, _, y = synth_instance(256, 4, 5, 1)
+        y_big = y * 1e152
+        assert np.all(np.isfinite(y_big))
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("solve started work on data whose norm overflows")
+
+        monkeypatch.setattr(solver, "_initialize_factors", no_work)
+        with np.errstate(over="ignore"):
+            assert np.linalg.norm(y_big) == np.inf
+            with pytest.raises(ValueError, match="norm of y"):
+                solve(y_big, B, dims, SolverConfig(rank=5, mode=mode))
+
     @pytest.mark.parametrize("truth", ["zero", "wrong_shape", "nan"])
     def test_bad_ground_truth_rejected_up_front(self, truth, monkeypatch):
         dims, B, X_true, y = make_instance(32, 2, 2, 16)
