@@ -132,8 +132,9 @@ class ExperimentConfig:
     max_iters: int = _flag(SolverConfig.max_iters, _integer, "iteration cap of a solve")
     tol: float = _flag(SolverConfig.residual_tol, _real,
                        "relative residual stopping tolerance")
-    mode: str = _flag(SolverConfig.mode, _text, "initialization: exact dense SVD or "
-                      "seeded operator SVD", choices=MODES)
+    mode: str = _flag(SolverConfig.mode, _text, "how the seeded operator SVD of the "
+                      "initialization takes its products: with the materialized lift "
+                      "or by FFTs", choices=MODES)
     step_size: float = _flag(SolverConfig.step_size, _real, "gradient step size")
     n1: int | None = _flag(None, _integer, "override the Hankel split")
     out: str | None = _flag(None, _text, "output path")

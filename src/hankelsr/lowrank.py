@@ -8,9 +8,9 @@ Projecting onto it and re-truncating is the inner step of the solver.  Every
 solver iteration runs it as ``project_tangent_truncate``, which reads the
 full matrix only through its products with the point's two factors and ends
 in the SVD of a 2k-by-2k core, keeping the per-iteration cost at the factor
-scale.  The dense ``truncate_rank`` serves the dense initialization and, with
-the dense ``project_tangent``, the checks and tests, as the oracle of that
-step; the fast initialization and the diagnostics use
+scale.  The dense ``truncate_rank`` and ``project_tangent`` serve only the
+checks and tests, as the oracles of that step and of the initialization;
+the solver's initialization in both modes and the diagnostics use
 ``truncate_rank_operator``, a randomized block Krylov SVD that stops on a
 residual certificate.  Hermitian products of tall factors conjugate one
 cache-sized block of rows at a time (``_hermitian``).

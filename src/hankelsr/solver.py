@@ -13,10 +13,11 @@ truncates in one step through the SVD of a 2r-by-2r core
 FFTs, at O(r^2 s n + r s n log n) per iteration.  Each iteration maps one
 ``Iterate`` to the next: X, its data residual and the ``hankel.FactorSpectrum``
 of the truncation X came from, whose spectra the next step's products read,
-so each factor is transformed once.  The mode picks only the initialization:
-``dense`` takes the exact SVD of the materialized lifted back-projection,
-``fast`` the seeded operator SVD on FFT products, which is the one that fits
-at large n.
+so each factor is transformed once.  The initialization is the certified
+operator SVD (``lowrank.truncate_rank_operator``) seeded by ``config.seed``
+in both modes, and the mode picks only how it takes its products with the
+lifted back-projection: ``dense`` with the lift materialized once, ``fast``
+by FFTs, which is the one that fits at large n.
 
 ``SolverConfig`` owns the solver's defaults, which the command line reads
 from it, and rejects invalid ones when built; ``HankelDims.check_rank`` owns
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import hankel
 from .hankel import FactorSpectrum, HankelDims
-from .lowrank import project_tangent_truncate, truncate_rank, truncate_rank_operator
+from .lowrank import project_tangent_truncate, truncate_rank_operator
 from .model import adjoint_measure, measure
 
 MODES = ("dense", "fast")
@@ -142,19 +143,44 @@ class Iterate:
         return cls(X, point, residual, float(np.linalg.norm(residual)), iteration)
 
 
+def _ldexp(a: np.ndarray, e: int) -> np.ndarray:
+    """a * 2**e, exact wherever the result is a normal number; np.ldexp takes no
+    complex input, so a complex array is scaled part by part."""
+    if not np.iscomplexobj(a):
+        return np.ldexp(a, e)
+    out = np.empty_like(a)
+    np.ldexp(a.real, e, out=out.real)
+    np.ldexp(a.imag, e, out=out.imag)
+    return out
+
+
+def _unit_exponent(y: np.ndarray) -> int:
+    """The e for which the largest modulus of y / 2**e lies in [1/2, 1) (0 for zero y).
+
+    A power-of-two scaling is exact and commutes with the solver bit for
+    bit, and at unit scale no product under- or overflows.  The modulus of a
+    complex entry is a hypot, which stays accurate where the norm of small
+    enough data underflows.
+    """
+    return int(np.frexp(np.max(np.abs(y), initial=0.0))[1])
+
+
 def _initialize_factors(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
                         ) -> Iterate:
     """Iteration 0: the de-lift of the rank-r truncation of the lifted back-projection.
 
-    ``fast`` mode runs the randomized operator SVD seeded by ``config.seed``
-    on FFT products; ``dense`` mode takes the SVD of the materialized lift.
+    Both modes run the certified operator SVD seeded by ``config.seed``;
+    ``fast`` mode takes its products by FFTs, ``dense`` mode with the lift it
+    materializes once.
     """
     back = adjoint_measure(y, B)
     if config.mode == "fast":
-        factors = truncate_rank_operator(*hankel.lift_products(back, dims),
-                                         dims.lifted_shape, config.rank, seed=config.seed)
+        products = hankel.lift_products(back, dims)
     else:
-        factors = truncate_rank(hankel.lift(back, dims), config.rank)
+        W = hankel.lift(back, dims)
+        # W^H u as (W^T conj(u))^*, which reads W in place of copying its conjugate
+        products = (W.__matmul__, lambda u: (W.T @ u.conj()).conj())
+    factors = truncate_rank_operator(*products, dims.lifted_shape, config.rank, seed=config.seed)
     point = FactorSpectrum(factors, dims)
     return Iterate.at(hankel.pinv_lift_lowrank(point), point, y, B)
 
@@ -163,9 +189,13 @@ def initialize(y: np.ndarray, B: np.ndarray, dims: HankelDims, r: int) -> np.nda
     """Spectral initialization of ``solve`` in ``fast`` mode with seed 0.
 
     It forms no lifted matrix: the operator SVD on FFT products and the FFT
-    de-lift, so it runs at any n that ``solve`` does.
+    de-lift, so it runs at any n that ``solve`` does.  ``dense`` mode gives
+    the same estimate up to roundoff.  Like ``solve``, it works on y scaled
+    to unit size, so its estimate scales with y bit for bit.
     """
-    return _initialize_factors(y, B, dims, SolverConfig(rank=r, mode="fast")).X
+    e = _unit_exponent(y)
+    it = _initialize_factors(_ldexp(y, -e), B, dims, SolverConfig(rank=r, mode="fast"))
+    return _ldexp(it.X, e)
 
 
 def iterate_once(it: Iterate, y: np.ndarray, B: np.ndarray, config: SolverConfig) -> Iterate:
@@ -203,10 +233,12 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
           ) -> tuple[np.ndarray, ConvergenceTrace]:
     """Run the full solver: spectral initialization then hard-thresholded iterations.
 
-    The initialization follows the mode: the operator SVD seeded by
-    ``config.seed`` in ``fast`` mode, the dense SVD in ``dense`` mode; then
-    ``iterate_once`` maps one ``Iterate`` to the next in both modes, so whole
-    runs differ only by how closely the two initializations agree.  Stops on
+    The initialization is the operator SVD seeded by ``config.seed``, on
+    products with the materialized lift in ``dense`` mode and by FFTs in
+    ``fast`` mode; then ``iterate_once`` maps one ``Iterate`` to the next in
+    both modes, so whole runs differ only by the roundoff between the two
+    ways of taking the products.  It raises ``RankTruncationError`` in either
+    mode if the operator SVD finds no certificate.  Stops on
     a small relative data residual, on stagnation, at max_iters, or on
     divergence (residual growing well past its running minimum, or a step
     that fails, as ``diverged: <reason> at iteration t``), which returns the
@@ -217,6 +249,8 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
     entry, the norm of y overflows (every relative residual would read 0),
     ``ground_truth`` is zero, or the rank is infeasible for the lift:
     a rank-r tangent space needs 2r <= min(s*n1, n2) (``HankelDims.check_rank``).
+    It solves for y / 2**e, whose largest entry lies in [1/2, 1), and scales
+    the estimate and the recorded residuals back, so they scale with y.
     """
     y, B = np.asarray(y), np.asarray(B)
     if B.shape != (dims.s, dims.n) or y.shape != (dims.n,):
@@ -229,14 +263,18 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
         raise ValueError(f"ground_truth must be a finite nonzero {dims.s}x{dims.n} matrix")
     dims.check_rank(config.rank)
 
+    e = _unit_exponent(y)
+    y = _ldexp(y, -e)
+    y_norm = float(np.linalg.norm(y))
     denom = y_norm if y_norm > 0 else 1.0
     t_start = time.perf_counter()
     trace = ConvergenceTrace()
 
     def record(it):
-        rel_error = relative_error(it.X, ground_truth) if ground_truth is not None else None
-        trace.records.append(TraceRecord(it.iteration, it.residual_norm, rel_error,
-                                         time.perf_counter() - t_start))
+        rel_error = (relative_error(_ldexp(it.X, e), ground_truth)
+                     if ground_truth is not None else None)
+        trace.records.append(TraceRecord(it.iteration, float(np.ldexp(it.residual_norm, e)),
+                                         rel_error, time.perf_counter() - t_start))
 
     it = best = _initialize_factors(y, B, dims, config)
     record(it)
@@ -269,4 +307,4 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
 
     trace.termination = termination
     trace.returned_iteration = it.iteration
-    return it.X, trace
+    return _ldexp(it.X, e), trace

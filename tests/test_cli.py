@@ -165,6 +165,15 @@ class TestRun:
         meta = json.loads((tmp_path / "trace.csv.meta.json").read_text())
         assert meta["n"] == 48 and meta["r"] == 2 and meta["mode"] == "fast"
 
+    def test_unreadable_or_non_object_config(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert run_cli("run", "--config", str(missing)) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: cannot read config file {missing}")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[48, 2, 2]")
+        assert run_cli("run", "--config", str(cfg)) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: config file {cfg} must hold a JSON object\n"
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"rank": 2}))
@@ -221,7 +230,8 @@ class TestRun:
 class TestRejectedInput:
     @pytest.mark.parametrize("flags", [
         ["--tol", "nan"], ["--success-tol", "nan"], ["--step-size", "nan"],
-        ["--step-size", "inf"], ["--step-size", "-1"], ["--variant", "weighted"]])
+        ["--step-size", "inf"], ["--step-size", "-1"], ["--variant", "weighted"],
+        ["--trials", "0"]])
     def test_bad_flags_rejected_before_solving(self, flags, tmp_path, capsys, monkeypatch):
         def no_solve(*args, **kwargs):
             raise AssertionError("an instance was solved despite a bad flag")
@@ -298,7 +308,8 @@ class TestRejectedInput:
 
 
 class TestUncertifiedTruncation:
-    """A ``RankTruncationError`` reaches no command as a traceback.
+    """A ``RankTruncationError`` reaches no command as a traceback, in either
+    mode, since both initialize with the operator SVD.
 
     The operator SVD's budget is cut to 10 basis columns (five blocks at
     r=2) and its certificate made unreachable, so it fails wherever the
@@ -314,25 +325,28 @@ class TestUncertifiedTruncation:
     @pytest.mark.parametrize("command", ["run", "report"])
     def test_error_exit_and_no_output(self, command, tmp_path, capsys):
         out = tmp_path / "out.csv"
-        code = run_cli(command, "--n", "48", "--s", "2", "--r", "2", "--mode", "fast",
-                       "--out", str(out))
-        assert code == EXIT_DIVERGED
-        err = capsys.readouterr().err
-        assert err.startswith("error: no residual certificate within 10 Krylov basis columns")
-        assert "Traceback" not in err
-        assert list(tmp_path.iterdir()) == []
+        for mode in ("dense", "fast"):
+            code = run_cli(command, "--n", "48", "--s", "2", "--r", "2", "--mode", mode,
+                           "--out", str(out))
+            assert code == EXIT_DIVERGED, mode
+            err = capsys.readouterr().err
+            assert err.startswith("error: no residual certificate within 10 Krylov basis "
+                                  "columns")
+            assert "Traceback" not in err
+            assert list(tmp_path.iterdir()) == []
 
     def test_sweep_records_the_failed_trials_and_goes_on(self, tmp_path):
-        out = tmp_path / "sweep.csv"
-        code = run_cli("sweep", "--n", "48,16", "--s", "2", "--r", "2", "--trials", "2",
-                       "--mode", "fast", "--out", str(out))
-        assert code == 0
-        rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
-        assert [row[0] for row in rows] == ["48", "48", "16", "16"]
-        for row in rows[:2]:
-            assert row[5] == "" and row[6] == "0" and row[-1] == "0"
-            assert row[7].startswith('"truncation_error: no residual certificate')
-        assert all(row[7] == '"converged"' and row[-1] == "1" for row in rows[2:])
+        for mode in ("dense", "fast"):
+            out = tmp_path / f"sweep_{mode}.csv"
+            code = run_cli("sweep", "--n", "48,16", "--s", "2", "--r", "2", "--trials", "2",
+                           "--mode", mode, "--out", str(out))
+            assert code == 0
+            rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+            assert [row[0] for row in rows] == ["48", "48", "16", "16"]
+            for row in rows[:2]:
+                assert row[5] == "" and row[6] == "0" and row[-1] == "0"
+                assert row[7].startswith('"truncation_error: no residual certificate')
+            assert all(row[7] == '"converged"' and row[-1] == "1" for row in rows[2:])
 
 
 class TestSweep:

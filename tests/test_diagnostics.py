@@ -106,6 +106,13 @@ class TestRipNorm:
         est = estimate_rip_norm(B, dims, f)
         assert est <= 1e-8
 
+    def test_rank_zero_point_gives_zero(self):
+        # the truncation of zero data: its tangent space holds only zero
+        dims = choose_dims(12, 2)
+        f = truncate_rank(np.zeros(dims.lifted_shape), 2)
+        assert f.rank == 0
+        assert estimate_rip_norm(sample_subspace(2, 12, 0), dims, f) == 0.0
+
     def test_matches_two_projection_reference(self):
         B, dims, f = self._tangent(48, 2, 2, 3)
         ref = dense_rip_norm(B, dims, f)

@@ -226,3 +226,22 @@ class TestProjectTangentTruncate:
                            V=np.zeros((4, 0), dtype=complex))
         out = project_tangent_truncate(np.zeros((5, 0)), np.zeros((4, 0)), T, 2)
         assert out.rank == 0
+
+    def test_nonfinite_core_raises(self):
+        rng = np.random.default_rng(12)
+        f = truncate_rank(crandn(rng, 12, 9), 2)
+        M = crandn(rng, 12, 9)
+        MV = M @ f.V
+        MV[3, 1] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match="projected core"):
+            project_tangent_truncate(MV, M.conj().T @ f.U, f, 2)
+
+
+class TestHermitian:
+    def test_blocked_product_matches_plain(self):
+        # more rows than one block, and a partial last block
+        rng = np.random.default_rng(13)
+        m = 2 * lowrank._HERMITIAN_ROWS + 3
+        X, Y = crandn(rng, m, 3), crandn(rng, m, 2)
+        np.testing.assert_allclose(lowrank._hermitian(X, Y), X.conj().T @ Y,
+                                   rtol=0, atol=1e-12 * m)

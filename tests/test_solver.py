@@ -62,6 +62,12 @@ class TestInitialize:
         X0 = initialize(measure(X_true, B), B, dims, 2)
         assert relative_error(X0, X_true) < 1e-12
 
+    @pytest.mark.parametrize("k", [-600, 502])
+    def test_scales_bit_for_bit_with_the_data(self, k):
+        dims, B, X_true, y = make_instance(64, 2, 2, 5)
+        np.testing.assert_array_equal(initialize(y * 2.0 ** k, B, dims, 2) * 2.0 ** -k,
+                                      initialize(y, B, dims, 2))
+
     def test_distance_shrinks_with_length(self):
         meds = []
         for n in (32, 64, 128):
@@ -181,6 +187,39 @@ class TestIterateOnce:
         monkeypatch.setattr(solver, "iterate_once", poisoned)
         _, trace = solve(y, B, dims, cfg)
         assert trace.termination == "diverged: iterate is not finite at iteration 7"
+
+    def test_nonfinite_gradient_update_raises(self):
+        dims, B, X_true, y = make_instance(16, 2, 2, 6)
+        point = FactorSpectrum(lowrank.truncate_rank(lift(X_true, dims), 2), dims)
+        it = Iterate.at(X_true + 0.1, point, y, B)
+        huge = dataclasses.replace(it, residual=it.residual * 1e300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="^gradient update is not finite$"):
+                iterate_once(huge, y, B, SolverConfig(rank=2, step_size=1e10))
+
+    def test_nonfinite_delift_raises(self, monkeypatch):
+        dims, B, X_true, y = make_instance(16, 2, 2, 6)
+        point = FactorSpectrum(lowrank.truncate_rank(lift(X_true, dims), 2), dims)
+        monkeypatch.setattr(hankel, "pinv_lift_lowrank",
+                            lambda point: np.full((dims.s, dims.n), np.nan, dtype=complex))
+        with pytest.raises(DivergenceError, match="^iterate is not finite$"):
+            iterate_once(Iterate.at(X_true, point, y, B), y, B, SolverConfig(rank=2))
+
+
+class TestOneInitialization:
+    """Both modes run one initialization, the operator SVD seeded by the
+    config, and differ only in how its products with the lift are taken."""
+
+    @pytest.mark.parametrize("n,s,r", [(32, 2, 2), (64, 4, 5), (256, 4, 5)])
+    def test_modes_agree_per_seed(self, n, s, r):
+        for trial in range(5):
+            seed = seed_derivation(1, trial)
+            dims, B, _, y = make_instance(n, s, r, seed)
+            configs = {mode: SolverConfig(rank=r, mode=mode, seed=seed) for mode in solver.MODES}
+            inits = {mode: _initialize_factors(y, B, dims, cfg).X for mode, cfg in configs.items()}
+            assert relative_error(inits["dense"], inits["fast"]) < 1e-12
+            traces = [solve(y, B, dims, cfg)[1] for cfg in configs.values()]
+            assert len({(t.termination, len(t.records)) for t in traces}) == 1, trial
 
 
 class TestTransformCount:
@@ -372,11 +411,17 @@ class TestSolve:
                 == np.linalg.norm(measure(X_hat, B) - y))
 
     def test_operator_init_matches_dense_init(self):
+        # Both modes run the seeded operator SVD, on products with the
+        # materialized lift or by FFTs; the oracle is the de-lift of the full
+        # SVD of the materialized lift.
         dims, B, X_true, y = make_instance(64, 2, 2, 14)
-        base = SolverConfig(rank=2, max_iters=0)
-        X_dense, _ = solve(y, B, dims, base)
-        X_op, _ = solve(y, B, dims, SolverConfig(rank=2, max_iters=0, mode="fast", seed=3))
-        assert relative_error(X_op, X_dense) < 1e-6
+        exact = FactorSpectrum(lowrank.truncate_rank(lift(adjoint_measure(y, B), dims), 2), dims)
+        X_exact = hankel.pinv_lift_lowrank(exact)
+        X_op = {mode: solve(y, B, dims, SolverConfig(rank=2, max_iters=0, mode=mode, seed=3))[0]
+                for mode in solver.MODES}
+        for X in X_op.values():
+            assert relative_error(X, X_exact) < 1e-6
+        assert relative_error(X_op["dense"], X_op["fast"]) < 1e-12
 
     def test_delift_nonexpansive(self):
         rng = np.random.default_rng(15)
@@ -435,6 +480,19 @@ class TestSolve:
         assert len(trace.records) == 6
         assert shapes.count((dims.s, dims.n)) == len(trace.records)
 
+    def test_dense_mode_honours_the_seed(self, monkeypatch):
+        dims, B, _, y = make_instance(48, 2, 2, 17)
+        seeds = []
+        operator_svd = solver.truncate_rank_operator
+
+        def recorded(*args, seed):
+            seeds.append(seed)
+            return operator_svd(*args, seed=seed)
+
+        monkeypatch.setattr(solver, "truncate_rank_operator", recorded)
+        solve(y, B, dims, SolverConfig(rank=2, max_iters=0, mode="dense", seed=7))
+        assert seeds == [7]
+
     def test_dense_mode_lifts_only_to_initialize(self, monkeypatch):
         # The dense initialization materializes the lift once; every
         # iteration forms its products with it by FFTs.
@@ -487,6 +545,36 @@ class TestSolve:
             assert np.linalg.norm(y_big) == np.inf
             with pytest.raises(ValueError, match="norm of y"):
                 solve(y_big, B, dims, SolverConfig(rank=5, mode=mode))
+
+    @pytest.mark.parametrize("mode", ["dense", "fast"])
+    @pytest.mark.parametrize("scale", [2.0 ** -600, 1e151], ids=["2**-600", "1e151"])
+    def test_extreme_data_scales_recover_the_signal(self, mode, scale):
+        # At 2**-600 the squares of y's entries underflow, so its norm reads
+        # 0; at 1e151 its norm is finite but the initialization's products
+        # overflow.  The solver works on y scaled to unit size instead.
+        _, dims, B, X_true, y = synth_instance(256, 4, 5, 1)
+        with np.errstate(over="raise", invalid="raise"):
+            X_hat, trace = solve(y * scale, B, dims, SolverConfig(rank=5, mode=mode))
+        assert trace.termination == "converged"
+        assert len(trace.records) > 50
+        assert relative_error(X_hat / scale, X_true) < 1e-8
+
+    @pytest.mark.parametrize("mode", ["dense", "fast"])
+    def test_output_scales_bit_for_bit_with_the_data(self, mode):
+        dims, B, X_true, y = make_instance(64, 2, 2, 5)
+        cfg = SolverConfig(rank=2, mode=mode)
+        X_ref, ref = solve(y, B, dims, cfg, ground_truth=X_true)
+        assert ref.termination == "converged"
+        for k in (-600, -9, 13, 502):
+            # the norm of the truth scaled by 2**-600 underflows, so it is not passed
+            truth = X_true * 2.0 ** k if abs(k) < 100 else None
+            X_hat, trace = solve(y * 2.0 ** k, B, dims, cfg, ground_truth=truth)
+            np.testing.assert_array_equal(X_hat * 2.0 ** -k, X_ref)
+            assert (trace.termination, trace.returned_iteration) == (ref.termination,
+                                                                     ref.returned_iteration)
+            np.testing.assert_array_equal(trace.residuals * 2.0 ** -k, ref.residuals)
+            if truth is not None:
+                np.testing.assert_array_equal(trace.rel_errors, ref.rel_errors)
 
     @pytest.mark.parametrize("truth", ["zero", "wrong_shape", "nan"])
     def test_bad_ground_truth_rejected_up_front(self, truth, monkeypatch):
