@@ -36,6 +36,7 @@ from .solver import initialize
 # _MAX_APPLICATIONS applications of its map.
 _CERTIFICATE_TOL = 1e-10
 _MAX_APPLICATIONS = 100
+_RANK_TOL = 1e-15  # sigma_r <= _RANK_TOL sigma_1 leaves kappa undefined
 
 
 @dataclass(frozen=True)
@@ -68,8 +69,6 @@ def measure_mu1(factors: LowRankFactors, dims: HankelDims) -> float:
     row energy of V by n/r.
     """
     r = factors.rank
-    if r == 0:
-        raise ValueError("factors must have positive rank")
     Ub = factors.U.reshape(dims.n1, dims.s, r)
     u_max = float(np.max(np.sum(np.abs(Ub) ** 2, axis=(1, 2))))
     v_max = float(np.max(np.sum(np.abs(factors.V) ** 2, axis=1)))
@@ -111,8 +110,6 @@ def estimate_rip_norm(B: np.ndarray, dims: HankelDims, point: LowRankFactors) ->
     x0 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
     N, M = project_lift(x0)
     beta = float(np.hypot(np.linalg.norm(N), np.linalg.norm(M)))
-    if beta < 1e-300:
-        return 0.0
     N_prev = M_prev = 0.0
     alphas, betas = [], []
     for _ in range(_MAX_APPLICATIONS):
@@ -140,15 +137,17 @@ def spectral_distance(X_a: np.ndarray, X_b: np.ndarray, dims: HankelDims) -> flo
         raise ValueError(f"shape mismatch: {X_a.shape} vs {X_b.shape}")
     top = truncate_rank_operator(*hankel.lift_products(X_a - X_b, dims),
                                  dims.lifted_shape, 1)
-    return float(top.sigma[0]) if top.rank else 0.0
+    return float(top.sigma[0])
 
 
 def assumption_report(model: PointSourceModel, B: np.ndarray,
                       dims: HankelDims) -> AssumptionReport:
     """Aggregate all instance constants for a desk-scale ground-truth model.
 
-    Rejects a rank the solver rejects, with ``solve``'s ``ValueError``.  Uses
-    the operator SVD of the lifted signal, which has exact rank r, for kappa,
+    Rejects a rank the solver rejects, with ``solve``'s ``ValueError``, and a
+    lifted signal of numerical rank below r (sigma_r <= _RANK_TOL sigma_1),
+    whose kappa is undefined, with a ``ValueError`` of its own.  Uses the
+    operator SVD of the lifted signal, which has exact rank r, for kappa,
     sigma_r, mu1 and the tangent space of the isometry defect, and runs
     ``solver.initialize`` (the ``fast`` initialization) on the exact
     measurements to report its spectral distance from the lifted truth.
@@ -157,9 +156,9 @@ def assumption_report(model: PointSourceModel, B: np.ndarray,
     X_true = build_signal(model)
     factors = truncate_rank_operator(*hankel.lift_products(X_true, dims),
                                      dims.lifted_shape, model.r)
-    if factors.rank < model.r:
-        raise ValueError(f"lifted signal has numerical rank {factors.rank} < {model.r}")
     sigma_r = float(factors.sigma[-1])
+    if sigma_r <= _RANK_TOL * factors.sigma[0]:
+        raise ValueError(f"lifted signal has numerical rank below {model.r}")
     X0 = initialize(measure(X_true, B), B, dims, model.r)
     return AssumptionReport(mu0=measure_mu0(B), mu1=measure_mu1(factors, dims),
                             kappa=float(factors.sigma[0] / sigma_r), sigma_r=sigma_r,

@@ -24,7 +24,6 @@ from typing import Callable
 import numpy as np
 
 _ORTHO_TOL = 1e-10
-_TRIM_REL = 1e-15
 # Largest cond(B) at which the tangent completion trusts CholeskyQR2.  With
 # unit roundoff u = 2**-53 ~ 1.1e-16, CholeskyQR leaves Q^H Q - I of order
 # u cond(B)^2 and its Cholesky factorization can break down once that nears 1;
@@ -67,11 +66,11 @@ class RankTruncationError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class LowRankFactors:
-    """Compact SVD triple: U (m, k) and V (p, k) orthonormal, sigma finite, descending > 0.
+    """Compact SVD triple: U (m, k) and V (p, k) orthonormal, sigma finite, descending >= 0.
 
-    k can fall below the requested rank when trailing singular values vanish;
-    reconstructions, not raw factors, are the comparable quantity (factors are
-    unique only up to per-column phase).
+    k >= 1.  A truncation to rank r keeps r triplets, with zero singular values
+    where the matrix has lower rank; reconstructions, not raw factors, are the
+    comparable quantity (factors are unique only up to per-column phase).
     """
 
     U: np.ndarray
@@ -79,20 +78,19 @@ class LowRankFactors:
     V: np.ndarray
 
     def __post_init__(self):
-        k = self.sigma.shape[0] if self.sigma.ndim == 1 else -1
-        if k < 0 or self.U.ndim != 2 or self.V.ndim != 2:
-            raise ValueError("factors must be (U: 2-d, sigma: 1-d, V: 2-d)")
+        k = self.sigma.shape[0] if self.sigma.ndim == 1 else 0
+        if k < 1 or self.U.ndim != 2 or self.V.ndim != 2:
+            raise ValueError("factors must be (U: 2-d, sigma: 1-d and nonempty, V: 2-d)")
         if self.U.shape[1] != k or self.V.shape[1] != k:
             raise ValueError("factor column counts must match len(sigma)")
-        if k:
-            # Each test is written to fail on NaN, which compares False.
-            if not (np.all((self.sigma > 0) & (self.sigma < np.inf))
-                    and np.all(np.diff(self.sigma) <= 0)):
-                raise ValueError("sigma must be finite, positive and non-increasing")
-            for Q in (self.U, self.V):
-                gram = _hermitian(Q, Q)
-                if not np.max(np.abs(gram - np.eye(k))) <= _ORTHO_TOL:
-                    raise ValueError("factor columns must be orthonormal")
+        # Each test is written to fail on NaN, which compares False.
+        if not (np.all((self.sigma >= 0) & (self.sigma < np.inf))
+                and np.all(np.diff(self.sigma) <= 0)):
+            raise ValueError("sigma must be finite, non-negative and non-increasing")
+        for Q in (self.U, self.V):
+            gram = _hermitian(Q, Q)
+            if not np.max(np.abs(gram - np.eye(k))) <= _ORTHO_TOL:
+                raise ValueError("factor columns must be orthonormal")
 
     @property
     def rank(self) -> int:
@@ -103,8 +101,6 @@ class LowRankFactors:
         return (self.U.shape[0], self.V.shape[0])
 
     def reconstruct(self) -> np.ndarray:
-        if self.rank == 0:
-            return np.zeros(self.shape, dtype=complex)
         return (self.U * self.sigma[None, :]) @ self.V.conj().T
 
 
@@ -132,16 +128,11 @@ def _minus_product(A: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.subtract(A, P, out=P)
 
 
-def _trim(U: np.ndarray, sigma: np.ndarray, V: np.ndarray, r: int) -> LowRankFactors:
-    """Keep the top r factors, dropping (numerically) zero singular values."""
-    r = min(r, len(sigma))
-    cutoff = sigma[0] * _TRIM_REL if len(sigma) and sigma[0] > 0 else 0.0
-    k = int(np.sum(sigma[:r] > cutoff))
-    return LowRankFactors(U=U[:, :k], sigma=sigma[:k].astype(float), V=V[:, :k])
-
-
 def truncate_rank(W: np.ndarray, r: int) -> LowRankFactors:
-    """Best rank-r approximation factors of a dense matrix (truncated SVD)."""
+    """Best rank-r approximation factors of a dense matrix (truncated SVD).
+
+    Returns r triplets; those past the matrix's rank have zero singular values.
+    """
     W = np.asarray(W)
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
@@ -151,7 +142,7 @@ def truncate_rank(W: np.ndarray, r: int) -> LowRankFactors:
         # LAPACK may not terminate on non-finite input
         raise np.linalg.LinAlgError("matrix contains non-finite entries")
     U, sigma, Vh = np.linalg.svd(W, full_matrices=False)
-    return _trim(U, sigma, Vh.conj().T, r)
+    return LowRankFactors(U=U[:, :r], sigma=sigma[:r], V=Vh[:r].conj().T)
 
 
 def project_tangent(W: np.ndarray, point: LowRankFactors) -> np.ndarray:
@@ -159,8 +150,6 @@ def project_tangent(W: np.ndarray, point: LowRankFactors) -> np.ndarray:
     W = np.asarray(W)
     if W.shape != point.shape:
         raise ValueError(f"expected shape {point.shape}, got {W.shape}")
-    if point.rank == 0:
-        return np.zeros_like(W, dtype=np.result_type(W.dtype, np.complex128))
     U, V = point.U, point.V
     A = U.conj().T @ W  # (k, p)
     C = W @ V  # (m, k)
@@ -182,7 +171,8 @@ def truncate_rank_operator(matvec: Callable[[np.ndarray], np.ndarray],
     no less than _CERTIFICATE_TOL times theta_1), which bounds the angle to
     the leading singular subspace; or once the basis spans the whole row
     space, where Rayleigh-Ritz is exact.  U and sigma then come from one
-    product of width r.  Raises ``RankTruncationError`` if the basis reaches
+    product of width r; all r triplets are kept, zero singular values
+    included.  Raises ``RankTruncationError`` if the basis reaches
     _MAX_COLUMNS columns first.  Each block costs one matvec and one
     adjoint_matvec, which must accept (dim, k) blocks; the basis lives in one
     column-major array of shape[1] rows, and no shape[0]-row block outlives
@@ -239,7 +229,7 @@ def truncate_rank_operator(matvec: Callable[[np.ndarray], np.ndarray],
         Y = K @ lead
         P, sigma, Th = np.linalg.svd(matvec(Y), full_matrices=False)
         # M ~ M Y Y^H = P diag(sigma) (Y Th^H)^H
-        return _trim(P, sigma, Y @ Th.conj().T, r)
+        return LowRankFactors(U=P, sigma=sigma, V=Y @ Th.conj().T)
 
 
 def _householder_completion(U: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -287,15 +277,13 @@ def project_tangent_truncate(MV: np.ndarray, MhU: np.ndarray, point: LowRankFact
     certifies the block as well conditioned, and fall back to the Householder
     QR of the stacked [U, B] otherwise, e.g. for a rank-deficient B near a
     fixed point.  Only the r kept columns of [U, Q1] Uc and [V, Q2] Vc are
-    formed.  Matches ``truncate_rank(project_tangent(M, point), r)`` up to
-    roundoff; beyond the two products, which the caller takes, all work is
-    at the factor scale.
+    formed: r triplets (2k if r > 2k), whose singular values may be zero.
+    Matches ``truncate_rank(project_tangent(M, point), r)`` up to roundoff;
+    beyond the two products, which the caller takes, all work is at the
+    factor scale.
     """
     U, V = point.U, point.V
     (m, p), k = point.shape, point.rank
-    if k == 0:
-        return LowRankFactors(U=np.zeros((m, 0), dtype=complex),
-                              sigma=np.zeros(0), V=np.zeros((p, 0), dtype=complex))
     if 2 * k > min(m, p):
         raise ValueError(f"tangent rank {k} too large for shape {(m, p)}")
     AV = _hermitian(MhU, V)  # (k, k) = U^H M V
@@ -307,5 +295,5 @@ def project_tangent_truncate(MV: np.ndarray, MhU: np.ndarray, point: LowRankFact
         raise np.linalg.LinAlgError("projected core contains non-finite entries")
     Uc, sigma, Vch = np.linalg.svd(core)
     Vc = Vch.conj().T
-    return _trim(U @ Uc[:k, :r] + Q1 @ Uc[k:, :r], sigma,
-                 V @ Vc[:k, :r] + Q2 @ Vc[k:, :r], r)
+    return LowRankFactors(U=U @ Uc[:k, :r] + Q1 @ Uc[k:, :r], sigma=sigma[:r],
+                          V=V @ Vc[:k, :r] + Q2 @ Vc[k:, :r])

@@ -111,18 +111,6 @@ class ConvergenceTrace:
                          for rec in self.records])
 
 
-def relative_error(X: np.ndarray, X_ref: np.ndarray) -> float:
-    """Frobenius-norm error of X relative to a nonzero reference."""
-    X = np.asarray(X)
-    X_ref = np.asarray(X_ref)
-    if X.shape != X_ref.shape:
-        raise ValueError(f"shape mismatch: {X.shape} vs {X_ref.shape}")
-    denom = np.linalg.norm(X_ref)
-    if denom == 0:
-        raise ValueError("reference matrix must be nonzero")
-    return float(np.linalg.norm(X - X_ref) / denom)
-
-
 @dataclass(frozen=True)
 class Iterate:
     """One iterate of ``solve``: X, the ``FactorSpectrum`` point X was de-lifted
@@ -163,6 +151,20 @@ def _unit_exponent(y: np.ndarray) -> int:
     enough data underflows.
     """
     return int(np.frexp(np.max(np.abs(y), initial=0.0))[1])
+
+
+def relative_error(X: np.ndarray, X_ref: np.ndarray) -> float:
+    """Frobenius-norm error of X relative to a nonzero reference, both norms taken
+    at the reference's unit scale (``_unit_exponent``), so any finite scale works."""
+    X, X_ref = np.asarray(X), np.asarray(X_ref)
+    if X.shape != X_ref.shape:
+        raise ValueError(f"shape mismatch: {X.shape} vs {X_ref.shape}")
+    e = _unit_exponent(X_ref)
+    X, X_ref = _ldexp(X, -e), _ldexp(X_ref, -e)
+    denom = np.linalg.norm(X_ref)
+    if denom == 0:
+        raise ValueError("reference matrix must be nonzero")
+    return float(np.linalg.norm(X - X_ref) / denom)
 
 
 def _initialize_factors(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
@@ -246,26 +248,29 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
     error against ``ground_truth`` when supplied, wall-clock timestamps and
     the iteration of the returned estimate.  Raises ``ValueError`` before any
     work when y, B or ``ground_truth`` has the wrong shape or a non-finite
-    entry, the norm of y overflows (every relative residual would read 0),
-    ``ground_truth`` is zero, or the rank is infeasible for the lift:
-    a rank-r tangent space needs 2r <= min(s*n1, n2) (``HankelDims.check_rank``).
-    It solves for y / 2**e, whose largest entry lies in [1/2, 1), and scales
-    the estimate and the recorded residuals back, so they scale with y.
+    entry, the norm of y exceeds the largest float, ``ground_truth`` is zero,
+    or the rank is infeasible for the lift (``HankelDims.check_rank``).  It
+    solves for y / 2**e, whose largest entry lies in [1/2, 1), takes all norms
+    at that scale and scales the estimate and recorded residuals back.
     """
     y, B = np.asarray(y), np.asarray(B)
     if B.shape != (dims.s, dims.n) or y.shape != (dims.n,):
         raise ValueError("y/B shapes inconsistent with dims")
-    y_norm = float(np.linalg.norm(y))  # inf if an entry is, or if the sum overflows
-    if not (math.isfinite(y_norm) and np.all(np.isfinite(B))):
-        raise ValueError("y and B must be finite, and so must the norm of y")
-    if ground_truth is not None and (np.shape(ground_truth) != (dims.s, dims.n)
-                                     or not 0 < np.linalg.norm(ground_truth) < np.inf):
-        raise ValueError(f"ground_truth must be a finite nonzero {dims.s}x{dims.n} matrix")
-    dims.check_rank(config.rank)
-
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(B))):
+        raise ValueError("y and B must be finite")
     e = _unit_exponent(y)
     y = _ldexp(y, -e)
     y_norm = float(np.linalg.norm(y))
+    try:
+        math.ldexp(y_norm, e)
+    except OverflowError:
+        raise ValueError("the norm of y overflows") from None
+    if ground_truth is not None and (np.shape(ground_truth) != (dims.s, dims.n)
+                                     or not np.all(np.isfinite(ground_truth))
+                                     or not np.any(ground_truth)):
+        raise ValueError(f"ground_truth must be a finite nonzero {dims.s}x{dims.n} matrix")
+    dims.check_rank(config.rank)
+
     denom = y_norm if y_norm > 0 else 1.0
     t_start = time.perf_counter()
     trace = ConvergenceTrace()

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -173,6 +174,13 @@ class TestRun:
         cfg.write_text("[48, 2, 2]")
         assert run_cli("run", "--config", str(cfg)) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: config file {cfg} must hold a JSON object\n"
+
+    def test_null_config_value_keeps_the_default(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 48, "max_iters": None, "mode": None}))
+        merged = cli._merge_config(cli._build_parser().parse_args(["run", "--config", str(cfg)]))
+        default = cli._merge_config(cli._build_parser().parse_args(["run"]))
+        assert merged == dataclasses.replace(default, n=(48,))
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"

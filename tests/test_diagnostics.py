@@ -106,13 +106,6 @@ class TestRipNorm:
         est = estimate_rip_norm(B, dims, f)
         assert est <= 1e-8
 
-    def test_rank_zero_point_gives_zero(self):
-        # the truncation of zero data: its tangent space holds only zero
-        dims = choose_dims(12, 2)
-        f = truncate_rank(np.zeros(dims.lifted_shape), 2)
-        assert f.rank == 0
-        assert estimate_rip_norm(sample_subspace(2, 12, 0), dims, f) == 0.0
-
     def test_matches_two_projection_reference(self):
         B, dims, f = self._tangent(48, 2, 2, 3)
         ref = dense_rip_norm(B, dims, f)
@@ -220,7 +213,7 @@ class TestAssumptionReport:
         base = synth_model(2, 32, 2, 9)
         mdl = PointSourceModel(s=2, n=32, r=2, taus=base.taus,
                                amps=np.zeros(2, dtype=complex), coeffs=base.coeffs)
-        with pytest.raises(ValueError, match="numerical rank 0 < 2"):
+        with pytest.raises(ValueError, match="numerical rank below 2"):
             assumption_report(mdl, sample_subspace(2, 32, 15), choose_dims(32, 2))
 
     @pytest.mark.parametrize("n, s, r, n1", [(64, 1, 2, None), (7, 1, 2, None),

@@ -59,6 +59,8 @@ class TestChooseDims:
             choose_dims(8, 1, n1=0)
         with pytest.raises(ValueError):
             choose_dims(8, 1, n1=9)
+        with pytest.raises(ValueError, match="s >= 1"):
+            choose_dims(8, 0)
 
 
 class TestLift:
@@ -91,6 +93,11 @@ class TestLift:
 
 
 class TestAdjointLift:
+    def test_shape_mismatch(self):
+        dims = choose_dims(4, 2)  # lifted shape (4, 3)
+        with pytest.raises(ValueError, match="lifted matrix of shape"):
+            adjoint_lift(np.zeros((3, 4)), dims)
+
     def test_antidiagonal_sums(self):
         dims = choose_dims(3, 1)
         out = adjoint_lift(np.array([[1.0, 2.0], [3.0, 4.0]]), dims)
@@ -274,10 +281,3 @@ class TestFastProducts:
             lift_matvec(SignalSpectrum(np.ones((2, 12))), spectrum, dims)
         with pytest.raises(ValueError, match="another lift"):
             lift_rmatvec(SignalSpectrum(np.ones((2, 12))), spectrum, dims)
-
-    def test_lowrank_delift_empty_factors(self):
-        dims = choose_dims(6, 2)
-        empty = LowRankFactors(np.zeros((dims.s * dims.n1, 0)), np.zeros(0),
-                               np.zeros((dims.n2, 0)))
-        out = adjoint_lift_lowrank(FactorSpectrum(empty, dims))
-        np.testing.assert_array_equal(out, np.zeros((2, 6)))

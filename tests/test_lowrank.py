@@ -43,16 +43,25 @@ class TestTruncateRank:
         with pytest.raises(ValueError):
             truncate_rank(np.zeros((3, 4)), 0)
 
-    def test_zero_matrix_gives_empty_factors(self):
+    def test_zero_matrix_gives_zero_triplets(self):
         f = truncate_rank(np.zeros((4, 3)), 2)
-        assert f.rank == 0
+        assert f.rank == 2
+        np.testing.assert_array_equal(f.sigma, np.zeros(2))
         np.testing.assert_array_equal(f.reconstruct(), np.zeros((4, 3)))
 
     def test_effective_rank_drop(self):
+        # a rank-1 matrix truncated to rank 3 keeps 3 triplets, two of them ~0
         rng = np.random.default_rng(2)
         u, v = crandn(rng, 6), crandn(rng, 5)
         f = truncate_rank(np.outer(u, v.conj()), 3)
-        assert f.rank == 1
+        assert f.rank == 3
+        assert np.all(f.sigma[1:] <= 1e-15 * f.sigma[0])
+
+    def test_nonfinite_input_raises(self):
+        W = np.ones((4, 3))
+        W[2, 1] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            truncate_rank(W, 1)
 
 
 class TestLowRankFactors:
@@ -65,6 +74,27 @@ class TestLowRankFactors:
         with pytest.raises(ValueError):
             LowRankFactors(U=np.eye(3)[:, :2], sigma=np.array([1.0, 2.0]),
                            V=np.eye(3)[:, :2])
+
+    @pytest.mark.parametrize("U, sigma, V", [
+        (np.zeros((3, 0)), np.zeros(0), np.zeros((4, 0))),  # k = 0
+        (np.eye(3)[:, 0], np.ones(1), np.eye(3)[:, :1]),  # 1-d U
+        (np.eye(3)[:, :1], np.ones((1, 1)), np.eye(3)[:, :1]),  # 2-d sigma
+        (np.eye(3)[:, :2], np.ones(1), np.eye(3)[:, :1]),  # column counts differ
+    ], ids=["empty", "1d_U", "2d_sigma", "column_counts"])
+    def test_validation_rejects_malformed_factors(self, U, sigma, V):
+        with pytest.raises(ValueError, match="factor"):
+            LowRankFactors(U=U, sigma=sigma, V=V)
+
+    def test_validation_rejects_negative_sigma(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            LowRankFactors(U=np.eye(3)[:, :2], sigma=np.array([1.0, -1e-300]),
+                           V=np.eye(3)[:, :2])
+
+    def test_zero_sigma_accepted(self):
+        f = LowRankFactors(U=np.eye(3)[:, :2], sigma=np.array([1.0, 0.0]), V=np.eye(4)[:, :2])
+        expected = np.zeros((3, 4))
+        expected[0, 0] = 1.0
+        np.testing.assert_array_equal(f.reconstruct(), expected)
 
     @pytest.mark.parametrize("bad", ["nan_U", "nan_sigma", "nan_V", "inf_sigma"])
     def test_validation_rejects_nonfinite(self, bad):
@@ -188,6 +218,12 @@ class TestTruncateRankOperator:
                                    M.shape, 2)
         assert excinfo.value.residual >= 0.0
 
+    @pytest.mark.parametrize("r", [0, 12])
+    def test_rank_out_of_range_raises(self, r):
+        M = np.ones((15, 11))
+        with pytest.raises(ValueError, match="r >= 1|exceeds operator shape"):
+            truncate_rank_operator(lambda v: M @ v, lambda u: M.T @ u, M.shape, r)
+
     def test_seeded_determinism(self):
         rng = np.random.default_rng(9)
         M = crandn(rng, 15, 11)
@@ -221,11 +257,20 @@ class TestProjectTangentTruncate:
         out = project_tangent_truncate(M @ f.V, M.conj().T @ f.U, f, 2)
         assert np.linalg.norm(out.reconstruct() - M) <= 1e-10 * f.sigma[0]
 
-    def test_empty_tangent(self):
-        T = LowRankFactors(U=np.zeros((5, 0), dtype=complex), sigma=np.zeros(0),
-                           V=np.zeros((4, 0), dtype=complex))
-        out = project_tangent_truncate(np.zeros((5, 0)), np.zeros((4, 0)), T, 2)
-        assert out.rank == 0
+    def test_zero_input_gives_zero_triplets(self):
+        # the Householder completion fills in the zero off-space blocks
+        rng = np.random.default_rng(13)
+        f = truncate_rank(crandn(rng, 9, 8), 2)
+        out = project_tangent_truncate(np.zeros((9, 2)), np.zeros((8, 2)), f, 2)
+        assert out.rank == 2
+        np.testing.assert_array_equal(out.sigma, np.zeros(2))
+
+    def test_tangent_rank_too_large_raises(self):
+        rng = np.random.default_rng(14)
+        f = truncate_rank(crandn(rng, 9, 5), 3)  # 2k = 6 > 5 columns
+        M = crandn(rng, 9, 5)
+        with pytest.raises(ValueError, match="tangent rank 3 too large"):
+            project_tangent_truncate(M @ f.V, M.conj().T @ f.U, f, 3)
 
     def test_nonfinite_core_raises(self):
         rng = np.random.default_rng(12)

@@ -69,6 +69,19 @@ class TestSynthModel:
                              amps=np.ones(2, dtype=complex),
                              coeffs=np.ones((1, 2), dtype=complex))
 
+    @pytest.mark.parametrize("field, message", [("s", "dimensions must be positive"),
+                                                ("taus", "taus and amps"),
+                                                ("amps", "taus and amps"),
+                                                ("coeffs", "coeffs must have shape")])
+    def test_model_shape_checks(self, field, message):
+        good = dict(s=2, n=8, r=2, taus=np.array([0.1, 0.6]), amps=np.ones(2, dtype=complex),
+                    coeffs=np.full((2, 2), np.sqrt(0.5), dtype=complex))
+        PointSourceModel(**good)
+        bad = {"s": 0, "taus": np.array([0.1]), "amps": np.ones(3, dtype=complex),
+               "coeffs": np.ones((1, 2), dtype=complex)}[field]
+        with pytest.raises(ValueError, match=message):
+            PointSourceModel(**{**good, field: bad})
+
 
 class TestBuildSignal:
     def test_single_source_constant_row(self):
@@ -96,6 +109,11 @@ class TestBuildSignal:
 
 
 class TestSampleSubspace:
+    @pytest.mark.parametrize("s, n", [(0, 8), (2, 0)])
+    def test_needs_positive_shape(self, s, n):
+        with pytest.raises(ValueError, match="s >= 1 and n >= 1"):
+            sample_subspace(s, n, 0)
+
     def test_determinism(self):
         np.testing.assert_array_equal(sample_subspace(1, 4, 5), sample_subspace(1, 4, 5))
 
@@ -189,6 +207,12 @@ class TestHankelFactorization:
             sv = np.linalg.svd(lift(build_signal(m), choose_dims(32, 2)),
                                compute_uv=False)
             assert sv[r] / sv[0] < 1e-8
+
+    def test_dims_of_another_signal_rejected(self):
+        m = synth_model(2, 8, 2, 3)
+        for dims in (choose_dims(9, 2), choose_dims(8, 1)):
+            with pytest.raises(ValueError, match="inconsistent with the model"):
+                hankel_factorization(m, dims)
 
     def test_infeasible_rank(self):
         m = synth_model(1, 8, 4, 3)

@@ -44,6 +44,17 @@ class TestRelativeError:
         with pytest.raises(ValueError):
             relative_error(np.ones((2, 2)), np.zeros((2, 2)))
 
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            relative_error(np.ones((2, 3)), np.ones((3, 2)))
+
+    @pytest.mark.parametrize("k", [-1070, -600, 1020])
+    def test_any_finite_reference_scale(self, k):
+        # the norms of the scaled reference would under- or overflow
+        X_ref = np.array([[1.0, -0.75], [0.5, 0.625]])
+        X = X_ref + np.array([[0.0, 0.25], [0.0, 0.0]])
+        assert relative_error(X * 2.0 ** k, X_ref * 2.0 ** k) == relative_error(X, X_ref)
+
 
 class TestInitialize:
     def test_zero_data(self):
@@ -313,6 +324,21 @@ class TestSolve:
         svals = np.linalg.svd(lift(X_hat, dims), compute_uv=False)
         assert svals[1] / svals[0] < 1e-4
 
+    def test_rank_overshoot_keeps_r_triplets_with_small_trailing_sigma(self):
+        # Iterating at r=3 on a rank-1 truth keeps 3 triplets; the trailing
+        # sigma_3 / sigma_1 falls to near zero, which flags the overshoot
+        # without ground truth.
+        dims, B, _, y = make_instance(64, 2, 1, 9)
+        cfg = SolverConfig(rank=3, mode="fast", step_size=0.5)
+        it = _initialize_factors(y, B, dims, cfg)
+        sigma = it.point.factors.sigma
+        assert sigma[2] / sigma[0] > 0.1
+        for _ in range(50):
+            it = iterate_once(it, y, B, cfg)
+            assert it.point.factors.rank == 3
+        sigma = it.point.factors.sigma
+        assert sigma[2] / sigma[0] < 1e-4
+
     def test_zero_iterations_returns_initialization(self):
         dims, B, X_true, y = make_instance(32, 2, 2, 10)
         cfg = SolverConfig(rank=2, max_iters=0, mode="fast")
@@ -439,6 +465,8 @@ class TestSolve:
             SolverConfig(rank=1, mode="turbo")
         with pytest.raises(ValueError):
             SolverConfig(rank=1, residual_tol=0.0)
+        with pytest.raises(ValueError, match="max_iters"):
+            SolverConfig(rank=1, max_iters=-1)
         for field, value in [("residual_tol", np.nan), ("step_size", np.nan),
                              ("step_size", np.inf), ("step_size", -1.0)]:
             with pytest.raises(ValueError, match=field):
@@ -531,27 +559,25 @@ class TestSolve:
 
     @pytest.mark.parametrize("mode", ["dense", "fast"])
     def test_overflowing_data_norm_rejected_up_front(self, mode, monkeypatch):
-        # every entry is finite, but ||y|| overflows: each residual over it
-        # would read 0 and pass any tolerance
+        # every entry is finite, but ||y|| = 1e308 sqrt(n) exceeds the
+        # largest float, so no residual could be recorded
         _, dims, B, _, y = synth_instance(256, 4, 5, 1)
-        y_big = y * 1e152
-        assert np.all(np.isfinite(y_big))
 
         def no_work(*args, **kwargs):
             raise AssertionError("solve started work on data whose norm overflows")
 
         monkeypatch.setattr(solver, "_initialize_factors", no_work)
-        with np.errstate(over="ignore"):
-            assert np.linalg.norm(y_big) == np.inf
-            with pytest.raises(ValueError, match="norm of y"):
-                solve(y_big, B, dims, SolverConfig(rank=5, mode=mode))
+        with pytest.raises(ValueError, match="norm of y"):
+            solve(np.full_like(y, 1e308), B, dims, SolverConfig(rank=5, mode=mode))
 
     @pytest.mark.parametrize("mode", ["dense", "fast"])
-    @pytest.mark.parametrize("scale", [2.0 ** -600, 1e151], ids=["2**-600", "1e151"])
+    @pytest.mark.parametrize("scale", [2.0 ** -600, 1e151, 1e152],
+                             ids=["2**-600", "1e151", "1e152"])
     def test_extreme_data_scales_recover_the_signal(self, mode, scale):
         # At 2**-600 the squares of y's entries underflow, so its norm reads
         # 0; at 1e151 its norm is finite but the initialization's products
-        # overflow.  The solver works on y scaled to unit size instead.
+        # overflow; at 1e152 the sum of squares in its norm overflows too.
+        # The solver works on y scaled to unit size instead.
         _, dims, B, X_true, y = synth_instance(256, 4, 5, 1)
         with np.errstate(over="raise", invalid="raise"):
             X_hat, trace = solve(y * scale, B, dims, SolverConfig(rank=5, mode=mode))
@@ -566,15 +592,14 @@ class TestSolve:
         X_ref, ref = solve(y, B, dims, cfg, ground_truth=X_true)
         assert ref.termination == "converged"
         for k in (-600, -9, 13, 502):
-            # the norm of the truth scaled by 2**-600 underflows, so it is not passed
-            truth = X_true * 2.0 ** k if abs(k) < 100 else None
-            X_hat, trace = solve(y * 2.0 ** k, B, dims, cfg, ground_truth=truth)
+            # the norm of the truth at 2**-600 underflows; relative_error
+            # takes it at unit scale
+            X_hat, trace = solve(y * 2.0 ** k, B, dims, cfg, ground_truth=X_true * 2.0 ** k)
             np.testing.assert_array_equal(X_hat * 2.0 ** -k, X_ref)
             assert (trace.termination, trace.returned_iteration) == (ref.termination,
                                                                      ref.returned_iteration)
             np.testing.assert_array_equal(trace.residuals * 2.0 ** -k, ref.residuals)
-            if truth is not None:
-                np.testing.assert_array_equal(trace.rel_errors, ref.rel_errors)
+            np.testing.assert_array_equal(trace.rel_errors, ref.rel_errors)
 
     @pytest.mark.parametrize("truth", ["zero", "wrong_shape", "nan"])
     def test_bad_ground_truth_rejected_up_front(self, truth, monkeypatch):
