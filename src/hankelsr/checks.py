@@ -166,27 +166,20 @@ def check_fast_dense_equivalence() -> CheckResult:
     """The solver's iterates against the reference step, and its initialization
     against the exact one.
 
-    The solver iteration, which is the same in both modes, and
-    ``reference_step`` start from the exact initialization (the full SVD of
-    the materialized lifted back-projection), so their gap is roundoff.  The
-    operator initialization of each mode is compared with the exact one on
-    its own, to 1e-6: its block Krylov SVD stops on a residual certificate
-    well inside that bound, and at this size before its basis spans the
-    whole row space, so the gap is the certificate's, not roundoff (about
-    5e-8).  The two modes run the same seeded operator SVD on the same
-    products, taken densely or by FFTs, so their gap to each other is
-    roundoff and is reported apart.
+    The solver iteration and ``reference_step`` start from the exact
+    initialization (the full SVD of the materialized lifted back-projection),
+    so their gap is roundoff.  The solver's operator initialization is
+    compared with the exact one on its own, to 1e-6: its block Krylov SVD
+    stops on a residual certificate well inside that bound, and at this size
+    before its basis spans the whole row space, so the gap is the
+    certificate's, not roundoff (about 5e-8).
     """
     m, dims, B, X_true, y = model.synth_instance(48, 2, 2, seed=8)
     exact = hankel.FactorSpectrum(
         lowrank.truncate_rank(hankel.lift(model.adjoint_measure(y, B), dims), m.r), dims)
     it = solver.Iterate.at(hankel.pinv_lift_lowrank(exact), exact, y, B)
-    inits = {mode: solver._initialize_factors(
-                 y, B, dims, solver.SolverConfig(rank=m.r, mode=mode)).X
-             for mode in solver.MODES}
-    init_gap = max(solver.relative_error(X, it.X) for X in inits.values())
-    mode_gap = solver.relative_error(inits["fast"], inits["dense"])
     cfg = solver.SolverConfig(rank=m.r)
+    init_gap = solver.relative_error(solver._initialize_factors(y, B, dims, cfg).X, it.X)
     worst = 0.0
     X_ref, ref_factors = it.X, exact.factors
     for _ in range(12):
@@ -196,7 +189,7 @@ def check_fast_dense_equivalence() -> CheckResult:
     return CheckResult("fast_dense_equivalence", worst < 1e-8 and init_gap < 1e-6,
                        f"worst per-iterate gap to the reference step {worst:.2e} "
                        f"from a shared start, operator vs exact initialization "
-                       f"{init_gap:.2e}, dense vs fast mode {mode_gap:.2e}")
+                       f"{init_gap:.2e}")
 
 
 def run_all() -> list[CheckResult]:

@@ -41,7 +41,7 @@ from .checks import run_all
 from .diagnostics import AssumptionReport, assumption_report
 from .lowrank import RankTruncationError
 from .model import synth_instance
-from .solver import MODES, SolverConfig, solve
+from .solver import SolverConfig, solve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -132,9 +132,6 @@ class ExperimentConfig:
     max_iters: int = _flag(SolverConfig.max_iters, _integer, "iteration cap of a solve")
     tol: float = _flag(SolverConfig.residual_tol, _real,
                        "relative residual stopping tolerance")
-    mode: str = _flag(SolverConfig.mode, _text, "how the seeded operator SVD of the "
-                      "initialization takes its products: with the materialized lift "
-                      "or by FFTs", choices=MODES)
     step_size: float = _flag(SolverConfig.step_size, _real, "gradient step size")
     n1: int | None = _flag(None, _integer, "override the Hankel split")
     out: str | None = _flag(None, _text, "output path")
@@ -151,9 +148,9 @@ class ExperimentConfig:
                 raise ValueError(f"--{name} values must be positive integers")
         if self.trials < 1:
             raise ValueError("--trials must be >= 1")
-        if not self.success_tol > 0:  # also rejects NaN
-            raise ValueError(f"--success-tol must be positive, got {self.success_tol}")
-        # building one checks --max-iters, --tol, --mode and --step-size up front
+        if not (math.isfinite(self.success_tol) and self.success_tol > 0):
+            raise ValueError(f"--success-tol must be finite and positive, got {self.success_tol}")
+        # building one checks --max-iters, --tol and --step-size up front
         self.solver_config(rank=1, seed=0)
 
     def single(self) -> tuple[int, int, int]:
@@ -176,8 +173,7 @@ class ExperimentConfig:
 
     def solver_config(self, rank: int, seed: int) -> SolverConfig:
         return SolverConfig(rank=rank, max_iters=self.max_iters,
-                            residual_tol=self.tol, mode=self.mode,
-                            step_size=self.step_size, seed=seed)
+                            residual_tol=self.tol, step_size=self.step_size, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -274,7 +270,6 @@ def cmd_run(cfg: ExperimentConfig) -> int:
             "n": n, "s": s, "r": r,
             "seed": cfg.seed, "derived_seed": derived,
             "split": {"n1": dims.n1, "n2": dims.n2},
-            "mode": cfg.mode,
             "step_size": cfg.step_size, "max_iters": cfg.max_iters,
             "residual_tol": cfg.tol, "complex_subspace": cfg.complex_subspace,
             "termination": trace.termination,
@@ -288,7 +283,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
             },
         }, meta_fh, indent=2)
         meta_fh.write("\n")
-    print(f"run n={n} s={s} r={r} seed={cfg.seed} mode={cfg.mode}: "
+    print(f"run n={n} s={s} r={r} seed={cfg.seed}: "
           f"{trace.termination} after {iterations} iterations, "
           f"residual={final.residual:.3e}, rel_error={final.rel_error:.3e}, "
           f"trace={out}")

@@ -12,7 +12,7 @@ rejects.  Like a solver iteration, it touches the lift only through FFT
 products, FFT de-lifts and the certified operator SVD, which gives the
 subspace constants and tangent space of the lifted truth and, through
 ``solver.initialize``, the initialization; it forms no lifted matrix and
-takes no dense SVD, so it runs at any n that ``solve`` does in ``fast`` mode.
+takes no dense SVD, so it runs at any n that ``solve`` does.
 The isometry estimate wraps its point in one ``hankel.FactorSpectrum``, so
 each application of its map transforms only its own signal and tangent
 vector.  Both iterative estimates stop on a residual certificate.

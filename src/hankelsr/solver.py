@@ -14,10 +14,9 @@ FFTs, at O(r^2 s n + r s n log n) per iteration.  Each iteration maps one
 ``Iterate`` to the next: X, its data residual and the ``hankel.FactorSpectrum``
 of the truncation X came from, whose spectra the next step's products read,
 so each factor is transformed once.  The initialization is the certified
-operator SVD (``lowrank.truncate_rank_operator``) seeded by ``config.seed``
-in both modes, and the mode picks only how it takes its products with the
-lifted back-projection: ``dense`` with the lift materialized once, ``fast``
-by FFTs, which is the one that fits at large n.
+operator SVD (``lowrank.truncate_rank_operator``) seeded by ``config.seed``,
+which takes its products with the lifted back-projection by FFTs too, so no
+step of a solve forms the lifted matrix.
 
 ``SolverConfig`` owns the solver's defaults, which the command line reads
 from it, and rejects invalid ones when built; ``HankelDims.check_rank`` owns
@@ -27,6 +26,7 @@ the one rank rule, 2r <= min(s*n1, n2), that ``solve`` and ``iterate_once`` enfo
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -58,19 +58,31 @@ class SolverConfig:
     rank: int
     max_iters: int = 300
     residual_tol: float = 1e-10
-    mode: str = "dense"
+    # Inert: nothing reads it but the check below.  It stays only while the
+    # benchmark script, bench/run.py, builds SolverConfig(mode=...), and goes
+    # with that argument (ROADMAP direction 2).
+    mode: str = "fast"
     # Half the verbatim gradient step: at the default experiment scale
     # (n=256, s=4, r=5) the unit step routinely leaves the contraction region.
     step_size: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("rank", "max_iters", "seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, "
+                                 f"got {getattr(self, name)!r}") from None
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if not self.residual_tol > 0:  # also rejects NaN
-            raise ValueError(f"residual_tol must be positive, got {self.residual_tol}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not (math.isfinite(self.residual_tol) and self.residual_tol > 0):
+            raise ValueError(f"residual_tol must be finite and positive, "
+                             f"got {self.residual_tol}")
         if not (math.isfinite(self.step_size) and self.step_size >= 0):
             raise ValueError(f"step_size must be finite and >= 0, got {self.step_size}")
         if self.mode not in MODES:
@@ -171,32 +183,24 @@ def _initialize_factors(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: 
                         ) -> Iterate:
     """Iteration 0: the de-lift of the rank-r truncation of the lifted back-projection.
 
-    Both modes run the certified operator SVD seeded by ``config.seed``;
-    ``fast`` mode takes its products by FFTs, ``dense`` mode with the lift it
-    materializes once.
+    The truncation is the certified operator SVD seeded by ``config.seed``,
+    which takes its products with the lift by FFTs and never forms it.
     """
-    back = adjoint_measure(y, B)
-    if config.mode == "fast":
-        products = hankel.lift_products(back, dims)
-    else:
-        W = hankel.lift(back, dims)
-        # W^H u as (W^T conj(u))^*, which reads W in place of copying its conjugate
-        products = (W.__matmul__, lambda u: (W.T @ u.conj()).conj())
-    factors = truncate_rank_operator(*products, dims.lifted_shape, config.rank, seed=config.seed)
+    factors = truncate_rank_operator(*hankel.lift_products(adjoint_measure(y, B), dims),
+                                     dims.lifted_shape, config.rank, seed=config.seed)
     point = FactorSpectrum(factors, dims)
     return Iterate.at(hankel.pinv_lift_lowrank(point), point, y, B)
 
 
 def initialize(y: np.ndarray, B: np.ndarray, dims: HankelDims, r: int) -> np.ndarray:
-    """Spectral initialization of ``solve`` in ``fast`` mode with seed 0.
+    """Spectral initialization of ``solve`` with seed 0.
 
     It forms no lifted matrix: the operator SVD on FFT products and the FFT
-    de-lift, so it runs at any n that ``solve`` does.  ``dense`` mode gives
-    the same estimate up to roundoff.  Like ``solve``, it works on y scaled
-    to unit size, so its estimate scales with y bit for bit.
+    de-lift, so it runs at any n that ``solve`` does.  Like ``solve``, it
+    works on y scaled to unit size, so its estimate scales with y bit for bit.
     """
     e = _unit_exponent(y)
-    it = _initialize_factors(_ldexp(y, -e), B, dims, SolverConfig(rank=r, mode="fast"))
+    it = _initialize_factors(_ldexp(y, -e), B, dims, SolverConfig(rank=r))
     return _ldexp(it.X, e)
 
 
@@ -209,9 +213,9 @@ def iterate_once(it: Iterate, y: np.ndarray, B: np.ndarray, config: SolverConfig
     ``measure``.  To start elsewhere than ``solve``'s initialization, wrap
     ``Iterate.at(X, FactorSpectrum(truncate_rank(lift(X, dims), r), dims), y, B)``.
     Products and de-lift run by FFTs and the truncation through the 2r-by-2r
-    core of ``project_tangent_truncate``, so no iteration forms the lift or
-    reads ``config.mode``.  Raises ``ValueError`` on an infeasible rank, as
-    ``solve`` does, and ``DivergenceError`` if the update stops being finite.
+    core of ``project_tangent_truncate``, so no iteration forms the lift.
+    Raises ``ValueError`` on an infeasible rank, as ``solve`` does, and
+    ``DivergenceError`` if the update stops being finite.
     """
     dims = it.point.dims
     dims.check_rank(config.rank)
@@ -235,16 +239,14 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
           ) -> tuple[np.ndarray, ConvergenceTrace]:
     """Run the full solver: spectral initialization then hard-thresholded iterations.
 
-    The initialization is the operator SVD seeded by ``config.seed``, on
-    products with the materialized lift in ``dense`` mode and by FFTs in
-    ``fast`` mode; then ``iterate_once`` maps one ``Iterate`` to the next in
-    both modes, so whole runs differ only by the roundoff between the two
-    ways of taking the products.  It raises ``RankTruncationError`` in either
-    mode if the operator SVD finds no certificate.  Stops on
-    a small relative data residual, on stagnation, at max_iters, or on
-    divergence (residual growing well past its running minimum, or a step
-    that fails, as ``diverged: <reason> at iteration t``), which returns the
-    best iterate by residual.  The trace carries the residual, the relative
+    The initialization is the operator SVD seeded by ``config.seed`` on FFT
+    products; then ``iterate_once`` maps one ``Iterate`` to the next, so no
+    step forms the lifted matrix.  It raises ``RankTruncationError`` if the
+    operator SVD finds no certificate.  Stops on a small relative data
+    residual, on stagnation, at max_iters, or on divergence (residual
+    growing well past its running minimum, or a step that fails, as
+    ``diverged: <reason> at iteration t``), which returns the best iterate
+    by residual.  The trace carries the residual, the relative
     error against ``ground_truth`` when supplied, wall-clock timestamps and
     the iteration of the returned estimate.  Raises ``ValueError`` before any
     work when y, B or ``ground_truth`` has the wrong shape or a non-finite

@@ -167,7 +167,7 @@ def test_criterion_4_fixed_point_and_linear_convergence():
     slopes = []
     for trial in range(20):
         _, dims, B, X_true, y = synth_instance(256, 4, 5, seed_derivation(1, trial))
-        cfg = SolverConfig(rank=5, max_iters=200, mode="fast", step_size=0.5)
+        cfg = SolverConfig(rank=5, max_iters=200, step_size=0.5)
         _, trace = solve(y, B, dims, cfg, ground_truth=X_true)
         errs = trace.rel_errors
         if not np.any(errs < 1e-6):
@@ -271,7 +271,7 @@ def test_criterion_8_determinism_and_check_suite(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     args = [sys.executable, "-m", "hankelsr.cli", "run", "--n", "64", "--s", "2",
-            "--r", "2", "--seed", "9", "--max-iters", "80", "--mode", "dense"]
+            "--r", "2", "--seed", "9", "--max-iters", "80"]
     for name in ("a.csv", "b.csv"):
         proc = subprocess.run(args + ["--out", str(tmp_path / name)],
                               capture_output=True, text=True, env=env)
@@ -285,5 +285,5 @@ def test_criterion_8_determinism_and_check_suite(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "[FAIL]" not in proc.stdout
     assert elapsed < 60.0
-    print(f"\n[criterion 8] PASS determinism: byte-identical dense traces; "
+    print(f"\n[criterion 8] PASS determinism: byte-identical traces; "
           f"check suite green in {elapsed:.1f}s")

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hankelsr import checks, cli, lowrank
+from hankelsr import checks, cli, hankel, lowrank
 from hankelsr.cli import (EXIT_DIVERGED, EXIT_USAGE, ExperimentConfig, TrialRecord,
                           aggregate_sweep, main, seed_derivation, synth_instance,
                           write_trace)
@@ -64,9 +64,9 @@ def run_cli(*args):
     return main(list(args))
 
 
-# A fast-mode run that diverges: `--n 48 --s 4 --r 2 --seed 2 --step-size 40`.
+# A run that diverges: `--n 48 --s 4 --r 2 --seed 2 --step-size 40`.
 DIVERGING = ["--n", "48", "--s", "4", "--r", "2", "--seed", "2", "--step-size", "40",
-             "--max-iters", "100", "--mode", "fast"]
+             "--max-iters", "100"]
 
 
 def solve_diverging():
@@ -74,8 +74,7 @@ def solve_diverging():
     derived = seed_derivation(2, 0)
     _, dims, B, X_true, y = synth_instance(48, 4, 2, derived)
     X_hat, trace = solve(y, B, dims, SolverConfig(
-        rank=2, max_iters=100, residual_tol=1e-10, mode="fast", step_size=40.0,
-        seed=derived))
+        rank=2, max_iters=100, residual_tol=1e-10, step_size=40.0, seed=derived))
     return X_hat, trace, B, y, X_true
 
 
@@ -83,7 +82,7 @@ class TestRun:
     def test_trace_file_and_exit_code(self, tmp_path):
         out = tmp_path / "trace.csv"
         code = run_cli("run", "--n", "64", "--s", "2", "--r", "2", "--seed", "1",
-                       "--max-iters", "80", "--mode", "fast", "--out", str(out))
+                       "--max-iters", "80", "--out", str(out))
         assert code == 0
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "iter,residual,rel_error,log10_rel_error"
@@ -107,7 +106,7 @@ class TestRun:
     def test_byte_identical_traces_dense(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["run", "--n", "48", "--s", "2", "--r", "2", "--seed", "7",
-                "--max-iters", "60", "--mode", "dense"]
+                "--max-iters", "60"]
         assert run_cli(*args, "--out", str(out1)) == 0
         assert run_cli(*args, "--out", str(out2)) == 0
         assert out1.read_bytes() == out2.read_bytes()
@@ -115,7 +114,7 @@ class TestRun:
     def test_complex_sensing_vectors(self, tmp_path):
         out = tmp_path / "trace.csv"
         code = run_cli("run", "--n", "64", "--s", "2", "--r", "2", "--seed", "1",
-                       "--mode", "fast", "--complex-subspace", "--out", str(out))
+                       "--complex-subspace", "--out", str(out))
         assert code == 0
         meta = json.loads((tmp_path / "trace.csv.meta.json").read_text())
         assert meta["complex_subspace"] is True
@@ -123,13 +122,13 @@ class TestRun:
         # the sensing vectors are complex, so the trace is not the real one's
         real = tmp_path / "real.csv"
         assert run_cli("run", "--n", "64", "--s", "2", "--r", "2", "--seed", "1",
-                       "--mode", "fast", "--out", str(real)) == 0
+                       "--out", str(real)) == 0
         assert out.read_bytes() != real.read_bytes()
 
     def test_divergence_exit_code(self, tmp_path):
         out = tmp_path / "trace.csv"
         code = run_cli("run", "--n", "48", "--s", "4", "--r", "2", "--seed", "2",
-                       "--step-size", "40", "--max-iters", "100", "--mode", "fast",
+                       "--step-size", "40", "--max-iters", "100",
                        "--out", str(out))
         assert code == 2
         assert out.exists()  # trace still written
@@ -158,13 +157,12 @@ class TestRun:
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n": 48, "s": 2, "r": 4, "max_iters": 40,
-                                   "mode": "fast", "seed": 5}))
+        cfg.write_text(json.dumps({"n": 48, "s": 2, "r": 4, "max_iters": 40, "seed": 5}))
         out = tmp_path / "trace.csv"
         code = run_cli("run", "--config", str(cfg), "--r", "2", "--out", str(out))
         assert code == 0
         meta = json.loads((tmp_path / "trace.csv.meta.json").read_text())
-        assert meta["n"] == 48 and meta["r"] == 2 and meta["mode"] == "fast"
+        assert meta["n"] == 48 and meta["r"] == 2 and meta["max_iters"] == 40
 
     def test_unreadable_or_non_object_config(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
@@ -177,20 +175,22 @@ class TestRun:
 
     def test_null_config_value_keeps_the_default(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n": 48, "max_iters": None, "mode": None}))
+        cfg.write_text(json.dumps({"n": 48, "max_iters": None, "tol": None}))
         merged = cli._merge_config(cli._build_parser().parse_args(["run", "--config", str(cfg)]))
         default = cli._merge_config(cli._build_parser().parse_args(["run"]))
         assert merged == dataclasses.replace(default, n=(48,))
 
-    def test_unknown_config_key(self, tmp_path):
+    def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"rank": 2}))
-        assert run_cli("run", "--config", str(cfg)) == 1
+        for key, value in [("rank", 2), ("mode", "fast")]:
+            cfg.write_text(json.dumps({key: value}))
+            assert run_cli("run", "--config", str(cfg)) == 1
+            assert capsys.readouterr().err == f"error: unknown config keys: ['{key}']\n"
 
     @pytest.mark.parametrize("key,value", [
         ("with_report", "false"), ("complex_subspace", 1), ("seed", 1.9),
         ("seed", True), ("tol", False), ("n", [32.5]),
-        ("n", [True]), ("mode", 3)])
+        ("n", [True]), ("max_iters", 40.0)])
     def test_config_value_of_the_wrong_type(self, key, value, tmp_path, capsys,
                                             monkeypatch):
         # refused, not coerced: "false" would turn a switch on, 1.9 become 1
@@ -210,7 +210,7 @@ class TestRun:
     def test_default_scale_run_error_is_affinely_decreasing(self, tmp_path):
         out = tmp_path / "trace.csv"
         code = run_cli("run", "--n", "256", "--s", "4", "--r", "5", "--seed", "1",
-                       "--mode", "fast", "--out", str(out))
+                       "--out", str(out))
         assert code == 0
         rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
         log_err = np.array([float(r[3]) for r in rows if r[3] != "-inf"])
@@ -229,8 +229,19 @@ class TestRun:
         write_trace(buf, trace)
         assert buf.getvalue() == "iter,residual\n0,1.0\n1,0.5\n"
 
+    def test_default_run_never_lifts(self, tmp_path, capsys, monkeypatch):
+        # At s=4 the lift of an n=4096 signal has 0.27 GB of complex entries,
+        # and 4.3 GB at n=16384: a run at default flags must not form it.
+        def no_lift(*args):
+            raise AssertionError("run materialized the lift")
+
+        monkeypatch.setattr(hankel, "lift", no_lift)
+        out = tmp_path / "trace.csv"
+        assert run_cli("run", "--n", "4096", "--max-iters", "1", "--out", str(out)) == 0
+        assert "max_iters after 1 iterations" in capsys.readouterr().out
+
     def test_run_defaults_are_the_solver_defaults(self):
-        # max_iters, tol, mode and step_size have one default, SolverConfig's
+        # max_iters, tol and step_size have one default, SolverConfig's
         cfg = cli._merge_config(cli._build_parser().parse_args(["run"]))
         assert cfg.solver_config(rank=5, seed=0) == SolverConfig(rank=5)
 
@@ -239,7 +250,8 @@ class TestRejectedInput:
     @pytest.mark.parametrize("flags", [
         ["--tol", "nan"], ["--success-tol", "nan"], ["--step-size", "nan"],
         ["--step-size", "inf"], ["--step-size", "-1"], ["--variant", "weighted"],
-        ["--trials", "0"]])
+        ["--trials", "0"], ["--tol", "inf"], ["--success-tol", "inf"],
+        ["--mode", "fast"]])
     def test_bad_flags_rejected_before_solving(self, flags, tmp_path, capsys, monkeypatch):
         def no_solve(*args, **kwargs):
             raise AssertionError("an instance was solved despite a bad flag")
@@ -316,8 +328,8 @@ class TestRejectedInput:
 
 
 class TestUncertifiedTruncation:
-    """A ``RankTruncationError`` reaches no command as a traceback, in either
-    mode, since both initialize with the operator SVD.
+    """A ``RankTruncationError`` of the initialization's operator SVD reaches
+    no command as a traceback.
 
     The operator SVD's budget is cut to 10 basis columns (five blocks at
     r=2) and its certificate made unreachable, so it fails wherever the
@@ -333,28 +345,24 @@ class TestUncertifiedTruncation:
     @pytest.mark.parametrize("command", ["run", "report"])
     def test_error_exit_and_no_output(self, command, tmp_path, capsys):
         out = tmp_path / "out.csv"
-        for mode in ("dense", "fast"):
-            code = run_cli(command, "--n", "48", "--s", "2", "--r", "2", "--mode", mode,
-                           "--out", str(out))
-            assert code == EXIT_DIVERGED, mode
-            err = capsys.readouterr().err
-            assert err.startswith("error: no residual certificate within 10 Krylov basis "
-                                  "columns")
-            assert "Traceback" not in err
-            assert list(tmp_path.iterdir()) == []
+        code = run_cli(command, "--n", "48", "--s", "2", "--r", "2", "--out", str(out))
+        assert code == EXIT_DIVERGED
+        err = capsys.readouterr().err
+        assert err.startswith("error: no residual certificate within 10 Krylov basis columns")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_sweep_records_the_failed_trials_and_goes_on(self, tmp_path):
-        for mode in ("dense", "fast"):
-            out = tmp_path / f"sweep_{mode}.csv"
-            code = run_cli("sweep", "--n", "48,16", "--s", "2", "--r", "2", "--trials", "2",
-                           "--mode", mode, "--out", str(out))
-            assert code == 0
-            rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
-            assert [row[0] for row in rows] == ["48", "48", "16", "16"]
-            for row in rows[:2]:
-                assert row[5] == "" and row[6] == "0" and row[-1] == "0"
-                assert row[7].startswith('"truncation_error: no residual certificate')
-            assert all(row[7] == '"converged"' and row[-1] == "1" for row in rows[2:])
+        out = tmp_path / "sweep.csv"
+        code = run_cli("sweep", "--n", "48,16", "--s", "2", "--r", "2", "--trials", "2",
+                       "--out", str(out))
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+        assert [row[0] for row in rows] == ["48", "48", "16", "16"]
+        for row in rows[:2]:
+            assert row[5] == "" and row[6] == "0" and row[-1] == "0"
+            assert row[7].startswith('"truncation_error: no residual certificate')
+        assert all(row[7] == '"converged"' and row[-1] == "1" for row in rows[2:])
 
 
 class TestSweep:
@@ -362,7 +370,7 @@ class TestSweep:
         out = tmp_path / "sweep.csv"
         code = run_cli("sweep", "--n", "32,48", "--s", "2", "--r", "2,20",
                        "--seed", "3", "--trials", "2", "--max-iters", "60",
-                       "--mode", "fast", "--out", str(out))
+                       "--out", str(out))
         assert code == 0
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 1 + 8  # header + 2 cells x 2 ranks x 2 trials
@@ -381,7 +389,7 @@ class TestSweep:
         # the r=20 termination holds a comma, so it must stay one quoted field
         out = tmp_path / "sweep.csv"
         assert run_cli("sweep", "--n", "32", "--s", "2", "--r", "2,20", "--trials", "1",
-                       "--mode", "fast", "--out", str(out)) == 0
+                       "--out", str(out)) == 0
         with open(out, newline="") as fh:
             header, *rows = list(csv.reader(fh))
         assert len(rows) == 2 and all(len(row) == len(header) for row in rows)
@@ -405,7 +413,7 @@ class TestSweep:
         monkeypatch.setattr(cli, "assumption_report", failing_report)
         out = tmp_path / "sweep.csv"
         assert run_cli("sweep", "--n", "32", "--s", "2", "--r", "2", "--seed", "2",
-                       "--trials", "1", "--max-iters", "40", "--mode", "fast",
+                       "--trials", "1", "--max-iters", "40",
                        "--with-report", "--out", str(out)) == 0
         with open(out, newline="") as fh:
             header, row = list(csv.reader(fh))
@@ -445,7 +453,7 @@ class TestSweep:
     def test_with_report_columns(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = run_cli("sweep", "--n", "32", "--s", "2", "--r", "2", "--seed", "2",
-                       "--trials", "1", "--max-iters", "40", "--mode", "fast",
+                       "--trials", "1", "--max-iters", "40",
                        "--with-report", "--out", str(out))
         assert code == 0
         header, row = out.read_text().strip().split("\n")
@@ -456,7 +464,7 @@ class TestSweep:
     def test_single_trial_reduces_to_run(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = run_cli("sweep", "--n", "48", "--s", "2", "--r", "2", "--seed", "1",
-                       "--trials", "1", "--max-iters", "80", "--mode", "fast",
+                       "--trials", "1", "--max-iters", "80",
                        "--out", str(out))
         assert code == 0
         lines = out.read_text().strip().split("\n")
@@ -468,7 +476,7 @@ class TestSweep:
         out = tmp_path / "sweep.csv"
         code = run_cli("sweep", "--n", "64,128,256", "--s", "2", "--r", "2",
                        "--seed", "11", "--trials", "5", "--max-iters", "200",
-                       "--mode", "fast", "--out", str(out))
+                       "--out", str(out))
         assert code == 0
         summary = (tmp_path / "sweep_summary.csv").read_text().strip().split("\n")[1:]
         rates = [float(row.split(",")[-1]) for row in summary]

@@ -228,13 +228,13 @@ def test_project_tangent_truncate_degenerate_off_tangent_blocks(seed, k, b_kind,
 @PROPERTY
 @given(lifts())
 def test_dense_step_matches_reference_step(case):
-    """Dense iterate_once against the full-SVD step on every feasible split, up to 2r = min(s*n1, n2)."""
+    """iterate_once against the full-SVD step on every feasible split, up to 2r = min(s*n1, n2)."""
     dims, X, k, rng = case
     r = min(k, min(dims.lifted_shape) // 2)
     assume(r >= 1)
     B = rng.standard_normal((dims.s, dims.n))
     y = crandn(rng, dims.n)
-    cfg = SolverConfig(rank=r, mode="dense", step_size=0.5)
+    cfg = SolverConfig(rank=r, step_size=0.5)
     factors = truncate_rank(lift(X, dims), r)
     Xt = X - cfg.step_size * adjoint_measure(measure(X, B) - y, B)
     svals = np.linalg.svd(project_tangent(lift(Xt, dims), factors), compute_uv=False)

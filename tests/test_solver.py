@@ -1,4 +1,9 @@
-"""Solver tests: initialization, single steps, full runs, stopping rules."""
+"""Solver tests: initialization, single steps, full runs, stopping rules.
+
+``SolverConfig.mode`` is read by nothing but its own validation; the tests
+parametrized over its two values pin, each in its own regime, that the
+field changes nothing, and ``test_modes_agree_per_seed`` pins it bit for bit.
+"""
 
 import dataclasses
 import re
@@ -111,20 +116,20 @@ class TestInitialize:
         for trial in range(5):
             dims, B, X_true, y = make_instance(256, 4, 5, seed_derivation(3, trial))
             columns.clear()
-            _initialize_factors(y, B, dims, SolverConfig(rank=5, mode="fast"))
+            _initialize_factors(y, B, dims, SolverConfig(rank=5))
             assert sum(columns) <= 220, f"trial {trial}: {sum(columns)} product columns"
 
 
 class TestIterateOnce:
-    @pytest.mark.parametrize("mode", ["dense", "fast"])
-    def test_truth_is_fixed_point(self, mode):
+    @pytest.mark.parametrize("truth_svd", ["dense", "fast"])
+    def test_truth_is_fixed_point(self, truth_svd):
         # At the truth the off-tangent blocks are roundoff, and the step
         # still matches the full-SVD reference step, whether the truth's
-        # factors come from the dense SVD or, as in fast mode, from the
-        # operator SVD on FFT products.
+        # factors come from the dense SVD or, as the initialization's do,
+        # from the operator SVD on FFT products.
         dims, B, X_true, y = make_instance(32, 2, 2, 3)
-        cfg = SolverConfig(rank=2, mode=mode)
-        if mode == "fast":
+        cfg = SolverConfig(rank=2)
+        if truth_svd == "fast":
             truth = lowrank.truncate_rank_operator(
                 *hankel.lift_products(X_true, dims), dims.lifted_shape, 2, seed=cfg.seed)
         else:
@@ -139,9 +144,9 @@ class TestIterateOnce:
 
     def test_dense_mode_matches_reference_step(self):
         # The 2r-by-2r core truncation against the full SVD of the projected
-        # lift, each carrying its own iterate from the dense initialization.
+        # lift, each carrying its own iterate from the solver's initialization.
         dims, B, X_true, y = make_instance(256, 4, 5, 20)
-        cfg = SolverConfig(rank=5, mode="dense", step_size=0.5)
+        cfg = SolverConfig(rank=5, step_size=0.5)
         it = _initialize_factors(y, B, dims, cfg)
         X_ref, ref_factors = it.X, it.point.factors
         for _ in range(12):
@@ -152,7 +157,7 @@ class TestIterateOnce:
     @pytest.mark.parametrize("mode", ["dense", "fast"])
     def test_infeasible_rank_rejected_as_in_solve(self, mode):
         # lifted shape (20, 6): the tangent space at rank 4 would need 8
-        # columns; the step's message is the one solve gives in each mode
+        # columns; the step's message is the one solve gives
         dims, B, X_true, y = make_instance(10, 4, 2, 18)
         cfg = SolverConfig(rank=4, mode=mode)
         point = FactorSpectrum(lowrank.truncate_rank(lift(X_true, dims), 4), dims)
@@ -218,19 +223,21 @@ class TestIterateOnce:
 
 
 class TestOneInitialization:
-    """Both modes run one initialization, the operator SVD seeded by the
-    config, and differ only in how its products with the lift are taken."""
+    """There is one initialization, the operator SVD on FFT products seeded by
+    the config; ``SolverConfig.mode`` selects nothing."""
 
     @pytest.mark.parametrize("n,s,r", [(32, 2, 2), (64, 4, 5), (256, 4, 5)])
     def test_modes_agree_per_seed(self, n, s, r):
         for trial in range(5):
             seed = seed_derivation(1, trial)
             dims, B, _, y = make_instance(n, s, r, seed)
-            configs = {mode: SolverConfig(rank=r, mode=mode, seed=seed) for mode in solver.MODES}
-            inits = {mode: _initialize_factors(y, B, dims, cfg).X for mode, cfg in configs.items()}
-            assert relative_error(inits["dense"], inits["fast"]) < 1e-12
-            traces = [solve(y, B, dims, cfg)[1] for cfg in configs.values()]
-            assert len({(t.termination, len(t.records)) for t in traces}) == 1, trial
+            (X_ref, ref), *others = [solve(y, B, dims, SolverConfig(rank=r, mode=mode, seed=seed))
+                                     for mode in solver.MODES]
+            for X, trace in others:
+                np.testing.assert_array_equal(X, X_ref)
+                np.testing.assert_array_equal(trace.residuals, ref.residuals)
+                assert ((trace.termination, trace.returned_iteration)
+                        == (ref.termination, ref.returned_iteration)), trial
 
 
 class TestTransformCount:
@@ -254,7 +261,7 @@ class TestTransformCount:
         # lift_rmatvec and 4 in the de-lift.  The carried point's spectra
         # were taken by the initialization's de-lift.
         dims, B, X_true, y = make_instance(256, 4, 5, seed_derivation(1, 0))
-        cfg = SolverConfig(rank=5, mode="fast", step_size=0.5)
+        cfg = SolverConfig(rank=5, step_size=0.5)
         it = _initialize_factors(y, B, dims, cfg)
         counts.update(fft=0, ifft=0)
         iterate_once(it, y, B, cfg)
@@ -264,7 +271,7 @@ class TestTransformCount:
         # Beyond its initialization, every iteration of solve runs the 58
         # transforms of a step handed its spectrum.
         dims, B, X_true, y = make_instance(256, 4, 5, seed_derivation(1, 1))
-        cfg = SolverConfig(rank=5, max_iters=4, mode="fast", step_size=0.5)
+        cfg = SolverConfig(rank=5, max_iters=4, step_size=0.5)
         _initialize_factors(y, B, dims, cfg)
         init = dict(counts)
         counts.update(fft=0, ifft=0)
@@ -297,7 +304,7 @@ class TestTransformCount:
 class TestSolve:
     def test_converges_on_desk_instance(self):
         dims, B, X_true, y = make_instance(96, 2, 2, 7)
-        cfg = SolverConfig(rank=2, max_iters=200, mode="fast", step_size=0.5)
+        cfg = SolverConfig(rank=2, max_iters=200, step_size=0.5)
         X_hat, trace = solve(y, B, dims, cfg, ground_truth=X_true)
         assert trace.termination == "converged"
         assert relative_error(X_hat, X_true) < 1e-8
@@ -307,7 +314,7 @@ class TestSolve:
 
     def test_eventually_geometric(self):
         dims, B, X_true, y = make_instance(128, 2, 2, 8)
-        cfg = SolverConfig(rank=2, max_iters=200, mode="fast", step_size=0.5)
+        cfg = SolverConfig(rank=2, max_iters=200, step_size=0.5)
         _, trace = solve(y, B, dims, cfg, ground_truth=X_true)
         errs = trace.rel_errors
         hi = min(40, len(errs) - 1)
@@ -318,7 +325,7 @@ class TestSolve:
 
     def test_rank_overshoot_leaves_trailing_sigma_small(self):
         dims, B, X_true, y = make_instance(64, 2, 1, 9)
-        cfg = SolverConfig(rank=3, max_iters=300, mode="dense", step_size=0.5)
+        cfg = SolverConfig(rank=3, max_iters=300, step_size=0.5)
         X_hat, trace = solve(y, B, dims, cfg, ground_truth=X_true)
         assert relative_error(X_hat, X_true) < 1e-4
         svals = np.linalg.svd(lift(X_hat, dims), compute_uv=False)
@@ -329,7 +336,7 @@ class TestSolve:
         # sigma_3 / sigma_1 falls to near zero, which flags the overshoot
         # without ground truth.
         dims, B, _, y = make_instance(64, 2, 1, 9)
-        cfg = SolverConfig(rank=3, mode="fast", step_size=0.5)
+        cfg = SolverConfig(rank=3, step_size=0.5)
         it = _initialize_factors(y, B, dims, cfg)
         sigma = it.point.factors.sigma
         assert sigma[2] / sigma[0] > 0.1
@@ -341,7 +348,7 @@ class TestSolve:
 
     def test_zero_iterations_returns_initialization(self):
         dims, B, X_true, y = make_instance(32, 2, 2, 10)
-        cfg = SolverConfig(rank=2, max_iters=0, mode="fast")
+        cfg = SolverConfig(rank=2, max_iters=0)
         X_hat, trace = solve(y, B, dims, cfg, ground_truth=X_true)
         assert len(trace.records) == 1
         assert trace.records[0].iteration == 0
@@ -349,7 +356,7 @@ class TestSolve:
 
     def test_dense_mode_bitwise_deterministic(self):
         dims, B, X_true, y = make_instance(48, 2, 2, 11)
-        cfg = SolverConfig(rank=2, max_iters=40, mode="dense", step_size=0.5)
+        cfg = SolverConfig(rank=2, max_iters=40, step_size=0.5)
         X1, t1 = solve(y, B, dims, cfg, ground_truth=X_true)
         X2, t2 = solve(y, B, dims, cfg, ground_truth=X_true)
         np.testing.assert_array_equal(X1, X2)
@@ -358,7 +365,7 @@ class TestSolve:
 
     def test_divergence_guard_returns_best_iterate(self):
         dims, B, X_true, y = make_instance(48, 4, 2, 12)
-        cfg = SolverConfig(rank=2, max_iters=200, step_size=30.0, mode="fast")
+        cfg = SolverConfig(rank=2, max_iters=200, step_size=30.0)
         X_hat, trace = solve(y, B, dims, cfg, ground_truth=X_true)
         assert trace.termination.startswith("diverged")
         returned_resid = np.linalg.norm(measure(X_hat, B) - y)
@@ -437,17 +444,12 @@ class TestSolve:
                 == np.linalg.norm(measure(X_hat, B) - y))
 
     def test_operator_init_matches_dense_init(self):
-        # Both modes run the seeded operator SVD, on products with the
-        # materialized lift or by FFTs; the oracle is the de-lift of the full
-        # SVD of the materialized lift.
+        # The seeded operator SVD on FFT products against the de-lift of the
+        # full SVD of the materialized lift.
         dims, B, X_true, y = make_instance(64, 2, 2, 14)
         exact = FactorSpectrum(lowrank.truncate_rank(lift(adjoint_measure(y, B), dims), 2), dims)
-        X_exact = hankel.pinv_lift_lowrank(exact)
-        X_op = {mode: solve(y, B, dims, SolverConfig(rank=2, max_iters=0, mode=mode, seed=3))[0]
-                for mode in solver.MODES}
-        for X in X_op.values():
-            assert relative_error(X, X_exact) < 1e-6
-        assert relative_error(X_op["dense"], X_op["fast"]) < 1e-12
+        X_op, _ = solve(y, B, dims, SolverConfig(rank=2, max_iters=0, seed=3))
+        assert relative_error(X_op, hankel.pinv_lift_lowrank(exact)) < 1e-6
 
     def test_delift_nonexpansive(self):
         rng = np.random.default_rng(15)
@@ -467,10 +469,11 @@ class TestSolve:
             SolverConfig(rank=1, residual_tol=0.0)
         with pytest.raises(ValueError, match="max_iters"):
             SolverConfig(rank=1, max_iters=-1)
-        for field, value in [("residual_tol", np.nan), ("step_size", np.nan),
-                             ("step_size", np.inf), ("step_size", -1.0)]:
+        for field, value in [("residual_tol", np.nan), ("residual_tol", np.inf),
+                             ("step_size", np.nan), ("step_size", np.inf), ("step_size", -1.0),
+                             ("rank", 2.5), ("max_iters", 2.5), ("seed", 2.5), ("seed", -1)]:
             with pytest.raises(ValueError, match=field):
-                SolverConfig(rank=1, **{field: value})
+                SolverConfig(**{"rank": 1, field: value})
 
     def test_shape_validation(self):
         dims = choose_dims(16, 2)
@@ -503,12 +506,11 @@ class TestSolve:
             return fft(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "fft", recorded)
-        _, trace = solve(y, B, dims, SolverConfig(rank=2, max_iters=5, mode="fast",
-                                                  step_size=0.5))
+        _, trace = solve(y, B, dims, SolverConfig(rank=2, max_iters=5, step_size=0.5))
         assert len(trace.records) == 6
         assert shapes.count((dims.s, dims.n)) == len(trace.records)
 
-    def test_dense_mode_honours_the_seed(self, monkeypatch):
+    def test_initialization_honours_the_seed(self, monkeypatch):
         dims, B, _, y = make_instance(48, 2, 2, 17)
         seeds = []
         operator_svd = solver.truncate_rank_operator
@@ -518,25 +520,8 @@ class TestSolve:
             return operator_svd(*args, seed=seed)
 
         monkeypatch.setattr(solver, "truncate_rank_operator", recorded)
-        solve(y, B, dims, SolverConfig(rank=2, max_iters=0, mode="dense", seed=7))
+        solve(y, B, dims, SolverConfig(rank=2, max_iters=0, seed=7))
         assert seeds == [7]
-
-    def test_dense_mode_lifts_only_to_initialize(self, monkeypatch):
-        # The dense initialization materializes the lift once; every
-        # iteration forms its products with it by FFTs.
-        dims, B, _, y = make_instance(48, 2, 2, 17)
-        calls = []
-        lift_ = hankel.lift
-
-        def counted(X, dims):
-            calls.append(1)
-            return lift_(X, dims)
-
-        monkeypatch.setattr(hankel, "lift", counted)
-        _, trace = solve(y, B, dims, SolverConfig(rank=2, max_iters=6, mode="dense",
-                                                  step_size=0.5))
-        assert trace.termination == "max_iters"
-        assert len(calls) == 1
 
     @pytest.mark.parametrize("mode", ["dense", "fast"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
