@@ -163,33 +163,41 @@ def reference_step(X: np.ndarray, y: np.ndarray, B: np.ndarray,
 
 
 def check_fast_dense_equivalence() -> CheckResult:
-    """The solver's iterates against the reference step, and its initialization
-    against the exact one.
+    """The solver's iterates against the reference step, and the operator
+    initialization against the exact one.
 
     The solver iteration and ``reference_step`` start from the exact
     initialization (the full SVD of the materialized lifted back-projection),
-    so their gap is roundoff.  The solver's operator initialization is
-    compared with the exact one on its own, to 1e-6: its block Krylov SVD
-    stops on a residual certificate well inside that bound, and at this size
-    before its basis spans the whole row space, so the gap is the
-    certificate's, not roundoff (about 5e-8).
+    so their gap is roundoff.  The operator SVD certified to 1.2e-6
+    (``lowrank._CERTIFICATE_TOL``, the diagnostics' accuracy) is compared
+    with the exact initialization to 1e-6: it stops on its certificate well
+    inside that bound, and at this size before its basis spans the whole row
+    space, so the gap is the certificate's, not roundoff (about 5e-8).  The
+    solver's own start, certified only to ``solver._INIT_CERTIFICATE_TOL``,
+    is reported apart and bounded by that tolerance (about 1e-5).
     """
     m, dims, B, X_true, y = model.synth_instance(48, 2, 2, seed=8)
-    exact = hankel.FactorSpectrum(
-        lowrank.truncate_rank(hankel.lift(model.adjoint_measure(y, B), dims), m.r), dims)
+    back = model.adjoint_measure(y, B)
+    exact = hankel.FactorSpectrum(lowrank.truncate_rank(hankel.lift(back, dims), m.r), dims)
     it = solver.Iterate.at(hankel.pinv_lift_lowrank(exact), exact, y, B)
     cfg = solver.SolverConfig(rank=m.r)
-    init_gap = solver.relative_error(solver._initialize_factors(y, B, dims, cfg).X, it.X)
+    certified = lowrank.truncate_rank_operator(*hankel.lift_products(back, dims),
+                                               dims.lifted_shape, m.r, seed=cfg.seed)
+    init_gap = solver.relative_error(
+        hankel.pinv_lift_lowrank(hankel.FactorSpectrum(certified, dims)), it.X)
+    start_gap = solver.relative_error(solver._initialize_factors(y, B, dims, cfg).X, it.X)
     worst = 0.0
     X_ref, ref_factors = it.X, exact.factors
     for _ in range(12):
         it = solver.iterate_once(it, y, B, cfg)
         X_ref, ref_factors = reference_step(X_ref, y, B, dims, cfg, ref_factors)
         worst = max(worst, solver.relative_error(it.X, X_ref))
-    return CheckResult("fast_dense_equivalence", worst < 1e-8 and init_gap < 1e-6,
+    passed = (worst < 1e-8 and init_gap < 1e-6
+              and start_gap < solver._INIT_CERTIFICATE_TOL)
+    return CheckResult("fast_dense_equivalence", passed,
                        f"worst per-iterate gap to the reference step {worst:.2e} "
                        f"from a shared start, operator vs exact initialization "
-                       f"{init_gap:.2e}")
+                       f"{init_gap:.2e}, solver start vs exact {start_gap:.2e}")
 
 
 def run_all() -> list[CheckResult]:

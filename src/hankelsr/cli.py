@@ -408,16 +408,17 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
         unknown = set(given) - set(flags)
         if unknown:
             raise _UsageError(f"unknown config keys: {sorted(unknown)}")
-    given.update((name, getattr(args, name)) for name in flags
-                 if getattr(args, name) is not None)
     values = {}
-    for name, value in given.items():
-        if value is None:  # a null in the file keeps the default
-            continue
-        try:
-            values[name] = flags[name].metadata["parse"](value)
-        except (TypeError, ValueError):
-            raise _UsageError(f"invalid value {value!r} for {_option(name)}")
+    # Every file value is parsed, then every flag, so a flag that overrides
+    # a malformed file value does not hide it; a null keeps the default.
+    for source in (given, {name: getattr(args, name) for name in flags}):
+        for name, value in source.items():
+            if value is None:
+                continue
+            try:
+                values[name] = flags[name].metadata["parse"](value)
+            except (TypeError, ValueError):
+                raise _UsageError(f"invalid value {value!r} for {_option(name)}")
     cfg = ExperimentConfig(**values)
     cfg.validate()
     return cfg

@@ -147,9 +147,10 @@ def assumption_report(model: PointSourceModel, B: np.ndarray,
     Rejects a rank the solver rejects, with ``solve``'s ``ValueError``, and a
     lifted signal of numerical rank below r (sigma_r <= _RANK_TOL sigma_1),
     whose kappa is undefined, with a ``ValueError`` of its own.  Uses the
-    operator SVD of the lifted signal, which has exact rank r, for kappa,
-    sigma_r, mu1 and the tangent space of the isometry defect, and runs
-    ``solver.initialize`` (the ``fast`` initialization) on the exact
+    operator SVD of the lifted signal, which has exact rank r, certified to
+    the default 1.2e-6, for kappa, sigma_r, mu1 and the tangent space of the
+    isometry defect, and runs ``solver.initialize`` (the start ``solve``
+    uses, certified only to ``solver._INIT_CERTIFICATE_TOL``) on the exact
     measurements to report its spectral distance from the lifted truth.
     """
     dims.check_rank(model.r)

@@ -58,6 +58,11 @@ class HankelDims:
     def weights(self) -> np.ndarray:
         return weight_vector(self.n, self.n1, self.n2)
 
+    @cached_property
+    def inverse_weights(self) -> np.ndarray:
+        """w**-1, the de-lift's scaling, as ``_weigh`` computes it for power -2."""
+        return self.weights.astype(np.float64) ** -1.0
+
     @property
     def lifted_shape(self) -> tuple[int, int]:
         return (self.s * self.n1, self.n2)
@@ -198,13 +203,17 @@ def _check_block(block: np.ndarray, rows: int) -> None:
 def _row_spectra(U: np.ndarray, dims: HankelDims) -> np.ndarray:
     """FFTs of the s block rows of each column of an (s*n1, k) block: shape (s, k, L)."""
     _check_block(U, dims.s * dims.n1)
-    return _fft_last(U.reshape(dims.n1, dims.s, -1).transpose(1, 2, 0), _next_pow2(dims.n))
+    F = np.zeros((dims.s, U.shape[1], _next_pow2(dims.n)), dtype=complex)
+    F[:, :, :dims.n1] = U.reshape(dims.n1, dims.s, -1).transpose(1, 2, 0)
+    return np.fft.fft(F, axis=-1, out=F)
 
 
 def _conj_spectra(V: np.ndarray, dims: HankelDims) -> np.ndarray:
     """FFTs of the conjugated columns of an (n2, k) block: shape (k, L)."""
     _check_block(V, dims.n2)
-    return _fft_last(np.conj(V).T, _next_pow2(dims.n))
+    F = np.zeros((V.shape[1], _next_pow2(dims.n)), dtype=complex)
+    np.conjugate(V.T, out=F[:, :dims.n2])
+    return np.fft.fft(F, axis=-1, out=F)
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,8 +332,11 @@ def adjoint_lift_lowrank(point: FactorSpectrum) -> np.ndarray:
 
 
 def pinv_lift_lowrank(point: FactorSpectrum) -> np.ndarray:
-    """Pseudoinverse de-lift of the point, matrix-free."""
-    return _weigh(adjoint_lift_lowrank(point), point.dims, -2)
+    """Pseudoinverse de-lift of the point, matrix-free: the adjoint lift scaled by
+    ``HankelDims.inverse_weights`` in place."""
+    X = adjoint_lift_lowrank(point)
+    X *= point.dims.inverse_weights
+    return X
 
 
 def adjoint_lift_tangent(point: FactorSpectrum, N: np.ndarray, M: np.ndarray) -> np.ndarray:

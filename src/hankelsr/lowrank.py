@@ -36,14 +36,17 @@ _ORTHO_TOL = 1e-10
 _CHOLQR_COND_MAX = 1e4
 # Randomized block Krylov: blocks of r columns (block Krylov needs no wider
 # block; Musco & Musco, NeurIPS 2015) until the residual of every leading
-# Ritz pair is at most _CERTIFICATE_TOL times the Ritz gap
-# theta_r - theta_{r+1}.  By the Davis-Kahan sin-theta bound that ratio
-# bounds the angle to the leading singular subspace, which sets the error of
-# the truncation.  The basis holds at most _MAX_COLUMNS columns, as many as
-# blocks of r + 8 = 13 columns were allowed at r=5 (32 blocks).  At s=4, r=5
-# the initialization ends after 5 blocks at n=65536, 6-9 at n=4096 and 8-25
-# at n=256-1024 (at most 125 columns); at n=48 its basis spans all n2 = 25
-# rows after 5 blocks.
+# Ritz pair is at most a tolerance times the Ritz gap theta_r - theta_{r+1}.
+# By the Davis-Kahan sin-theta bound that ratio bounds the angle to the
+# leading singular subspace, which sets the error of the truncation.  The
+# default tolerance, _CERTIFICATE_TOL, is the accuracy the diagnostics'
+# constants need; the solver's start asks for less
+# (``solver._INIT_CERTIFICATE_TOL``).  The basis holds at most _MAX_COLUMNS
+# columns, as many as blocks of r + 8 = 13 columns were allowed at r=5 (32
+# blocks).  At s=4, r=5 and _CERTIFICATE_TOL the lifted back-projection
+# certifies after 5 blocks at n=65536, 6-9 at n=4096 and 8-25 at
+# n=256-1024 (at most 125 columns); at n=48 its basis spans all n2 = 25 rows
+# after 5 blocks.
 _CERTIFICATE_TOL = 1.2e-6
 _MAX_COLUMNS = 416
 # Rows per block of ``_hermitian``: the conjugate of one block (8192 rows of
@@ -111,6 +114,8 @@ def _hermitian(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     conjugated just before its product, so an m-row product makes no m-row
     temporary and reads each block's conjugate from cache.
     """
+    if X.shape[0] <= _HERMITIAN_ROWS:
+        return X.conj().T @ Y
     out = X[:_HERMITIAN_ROWS].conj().T @ Y[:_HERMITIAN_ROWS]
     for start in range(_HERMITIAN_ROWS, X.shape[0], _HERMITIAN_ROWS):
         stop = start + _HERMITIAN_ROWS
@@ -158,7 +163,8 @@ def project_tangent(W: np.ndarray, point: LowRankFactors) -> np.ndarray:
 
 def truncate_rank_operator(matvec: Callable[[np.ndarray], np.ndarray],
                            adjoint_matvec: Callable[[np.ndarray], np.ndarray],
-                           shape: tuple[int, int], r: int, *, seed: int = 0) -> LowRankFactors:
+                           shape: tuple[int, int], r: int, *, seed: int = 0,
+                           tol: float = _CERTIFICATE_TOL) -> LowRankFactors:
     """Leading-r SVD factors of a matrix M seen only through operator products.
 
     Runs randomized block Krylov: block Lanczos on M^H M from a Gaussian
@@ -166,11 +172,14 @@ def truncate_rank_operator(matvec: Callable[[np.ndarray], np.ndarray],
     twice against the basis held so far and then deflated (directions of
     numerically zero norm are dropped), and Rayleigh-Ritz on the whole basis
     after each block.  It stops once the residual ||M^H M y - theta y|| of
-    each of the r leading Ritz pairs is at most _CERTIFICATE_TOL times the
-    gap theta_r - theta_{r+1} between the r-th and the next Ritz value (and
-    no less than _CERTIFICATE_TOL times theta_1), which bounds the angle to
-    the leading singular subspace; or once the basis spans the whole row
-    space, where Rayleigh-Ritz is exact.  U and sigma then come from one
+    each of the r leading Ritz pairs is at most ``tol`` times the gap
+    theta_r - theta_{r+1} between the r-th and the next Ritz value (and no
+    less than ``tol`` times theta_1), which bounds the angle to the leading
+    singular subspace by about ``tol``; or once the basis spans the whole
+    row space, where Rayleigh-Ritz is exact.  The default, _CERTIFICATE_TOL
+    = 1.2e-6, is what the diagnostics' kappa, sigma_r and mu1 use; the
+    solver's initialization passes a looser tolerance, since its iteration
+    removes the rest of the start's error.  U and sigma then come from one
     product of width r; all r triplets are kept, zero singular values
     included.  Raises ``RankTruncationError`` if the basis reaches
     _MAX_COLUMNS columns first.  Each block costs one matvec and one
@@ -207,10 +216,10 @@ def truncate_rank_operator(matvec: Callable[[np.ndarray], np.ndarray],
         W -= K @ T[:, start:]
         W -= K @ (K.conj().T @ W)
         residual = float(np.max(np.linalg.norm(W @ lead[start:], axis=0)))
-        # A gap below _CERTIFICATE_TOL * theta_1 leaves the leading subspace
+        # A gap below tol * theta_1 leaves the leading subspace
         # undetermined at that accuracy, so the certificate asks no more.
-        gap = max(theta[-r] - (theta[-r - 1] if c > r else 0.0), _CERTIFICATE_TOL * scale)
-        if residual > _CERTIFICATE_TOL * gap and c < p:
+        gap = max(theta[-r] - (theta[-r - 1] if c > r else 0.0), tol * scale)
+        if residual > tol * gap and c < p:
             if c >= limit:
                 raise RankTruncationError(
                     f"no residual certificate within {c} Krylov basis columns "
@@ -232,32 +241,37 @@ def truncate_rank_operator(matvec: Callable[[np.ndarray], np.ndarray],
         return LowRankFactors(U=P, sigma=sigma, V=Y @ Th.conj().T)
 
 
-def _householder_completion(U: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Completion by Householder QR of the stacked [U, B]: orthonormal for any B."""
+def _householder_completion(U: np.ndarray, B: np.ndarray,
+                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Completion by Householder QR of the stacked [U, B], orthonormal for any B,
+    in the form of ``_complete``: (Q, I, R)."""
     k = U.shape[1]
-    Q1 = np.linalg.qr(np.hstack([U, B]))[0][:, k:]
-    return Q1, _hermitian(Q1, B)
+    Q = np.linalg.qr(np.hstack([U, B]))[0][:, k:]
+    return Q, np.eye(k), _hermitian(Q, B)
 
 
-def _complete(U: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _complete(U: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orthonormal completion of U along a block B already projected off U.
 
-    Returns Q1 (m, k) with orthonormal columns orthogonal to U, and R1 (k, k)
-    with Q1 R1 = (I - U U^H) B.  B is projected against U a second time
-    ("twice is enough"), then factorized by CholeskyQR2: B = Q R with R the
-    Cholesky factor of B^H B, and once more Q = Q1 R2, so R1 = R2 R.  When
-    the Cholesky factorization fails or R does not certify
-    cond(B) <= _CHOLQR_COND_MAX, the Householder QR of [U, B] is used instead.
+    Returns Q (m, k) and F, R (k, k) such that the columns of Q F are
+    orthonormal and orthogonal to U, and Q F R = (I - U U^H) B.  B is
+    projected against U a second time ("twice is enough"), then factorized
+    by CholeskyQR2: B = Q R0 with R0 the Cholesky factor of B^H B, and once
+    more Q = (Q F) R2 with R2 that of Q^H Q, so F = R2^-1 and R = R2 R0.  F is returned unapplied:
+    a caller that needs Q F X only for a thin X forms Q (F X), which saves
+    the tall product Q F.  When the Cholesky factorization fails or R0 does
+    not certify cond(B) <= _CHOLQR_COND_MAX, the Householder QR of [U, B]
+    is used instead, with F = I.
     """
     B = _minus_product(B, U, _hermitian(U, B))
     try:
-        L = np.linalg.cholesky(_hermitian(B, B))  # B^H B = L L^H, so R = L^H
+        L = np.linalg.cholesky(_hermitian(B, B))  # B^H B = L L^H, so R0 = L^H
         Linv = np.linalg.inv(L)
-        # ||R||_F ||R^-1||_F bounds cond_2(R) = cond_2(B) from above; NaN fails it.
+        # ||R0||_F ||R0^-1||_F bounds cond_2(R0) = cond_2(B) from above; NaN fails it.
         if np.linalg.norm(L) * np.linalg.norm(Linv) <= _CHOLQR_COND_MAX:
             Q = B @ Linv.conj().T
             L2 = np.linalg.cholesky(_hermitian(Q, Q))
-            return Q @ np.linalg.inv(L2).conj().T, (L @ L2).conj().T
+            return Q, np.linalg.inv(L2).conj().T, (L @ L2).conj().T
     except np.linalg.LinAlgError:
         pass
     return _householder_completion(U, B)
@@ -269,31 +283,40 @@ def project_tangent_truncate(MV: np.ndarray, MhU: np.ndarray, point: LowRankFact
 
     T is the tangent space at ``point`` = (U, sigma, V), and
     P_T(M) = U A + B V^H with A = U^H M and B = (I - U U^H) M V, so it lives
-    in the span of [U, Q1] x [V, Q2], where Q1 R1 = B and Q2 R2 = D =
-    (I - V V^H) A^H complete U and V orthonormally; an SVD of the small
-    2k-by-2k core [[A V, R2^H], [R1, 0]] yields the truncation exactly.  The
-    completions run CholeskyQR2 (two Cholesky passes over the m-by-k block,
-    after projecting it against U twice) whenever the first Cholesky factor
-    certifies the block as well conditioned, and fall back to the Householder
-    QR of the stacked [U, B] otherwise, e.g. for a rank-deficient B near a
-    fixed point.  Only the r kept columns of [U, Q1] Uc and [V, Q2] Vc are
-    formed: r triplets (2k if r > 2k), whose singular values may be zero.
-    Matches ``truncate_rank(project_tangent(M, point), r)`` up to roundoff;
-    beyond the two products, which the caller takes, all work is at the
-    factor scale.
+    in the span of [U, Q1 F1] x [V, Q2 F2], where Q1 F1 R1 = B and
+    Q2 F2 R2 = D = (I - V V^H) A^H complete U and V orthonormally
+    (``_complete``); an SVD of the small 2k-by-2k core
+    [[A V, R2^H], [R1, 0]] yields the truncation exactly.  The completions run
+    CholeskyQR2 (two Cholesky passes over the m-by-k block, after projecting
+    it against U twice) whenever the first Cholesky factor certifies the
+    block as well conditioned, and fall back to the Householder QR of the
+    stacked [U, B] otherwise, e.g. for a rank-deficient B near a fixed point;
+    each side chooses on its own block.  The core is filled in place.  Only
+    the r kept columns of [U, Q1 F1] Uc and [V, Q2 F2] Vc are formed, as
+    U Uc' + Q1 (F1 Uc''), so the k-by-k factor F1 is applied to r core
+    columns and each side forms its new factor with two tall products: r
+    triplets (2k if r > 2k), whose singular values may be zero.  Matches
+    ``truncate_rank(project_tangent(M, point), r)`` up to roundoff; beyond
+    the two products, which the caller takes, all work is at the factor
+    scale.
     """
     U, V = point.U, point.V
     (m, p), k = point.shape, point.rank
     if 2 * k > min(m, p):
         raise ValueError(f"tangent rank {k} too large for shape {(m, p)}")
     AV = _hermitian(MhU, V)  # (k, k) = U^H M V
-    Q1, R1 = _complete(U, _minus_product(MV, U, AV))  # B = (I - U U^H) M V
-    Q2, R2 = _complete(V, _minus_product(MhU, V, AV.conj().T))  # D = (I - V V^H) M^H U
-    core = np.block([[AV, R2.conj().T],
-                     [R1, np.zeros((k, k), dtype=R1.dtype)]])
+    Q1, F1, R1 = _complete(U, _minus_product(MV, U, AV))  # B = (I - U U^H) M V
+    Q2, F2, R2 = _complete(V, _minus_product(MhU, V, AV.conj().T))  # D = (I - V V^H) M^H U
+    core = np.zeros((2 * k, 2 * k), dtype=np.result_type(AV, R1, R2))
+    core[:k, :k] = AV
+    core[:k, k:] = R2.conj().T
+    core[k:, :k] = R1
     if not np.all(np.isfinite(core)):
         raise np.linalg.LinAlgError("projected core contains non-finite entries")
     Uc, sigma, Vch = np.linalg.svd(core)
-    Vc = Vch.conj().T
-    return LowRankFactors(U=U @ Uc[:k, :r] + Q1 @ Uc[k:, :r], sigma=sigma[:r],
-                          V=V @ Vc[:k, :r] + Q2 @ Vc[k:, :r])
+    Vc = Vch[:r].conj().T
+    U_new = U @ Uc[:k, :r]
+    U_new += Q1 @ (F1 @ Uc[k:, :r])
+    V_new = V @ Vc[:k]
+    V_new += Q2 @ (F2 @ Vc[k:])
+    return LowRankFactors(U=U_new, sigma=sigma[:r], V=V_new)

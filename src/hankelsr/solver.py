@@ -13,10 +13,11 @@ truncates in one step through the SVD of a 2r-by-2r core
 FFTs, at O(r^2 s n + r s n log n) per iteration.  Each iteration maps one
 ``Iterate`` to the next: X, its data residual and the ``hankel.FactorSpectrum``
 of the truncation X came from, whose spectra the next step's products read,
-so each factor is transformed once.  The initialization is the certified
-operator SVD (``lowrank.truncate_rank_operator``) seeded by ``config.seed``,
-which takes its products with the lifted back-projection by FFTs too, so no
-step of a solve forms the lifted matrix.
+so each factor is transformed once.  The initialization is the operator
+SVD (``lowrank.truncate_rank_operator``) seeded by ``config.seed`` and
+certified to the accuracy the iteration needs of its start
+(_INIT_CERTIFICATE_TOL), which takes its products with the lifted
+back-projection by FFTs too, so no step of a solve forms the lifted matrix.
 
 ``SolverConfig`` owns the solver's defaults, which the command line reads
 from it, and rejects invalid ones when built; ``HankelDims.check_rank`` owns
@@ -47,6 +48,14 @@ _STAGNATION_TOL = 1e-14
 _STAGNATION_WINDOW = 5
 _DIVERGENCE_FACTOR = 10.0
 _DIVERGENCE_WINDOW = 10
+# Certificate of the initialization's operator SVD (residual over Ritz gap).
+# The start only has to lie inside the basin of the iteration, which removes
+# the rest of its error, so it needs less than the diagnostics' 1.2e-6: at
+# s=4, r=5, 7-14 blocks at n=256 instead of 10-19, 4 at n=65536 instead of
+# 5, with the same terminations and iteration counts on every instance
+# measured.  1e-2 saves one or two blocks more, but moves the report's
+# initialization distance by up to 8e-5 relative (1e-3: under 5e-6).
+_INIT_CERTIFICATE_TOL = 1e-3
 
 
 class DivergenceError(RuntimeError):
@@ -183,11 +192,14 @@ def _initialize_factors(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: 
                         ) -> Iterate:
     """Iteration 0: the de-lift of the rank-r truncation of the lifted back-projection.
 
-    The truncation is the certified operator SVD seeded by ``config.seed``,
-    which takes its products with the lift by FFTs and never forms it.
+    The truncation is the operator SVD seeded by ``config.seed`` and
+    certified to _INIT_CERTIFICATE_TOL, the accuracy the iteration needs of
+    its start, not the diagnostics' 1.2e-6; it takes its products with the
+    lift by FFTs and never forms it.
     """
     factors = truncate_rank_operator(*hankel.lift_products(adjoint_measure(y, B), dims),
-                                     dims.lifted_shape, config.rank, seed=config.seed)
+                                     dims.lifted_shape, config.rank, seed=config.seed,
+                                     tol=_INIT_CERTIFICATE_TOL)
     point = FactorSpectrum(factors, dims)
     return Iterate.at(hankel.pinv_lift_lowrank(point), point, y, B)
 
@@ -195,9 +207,11 @@ def _initialize_factors(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: 
 def initialize(y: np.ndarray, B: np.ndarray, dims: HankelDims, r: int) -> np.ndarray:
     """Spectral initialization of ``solve`` with seed 0.
 
-    It forms no lifted matrix: the operator SVD on FFT products and the FFT
-    de-lift, so it runs at any n that ``solve`` does.  Like ``solve``, it
-    works on y scaled to unit size, so its estimate scales with y bit for bit.
+    It is the start ``solve`` uses: the operator SVD on FFT products,
+    certified to _INIT_CERTIFICATE_TOL, and the FFT de-lift.  It forms no
+    lifted matrix, so it runs at any n that ``solve`` does.  Like ``solve``,
+    it works on y scaled to unit size, so its estimate scales with y bit for
+    bit.
     """
     e = _unit_exponent(y)
     it = _initialize_factors(_ldexp(y, -e), B, dims, SolverConfig(rank=r))

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hankelsr import checks, cli, hankel, lowrank
+from hankelsr import checks, cli, hankel, lowrank, solver
 from hankelsr.cli import (EXIT_DIVERGED, EXIT_USAGE, ExperimentConfig, TrialRecord,
                           aggregate_sweep, main, seed_derivation, synth_instance,
                           write_trace)
@@ -190,10 +190,11 @@ class TestRun:
     @pytest.mark.parametrize("key,value", [
         ("with_report", "false"), ("complex_subspace", 1), ("seed", 1.9),
         ("seed", True), ("tol", False), ("n", [32.5]),
-        ("n", [True]), ("max_iters", 40.0)])
+        ("n", [True]), ("max_iters", 40.0), ("out", 3)])
     def test_config_value_of_the_wrong_type(self, key, value, tmp_path, capsys,
                                             monkeypatch):
-        # refused, not coerced: "false" would turn a switch on, 1.9 become 1
+        # refused, not coerced: "false" would turn a switch on, 1.9 become 1;
+        # and refused also where a flag overrides it
         def no_work(*args, **kwargs):
             raise AssertionError("work started despite a bad config value")
 
@@ -201,11 +202,15 @@ class TestRun:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 32, "s": 2, "r": 2, key: value}))
         out = tmp_path / "out.csv"
+        flag = "--" + key.replace("_", "-")
+        good = {"seed": ["1"], "tol": ["1e-10"], "n": ["32"], "max_iters": ["40"],
+                "out": [str(out)]}
         for command in ("run", "sweep"):
-            assert run_cli(command, "--config", str(cfg), "--out", str(out)) == EXIT_USAGE
-            flag = "--" + key.replace("_", "-")
-            assert capsys.readouterr().err == f"error: invalid value {value!r} for {flag}\n"
-            assert not out.exists()
+            for override in ([], [flag, *good.get(key, [])]):
+                assert run_cli(command, "--config", str(cfg), "--out", str(out),
+                               *override) == EXIT_USAGE
+                assert capsys.readouterr().err == f"error: invalid value {value!r} for {flag}\n"
+                assert not out.exists()
 
     def test_default_scale_run_error_is_affinely_decreasing(self, tmp_path):
         out = tmp_path / "trace.csv"
@@ -332,15 +337,16 @@ class TestUncertifiedTruncation:
     no command as a traceback.
 
     The operator SVD's budget is cut to 10 basis columns (five blocks at
-    r=2) and its certificate made unreachable, so it fails wherever the
-    lifted matrix has more than 10 columns; at n=16 its basis spans all 9
-    and is exact.
+    r=2) and the certificate the initialization asks of it made unreachable,
+    so it fails wherever the lifted matrix has more than 10 columns; at n=16
+    its basis spans all 9 and is exact.  ``report`` certifies the lifted
+    truth at the default tolerance first, which its exact rank 2 meets.
     """
 
     @pytest.fixture(autouse=True)
     def small_budget(self, monkeypatch):
         monkeypatch.setattr(lowrank, "_MAX_COLUMNS", 10)
-        monkeypatch.setattr(lowrank, "_CERTIFICATE_TOL", 1e-30)
+        monkeypatch.setattr(solver, "_INIT_CERTIFICATE_TOL", 1e-30)
 
     @pytest.mark.parametrize("command", ["run", "report"])
     def test_error_exit_and_no_output(self, command, tmp_path, capsys):

@@ -212,10 +212,9 @@ class TestTruncateRankOperator:
         rng = np.random.default_rng(8)
         M = crandn(rng, 40, 30)
         monkeypatch.setattr(lowrank, "_MAX_COLUMNS", 10)
-        monkeypatch.setattr(lowrank, "_CERTIFICATE_TOL", 1e-30)
         with pytest.raises(RankTruncationError, match="within 10 Krylov basis columns") as excinfo:
             truncate_rank_operator(lambda v: M @ v, lambda u: M.conj().T @ u,
-                                   M.shape, 2)
+                                   M.shape, 2, tol=1e-30)
         assert excinfo.value.residual >= 0.0
 
     @pytest.mark.parametrize("r", [0, 12])
@@ -264,6 +263,37 @@ class TestProjectTangentTruncate:
         out = project_tangent_truncate(np.zeros((9, 2)), np.zeros((8, 2)), f, 2)
         assert out.rank == 2
         np.testing.assert_array_equal(out.sigma, np.zeros(2))
+
+    @pytest.mark.parametrize("deficient", ["U", "V"])
+    def test_one_side_falls_back(self, deficient, monkeypatch):
+        # Only one off-tangent block is rank-deficient, so only its side
+        # takes the Householder completion, and the other keeps CholeskyQR2.
+        rng = np.random.default_rng(15)
+        m, p, k = 13, 10, 2
+        U = np.linalg.qr(crandn(rng, m, k))[0]
+        V = np.linalg.qr(crandn(rng, p, k))[0]
+        Pu, Pv = np.eye(m) - U @ U.conj().T, np.eye(p) - V @ V.conj().T
+        B, D = Pu @ crandn(rng, m, k), Pv @ crandn(rng, p, k)
+        if deficient == "U":
+            B = np.outer(Pu @ crandn(rng, m), crandn(rng, k))
+        else:
+            D = np.outer(Pv @ crandn(rng, p), crandn(rng, k))
+        # M V - U U^H M V = B and (I - V V^H) M^H U = D
+        M = (U @ (crandn(rng, k, k) @ V.conj().T + D.conj().T) + B @ V.conj().T
+             + Pu @ crandn(rng, m, p) @ Pv)
+        point = LowRankFactors(U=U, sigma=np.ones(k), V=V)
+        fallen = []
+        householder = lowrank._householder_completion
+
+        def recorded(basis, block):
+            fallen.append("U" if basis is U else "V" if basis is V else "?")
+            return householder(basis, block)
+
+        monkeypatch.setattr(lowrank, "_householder_completion", recorded)
+        got = project_tangent_truncate(M @ V, M.conj().T @ U, point, k)
+        assert fallen == [deficient]
+        want = truncate_rank(project_tangent(M, point), k)
+        assert np.linalg.norm(got.reconstruct() - want.reconstruct()) <= 1e-12 * want.sigma[0]
 
     def test_tangent_rank_too_large_raises(self):
         rng = np.random.default_rng(14)

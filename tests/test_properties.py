@@ -188,9 +188,10 @@ def test_complete_cholesky_qr2_or_householder_fallback(seed, k, extra_rows, kind
     B = off_tangent(rng, kind, U, k)
     with mock.patch.object(lowrank, "_householder_completion",
                            wraps=lowrank._householder_completion) as fallback:
-        Q1, R1 = lowrank._complete(U, B)
+        Q, F, R1 = lowrank._complete(U, B)
     assert fallback.called == (kind != "random")
-    assert Q1.shape == (m, k) and R1.shape == (k, k)
+    assert Q.shape == (m, k) and F.shape == R1.shape == (k, k)
+    Q1 = Q @ F
     UQ = np.hstack([U, Q1])
     assert np.max(np.abs(UQ.conj().T @ UQ - np.eye(2 * k))) <= 1e-12
     assert np.linalg.norm(Q1 @ R1 - B) <= 1e-12 * np.linalg.norm(B)

@@ -6,12 +6,13 @@ field changes nothing, and ``test_modes_agree_per_seed`` pins it bit for bit.
 """
 
 import dataclasses
+import inspect
 import re
 
 import numpy as np
 import pytest
 
-from hankelsr import hankel, lowrank, solver
+from hankelsr import diagnostics, hankel, lowrank, solver
 from hankelsr.checks import reference_step
 from hankelsr.cli import seed_derivation
 from hankelsr.diagnostics import estimate_rip_norm, spectral_distance
@@ -240,6 +241,50 @@ class TestOneInitialization:
                         == (ref.termination, ref.returned_iteration)), trial
 
 
+class TestInitializationCertificate:
+    """The start is certified to ``_INIT_CERTIFICATE_TOL``; the diagnostics'
+    constants keep the operator SVD's default certificate."""
+
+    def test_each_caller_passes_its_certificate(self, monkeypatch):
+        operator_svd = lowrank.truncate_rank_operator
+        signature = inspect.signature(operator_svd)
+        tols = []
+
+        def recorded(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            tols.append(bound.arguments["tol"])
+            return operator_svd(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "truncate_rank_operator", recorded)
+        monkeypatch.setattr(diagnostics, "truncate_rank_operator", recorded)
+        start, exact = solver._INIT_CERTIFICATE_TOL, lowrank._CERTIFICATE_TOL
+        assert exact == 1.2e-6 < start
+        model, dims, B, X_true, y = synth_instance(64, 2, 2, 14)
+        solve(y, B, dims, SolverConfig(rank=2, max_iters=3))
+        assert tols == [start]
+        tols.clear()
+        initialize(y, B, dims, 2)
+        assert tols == [start]
+        tols.clear()
+        diagnostics.assumption_report(model, B, dims)
+        assert tols == [exact, start, exact]  # truth, initialize, spectral_distance
+
+    @pytest.mark.parametrize("master,trial", [(1, 0), (1, 7), (6, 93), (7, 2)])
+    def test_looser_start_costs_no_iterations(self, master, trial, monkeypatch):
+        # Benchmark instances at n=256: the start certified to
+        # _INIT_CERTIFICATE_TOL takes no more iterations than one certified
+        # to 1.2e-6, and ends the same way.
+        seed = seed_derivation(master, trial)
+        dims, B, _, y = make_instance(256, 4, 5, seed)
+        cfg = SolverConfig(rank=5, seed=seed)
+        _, loose = solve(y, B, dims, cfg)
+        monkeypatch.setattr(solver, "_INIT_CERTIFICATE_TOL", lowrank._CERTIFICATE_TOL)
+        _, tight = solve(y, B, dims, cfg)
+        assert loose.termination == tight.termination == "converged"
+        assert loose.returned_iteration <= tight.returned_iteration
+
+
 class TestTransformCount:
     """Length-L FFTs, counted as the benchmark's tracer counts them: out.size // out.shape[-1]."""
 
@@ -443,13 +488,19 @@ class TestSolve:
         assert (trace.records[2].residual == min(trace.residuals)
                 == np.linalg.norm(measure(X_hat, B) - y))
 
-    def test_operator_init_matches_dense_init(self):
+    def test_operator_init_matches_dense_init(self, monkeypatch):
         # The seeded operator SVD on FFT products against the de-lift of the
-        # full SVD of the materialized lift.
+        # full SVD of the materialized lift: certified to 1.2e-6 it agrees to
+        # 1e-6, and the solver's own start, certified to
+        # _INIT_CERTIFICATE_TOL, agrees to that tolerance.
         dims, B, X_true, y = make_instance(64, 2, 2, 14)
         exact = FactorSpectrum(lowrank.truncate_rank(lift(adjoint_measure(y, B), dims), 2), dims)
+        start_tol = solver._INIT_CERTIFICATE_TOL
+        X_start, _ = solve(y, B, dims, SolverConfig(rank=2, max_iters=0, seed=3))
+        monkeypatch.setattr(solver, "_INIT_CERTIFICATE_TOL", lowrank._CERTIFICATE_TOL)
         X_op, _ = solve(y, B, dims, SolverConfig(rank=2, max_iters=0, seed=3))
         assert relative_error(X_op, hankel.pinv_lift_lowrank(exact)) < 1e-6
+        assert relative_error(X_start, hankel.pinv_lift_lowrank(exact)) < start_tol
 
     def test_delift_nonexpansive(self):
         rng = np.random.default_rng(15)
@@ -515,9 +566,9 @@ class TestSolve:
         seeds = []
         operator_svd = solver.truncate_rank_operator
 
-        def recorded(*args, seed):
+        def recorded(*args, seed, tol):
             seeds.append(seed)
-            return operator_svd(*args, seed=seed)
+            return operator_svd(*args, seed=seed, tol=tol)
 
         monkeypatch.setattr(solver, "truncate_rank_operator", recorded)
         solve(y, B, dims, SolverConfig(rank=2, max_iters=0, seed=7))
