@@ -58,11 +58,6 @@ class HankelDims:
     def weights(self) -> np.ndarray:
         return weight_vector(self.n, self.n1, self.n2)
 
-    @cached_property
-    def inverse_weights(self) -> np.ndarray:
-        """w**-1, the de-lift's scaling, as ``_weigh`` computes it for power -2."""
-        return self.weights.astype(np.float64) ** -1.0
-
     @property
     def lifted_shape(self) -> tuple[int, int]:
         return (self.s * self.n1, self.n2)
@@ -173,10 +168,13 @@ def adjoint_lift_isometric(Z: np.ndarray, dims: HankelDims) -> np.ndarray:
 def _fft_last(a: np.ndarray, L: int) -> np.ndarray:
     """Zero-padded length-L FFTs along the last axis of a, on contiguous data.
 
-    np.fft keeps the memory order of its input, so transforms of a strided
-    view would come out strided too; a C-ordered copy keeps them contiguous.
+    a, which may be a strided view, is copied into a C-ordered zero-padded
+    (..., L) buffer that is then transformed in place, so the spectra come
+    out contiguous and no further copy of a is made.
     """
-    return np.fft.fft(np.ascontiguousarray(a), L, axis=-1)
+    F = np.zeros(a.shape[:-1] + (L,), dtype=complex)
+    F[..., :a.shape[-1]] = a
+    return np.fft.fft(F, axis=-1, out=F)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,17 +201,13 @@ def _check_block(block: np.ndarray, rows: int) -> None:
 def _row_spectra(U: np.ndarray, dims: HankelDims) -> np.ndarray:
     """FFTs of the s block rows of each column of an (s*n1, k) block: shape (s, k, L)."""
     _check_block(U, dims.s * dims.n1)
-    F = np.zeros((dims.s, U.shape[1], _next_pow2(dims.n)), dtype=complex)
-    F[:, :, :dims.n1] = U.reshape(dims.n1, dims.s, -1).transpose(1, 2, 0)
-    return np.fft.fft(F, axis=-1, out=F)
+    return _fft_last(U.reshape(dims.n1, dims.s, -1).transpose(1, 2, 0), _next_pow2(dims.n))
 
 
 def _conj_spectra(V: np.ndarray, dims: HankelDims) -> np.ndarray:
     """FFTs of the conjugated columns of an (n2, k) block: shape (k, L)."""
     _check_block(V, dims.n2)
-    F = np.zeros((V.shape[1], _next_pow2(dims.n)), dtype=complex)
-    np.conjugate(V.T, out=F[:, :dims.n2])
-    return np.fft.fft(F, axis=-1, out=F)
+    return _fft_last(np.conj(V).T, _next_pow2(dims.n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,10 +326,14 @@ def adjoint_lift_lowrank(point: FactorSpectrum) -> np.ndarray:
 
 
 def pinv_lift_lowrank(point: FactorSpectrum) -> np.ndarray:
-    """Pseudoinverse de-lift of the point, matrix-free: the adjoint lift scaled by
-    ``HankelDims.inverse_weights`` in place."""
+    """Pseudoinverse de-lift of the point, matrix-free.
+
+    The adjoint lift is scaled by w**-1 in place, which saves an (s, n)
+    temporary; like it, the result is a view of the first n columns of the
+    (s, L) inverse transform.
+    """
     X = adjoint_lift_lowrank(point)
-    X *= point.dims.inverse_weights
+    X *= point.dims.weights ** -1.0
     return X
 
 

@@ -114,8 +114,6 @@ def _hermitian(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     conjugated just before its product, so an m-row product makes no m-row
     temporary and reads each block's conjugate from cache.
     """
-    if X.shape[0] <= _HERMITIAN_ROWS:
-        return X.conj().T @ Y
     out = X[:_HERMITIAN_ROWS].conj().T @ Y[:_HERMITIAN_ROWS]
     for start in range(_HERMITIAN_ROWS, X.shape[0], _HERMITIAN_ROWS):
         stop = start + _HERMITIAN_ROWS

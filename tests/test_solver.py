@@ -547,16 +547,18 @@ class TestSolve:
 
     def test_fast_mode_transforms_each_signal_once(self, monkeypatch):
         # The operator initialization and each iteration's pair of products
-        # with the lifted matrix share one spectrum of their signal.
+        # with the lifted matrix share one spectrum of their signal.  Every
+        # forward transform pads its input in hankel._fft_last, so the spy
+        # sees the signal's own (s, n) shape there.
         dims, B, _, y = make_instance(48, 2, 2, 19)
         shapes = []
-        fft = np.fft.fft
+        fft_last = hankel._fft_last
 
-        def recorded(a, *args, **kwargs):
+        def recorded(a, L):
             shapes.append(np.shape(a))
-            return fft(a, *args, **kwargs)
+            return fft_last(a, L)
 
-        monkeypatch.setattr(np.fft, "fft", recorded)
+        monkeypatch.setattr(hankel, "_fft_last", recorded)
         _, trace = solve(y, B, dims, SolverConfig(rank=2, max_iters=5, step_size=0.5))
         assert len(trace.records) == 6
         assert shapes.count((dims.s, dims.n)) == len(trace.records)
