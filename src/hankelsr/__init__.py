@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .hankel import (FactorSpectrum, HankelDims, SignalSpectrum, adjoint_lift,
                      adjoint_lift_isometric, adjoint_lift_lowrank, choose_dims,
                      lift, lift_isometric, lift_matvec, lift_rmatvec, pinv_lift,
-                     pinv_lift_lowrank)
+                     pinv_lift_lowrank, truncate_lift)
 from .lowrank import (LowRankFactors, RankTruncationError, project_tangent,
                       project_tangent_truncate, truncate_rank,
                       truncate_rank_operator)

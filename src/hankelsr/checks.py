@@ -181,8 +181,7 @@ def check_fast_dense_equivalence() -> CheckResult:
     exact = hankel.FactorSpectrum(lowrank.truncate_rank(hankel.lift(back, dims), m.r), dims)
     it = solver.Iterate.at(hankel.pinv_lift_lowrank(exact), exact, y, B)
     cfg = solver.SolverConfig(rank=m.r)
-    certified = lowrank.truncate_rank_operator(*hankel.lift_products(back, dims),
-                                               dims.lifted_shape, m.r, seed=cfg.seed)
+    certified = hankel.truncate_lift(back, dims, m.r, seed=cfg.seed)
     init_gap = solver.relative_error(
         hankel.pinv_lift_lowrank(hankel.FactorSpectrum(certified, dims)), it.X)
     start_gap = solver.relative_error(solver._initialize_factors(y, B, dims, cfg).X, it.X)

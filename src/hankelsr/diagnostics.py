@@ -9,9 +9,10 @@ spectral distance of the initialization from the lifted truth.  They are
 advisory: the solver never gates on them.  The report obeys the solver's rank
 rule (``HankelDims.check_rank``), so it rejects exactly the ranks ``solve``
 rejects.  Like a solver iteration, it touches the lift only through FFT
-products, FFT de-lifts and the certified operator SVD, which gives the
-subspace constants and tangent space of the lifted truth and, through
-``solver.initialize``, the initialization; it forms no lifted matrix and
+products, FFT de-lifts and ``hankel.truncate_lift``, the certified operator
+SVD of a lift, which gives the subspace constants and tangent space of the
+lifted truth, the spectral distance and, through ``solver.initialize``, the
+initialization; it forms no lifted matrix and
 takes no dense SVD, so it runs at any n that ``solve`` does.
 The isometry estimate wraps its point in one ``hankel.FactorSpectrum``, so
 each application of its map transforms only its own signal and tangent
@@ -26,15 +27,15 @@ import numpy as np
 
 from . import hankel
 from .hankel import HankelDims
-from .lowrank import LowRankFactors, truncate_rank_operator
+from .lowrank import LowRankFactors
 from .model import PointSourceModel, adjoint_measure, build_signal, measure
 from .solver import initialize
 
 # The Lanczos of ``estimate_rip_norm`` stops once the residual bound of its
-# extreme Ritz value is at most _CERTIFICATE_TOL times that value, whose own
+# extreme Ritz value is at most _LANCZOS_TOL times that value, whose own
 # error is then of order the squared residual over the spectral gap, or after
 # _MAX_APPLICATIONS applications of its map.
-_CERTIFICATE_TOL = 1e-10
+_LANCZOS_TOL = 1e-10
 _MAX_APPLICATIONS = 100
 _RANK_TOL = 1e-15  # sigma_r <= _RANK_TOL sigma_1 leaves kappa undefined
 
@@ -88,7 +89,7 @@ def estimate_rip_norm(B: np.ndarray, dims: HankelDims, point: LowRankFactors) ->
     point, so they transform only the signal, N and M.  The three-term
     recurrence holds three tangent vectors and no basis.  It stops once the
     residual bound beta |s_last| of the Ritz value of largest magnitude is at
-    most _CERTIFICATE_TOL times that value, or after _MAX_APPLICATIONS
+    most _LANCZOS_TOL times that value, or after _MAX_APPLICATIONS
     applications, and returns that Ritz value's magnitude.  Values well
     below 1 indicate the measurements act nearly isometrically on T.
     """
@@ -97,9 +98,9 @@ def estimate_rip_norm(B: np.ndarray, dims: HankelDims, point: LowRankFactors) ->
 
     def project_lift(X):
         """N and M of P_T G(X) = U N^H + M V^H."""
-        lifted = hankel.SignalSpectrum(w_isqrt * X)
-        C = hankel.lift_matvec(lifted, at_point, dims)
-        return hankel.lift_rmatvec(lifted, at_point, dims), C - point.U @ (point.U.conj().T @ C)
+        lifted = hankel.SignalSpectrum(w_isqrt * X, dims)
+        C = hankel.lift_matvec(lifted, at_point)
+        return hankel.lift_rmatvec(lifted, at_point), C - point.U @ (point.U.conj().T @ C)
 
     def apply(N, M):
         Xg = w_isqrt * hankel.adjoint_lift_tangent(at_point, N, M)
@@ -122,7 +123,7 @@ def estimate_rip_norm(B: np.ndarray, dims: HankelDims, point: LowRankFactors) ->
         theta, S = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
         top = int(np.argmax(np.abs(theta)))
         beta = float(np.hypot(np.linalg.norm(N_w), np.linalg.norm(M_w)))
-        if beta * abs(S[-1, top]) <= _CERTIFICATE_TOL * abs(theta[top]):
+        if beta * abs(S[-1, top]) <= _LANCZOS_TOL * abs(theta[top]):
             break
         betas.append(beta)
         N_prev, M_prev, N, M = N, M, N_w, M_w
@@ -135,9 +136,7 @@ def spectral_distance(X_a: np.ndarray, X_b: np.ndarray, dims: HankelDims) -> flo
     X_b = np.asarray(X_b)
     if X_a.shape != X_b.shape:
         raise ValueError(f"shape mismatch: {X_a.shape} vs {X_b.shape}")
-    top = truncate_rank_operator(*hankel.lift_products(X_a - X_b, dims),
-                                 dims.lifted_shape, 1)
-    return float(top.sigma[0])
+    return float(hankel.truncate_lift(X_a - X_b, dims, 1).sigma[0])
 
 
 def assumption_report(model: PointSourceModel, B: np.ndarray,
@@ -155,8 +154,7 @@ def assumption_report(model: PointSourceModel, B: np.ndarray,
     """
     dims.check_rank(model.r)
     X_true = build_signal(model)
-    factors = truncate_rank_operator(*hankel.lift_products(X_true, dims),
-                                     dims.lifted_shape, model.r)
+    factors = hankel.truncate_lift(X_true, dims, model.r)
     sigma_r = float(factors.sigma[-1])
     if sigma_r <= _RANK_TOL * factors.sigma[0]:
         raise ValueError(f"lifted signal has numerical rank below {model.r}")

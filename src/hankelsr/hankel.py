@@ -7,35 +7,33 @@ of the lifted matrix, where w_i counts the pairs (j, k) with j + k = i.
 
 This module provides the lift, its adjoint, the pseudoinverse de-lift
 (weighted anti-diagonal averaging), the isometric variants (the oracle of the
-diagnostics' restricted-isometry map), and FFT-based products with the lift
-of a ``SignalSpectrum``.  A ``FactorSpectrum`` is a rank-k point of the lift
-with the spectra of its factors: the products take it in place of a factor,
-and the FFT de-lifts of the point and of a tangent vector U N^H + M V^H at it
-read it, so that no iteration or diagnostic materializes a lift.
+diagnostics' restricted-isometry map), FFT-based products with the lift of a
+``SignalSpectrum`` and ``truncate_lift``, the operator SVD of a lift on them.
+A ``FactorSpectrum`` is a rank-k point of the lift with the spectra of its
+factors: the products take it in place of a factor, and the FFT de-lifts of
+the point and of a tangent vector U N^H + M V^H at it read it, so that no
+iteration or diagnostic materializes a lift.  ``HankelDims`` owns the shape:
+each spectrum carries one and is checked against it once, when built.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
-from .lowrank import LowRankFactors
+from .lowrank import LowRankFactors, truncate_rank_operator
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << (int(n) - 1).bit_length()
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class HankelDims:
     """Shape bookkeeping for the block-Hankel lift of an s-by-n matrix.
 
     The split n1 determines n2 = n + 1 - n1.  weights[i] is the number of
     lifted positions fed by column i, equal to min(i+1, n1, n2, n-i); the
-    weights sum to n1*n2.
+    weights sum to n1*n2.  L, the next power of two >= n, is the FFT length.
     """
 
     n: int
@@ -43,6 +41,10 @@ class HankelDims:
     n1: int
 
     def __post_init__(self):
+        try:
+            tuple(map(operator.index, (self.n, self.s, self.n1)))
+        except TypeError:
+            raise ValueError(f"n, s and n1 must be integers, got {self}") from None
         if self.n < 2:
             raise ValueError(f"need n >= 2, got n={self.n}")
         if self.s < 1:
@@ -57,6 +59,10 @@ class HankelDims:
     @cached_property
     def weights(self) -> np.ndarray:
         return weight_vector(self.n, self.n1, self.n2)
+
+    @property
+    def L(self) -> int:
+        return 1 << (operator.index(self.n) - 1).bit_length()
 
     @property
     def lifted_shape(self) -> tuple[int, int]:
@@ -96,13 +102,6 @@ def _check_signal(X: np.ndarray, dims: HankelDims) -> np.ndarray:
     return X
 
 
-def _check_lifted(Z: np.ndarray, dims: HankelDims) -> np.ndarray:
-    Z = np.asarray(Z)
-    if Z.shape != dims.lifted_shape:
-        raise ValueError(f"expected lifted matrix of shape {dims.lifted_shape}, got {Z.shape}")
-    return Z
-
-
 def lift(X: np.ndarray, dims: HankelDims) -> np.ndarray:
     """Block-Hankel lift: block (i, j) of the result is column i+j of X."""
     X = _check_signal(X, dims)
@@ -113,7 +112,9 @@ def lift(X: np.ndarray, dims: HankelDims) -> np.ndarray:
 
 def adjoint_lift(Z: np.ndarray, dims: HankelDims) -> np.ndarray:
     """Adjoint of the lift: column i of the result sums blocks with j+k = i."""
-    Z = _check_lifted(Z, dims)
+    Z = np.asarray(Z)
+    if Z.shape != dims.lifted_shape:
+        raise ValueError(f"expected lifted matrix of shape {dims.lifted_shape}, got {Z.shape}")
     Zb = Z.reshape(dims.n1, dims.s, dims.n2)
     out = np.zeros((dims.s, dims.n), dtype=np.result_type(Z.dtype, np.float64))
     for j in range(dims.n1):
@@ -182,15 +183,19 @@ class SignalSpectrum:
     """A signal X with the zero-padded FFT of its rows, computed on first use.
 
     ``lift_matvec`` and ``lift_rmatvec`` take one, so that several products
-    with lift(X) pay for the s forward transforms of X once.  X must not
-    change while the spectrum is in use.
+    with lift(X) pay for the s forward transforms of X once.  X, whose shape
+    is checked against ``dims`` when built, must not change while in use.
     """
 
     X: np.ndarray
+    dims: HankelDims
+
+    def __post_init__(self):
+        object.__setattr__(self, "X", _check_signal(self.X, self.dims))
 
     @cached_property
     def F(self) -> np.ndarray:
-        return _fft_last(self.X, _next_pow2(self.X.shape[-1]))  # (s, L)
+        return _fft_last(self.X, self.dims.L)  # (s, L)
 
 
 def _check_block(block: np.ndarray, rows: int) -> None:
@@ -201,13 +206,13 @@ def _check_block(block: np.ndarray, rows: int) -> None:
 def _row_spectra(U: np.ndarray, dims: HankelDims) -> np.ndarray:
     """FFTs of the s block rows of each column of an (s*n1, k) block: shape (s, k, L)."""
     _check_block(U, dims.s * dims.n1)
-    return _fft_last(U.reshape(dims.n1, dims.s, -1).transpose(1, 2, 0), _next_pow2(dims.n))
+    return _fft_last(U.reshape(dims.n1, dims.s, -1).transpose(1, 2, 0), dims.L)
 
 
 def _conj_spectra(V: np.ndarray, dims: HankelDims) -> np.ndarray:
     """FFTs of the conjugated columns of an (n2, k) block: shape (k, L)."""
     _check_block(V, dims.n2)
-    return _fft_last(np.conj(V).T, _next_pow2(dims.n))
+    return _fft_last(np.conj(V).T, dims.L)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,20 +244,14 @@ class FactorSpectrum:
         return _conj_spectra(self.factors.V, self.dims)
 
 
-def _signal_spectrum(spectrum: SignalSpectrum, dims: HankelDims) -> np.ndarray:
-    _check_signal(spectrum.X, dims)
-    return spectrum.F
-
-
 def _at(point: FactorSpectrum, dims: HankelDims) -> FactorSpectrum:
     """``point``, after checking that it lies on the lift of ``dims``."""
-    if (point.dims.n, point.dims.s, point.dims.n1) != (dims.n, dims.s, dims.n1):
+    if point.dims != dims:
         raise ValueError("factor spectrum taken for another lift")
     return point
 
 
-def lift_matvec(spectrum: SignalSpectrum, v: np.ndarray | FactorSpectrum,
-                dims: HankelDims) -> np.ndarray:
+def lift_matvec(spectrum: SignalSpectrum, v: np.ndarray | FactorSpectrum) -> np.ndarray:
     """Compute lift(X) @ v without materializing the lifted matrix.
 
     Row block i of the product is sum_j x_{i+j} v[j], the window [0, n1) of
@@ -261,9 +260,10 @@ def lift_matvec(spectrum: SignalSpectrum, v: np.ndarray | FactorSpectrum,
     transformed here (k forward transforms), or a ``FactorSpectrum`` whose V
     is used with its cached spectrum; X's s forward transforms are paid once
     per ``SignalSpectrum``, and the product takes s*k inverse transforms.  It
-    is returned column-major, the layout LAPACK's QR works in.
+    is returned column-major: ``lowrank._hermitian`` and ``_minus_product``
+    read it, and their BLAS rounding, so the iterates, depends on the layout.
     """
-    Fx = _signal_spectrum(spectrum, dims)  # (s, L)
+    Fx, dims = spectrum.F, spectrum.dims  # (s, L)
     Fv = _at(v, dims).FV if isinstance(v, FactorSpectrum) else _conj_spectra(v, dims)  # (k, L)
     k = Fv.shape[0]
     conv = Fx[:, None, :] * Fv.conj()[None, :, :]  # (s, k, L)
@@ -276,8 +276,7 @@ def lift_matvec(spectrum: SignalSpectrum, v: np.ndarray | FactorSpectrum,
     return np.ascontiguousarray(blocks.transpose(1, 2, 0)).reshape(k, dims.s * dims.n1).T
 
 
-def lift_rmatvec(spectrum: SignalSpectrum, u: np.ndarray | FactorSpectrum,
-                 dims: HankelDims) -> np.ndarray:
+def lift_rmatvec(spectrum: SignalSpectrum, u: np.ndarray | FactorSpectrum) -> np.ndarray:
     """Compute lift(X)^H @ u matrix-free; adjoint companion of ``lift_matvec``.
 
     Entry l of column j of the product is conj(sum_a sum_i x_a[i+l] conj(u_a[i]))
@@ -289,7 +288,7 @@ def lift_rmatvec(spectrum: SignalSpectrum, u: np.ndarray | FactorSpectrum,
     spectra, so k columns cost only k inverse transforms, plus s forward
     ones once per ``SignalSpectrum``.  The product is returned column-major.
     """
-    Fx = _signal_spectrum(spectrum, dims)  # (s, L)
+    Fx, dims = spectrum.F, spectrum.dims  # (s, L)
     Fu = _at(u, dims).FU if isinstance(u, FactorSpectrum) else _row_spectra(u, dims)  # (s, k, L)
     # sum_a conj(F_x[a]) F_u[a] is the conjugate of the sum wanted; einsum
     # takes it without an (s, k, L) temporary and leaves Fu unmodified.
@@ -299,11 +298,13 @@ def lift_rmatvec(spectrum: SignalSpectrum, u: np.ndarray | FactorSpectrum,
     return np.conj(conv[:, :dims.n2]).T  # (n2, k)
 
 
-def lift_products(X: np.ndarray, dims: HankelDims) -> tuple[Callable, Callable]:
-    """The (matvec, rmatvec) pair of lift(X) on raw blocks, sharing one ``SignalSpectrum`` of X."""
-    spectrum = SignalSpectrum(X)
-    return (lambda v: lift_matvec(spectrum, v, dims),
-            lambda u: lift_rmatvec(spectrum, u, dims))
+def truncate_lift(X: np.ndarray, dims: HankelDims, r: int, **kwargs) -> LowRankFactors:
+    """Leading-r SVD factors of lift(X) by ``truncate_rank_operator`` (which gets
+    ``kwargs``: ``seed``, ``tol``) on FFT products sharing one ``SignalSpectrum``."""
+    spectrum = SignalSpectrum(X, dims)
+    return truncate_rank_operator(lambda v: lift_matvec(spectrum, v),
+                                  lambda u: lift_rmatvec(spectrum, u),
+                                  dims.lifted_shape, r, **kwargs)
 
 
 def _delift(FU: np.ndarray, FV: np.ndarray, dims: HankelDims) -> np.ndarray:

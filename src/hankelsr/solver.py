@@ -14,10 +14,10 @@ FFTs, at O(r^2 s n + r s n log n) per iteration.  Each iteration maps one
 ``Iterate`` to the next: X, its data residual and the ``hankel.FactorSpectrum``
 of the truncation X came from, whose spectra the next step's products read,
 so each factor is transformed once.  The initialization is the operator
-SVD (``lowrank.truncate_rank_operator``) seeded by ``config.seed`` and
-certified to the accuracy the iteration needs of its start
-(_INIT_CERTIFICATE_TOL), which takes its products with the lifted
-back-projection by FFTs too, so no step of a solve forms the lifted matrix.
+SVD of the lifted back-projection (``hankel.truncate_lift``) seeded by
+``config.seed`` and certified to the accuracy the iteration needs of its
+start (_INIT_CERTIFICATE_TOL), which takes its products by FFTs too, so no
+step of a solve forms the lifted matrix.
 
 ``SolverConfig`` owns the solver's defaults, which the command line reads
 from it, and rejects invalid ones when built; ``HankelDims.check_rank`` owns
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import hankel
 from .hankel import FactorSpectrum, HankelDims
-from .lowrank import project_tangent_truncate, truncate_rank_operator
+from .lowrank import project_tangent_truncate
 from .model import adjoint_measure, measure
 
 MODES = ("dense", "fast")
@@ -197,9 +197,8 @@ def _initialize_factors(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: 
     its start, not the diagnostics' 1.2e-6; it takes its products with the
     lift by FFTs and never forms it.
     """
-    factors = truncate_rank_operator(*hankel.lift_products(adjoint_measure(y, B), dims),
-                                     dims.lifted_shape, config.rank, seed=config.seed,
-                                     tol=_INIT_CERTIFICATE_TOL)
+    factors = hankel.truncate_lift(adjoint_measure(y, B), dims, config.rank,
+                                   seed=config.seed, tol=_INIT_CERTIFICATE_TOL)
     point = FactorSpectrum(factors, dims)
     return Iterate.at(hankel.pinv_lift_lowrank(point), point, y, B)
 
@@ -238,9 +237,9 @@ def iterate_once(it: Iterate, y: np.ndarray, B: np.ndarray, config: SolverConfig
     Xt = it.X - config.step_size * adjoint_measure(it.residual, B)
     if not np.all(np.isfinite(Xt)):
         raise DivergenceError("gradient update is not finite")
-    lifted = hankel.SignalSpectrum(Xt)
-    new = FactorSpectrum(project_tangent_truncate(hankel.lift_matvec(lifted, it.point, dims),
-                                                  hankel.lift_rmatvec(lifted, it.point, dims),
+    lifted = hankel.SignalSpectrum(Xt, dims)
+    new = FactorSpectrum(project_tangent_truncate(hankel.lift_matvec(lifted, it.point),
+                                                  hankel.lift_rmatvec(lifted, it.point),
                                                   it.point.factors, config.rank), dims)
     X_new = hankel.pinv_lift_lowrank(new)
     if not np.all(np.isfinite(X_new)):

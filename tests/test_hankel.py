@@ -3,22 +3,15 @@
 import numpy as np
 import pytest
 
-from hankelsr.hankel import (FactorSpectrum, SignalSpectrum, _weigh, adjoint_lift,
-                             adjoint_lift_isometric, adjoint_lift_lowrank,
+from hankelsr.checks import brute_force_weights
+from hankelsr.hankel import (FactorSpectrum, HankelDims, SignalSpectrum, _weigh,
+                             adjoint_lift, adjoint_lift_isometric, adjoint_lift_lowrank,
                              choose_dims, lift, lift_isometric, lift_matvec,
                              lift_rmatvec, pinv_lift, pinv_lift_lowrank,
                              weight_vector)
 from hankelsr.lowrank import LowRankFactors, truncate_rank
-
-
-def brute_force_weights(n, n1):
-    """Independent oracle: enumerate the anti-diagonal index pairs."""
-    n2 = n + 1 - n1
-    w = np.zeros(n, dtype=int)
-    for j in range(n1):
-        for k in range(n2):
-            w[j + k] += 1
-    return w
+from hankelsr.model import synth_instance
+from hankelsr.solver import SolverConfig, solve
 
 
 def crandn(rng, *shape):
@@ -61,6 +54,30 @@ class TestChooseDims:
             choose_dims(8, 1, n1=9)
         with pytest.raises(ValueError, match="s >= 1"):
             choose_dims(8, 0)
+
+    @pytest.mark.parametrize("n,s,n1", [
+        (256.0, 4, None),
+        (256, 4.5, 128),
+        (256, 4, 128.0),
+        (np.float64(256), 4, 128),
+        ("256", 4, 128),
+    ])
+    def test_non_integral_sizes_rejected(self, n, s, n1):
+        with pytest.raises(ValueError, match="must be integers"):
+            choose_dims(n, s, n1)
+
+    def test_numpy_integer_sizes_solve(self):
+        _, dims, B, _, y = synth_instance(32, 2, 2, seed=3)
+        np_dims = HankelDims(np.int64(dims.n), np.int32(dims.s), np.int64(dims.n1))
+        assert np_dims == dims and np_dims.L == dims.L == 32
+        X_hat, trace = solve(y, B, np_dims, SolverConfig(rank=2, max_iters=3))
+        X_ref, ref = solve(y, B, dims, SolverConfig(rank=2, max_iters=3))
+        np.testing.assert_array_equal(X_hat, X_ref)
+        np.testing.assert_array_equal(trace.residuals, ref.residuals)
+
+    @pytest.mark.parametrize("n,L", [(2, 2), (3, 4), (4, 4), (5, 8), (256, 256), (257, 512)])
+    def test_fft_length_is_next_power_of_two(self, n, L):
+        assert choose_dims(n, 1).L == L
 
 
 class TestLift:
@@ -200,7 +217,7 @@ class TestFastProducts:
         X = crandn(rng, 2, 10)
         e0 = np.zeros((dims.n2, 1))
         e0[0] = 1.0
-        out = lift_matvec(SignalSpectrum(X), e0, dims)
+        out = lift_matvec(SignalSpectrum(X, dims), e0)
         expected = X[:, :dims.n1].T.reshape(-1)  # columns x_0..x_{n1-1} stacked
         np.testing.assert_allclose(out[:, 0], expected, atol=1e-12)
 
@@ -211,7 +228,7 @@ class TestFastProducts:
             X = crandn(rng, s, n)
             Z = lift(X, dims)
             v = crandn(rng, dims.n2, 1)
-            got = lift_matvec(SignalSpectrum(X), v, dims)
+            got = lift_matvec(SignalSpectrum(X, dims), v)
             want = Z @ v
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -221,7 +238,7 @@ class TestFastProducts:
         X = crandn(rng, 2, 9)
         e0 = np.zeros((dims.s * dims.n1, 1))
         e0[0] = 1.0
-        got = lift_rmatvec(SignalSpectrum(X), e0, dims)
+        got = lift_rmatvec(SignalSpectrum(X, dims), e0)
         np.testing.assert_allclose(got[:, 0], np.conj(X[0, :dims.n2]), atol=1e-12)
 
     def test_rmatvec_matches_dense(self):
@@ -231,7 +248,7 @@ class TestFastProducts:
             X = crandn(rng, s, n)
             Z = lift(X, dims)
             u = crandn(rng, dims.s * dims.n1, 1)
-            got = lift_rmatvec(SignalSpectrum(X), u, dims)
+            got = lift_rmatvec(SignalSpectrum(X, dims), u)
             want = Z.conj().T @ u
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -242,18 +259,24 @@ class TestFastProducts:
         Z = lift(X, dims)
         V = crandn(rng, dims.n2, 3)
         U = crandn(rng, dims.s * dims.n1, 3)
-        spectrum = SignalSpectrum(X)
-        np.testing.assert_allclose(lift_matvec(spectrum, V, dims), Z @ V, atol=1e-10)
-        np.testing.assert_allclose(lift_rmatvec(spectrum, U, dims), Z.conj().T @ U,
+        spectrum = SignalSpectrum(X, dims)
+        np.testing.assert_allclose(lift_matvec(spectrum, V), Z @ V, atol=1e-10)
+        np.testing.assert_allclose(lift_rmatvec(spectrum, U), Z.conj().T @ U,
                                    atol=1e-10)
 
     def test_vector_input_rejected(self):
         dims = choose_dims(12, 2)
-        spectrum = SignalSpectrum(np.ones((2, 12)))
+        spectrum = SignalSpectrum(np.ones((2, 12)), dims)
         with pytest.raises(ValueError, match="block"):
-            lift_matvec(spectrum, np.ones(dims.n2), dims)
+            lift_matvec(spectrum, np.ones(dims.n2))
         with pytest.raises(ValueError, match="block"):
-            lift_rmatvec(spectrum, np.ones(dims.s * dims.n1), dims)
+            lift_rmatvec(spectrum, np.ones(dims.s * dims.n1))
+
+    @pytest.mark.parametrize("shape", [(2, 11), (3, 12), (12,), (1, 2, 12)])
+    def test_signal_spectrum_of_wrong_shape_refused(self, shape):
+        # The shape is checked once, when the spectrum is built, not by each product.
+        with pytest.raises(ValueError, match=r"signal of shape \(2, 12\)"):
+            SignalSpectrum(np.ones(shape), choose_dims(12, 2))
 
     def test_lowrank_delift_matches_dense(self):
         rng = np.random.default_rng(17)
@@ -275,9 +298,27 @@ class TestFastProducts:
         dims = choose_dims(12, 2)
         with pytest.raises(ValueError, match="inconsistent"):
             point(dims.s * dims.n1, dims.n2 + 1, dims)
+        # Another split of the same n shares the FFT length, so its point's
+        # spectra have the shapes the products expect: only its dims tell.
         other = choose_dims(12, 2, n1=4)
+        assert other.L == dims.L and other != dims
         spectrum = point(other.s * other.n1, other.n2, other)
         with pytest.raises(ValueError, match="another lift"):
-            lift_matvec(SignalSpectrum(np.ones((2, 12))), spectrum, dims)
+            lift_matvec(SignalSpectrum(np.ones((2, 12)), dims), spectrum)
         with pytest.raises(ValueError, match="another lift"):
-            lift_rmatvec(SignalSpectrum(np.ones((2, 12))), spectrum, dims)
+            lift_rmatvec(SignalSpectrum(np.ones((2, 12)), dims), spectrum)
+
+    def test_point_on_equal_dims_accepted(self):
+        # A point and a signal on separately built dims of the same split lie
+        # on the same lift: the products compare dims by value.
+        rng = np.random.default_rng(18)
+        dims, twin = choose_dims(12, 2), HankelDims(n=12, s=2, n1=6)
+        assert twin is not dims and twin == dims
+        point = FactorSpectrum(truncate_rank(crandn(rng, *dims.lifted_shape), 2), twin)
+        X = crandn(rng, 2, 12)
+        Z = lift(X, dims)
+        U, V = point.factors.U, point.factors.V
+        np.testing.assert_allclose(lift_matvec(SignalSpectrum(X, dims), point), Z @ V,
+                                   atol=1e-10)
+        np.testing.assert_allclose(lift_rmatvec(SignalSpectrum(X, dims), point),
+                                   Z.conj().T @ U, atol=1e-10)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hankelsr import lowrank
-from hankelsr.hankel import choose_dims, lift, lift_products
+from hankelsr.hankel import choose_dims, lift, truncate_lift
 from hankelsr.lowrank import (LowRankFactors, RankTruncationError,
                               project_tangent, project_tangent_truncate,
                               truncate_rank, truncate_rank_operator)
@@ -201,7 +201,7 @@ class TestTruncateRankOperator:
         m = synth_model(2, 32, 3, 17)
         dims = choose_dims(32, 2)
         X = build_signal(m)
-        f = truncate_rank_operator(*lift_products(X, dims), dims.lifted_shape, 3)
+        f = truncate_lift(X, dims, 3)
         dense = np.linalg.svd(lift(X, dims), compute_uv=False)[:3]
         np.testing.assert_allclose(f.sigma, dense, rtol=1e-8)
 

@@ -86,9 +86,9 @@ def test_isometric_lift_inverse_and_isometry(case):
 def test_lift_matvec_matches_dense(case):
     dims, X, k, rng = case
     v = crandn(rng, dims.n2, k)
-    out = lift_matvec(SignalSpectrum(X), v, dims)
+    out = lift_matvec(SignalSpectrum(X, dims), v)
     assert out.shape == (dims.s * dims.n1, k)
-    assert out.flags.f_contiguous  # column-major, as the QRs downstream want
+    assert out.flags.f_contiguous  # column-major, the layout lowrank's products read
     assert_close(out, lift(X, dims) @ v)
 
 
@@ -97,7 +97,7 @@ def test_lift_matvec_matches_dense(case):
 def test_lift_rmatvec_matches_dense(case):
     dims, X, k, rng = case
     u = crandn(rng, dims.s * dims.n1, k)
-    out = lift_rmatvec(SignalSpectrum(X), u, dims)
+    out = lift_rmatvec(SignalSpectrum(X, dims), u)
     assert out.shape == (dims.n2, k)
     assert out.flags.f_contiguous
     assert_close(out, lift(X, dims).conj().T @ u)
@@ -142,11 +142,10 @@ def test_factor_spectrum_matches_raw_blocks_and_dense(case):
     dims, X, k, rng = case
     point = random_point(dims, k, rng)
     U, V = point.factors.U, point.factors.V
-    lifted = SignalSpectrum(X)
+    lifted = SignalSpectrum(X, dims)
     Z = lift(X, dims)
-    for got, raw, dense in ((lift_matvec(lifted, point, dims), lift_matvec(lifted, V, dims),
-                             Z @ V),
-                            (lift_rmatvec(lifted, point, dims), lift_rmatvec(lifted, U, dims),
+    for got, raw, dense in ((lift_matvec(lifted, point), lift_matvec(lifted, V), Z @ V),
+                            (lift_rmatvec(lifted, point), lift_rmatvec(lifted, U),
                              Z.conj().T @ U)):
         np.testing.assert_array_equal(got, raw)
         assert got.flags.f_contiguous

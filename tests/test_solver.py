@@ -109,9 +109,9 @@ class TestInitialize:
         for name in ("lift_matvec", "lift_rmatvec"):
             original = getattr(hankel, name)
 
-            def counted(spectrum, block, dims, _original=original):
+            def counted(spectrum, block, _original=original):
                 columns.append(block.shape[1])
-                return _original(spectrum, block, dims)
+                return _original(spectrum, block)
 
             monkeypatch.setattr(hankel, name, counted)
         for trial in range(5):
@@ -131,8 +131,7 @@ class TestIterateOnce:
         dims, B, X_true, y = make_instance(32, 2, 2, 3)
         cfg = SolverConfig(rank=2)
         if truth_svd == "fast":
-            truth = lowrank.truncate_rank_operator(
-                *hankel.lift_products(X_true, dims), dims.lifted_shape, 2, seed=cfg.seed)
+            truth = hankel.truncate_lift(X_true, dims, 2, seed=cfg.seed)
         else:
             truth = lowrank.truncate_rank(lift(X_true, dims), 2)
         nxt = iterate_once(Iterate.at(X_true, FactorSpectrum(truth, dims), y, B), y, B, cfg)
@@ -256,8 +255,7 @@ class TestInitializationCertificate:
             tols.append(bound.arguments["tol"])
             return operator_svd(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "truncate_rank_operator", recorded)
-        monkeypatch.setattr(diagnostics, "truncate_rank_operator", recorded)
+        monkeypatch.setattr(hankel, "truncate_rank_operator", recorded)
         start, exact = solver._INIT_CERTIFICATE_TOL, lowrank._CERTIFICATE_TOL
         assert exact == 1.2e-6 < start
         model, dims, B, X_true, y = synth_instance(64, 2, 2, 14)
@@ -566,13 +564,13 @@ class TestSolve:
     def test_initialization_honours_the_seed(self, monkeypatch):
         dims, B, _, y = make_instance(48, 2, 2, 17)
         seeds = []
-        operator_svd = solver.truncate_rank_operator
+        operator_svd = hankel.truncate_rank_operator
 
         def recorded(*args, seed, tol):
             seeds.append(seed)
             return operator_svd(*args, seed=seed, tol=tol)
 
-        monkeypatch.setattr(solver, "truncate_rank_operator", recorded)
+        monkeypatch.setattr(hankel, "truncate_rank_operator", recorded)
         solve(y, B, dims, SolverConfig(rank=2, max_iters=0, seed=7))
         assert seeds == [7]
 
