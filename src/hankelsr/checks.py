@@ -140,7 +140,7 @@ def check_tangent_projection() -> CheckResult:
 def check_fixed_point() -> CheckResult:
     m, dims, B, X_true, y = model.synth_instance(32, 2, 2, seed=6)
     truth = hankel.FactorSpectrum(lowrank.truncate_rank(hankel.lift(X_true, dims), m.r), dims)
-    nxt = solver.iterate_once(solver.Iterate.at(X_true, truth, y, B), y, B,
+    nxt = solver.iterate_once(solver.Iterate.at(truth, y, B), y, B,
                               solver.SolverConfig(rank=m.r))
     movement = solver.relative_error(nxt.X, X_true)
     return CheckResult("solver_fixed_point", movement < 1e-10,
@@ -179,11 +179,10 @@ def check_fast_dense_equivalence() -> CheckResult:
     m, dims, B, X_true, y = model.synth_instance(48, 2, 2, seed=8)
     back = model.adjoint_measure(y, B)
     exact = hankel.FactorSpectrum(lowrank.truncate_rank(hankel.lift(back, dims), m.r), dims)
-    it = solver.Iterate.at(hankel.pinv_lift_lowrank(exact), exact, y, B)
+    it = solver.Iterate.at(exact, y, B)
     cfg = solver.SolverConfig(rank=m.r)
     certified = hankel.truncate_lift(back, dims, m.r, seed=cfg.seed)
-    init_gap = solver.relative_error(
-        hankel.pinv_lift_lowrank(hankel.FactorSpectrum(certified, dims)), it.X)
+    init_gap = solver.relative_error(hankel.pinv_lift_lowrank(certified), it.X)
     start_gap = solver.relative_error(solver._initialize_factors(y, B, dims, cfg).X, it.X)
     worst = 0.0
     X_ref, ref_factors = it.X, exact.factors

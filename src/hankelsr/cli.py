@@ -166,10 +166,8 @@ class ExperimentConfig:
         command's instances.  Raises ``ValueError`` on a rank ``solve`` would
         reject, before any output exists."""
         derived = seed_derivation(self.seed, trial)
-        mdl, dims, B, X_true, y = synth_instance(n, s, r, derived, self.n1,
-                                                 self.complex_subspace)
-        dims.check_rank(r)
-        return derived, mdl, dims, B, X_true, y
+        return (derived, *synth_instance(n, s, r, derived, self.n1,
+                                         self.complex_subspace))
 
     def solver_config(self, rank: int, seed: int) -> SolverConfig:
         return SolverConfig(rank=rank, max_iters=self.max_iters,

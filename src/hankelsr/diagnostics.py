@@ -10,13 +10,13 @@ advisory: the solver never gates on them.  The report obeys the solver's rank
 rule (``HankelDims.check_rank``), so it rejects exactly the ranks ``solve``
 rejects.  Like a solver iteration, it touches the lift only through FFT
 products, FFT de-lifts and ``hankel.truncate_lift``, the certified operator
-SVD of a lift, which gives the subspace constants and tangent space of the
-lifted truth, the spectral distance and, through ``solver.initialize``, the
-initialization; it forms no lifted matrix and
-takes no dense SVD, so it runs at any n that ``solve`` does.
-The isometry estimate wraps its point in one ``hankel.FactorSpectrum``, so
-each application of its map transforms only its own signal and tangent
-vector.  Both iterative estimates stop on a residual certificate.
+SVD of a lift, which gives the point of the lifted truth (a
+``hankel.FactorSpectrum``), the spectral distance and, through
+``solver.initialize``, the initialization; it forms no lifted matrix and
+takes no dense SVD, so it runs at any n that ``solve`` does.  ``measure_mu1``
+and the isometry estimate read that point, so each application of the
+estimate's map transforms only its own signal and tangent vector.  Both
+iterative estimates stop on a residual certificate.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import hankel
-from .hankel import HankelDims
-from .lowrank import LowRankFactors
+from .hankel import FactorSpectrum, HankelDims
 from .model import PointSourceModel, adjoint_measure, build_signal, measure
 from .solver import initialize
 
@@ -63,20 +62,20 @@ def measure_mu0(B: np.ndarray) -> float:
     return float(np.max(np.abs(B) ** 2))
 
 
-def measure_mu1(factors: LowRankFactors, dims: HankelDims) -> float:
-    """Incoherence of the lifted signal's singular subspaces.
+def measure_mu1(point: FactorSpectrum) -> float:
+    """Incoherence of the singular subspaces of a rank-r point of the lift.
 
     Scales the worst block-row energy of U (blocks of height s) and the worst
     row energy of V by n/r.
     """
-    r = factors.rank
+    factors, dims, r = point.factors, point.dims, point.factors.rank
     Ub = factors.U.reshape(dims.n1, dims.s, r)
     u_max = float(np.max(np.sum(np.abs(Ub) ** 2, axis=(1, 2))))
     v_max = float(np.max(np.sum(np.abs(factors.V) ** 2, axis=1)))
     return dims.n / r * max(u_max, v_max)
 
 
-def estimate_rip_norm(B: np.ndarray, dims: HankelDims, point: LowRankFactors) -> float:
+def estimate_rip_norm(B: np.ndarray, point: FactorSpectrum) -> float:
     """Operator norm of the tangent-restricted measurement-isometry defect.
 
     Lanczos on the Hermitian map Z -> P_T (G (I - A*A) G*) P_T (Z), where T
@@ -85,25 +84,26 @@ def estimate_rip_norm(B: np.ndarray, dims: HankelDims, point: LowRankFactors) ->
     Gaussian signal x0.  Tangent vectors are kept as U N^H + M V^H with
     U^H M = 0, so <Z, Z'> = <N', N> + <M, M'>.  Applying the map takes two
     FFT products and the FFT de-lift ``hankel.adjoint_lift_tangent``, which
-    all read U's and V's spectra from one ``hankel.FactorSpectrum`` of the
-    point, so they transform only the signal, N and M.  The three-term
-    recurrence holds three tangent vectors and no basis.  It stops once the
-    residual bound beta |s_last| of the Ritz value of largest magnitude is at
-    most _LANCZOS_TOL times that value, or after _MAX_APPLICATIONS
-    applications, and returns that Ritz value's magnitude.  Values well
-    below 1 indicate the measurements act nearly isometrically on T.
+    all read U's and V's spectra from the ``hankel.FactorSpectrum`` point,
+    taken once per point, so they transform only the signal, N and M.  The
+    three-term recurrence holds three tangent vectors and no basis.  It
+    stops once the residual bound beta |s_last| of the Ritz value of largest
+    magnitude is at most _LANCZOS_TOL times that value, or after
+    _MAX_APPLICATIONS applications, and returns that Ritz value's magnitude.
+    Values well below 1 indicate the measurements act nearly isometrically
+    on T.
     """
-    at_point = hankel.FactorSpectrum(point, dims)
+    dims, U = point.dims, point.factors.U
     w_isqrt = dims.weights ** -0.5
 
     def project_lift(X):
         """N and M of P_T G(X) = U N^H + M V^H."""
         lifted = hankel.SignalSpectrum(w_isqrt * X, dims)
-        C = hankel.lift_matvec(lifted, at_point)
-        return hankel.lift_rmatvec(lifted, at_point), C - point.U @ (point.U.conj().T @ C)
+        C = hankel.lift_matvec(lifted, point)
+        return hankel.lift_rmatvec(lifted, point), C - U @ (U.conj().T @ C)
 
     def apply(N, M):
-        Xg = w_isqrt * hankel.adjoint_lift_tangent(at_point, N, M)
+        Xg = w_isqrt * hankel.adjoint_lift_tangent(point, N, M)
         return project_lift(Xg - adjoint_measure(measure(Xg, B), B))
 
     rng = np.random.default_rng(7)
@@ -136,7 +136,7 @@ def spectral_distance(X_a: np.ndarray, X_b: np.ndarray, dims: HankelDims) -> flo
     X_b = np.asarray(X_b)
     if X_a.shape != X_b.shape:
         raise ValueError(f"shape mismatch: {X_a.shape} vs {X_b.shape}")
-    return float(hankel.truncate_lift(X_a - X_b, dims, 1).sigma[0])
+    return float(hankel.truncate_lift(X_a - X_b, dims, 1).factors.sigma[0])
 
 
 def assumption_report(model: PointSourceModel, B: np.ndarray,
@@ -145,21 +145,22 @@ def assumption_report(model: PointSourceModel, B: np.ndarray,
 
     Rejects a rank the solver rejects, with ``solve``'s ``ValueError``, and a
     lifted signal of numerical rank below r (sigma_r <= _RANK_TOL sigma_1),
-    whose kappa is undefined, with a ``ValueError`` of its own.  Uses the
-    operator SVD of the lifted signal, which has exact rank r, certified to
-    the default 1.2e-6, for kappa, sigma_r, mu1 and the tangent space of the
-    isometry defect, and runs ``solver.initialize`` (the start ``solve``
-    uses, certified only to ``solver._INIT_CERTIFICATE_TOL``) on the exact
-    measurements to report its spectral distance from the lifted truth.
+    whose kappa is undefined, with a ``ValueError`` of its own.  Reads kappa,
+    sigma_r, mu1 and the isometry defect's tangent space from the point of
+    the lifted signal (exact rank r), the operator SVD certified to 1.2e-6,
+    and runs ``solver.initialize`` (the start ``solve`` uses, certified only
+    to ``solver._INIT_CERTIFICATE_TOL``) on the exact measurements to report
+    its spectral distance from the lifted truth.
     """
     dims.check_rank(model.r)
     X_true = build_signal(model)
-    factors = hankel.truncate_lift(X_true, dims, model.r)
-    sigma_r = float(factors.sigma[-1])
-    if sigma_r <= _RANK_TOL * factors.sigma[0]:
+    truth = hankel.truncate_lift(X_true, dims, model.r)
+    sigma = truth.factors.sigma
+    sigma_r = float(sigma[-1])
+    if sigma_r <= _RANK_TOL * sigma[0]:
         raise ValueError(f"lifted signal has numerical rank below {model.r}")
     X0 = initialize(measure(X_true, B), B, dims, model.r)
-    return AssumptionReport(mu0=measure_mu0(B), mu1=measure_mu1(factors, dims),
-                            kappa=float(factors.sigma[0] / sigma_r), sigma_r=sigma_r,
-                            rip_norm_estimate=estimate_rip_norm(B, dims, factors),
+    return AssumptionReport(mu0=measure_mu0(B), mu1=measure_mu1(truth),
+                            kappa=float(sigma[0] / sigma_r), sigma_r=sigma_r,
+                            rip_norm_estimate=estimate_rip_norm(B, truth),
                             init_spectral_distance=spectral_distance(X0, X_true, dims))

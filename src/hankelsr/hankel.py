@@ -9,11 +9,12 @@ This module provides the lift, its adjoint, the pseudoinverse de-lift
 (weighted anti-diagonal averaging), the isometric variants (the oracle of the
 diagnostics' restricted-isometry map), FFT-based products with the lift of a
 ``SignalSpectrum`` and ``truncate_lift``, the operator SVD of a lift on them.
-A ``FactorSpectrum`` is a rank-k point of the lift with the spectra of its
-factors: the products take it in place of a factor, and the FFT de-lifts of
-the point and of a tangent vector U N^H + M V^H at it read it, so that no
-iteration or diagnostic materializes a lift.  ``HankelDims`` owns the shape:
-each spectrum carries one and is checked against it once, when built.
+A ``FactorSpectrum`` (what ``truncate_lift`` returns) is a rank-k point of
+the lift with its dims and the spectra of its factors, which the products
+and the FFT de-lifts of the point and of its tangent vectors U N^H + M V^H
+read, so that no iteration or diagnostic materializes a lift.
+``HankelDims`` owns the shape: each spectrum carries one and is checked
+against it once, when built.
 """
 
 from __future__ import annotations
@@ -298,13 +299,13 @@ def lift_rmatvec(spectrum: SignalSpectrum, u: np.ndarray | FactorSpectrum) -> np
     return np.conj(conv[:, :dims.n2]).T  # (n2, k)
 
 
-def truncate_lift(X: np.ndarray, dims: HankelDims, r: int, **kwargs) -> LowRankFactors:
-    """Leading-r SVD factors of lift(X) by ``truncate_rank_operator`` (which gets
+def truncate_lift(X: np.ndarray, dims: HankelDims, r: int, **kwargs) -> FactorSpectrum:
+    """The rank-r point of lift(X): ``truncate_rank_operator``'s factors (it gets
     ``kwargs``: ``seed``, ``tol``) on FFT products sharing one ``SignalSpectrum``."""
     spectrum = SignalSpectrum(X, dims)
-    return truncate_rank_operator(lambda v: lift_matvec(spectrum, v),
-                                  lambda u: lift_rmatvec(spectrum, u),
-                                  dims.lifted_shape, r, **kwargs)
+    return FactorSpectrum(truncate_rank_operator(lambda v: lift_matvec(spectrum, v),
+                                                 lambda u: lift_rmatvec(spectrum, u),
+                                                 dims.lifted_shape, r, **kwargs), dims)
 
 
 def _delift(FU: np.ndarray, FV: np.ndarray, dims: HankelDims) -> np.ndarray:

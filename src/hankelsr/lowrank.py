@@ -275,11 +275,11 @@ def _complete(U: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return _householder_completion(U, B)
 
 
-def project_tangent_truncate(MV: np.ndarray, MhU: np.ndarray, point: LowRankFactors,
-                             r: int) -> LowRankFactors:
-    """Best rank-r factors of P_T(M), given M only through MV = M V and MhU = M^H U.
+def project_tangent_truncate(MV: np.ndarray, MhU: np.ndarray,
+                             point: LowRankFactors) -> LowRankFactors:
+    """Best rank-k factors of P_T(M), given M only through MV = M V and MhU = M^H U.
 
-    T is the tangent space at ``point`` = (U, sigma, V), and
+    T is the tangent space at the rank-k ``point`` = (U, sigma, V), and
     P_T(M) = U A + B V^H with A = U^H M and B = (I - U U^H) M V, so it lives
     in the span of [U, Q1 F1] x [V, Q2 F2], where Q1 F1 R1 = B and
     Q2 F2 R2 = D = (I - V V^H) A^H complete U and V orthonormally
@@ -290,13 +290,13 @@ def project_tangent_truncate(MV: np.ndarray, MhU: np.ndarray, point: LowRankFact
     block as well conditioned, and fall back to the Householder QR of the
     stacked [U, B] otherwise, e.g. for a rank-deficient B near a fixed point;
     each side chooses on its own block.  The core is filled in place.  Only
-    the r kept columns of [U, Q1 F1] Uc and [V, Q2 F2] Vc are formed, as
-    U Uc' + Q1 (F1 Uc''), so the k-by-k factor F1 is applied to r core
-    columns and each side forms its new factor with two tall products: r
-    triplets (2k if r > 2k), whose singular values may be zero.  Matches
-    ``truncate_rank(project_tangent(M, point), r)`` up to roundoff; beyond
-    the two products, which the caller takes, all work is at the factor
-    scale.
+    the k kept columns of [U, Q1 F1] Uc and [V, Q2 F2] Vc are formed, as
+    U Uc' + Q1 (F1 Uc''), so the k-by-k factor F1 is applied to k core
+    columns and each side forms its new factor with two tall products: k
+    triplets, whose singular values may be zero, so the point keeps its
+    rank.  Matches ``truncate_rank(project_tangent(M, point), k)`` up to
+    roundoff; beyond the two products, which the caller takes, all work is
+    at the factor scale.
     """
     U, V = point.U, point.V
     (m, p), k = point.shape, point.rank
@@ -312,9 +312,9 @@ def project_tangent_truncate(MV: np.ndarray, MhU: np.ndarray, point: LowRankFact
     if not np.all(np.isfinite(core)):
         raise np.linalg.LinAlgError("projected core contains non-finite entries")
     Uc, sigma, Vch = np.linalg.svd(core)
-    Vc = Vch[:r].conj().T
-    U_new = U @ Uc[:k, :r]
-    U_new += Q1 @ (F1 @ Uc[k:, :r])
+    Vc = Vch[:k].conj().T
+    U_new = U @ Uc[:k, :k]
+    U_new += Q1 @ (F1 @ Uc[k:, :k])
     V_new = V @ Vc[:k]
     V_new += Q2 @ (F2 @ Vc[k:])
-    return LowRankFactors(U=U_new, sigma=sigma[:r], V=V_new)
+    return LowRankFactors(U=U_new, sigma=sigma[:k], V=V_new)

@@ -132,8 +132,9 @@ def adjoint_measure(y: np.ndarray, B: np.ndarray) -> np.ndarray:
 def synth_instance(n: int, s: int, r: int, seed: int, n1: int | None = None,
                    complex_subspace: bool = False):
     """Instance recipe shared by the commands and the checks: model, split,
-    sensing matrix, data."""
+    sensing matrix, data; ``solve``'s rank rule refuses r before any draw."""
     dims = choose_dims(n, s, n1)
+    dims.check_rank(r)
     rng = np.random.default_rng(seed)
     mdl = synth_model(s, n, r, rng)
     B = sample_subspace(s, n, rng, complex_entries=complex_subspace)

@@ -11,13 +11,13 @@ lift of the gradient step with the current factors by FFTs, projects and
 truncates in one step through the SVD of a 2r-by-2r core
 (``lowrank.project_tangent_truncate``) and de-lifts the rank-r factors by
 FFTs, at O(r^2 s n + r s n log n) per iteration.  Each iteration maps one
-``Iterate`` to the next: X, its data residual and the ``hankel.FactorSpectrum``
-of the truncation X came from, whose spectra the next step's products read,
-so each factor is transformed once.  The initialization is the operator
-SVD of the lifted back-projection (``hankel.truncate_lift``) seeded by
-``config.seed`` and certified to the accuracy the iteration needs of its
-start (_INIT_CERTIFICATE_TOL), which takes its products by FFTs too, so no
-step of a solve forms the lifted matrix.
+``Iterate`` to the next.  ``Iterate.at`` builds one from a rank-r point of
+the lift (a ``hankel.FactorSpectrum``, which holds the rank): it de-lifts
+the point to X and takes X's residual; the next step's products read the
+point's spectra, so each factor is transformed once.  The start is the point
+``hankel.truncate_lift`` gives for the lifted back-projection, seeded by
+``config.seed``, certified to _INIT_CERTIFICATE_TOL and taken by FFTs, so
+no step of a solve forms the lifted matrix.
 
 ``SolverConfig`` owns the solver's defaults, which the command line reads
 from it, and rejects invalid ones when built; ``HankelDims.check_rank`` owns
@@ -134,9 +134,9 @@ class ConvergenceTrace:
 
 @dataclass(frozen=True)
 class Iterate:
-    """One iterate of ``solve``: X, the ``FactorSpectrum`` point X was de-lifted
-    from, its data residual measure(X, B) - y and that residual's norm, and its
-    iteration.  ``Iterate.at`` evaluates the residual, so it belongs to X."""
+    """One iterate of ``solve``: X, the de-lift of its ``FactorSpectrum`` point,
+    X's data residual measure(X, B) - y and that residual's norm, and its
+    iteration, all built from the point by ``Iterate.at``."""
 
     X: np.ndarray
     point: FactorSpectrum
@@ -145,9 +145,9 @@ class Iterate:
     iteration: int
 
     @classmethod
-    def at(cls, X: np.ndarray, point: FactorSpectrum, y: np.ndarray, B: np.ndarray,
+    def at(cls, point: FactorSpectrum, y: np.ndarray, B: np.ndarray,
            iteration: int = 0) -> Iterate:
-        X = np.asarray(X)
+        X = hankel.pinv_lift_lowrank(point)
         residual = measure(X, B) - y
         return cls(X, point, residual, float(np.linalg.norm(residual)), iteration)
 
@@ -197,10 +197,8 @@ def _initialize_factors(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: 
     its start, not the diagnostics' 1.2e-6; it takes its products with the
     lift by FFTs and never forms it.
     """
-    factors = hankel.truncate_lift(adjoint_measure(y, B), dims, config.rank,
-                                   seed=config.seed, tol=_INIT_CERTIFICATE_TOL)
-    point = FactorSpectrum(factors, dims)
-    return Iterate.at(hankel.pinv_lift_lowrank(point), point, y, B)
+    return Iterate.at(hankel.truncate_lift(adjoint_measure(y, B), dims, config.rank,
+                                           seed=config.seed, tol=_INIT_CERTIFICATE_TOL), y, B)
 
 
 def initialize(y: np.ndarray, B: np.ndarray, dims: HankelDims, r: int) -> np.ndarray:
@@ -221,30 +219,32 @@ def iterate_once(it: Iterate, y: np.ndarray, B: np.ndarray, config: SolverConfig
     """One solver iteration: the ``Iterate`` that follows ``it``.
 
     Takes a gradient step from ``it.residual``, lifts it, projects the lift
-    onto the tangent space at ``it.point``, truncates to rank r and de-lifts;
-    the new iterate carries the new point and its residual, the step's one
-    ``measure``.  To start elsewhere than ``solve``'s initialization, wrap
-    ``Iterate.at(X, FactorSpectrum(truncate_rank(lift(X, dims), r), dims), y, B)``.
+    onto the tangent space at ``it.point``, truncates to the point's rank and
+    de-lifts; the new iterate carries the new point and its residual, the
+    step's one ``measure``.  To start elsewhere than ``solve``'s
+    initialization, take ``Iterate.at(hankel.truncate_lift(X, dims, r), y, B)``.
     Products and de-lift run by FFTs and the truncation through the 2r-by-2r
     core of ``project_tangent_truncate``, so no iteration forms the lift.
-    Raises ``ValueError`` on an infeasible rank, as ``solve`` does, and
-    ``DivergenceError`` if the update stops being finite.
+    Raises ``ValueError`` on an infeasible rank, as ``solve`` does, or on a
+    ``config.rank`` other than the point's, and ``DivergenceError`` if the
+    update stops being finite.
     """
-    dims = it.point.dims
-    dims.check_rank(config.rank)
+    point, rank = it.point, it.point.factors.rank
+    point.dims.check_rank(config.rank)
+    if config.rank != rank:
+        raise ValueError(f"config rank {config.rank} differs from the iterate's rank {rank}")
     if not np.all(np.isfinite(it.X)):
         raise DivergenceError("iterate is not finite")
     Xt = it.X - config.step_size * adjoint_measure(it.residual, B)
     if not np.all(np.isfinite(Xt)):
         raise DivergenceError("gradient update is not finite")
-    lifted = hankel.SignalSpectrum(Xt, dims)
-    new = FactorSpectrum(project_tangent_truncate(hankel.lift_matvec(lifted, it.point),
-                                                  hankel.lift_rmatvec(lifted, it.point),
-                                                  it.point.factors, config.rank), dims)
-    X_new = hankel.pinv_lift_lowrank(new)
-    if not np.all(np.isfinite(X_new)):
+    lifted = hankel.SignalSpectrum(Xt, point.dims)
+    new = project_tangent_truncate(hankel.lift_matvec(lifted, point),
+                                   hankel.lift_rmatvec(lifted, point), point.factors)
+    nxt = Iterate.at(FactorSpectrum(new, point.dims), y, B, it.iteration + 1)
+    if not np.all(np.isfinite(nxt.X)):
         raise DivergenceError("iterate is not finite")
-    return Iterate.at(X_new, new, y, B, it.iteration + 1)
+    return nxt
 
 
 def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,

@@ -154,8 +154,8 @@ def test_criterion_4_fixed_point_and_linear_convergence():
     start = time.perf_counter()
     # (a) the exact solution moves less than 1e-10 in one iteration
     _, dims, B, X_true, y = synth_instance(256, 4, 5, seed_derivation(1, 0))
-    truth = truncate_rank(lift(X_true, dims), 5)
-    X_next = iterate_once(Iterate.at(X_true, FactorSpectrum(truth, dims), y, B), y, B,
+    truth = FactorSpectrum(truncate_rank(lift(X_true, dims), 5), dims)
+    X_next = iterate_once(Iterate.at(truth, y, B), y, B,
                           SolverConfig(rank=5, step_size=0.5)).X
     move = np.linalg.norm(X_next - X_true) / np.linalg.norm(X_true)
     assert move < 1e-10, f"fixed point moved {move:.2e} in one iteration"
@@ -253,8 +253,8 @@ def test_criterion_7_tangent_restricted_isometry_trend():
         vals = []
         for trial in range(20):
             _, dims, B, X_true, y = synth_instance(n, 2, 2, seed_derivation(7, trial))
-            factors = truncate_rank(lift(X_true, dims), 2)
-            vals.append(estimate_rip_norm(B, dims, factors))
+            truth = FactorSpectrum(truncate_rank(lift(X_true, dims), 2), dims)
+            vals.append(estimate_rip_norm(B, truth))
         vals = np.array(vals)
         medians[n] = float(np.median(vals))
         below_one[n] = float(np.mean(vals < 1.0))

@@ -321,6 +321,24 @@ class TestRejectedInput:
         assert errors[0] == errors[1]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["run", "report", "sweep"])
+    def test_rank_above_half_n_rejected_as_in_solve(self, command, tmp_path, capsys):
+        # n=8 < 2r: the rank rule of solve (lifted shape (16, 5)) refuses the
+        # rank before the model is drawn, so its message is solve's
+        with pytest.raises(ValueError) as solved:
+            solve(np.zeros(8), np.ones((4, 8)), hankel.choose_dims(8, 4), SolverConfig(rank=5))
+        assert str(solved.value) == "rank 5 infeasible for lifted shape (16, 5): need 2*rank <= 5"
+        out = tmp_path / "out.csv"
+        code = run_cli(command, "--n", "8", "--s", "4", "--r", "5", "--out", str(out))
+        if command == "sweep":
+            assert code == 0
+            row = out.read_text().strip().split("\n")[1]
+            assert f'"config_error: {solved.value}"' in row
+        else:
+            assert code == EXIT_USAGE
+            assert capsys.readouterr().err == f"error: {solved.value}\n"
+            assert list(tmp_path.iterdir()) == []
+
     def test_readme_lists_every_shared_flag(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         listed = re.search(r"Shared flags: `([^`]*)`", readme).group(1)
@@ -400,7 +418,7 @@ class TestSweep:
             header, *rows = list(csv.reader(fh))
         assert len(rows) == 2 and all(len(row) == len(header) for row in rows)
         assert rows[1][header.index("termination")] == (
-            "config_error: need n >= 2r for a feasible rank-20 split, got n=32")
+            "config_error: rank 20 infeasible for lifted shape (32, 17): need 2*rank <= 17")
 
     def test_infeasible_rank_row(self, tmp_path):
         out = tmp_path / "sweep.csv"

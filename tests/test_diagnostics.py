@@ -10,9 +10,11 @@ from hankelsr import hankel
 from hankelsr.cli import seed_derivation
 from hankelsr.diagnostics import (assumption_report, estimate_rip_norm,
                                   measure_mu0, measure_mu1, spectral_distance)
-from hankelsr.hankel import (adjoint_lift_isometric, choose_dims, lift,
-                             lift_isometric)
-from hankelsr.lowrank import LowRankFactors, project_tangent, truncate_rank
+from hankelsr.hankel import (FactorSpectrum, SignalSpectrum, adjoint_lift_isometric,
+                             choose_dims, lift, lift_isometric, lift_matvec,
+                             lift_rmatvec)
+from hankelsr.lowrank import (LowRankFactors, project_tangent, truncate_rank,
+                              truncate_rank_operator)
 from hankelsr.model import (PointSourceModel, adjoint_measure, build_signal,
                             measure, sample_subspace, synth_instance, synth_model)
 from hankelsr.solver import SolverConfig, initialize, solve
@@ -67,7 +69,7 @@ class TestMu1:
                                coeffs=np.array([[1.0 + 0j]]))
         dims = choose_dims(4, 1)
         f = truncate_rank(lift(build_signal(mdl), dims), 1)
-        assert abs(measure_mu1(f, dims) - 2.0) < 1e-12
+        assert abs(measure_mu1(FactorSpectrum(f, dims)) - 2.0) < 1e-12
 
     def test_amplitude_scale_invariance(self):
         base = synth_model(2, 24, 2, 3)
@@ -76,7 +78,8 @@ class TestMu1:
         dims = choose_dims(24, 2)
         f1 = truncate_rank(lift(build_signal(base), dims), 2)
         f2 = truncate_rank(lift(build_signal(scaled), dims), 2)
-        assert abs(measure_mu1(f1, dims) - measure_mu1(f2, dims)) < 1e-10
+        assert abs(measure_mu1(FactorSpectrum(f1, dims))
+                   - measure_mu1(FactorSpectrum(f2, dims))) < 1e-10
 
     def test_matches_exhaustive_scan(self):
         mdl = synth_model(2, 64, 3, 8)
@@ -86,7 +89,7 @@ class TestMu1:
                      for i in range(dims.n1))
         v_best = max(np.sum(np.abs(f.V[j, :]) ** 2) for j in range(dims.n2))
         want = 64 / 3 * max(u_best, v_best)
-        assert abs(measure_mu1(f, dims) - want) < 1e-12
+        assert abs(measure_mu1(FactorSpectrum(f, dims)) - want) < 1e-12
 
 
 class TestRipNorm:
@@ -103,22 +106,22 @@ class TestRipNorm:
         dims = choose_dims(32, 1)
         f = truncate_rank(lift(build_signal(mdl), dims), 2)
         B = np.ones((1, 32))
-        est = estimate_rip_norm(B, dims, f)
+        est = estimate_rip_norm(B, FactorSpectrum(f, dims))
         assert est <= 1e-8
 
     def test_matches_two_projection_reference(self):
         B, dims, f = self._tangent(48, 2, 2, 3)
         ref = dense_rip_norm(B, dims, f)
-        est = estimate_rip_norm(B, dims, f)
+        est = estimate_rip_norm(B, FactorSpectrum(f, dims))
         assert abs(est - ref) <= 1e-12 * ref
 
     def test_unit_phase_invariance(self):
         B, dims, f = self._tangent(48, 2, 2, 3)
-        est1 = estimate_rip_norm(B, dims, f)
+        est1 = estimate_rip_norm(B, FactorSpectrum(f, dims))
         phases = np.exp(1j * np.array([0.4, -1.3]))
         f2 = LowRankFactors(U=f.U * phases[None, :], sigma=f.sigma,
                             V=f.V * phases[None, :])
-        est2 = estimate_rip_norm(B, dims, f2)
+        est2 = estimate_rip_norm(B, FactorSpectrum(f2, dims))
         assert abs(est1 - est2) < 1e-10
 
     def test_certifies_within_sixty_applications(self, monkeypatch):
@@ -136,12 +139,12 @@ class TestRipNorm:
         for trial in range(20):
             _, dims, B, X_true, _ = synth_instance(512, 2, 2, seed_derivation(7, trial))
             calls.clear()
-            estimate_rip_norm(B, dims, truncate_rank(lift(X_true, dims), 2))
+            estimate_rip_norm(B, FactorSpectrum(truncate_rank(lift(X_true, dims), 2), dims))
             assert len(calls) <= 60, f"trial {trial}: {len(calls)} applications"
 
     def test_reasonable_magnitude(self):
         B, dims, f = self._tangent(256, 2, 2, 4)
-        est = estimate_rip_norm(B, dims, f)
+        est = estimate_rip_norm(B, FactorSpectrum(f, dims))
         assert 0.0 < est < 2.0
 
 
@@ -229,12 +232,26 @@ class TestAssumptionReport:
             assert rep.kappa >= 1.0
             f = truncate_rank(lift(X_true, dims), r)
             X0 = initialize(y, B, dims, r)
-            want = {"mu0": measure_mu0(B), "mu1": measure_mu1(f, dims),
+            want = {"mu0": measure_mu0(B), "mu1": measure_mu1(FactorSpectrum(f, dims)),
                     "kappa": f.sigma[0] / f.sigma[-1], "sigma_r": f.sigma[-1],
                     "init_spectral_distance": np.linalg.norm(lift(X0, dims) - lift(X_true, dims), 2),
                     "rip_norm_estimate": dense_rip_norm(B, dims, f)}
             for key, value in want.items():
                 assert abs(getattr(rep, key) - value) <= 1e-10 * value, key
+
+    def test_constants_read_from_the_truth_point(self):
+        # The report's mu1 and isometry estimate read the point truncate_lift
+        # returns; they equal, bit for bit, the estimators on a fresh point
+        # wrapping the bare factors of the same operator SVD.
+        for n, s, r, seed in [(48, 2, 2, 0), (64, 1, 2, 1), (96, 4, 3, 2)]:
+            mdl, dims, B, X_true, _ = synth_instance(n, s, r, seed_derivation(5, seed))
+            rep = assumption_report(mdl, B, dims)
+            spectrum = SignalSpectrum(X_true, dims)
+            bare = truncate_rank_operator(lambda v: lift_matvec(spectrum, v),
+                                          lambda u: lift_rmatvec(spectrum, u),
+                                          dims.lifted_shape, r)
+            assert rep.mu1 == measure_mu1(FactorSpectrum(bare, dims))
+            assert rep.rip_norm_estimate == estimate_rip_norm(B, FactorSpectrum(bare, dims))
 
     def test_report_forms_no_lift_of_its_own(self, monkeypatch):
         # Every field, the initialization included, runs on FFT products and

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hankelsr import lowrank
-from hankelsr.hankel import choose_dims, lift, truncate_lift
+from hankelsr.hankel import (FactorSpectrum, SignalSpectrum, choose_dims, lift,
+                             lift_matvec, lift_rmatvec, truncate_lift)
 from hankelsr.lowrank import (LowRankFactors, RankTruncationError,
                               project_tangent, project_tangent_truncate,
                               truncate_rank, truncate_rank_operator)
@@ -201,9 +202,24 @@ class TestTruncateRankOperator:
         m = synth_model(2, 32, 3, 17)
         dims = choose_dims(32, 2)
         X = build_signal(m)
-        f = truncate_lift(X, dims, 3)
+        f = truncate_lift(X, dims, 3).factors
         dense = np.linalg.svd(lift(X, dims), compute_uv=False)[:3]
         np.testing.assert_allclose(f.sigma, dense, rtol=1e-8)
+
+    def test_truncate_lift_is_the_point_of_the_operator_svd(self):
+        # the point on dims whose factors are, bit for bit, those of the
+        # operator SVD on the same FFT products
+        m = synth_model(2, 32, 3, 17)
+        dims = choose_dims(32, 2)
+        X = build_signal(m)
+        point = truncate_lift(X, dims, 3, seed=4)
+        assert isinstance(point, FactorSpectrum) and point.dims == dims
+        spectrum = SignalSpectrum(X, dims)
+        want = truncate_rank_operator(lambda v: lift_matvec(spectrum, v),
+                                      lambda u: lift_rmatvec(spectrum, u),
+                                      dims.lifted_shape, 3, seed=4)
+        for name in ("U", "sigma", "V"):
+            np.testing.assert_array_equal(getattr(point.factors, name), getattr(want, name))
 
     def test_nonconvergence_raises_with_residual(self, monkeypatch):
         # 30 columns, so a budget of 10 basis columns (five blocks of 2)
@@ -241,7 +257,7 @@ class TestProjectTangentTruncate:
             r = int(rng.integers(1, 4))
             T = truncate_rank(crandn(rng, m, p), r)
             M = crandn(rng, m, p)
-            fast = project_tangent_truncate(M @ T.V, M.conj().T @ T.U, T, r)
+            fast = project_tangent_truncate(M @ T.V, M.conj().T @ T.U, T)
             dense = truncate_rank(project_tangent(M, T), r)
             scale = max(dense.sigma[0], 1.0)
             assert np.linalg.norm(fast.reconstruct() - dense.reconstruct()) \
@@ -253,14 +269,14 @@ class TestProjectTangentTruncate:
         rng = np.random.default_rng(11)
         f = truncate_rank(crandn(rng, 12, 9), 2)
         M = f.reconstruct()
-        out = project_tangent_truncate(M @ f.V, M.conj().T @ f.U, f, 2)
+        out = project_tangent_truncate(M @ f.V, M.conj().T @ f.U, f)
         assert np.linalg.norm(out.reconstruct() - M) <= 1e-10 * f.sigma[0]
 
     def test_zero_input_gives_zero_triplets(self):
         # the Householder completion fills in the zero off-space blocks
         rng = np.random.default_rng(13)
         f = truncate_rank(crandn(rng, 9, 8), 2)
-        out = project_tangent_truncate(np.zeros((9, 2)), np.zeros((8, 2)), f, 2)
+        out = project_tangent_truncate(np.zeros((9, 2)), np.zeros((8, 2)), f)
         assert out.rank == 2
         np.testing.assert_array_equal(out.sigma, np.zeros(2))
 
@@ -290,7 +306,7 @@ class TestProjectTangentTruncate:
             return householder(basis, block)
 
         monkeypatch.setattr(lowrank, "_householder_completion", recorded)
-        got = project_tangent_truncate(M @ V, M.conj().T @ U, point, k)
+        got = project_tangent_truncate(M @ V, M.conj().T @ U, point)
         assert fallen == [deficient]
         want = truncate_rank(project_tangent(M, point), k)
         assert np.linalg.norm(got.reconstruct() - want.reconstruct()) <= 1e-12 * want.sigma[0]
@@ -300,7 +316,7 @@ class TestProjectTangentTruncate:
         f = truncate_rank(crandn(rng, 9, 5), 3)  # 2k = 6 > 5 columns
         M = crandn(rng, 9, 5)
         with pytest.raises(ValueError, match="tangent rank 3 too large"):
-            project_tangent_truncate(M @ f.V, M.conj().T @ f.U, f, 3)
+            project_tangent_truncate(M @ f.V, M.conj().T @ f.U, f)
 
     def test_nonfinite_core_raises(self):
         rng = np.random.default_rng(12)
@@ -309,7 +325,7 @@ class TestProjectTangentTruncate:
         MV = M @ f.V
         MV[3, 1] = np.nan
         with pytest.raises(np.linalg.LinAlgError, match="projected core"):
-            project_tangent_truncate(MV, M.conj().T @ f.U, f, 2)
+            project_tangent_truncate(MV, M.conj().T @ f.U, f)
 
 
 class TestHermitian:

@@ -214,14 +214,13 @@ def test_project_tangent_truncate_degenerate_off_tangent_blocks(seed, k, b_kind,
     core = crandn(rng, k, k)
     M = U @ (core @ V.conj().T + D.conj().T) + B @ V.conj().T + Pu @ crandn(rng, m, p) @ Pv
     point = LowRankFactors(U=U, sigma=np.ones(k), V=V)
-    r = k
     svals = np.linalg.svd(project_tangent(M, point), compute_uv=False)
-    assume(svals[r - 1] - svals[r] > 1e-6 * svals[0])  # a well-defined rank-r truncation
+    assume(svals[k - 1] - svals[k] > 1e-6 * svals[0])  # a well-defined rank-k truncation
 
-    got = project_tangent_truncate(M @ point.V, M.conj().T @ point.U, point, r)
+    got = project_tangent_truncate(M @ point.V, M.conj().T @ point.U, point)
     # Re-validating the factors re-runs LowRankFactors' orthonormality check.
     LowRankFactors(U=got.U, sigma=got.sigma, V=got.V)
-    want = truncate_rank(project_tangent(M, point), r).reconstruct()
+    want = truncate_rank(project_tangent(M, point), k).reconstruct()
     np.testing.assert_allclose(got.reconstruct(), want, rtol=0, atol=1e-10 * svals[0])
 
 
@@ -236,12 +235,14 @@ def test_dense_step_matches_reference_step(case):
     y = crandn(rng, dims.n)
     cfg = SolverConfig(rank=r, step_size=0.5)
     factors = truncate_rank(lift(X, dims), r)
-    Xt = X - cfg.step_size * adjoint_measure(measure(X, B) - y, B)
+    # Both steps start from the de-lift of the rank-r point.
+    it = Iterate.at(FactorSpectrum(factors, dims), y, B)
+    Xt = it.X - cfg.step_size * adjoint_measure(measure(it.X, B) - y, B)
     svals = np.linalg.svd(project_tangent(lift(Xt, dims), factors), compute_uv=False)
     assume(svals[r - 1] - svals[r] > 1e-3 * svals[0])  # a well-defined rank-r truncation
 
-    X_new = iterate_once(Iterate.at(X, FactorSpectrum(factors, dims), y, B), y, B, cfg).X
-    X_ref, _ = reference_step(X, y, B, dims, cfg, factors)
+    X_new = iterate_once(it, y, B, cfg).X
+    X_ref, _ = reference_step(it.X, y, B, dims, cfg, factors)
     assert relative_error(X_new, X_ref) < 1e-10
 
 

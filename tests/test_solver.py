@@ -133,14 +133,35 @@ class TestIterateOnce:
         if truth_svd == "fast":
             truth = hankel.truncate_lift(X_true, dims, 2, seed=cfg.seed)
         else:
-            truth = lowrank.truncate_rank(lift(X_true, dims), 2)
-        nxt = iterate_once(Iterate.at(X_true, FactorSpectrum(truth, dims), y, B), y, B, cfg)
+            truth = FactorSpectrum(lowrank.truncate_rank(lift(X_true, dims), 2), dims)
+        it = Iterate.at(truth, y, B)
+        nxt = iterate_once(it, y, B, cfg)
         X_next, point = nxt.X, nxt.point
         assert relative_error(X_next, X_true) < 1e-10
         assert point.factors.rank == 2
         assert nxt.iteration == 1
-        X_ref, _ = reference_step(X_true, y, B, dims, cfg, truth)
+        X_ref, _ = reference_step(it.X, y, B, dims, cfg, truth.factors)
         assert relative_error(X_next, X_ref) < 1e-10
+
+    def test_iterate_is_the_delift_of_its_point(self):
+        # X is the point's de-lift, bit for bit, and the residual is X's
+        dims, B, X_true, y = make_instance(32, 2, 2, 3)
+        point = hankel.truncate_lift(X_true, dims, 2)
+        it = Iterate.at(point, y, B, iteration=4)
+        np.testing.assert_array_equal(it.X, hankel.pinv_lift_lowrank(point))
+        np.testing.assert_array_equal(it.residual, measure(it.X, B) - y)
+        assert it.residual_norm == np.linalg.norm(it.residual)
+        assert (it.point, it.iteration) == (point, 4)
+
+    @pytest.mark.parametrize("rank", [1, 3])
+    def test_rank_other_than_the_points_refused(self, rank):
+        # a rank-2 point stepped at another rank would silently become a
+        # rank-1 point (dropping a source) or a rank-3 one (a zero triplet)
+        dims, B, X_true, y = make_instance(32, 2, 2, 3)
+        it = Iterate.at(hankel.truncate_lift(X_true, dims, 2), y, B)
+        with pytest.raises(ValueError, match=f"^config rank {rank} differs from "
+                                             "the iterate's rank 2$"):
+            iterate_once(it, y, B, SolverConfig(rank=rank))
 
     def test_dense_mode_matches_reference_step(self):
         # The 2r-by-2r core truncation against the full SVD of the projected
@@ -162,7 +183,7 @@ class TestIterateOnce:
         cfg = SolverConfig(rank=4, mode=mode)
         point = FactorSpectrum(lowrank.truncate_rank(lift(X_true, dims), 4), dims)
         with pytest.raises(ValueError) as stepped:
-            iterate_once(Iterate.at(X_true, point, y, B), y, B, cfg)
+            iterate_once(Iterate.at(point, y, B), y, B, cfg)
         with pytest.raises(ValueError) as solved:
             solve(y, B, dims, cfg)
         assert str(stepped.value) == str(solved.value)
@@ -172,7 +193,7 @@ class TestIterateOnce:
         dims, B, X_true, y = make_instance(24, 2, 2, 4)
         cfg = SolverConfig(rank=2, step_size=0.0)
         point = FactorSpectrum(lowrank.truncate_rank(lift(X_true, dims), 2), dims)
-        nxt = iterate_once(Iterate.at(X_true, point, y, B), y, B, cfg)
+        nxt = iterate_once(Iterate.at(point, y, B), y, B, cfg)
         assert relative_error(nxt.X, X_true) < 1e-12
 
     @pytest.mark.parametrize("mode", ["dense", "fast"])
@@ -193,7 +214,7 @@ class TestIterateOnce:
         cfg = SolverConfig(rank=2)
         point = FactorSpectrum(lowrank.truncate_rank(lift(X_true, dims), 2), dims)
         with pytest.raises(DivergenceError, match="^iterate is not finite$"):
-            iterate_once(Iterate.at(bad, point, y, B), y, B, cfg)
+            iterate_once(dataclasses.replace(Iterate.at(point, y, B), X=bad), y, B, cfg)
         step, calls = solver.iterate_once, []
 
         def poisoned(it, *args, **kwargs):
@@ -207,8 +228,9 @@ class TestIterateOnce:
     def test_nonfinite_gradient_update_raises(self):
         dims, B, X_true, y = make_instance(16, 2, 2, 6)
         point = FactorSpectrum(lowrank.truncate_rank(lift(X_true, dims), 2), dims)
-        it = Iterate.at(X_true + 0.1, point, y, B)
-        huge = dataclasses.replace(it, residual=it.residual * 1e300)
+        X = X_true + 0.1
+        huge = dataclasses.replace(Iterate.at(point, y, B), X=X,
+                                   residual=(measure(X, B) - y) * 1e300)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match="^gradient update is not finite$"):
                 iterate_once(huge, y, B, SolverConfig(rank=2, step_size=1e10))
@@ -216,10 +238,11 @@ class TestIterateOnce:
     def test_nonfinite_delift_raises(self, monkeypatch):
         dims, B, X_true, y = make_instance(16, 2, 2, 6)
         point = FactorSpectrum(lowrank.truncate_rank(lift(X_true, dims), 2), dims)
+        it = Iterate.at(point, y, B)
         monkeypatch.setattr(hankel, "pinv_lift_lowrank",
                             lambda point: np.full((dims.s, dims.n), np.nan, dtype=complex))
         with pytest.raises(DivergenceError, match="^iterate is not finite$"):
-            iterate_once(Iterate.at(X_true, point, y, B), y, B, SolverConfig(rank=2))
+            iterate_once(it, y, B, SolverConfig(rank=2))
 
 
 class TestOneInitialization:
@@ -336,9 +359,9 @@ class TestTransformCount:
 
         monkeypatch.setattr(hankel, "adjoint_lift_tangent", counted)
         dims, B, X_true, _ = make_instance(256, 4, 5, seed_derivation(1, 0))
-        point = lowrank.truncate_rank(lift(X_true, dims), 5)
+        point = FactorSpectrum(lowrank.truncate_rank(lift(X_true, dims), 5), dims)
         counts.update(fft=0, ifft=0)
-        estimate_rip_norm(B, dims, point)
+        estimate_rip_norm(B, point)
         a = len(applications)
         assert a > 0
         assert counts == {"fft": 29 + 29 * a, "ifft": 25 + 29 * a}
