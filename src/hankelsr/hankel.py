@@ -164,7 +164,8 @@ def adjoint_lift_isometric(Z: np.ndarray, dims: HankelDims) -> np.ndarray:
 # between their de-lift and the products with the next lift, so the solver
 # transforms each truncation's factors once; a tangent vector's de-lift
 # transforms only its own N and M.  These cached spectra are only read; a
-# call inverts its own temporaries in place.
+# call inverts its own temporaries in place.  ``FactorSpectrum.release``
+# drops them once their last reader is done.
 
 
 def _fft_last(a: np.ndarray, L: int) -> np.ndarray:
@@ -225,7 +226,10 @@ class FactorSpectrum:
     ``FV``, those of conj(V), (k, L).  The de-lifts of the point and of its
     tangent vectors read both, and ``lift_matvec`` and ``lift_rmatvec`` take
     one in place of V or U, so the solver transforms a truncation's factors
-    once.  No reader modifies the factors or the spectra.
+    once.  No reader modifies the factors or the spectra.  ``release`` drops
+    a cached spectrum once its last reader is done, so that a step need not
+    keep the carried point's spectra alive beside its own temporaries; a
+    later read takes the spectrum again, bitwise the same.
     """
 
     factors: LowRankFactors
@@ -243,6 +247,12 @@ class FactorSpectrum:
     @cached_property
     def FV(self) -> np.ndarray:
         return _conj_spectra(self.factors.V, self.dims)
+
+    def release(self, name: str) -> None:
+        """Drop the cached spectrum ``name``, "FU" or "FV"; a later read takes it again."""
+        if name not in ("FU", "FV"):
+            raise ValueError(f"no cached spectrum {name!r}")
+        self.__dict__.pop(name, None)
 
 
 def _at(point: FactorSpectrum, dims: HankelDims) -> FactorSpectrum:
@@ -308,13 +318,6 @@ def truncate_lift(X: np.ndarray, dims: HankelDims, r: int, **kwargs) -> FactorSp
                                                  dims.lifted_shape, r, **kwargs), dims)
 
 
-def _delift(FU: np.ndarray, FV: np.ndarray, dims: HankelDims) -> np.ndarray:
-    """Adjoint lift of sum_j u_j v_j^H, from the spectra FU of the u_j and FV of the conj(v_j)."""
-    conv = np.einsum("akl,kl->al", FU, FV)  # (s, L)
-    np.fft.ifft(conv, axis=-1, out=conv)
-    return conv[:, :dims.n]
-
-
 def adjoint_lift_lowrank(point: FactorSpectrum) -> np.ndarray:
     """Adjoint lift of the point U @ diag(sigma) @ V^H, via FFTs.
 
@@ -324,7 +327,9 @@ def adjoint_lift_lowrank(point: FactorSpectrum) -> np.ndarray:
     s*k + k forward transforms, once per ``FactorSpectrum``, and s inverse
     ones: O(k s n log n) instead of the O(s n1 n2) of a dense lift.
     """
-    return _delift(point.FU, point.FV * point.factors.sigma[:, None], point.dims)
+    conv = np.einsum("akl,kl->al", point.FU, point.FV * point.factors.sigma[:, None])  # (s, L)
+    np.fft.ifft(conv, axis=-1, out=conv)
+    return conv[:, :point.dims.n]
 
 
 def pinv_lift_lowrank(point: FactorSpectrum) -> np.ndarray:
@@ -343,10 +348,13 @@ def adjoint_lift_tangent(point: FactorSpectrum, N: np.ndarray, M: np.ndarray) ->
     """Adjoint lift of the tangent vector U N^H + M V^H at the point, via FFTs.
 
     N is (n2, k) and M (s*n1, k).  U's and V's spectra are read from the
-    point, so only N and M are transformed (s*k + k forward transforms), and
-    the 2k pairs of [U, M] and [N, V] are summed on the spectra.
+    point, so only N and M are transformed (s*k + k forward transforms).
+    The reductions of the pairs (U, N) and (M, V) are summed on the (s, L)
+    spectra and inverted once (s inverse transforms), so the point's spectra
+    are neither copied nor stacked with N's and M's.
     """
     dims = point.dims
-    FU = np.concatenate([point.FU, _row_spectra(M, dims)], axis=1)  # (s, 2k, L)
-    FV = np.concatenate([_conj_spectra(N, dims), point.FV])  # (2k, L)
-    return _delift(FU, FV, dims)
+    conv = np.einsum("akl,kl->al", point.FU, _conj_spectra(N, dims))  # (s, L)
+    conv += np.einsum("akl,kl->al", _row_spectra(M, dims), point.FV)
+    np.fft.ifft(conv, axis=-1, out=conv)
+    return conv[:, :dims.n]

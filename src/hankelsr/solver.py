@@ -14,10 +14,11 @@ FFTs, at O(r^2 s n + r s n log n) per iteration.  Each iteration maps one
 ``Iterate`` to the next.  ``Iterate.at`` builds one from a rank-r point of
 the lift (a ``hankel.FactorSpectrum``, which holds the rank): it de-lifts
 the point to X and takes X's residual; the next step's products read the
-point's spectra, so each factor is transformed once.  The start is the point
-``hankel.truncate_lift`` gives for the lifted back-projection, seeded by
-``config.seed``, certified to _INIT_CERTIFICATE_TOL and taken by FFTs, so
-no step of a solve forms the lifted matrix.
+point's spectra, so each factor is transformed once, and then release them.
+The start is the point ``hankel.truncate_lift`` gives for the lifted
+back-projection, seeded by ``config.seed``, certified to
+_INIT_CERTIFICATE_TOL and taken by FFTs, so no step of a solve forms the
+lifted matrix.
 
 ``SolverConfig`` owns the solver's defaults, which the command line reads
 from it, and rejects invalid ones when built; ``HankelDims.check_rank`` owns
@@ -225,6 +226,12 @@ def iterate_once(it: Iterate, y: np.ndarray, B: np.ndarray, config: SolverConfig
     initialization, take ``Iterate.at(hankel.truncate_lift(X, dims, r), y, B)``.
     Products and de-lift run by FFTs and the truncation through the 2r-by-2r
     core of ``project_tangent_truncate``, so no iteration forms the lift.
+    A stage keeps alive only what a later one reads: the point's ``FU`` is
+    released once ``lift_rmatvec`` has read it, before ``lift_matvec`` forms
+    its (s, k, L) spectra, and its ``FV`` after that; the gradient step dies
+    before the truncation, the two products before the new point's spectra
+    are taken.  So a step peaks near one point's spectra above its start;
+    stepping from ``it`` again re-takes them and gives the same iterate.
     Raises ``ValueError`` on an infeasible rank, as ``solve`` does, or on a
     ``config.rank`` other than the point's, and ``DivergenceError`` if the
     update stops being finite.
@@ -239,8 +246,13 @@ def iterate_once(it: Iterate, y: np.ndarray, B: np.ndarray, config: SolverConfig
     if not np.all(np.isfinite(Xt)):
         raise DivergenceError("gradient update is not finite")
     lifted = hankel.SignalSpectrum(Xt, point.dims)
-    new = project_tangent_truncate(hankel.lift_matvec(lifted, point),
-                                   hankel.lift_rmatvec(lifted, point), point.factors)
+    MhU = hankel.lift_rmatvec(lifted, point)
+    point.release("FU")
+    MV = hankel.lift_matvec(lifted, point)
+    point.release("FV")
+    del Xt, lifted
+    new = project_tangent_truncate(MV, MhU, point.factors)
+    del MV, MhU
     nxt = Iterate.at(FactorSpectrum(new, point.dims), y, B, it.iteration + 1)
     if not np.all(np.isfinite(nxt.X)):
         raise DivergenceError("iterate is not finite")

@@ -322,3 +322,24 @@ class TestFastProducts:
                                    atol=1e-10)
         np.testing.assert_allclose(lift_rmatvec(SignalSpectrum(X, dims), point),
                                    Z.conj().T @ U, atol=1e-10)
+
+    def test_release_drops_only_the_cache(self):
+        # A released spectrum is taken again on the next read, bitwise the
+        # same, and a product reading it is unchanged.
+        rng = np.random.default_rng(19)
+        dims = choose_dims(20, 3)
+        point = FactorSpectrum(truncate_rank(crandn(rng, *dims.lifted_shape), 2), dims)
+        lifted = SignalSpectrum(crandn(rng, 3, 20), dims)
+        FU, FV = point.FU, point.FV
+        before = lift_matvec(lifted, point), lift_rmatvec(lifted, point)
+        point.release("FU")
+        point.release("FV")
+        assert point.FU is not FU and point.FV is not FV
+        np.testing.assert_array_equal(point.FU, FU)
+        np.testing.assert_array_equal(point.FV, FV)
+        point.release("FV")
+        point.release("FV")  # releasing an untaken spectrum is a no-op
+        np.testing.assert_array_equal(lift_matvec(lifted, point), before[0])
+        np.testing.assert_array_equal(lift_rmatvec(lifted, point), before[1])
+        with pytest.raises(ValueError, match="no cached spectrum"):
+            point.release("factors")

@@ -8,6 +8,7 @@ field changes nothing, and ``test_modes_agree_per_seed`` pins it bit for bit.
 import dataclasses
 import inspect
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,6 +334,24 @@ class TestTransformCount:
         iterate_once(it, y, B, cfg)
         assert counts == {"fft": 29, "ifft": 29}
 
+    def test_second_step_retakes_the_released_spectra(self, counts):
+        # A step releases the carried point's spectra once it has read them,
+        # so a second step from the same iterate takes them again: 20 of U's
+        # block rows and 5 of conj(V), forward.  Release drops only a cache:
+        # both steps give the same iterate, bit for bit.
+        dims, B, X_true, y = make_instance(256, 4, 5, seed_derivation(1, 0))
+        cfg = SolverConfig(rank=5, step_size=0.5)
+        it = _initialize_factors(y, B, dims, cfg)
+        counts.update(fft=0, ifft=0)
+        first = iterate_once(it, y, B, cfg)
+        second = iterate_once(it, y, B, cfg)
+        assert counts == {"fft": 2 * 29 + 25, "ifft": 2 * 29}
+        np.testing.assert_array_equal(second.X, first.X)
+        np.testing.assert_array_equal(second.residual, first.residual)
+        for name in ("U", "sigma", "V"):
+            np.testing.assert_array_equal(getattr(second.point.factors, name),
+                                          getattr(first.point.factors, name))
+
     def test_solve_transforms_each_truncation_once(self, counts):
         # Beyond its initialization, every iteration of solve runs the 58
         # transforms of a step handed its spectrum.
@@ -365,6 +384,31 @@ class TestTransformCount:
         a = len(applications)
         assert a > 0
         assert counts == {"fft": 29 + 29 * a, "ifft": 25 + 29 * a}
+
+
+class TestStepMemory:
+    """The traced peak of one step above its start, in units of one point's
+    spectra, (s+1) k L complex entries: its FU and FV."""
+
+    @pytest.mark.parametrize("n", [4096, 16384])
+    def test_step_peaks_below_one_and_a_quarter_spectra(self, n):
+        # Tracing starts before the initialization, so the carried point's
+        # spectra are traced and releasing them lowers the traced memory.
+        # Keeping them alive through the step, beside its gradient step and
+        # the two products, reads about 2.2 units.
+        dims, B, X_true, y = make_instance(n, 4, 5, seed_derivation(3, 0))
+        cfg = SolverConfig(rank=5)
+        tracemalloc.start()
+        try:
+            it = _initialize_factors(y, B, dims, cfg)
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            iterate_once(it, y, B, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        unit = (dims.s + 1) * 5 * dims.L * np.dtype(complex).itemsize
+        assert (peak - start) / unit <= 1.25
 
 
 class TestSolve:
