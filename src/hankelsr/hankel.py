@@ -61,6 +61,14 @@ class HankelDims:
     def weights(self) -> np.ndarray:
         return weight_vector(self.n, self.n1, self.n2)
 
+    @cached_property
+    def inverse_weights(self) -> np.ndarray:
+        """weights ** -1.0, the de-lift's scaling, taken once per dims.
+
+        It is taken from weight_vector, not from weights, so that a fast
+        solve, which reads only these, caches one n-vector per dims."""
+        return weight_vector(self.n, self.n1, self.n2) ** -1.0
+
     @property
     def L(self) -> int:
         return 1 << (operator.index(self.n) - 1).bit_length()
@@ -167,6 +175,23 @@ def adjoint_lift_isometric(Z: np.ndarray, dims: HankelDims) -> np.ndarray:
 # call inverts its own temporaries in place.  ``FactorSpectrum.release``
 # drops them once their last reader is done.
 
+# Bytes of the spectra that a product takes at once.  When the (s, k, L)
+# spectra of a k-column block fit, as at n <= 2048 for k = 5 and at n <= 512
+# for k <= 32 at s = 4, a product takes them in one batched transform call,
+# since per-call overhead dominates at small n; otherwise it takes them one
+# signal row at a time, a (k, L) block, so that at n = 65536 it holds a
+# fourth of the batched spectra.  The reduction of ``lift_rmatvec`` over the
+# signal rows runs on column chunks of its spectra that fit the same budget.
+_GROUP_BYTES = 1 << 20
+
+
+def _row_groups(dims: HankelDims, k: int) -> list[slice]:
+    """All s signal rows in one slice if their (s, k, L) spectra fit
+    _GROUP_BYTES, else one slice per row."""
+    if dims.s * k * dims.L * np.dtype(complex).itemsize <= _GROUP_BYTES:
+        return [slice(0, dims.s)]
+    return [slice(a, a + 1) for a in range(dims.s)]
+
 
 def _fft_last(a: np.ndarray, L: int) -> np.ndarray:
     """Zero-padded length-L FFTs along the last axis of a, on contiguous data.
@@ -180,24 +205,18 @@ def _fft_last(a: np.ndarray, L: int) -> np.ndarray:
     return np.fft.fft(F, axis=-1, out=F)
 
 
-@dataclass(frozen=True, eq=False)
 class SignalSpectrum:
-    """A signal X with the zero-padded FFT of its rows, computed on first use.
+    """The zero-padded FFT ``F`` of the rows of a signal X, (s, L), on ``dims``.
 
     ``lift_matvec`` and ``lift_rmatvec`` take one, so that several products
-    with lift(X) pay for the s forward transforms of X once.  X, whose shape
-    is checked against ``dims`` when built, must not change while in use.
+    with lift(X) pay for the s forward transforms of X once.  X's shape is
+    checked against ``dims`` and X transformed when the spectrum is built;
+    no reference to X is kept, so a caller that drops X frees it.
     """
 
-    X: np.ndarray
-    dims: HankelDims
-
-    def __post_init__(self):
-        object.__setattr__(self, "X", _check_signal(self.X, self.dims))
-
-    @cached_property
-    def F(self) -> np.ndarray:
-        return _fft_last(self.X, self.dims.L)  # (s, L)
+    def __init__(self, X: np.ndarray, dims: HankelDims):
+        self.dims = dims
+        self.F = _fft_last(_check_signal(X, dims), dims.L)
 
 
 def _check_block(block: np.ndarray, rows: int) -> None:
@@ -205,10 +224,11 @@ def _check_block(block: np.ndarray, rows: int) -> None:
         raise ValueError(f"expected a ({rows}, k) block, got shape {block.shape}")
 
 
-def _row_spectra(U: np.ndarray, dims: HankelDims) -> np.ndarray:
-    """FFTs of the s block rows of each column of an (s*n1, k) block: shape (s, k, L)."""
+def _row_spectra(U: np.ndarray, dims: HankelDims, rows: slice = slice(None)) -> np.ndarray:
+    """FFTs of the block rows ``rows`` (all s by default) of each column of an
+    (s*n1, k) block: shape (len(rows), k, L)."""
     _check_block(U, dims.s * dims.n1)
-    return _fft_last(U.reshape(dims.n1, dims.s, -1).transpose(1, 2, 0), dims.L)
+    return _fft_last(U.reshape(dims.n1, dims.s, -1).transpose(1, 2, 0)[rows], dims.L)
 
 
 def _conj_spectra(V: np.ndarray, dims: HankelDims) -> np.ndarray:
@@ -270,21 +290,26 @@ def lift_matvec(spectrum: SignalSpectrum, v: np.ndarray | FactorSpectrum) -> np.
     s signal rows with each column of the (n2, k) block v.  v is a raw block,
     transformed here (k forward transforms), or a ``FactorSpectrum`` whose V
     is used with its cached spectrum; X's s forward transforms are paid once
-    per ``SignalSpectrum``, and the product takes s*k inverse transforms.  It
-    is returned column-major: ``lowrank._hermitian`` and ``_minus_product``
-    read it, and their BLAS rounding, so the iterates, depends on the layout.
+    per ``SignalSpectrum``, and the product takes s*k inverse transforms, one
+    ``_row_groups`` group of signal rows at a time.  It is returned
+    column-major: ``lowrank._hermitian`` and ``_minus_product`` read it, and
+    their BLAS rounding, so the iterates, depends on the layout.
     """
     Fx, dims = spectrum.F, spectrum.dims  # (s, L)
     Fv = _at(v, dims).FV if isinstance(v, FactorSpectrum) else _conj_spectra(v, dims)  # (k, L)
     k = Fv.shape[0]
-    conv = Fx[:, None, :] * Fv.conj()[None, :, :]  # (s, k, L)
-    # In place (``out=`` needs NumPy >= 2.0): the (s, k, L) spectra are the
-    # largest temporary of a product.
-    np.fft.ifft(conv, axis=-1, out=conv)
-    blocks = conv[:, :, :dims.n1]  # (s, k, n1)
-    # Entry (i*s + a, j) is blocks[a, j, i]; laying blocks out as (k, n1, s)
-    # makes each column of the product contiguous.
-    return np.ascontiguousarray(blocks.transpose(1, 2, 0)).reshape(k, dims.s * dims.n1).T
+    Fv = Fv.conj()
+    # Entry (i*s + a, j) is out[j, i, a]; laying the product out as
+    # (k, n1, s) makes each of its columns contiguous.
+    out = np.empty((k, dims.n1, dims.s), dtype=complex)
+    for rows in _row_groups(dims, k):
+        conv = Fx[rows, None, :] * Fv[None, :, :]  # (rows, k, L)
+        # In place (``out=`` needs NumPy >= 2.0): the spectra are the
+        # largest temporary of a product.
+        np.fft.ifft(conv, axis=-1, out=conv)
+        out[:, :, rows] = conv[:, :, :dims.n1].transpose(1, 2, 0)
+        del conv  # before the next group's spectra are taken
+    return out.reshape(k, dims.s * dims.n1).T
 
 
 def lift_rmatvec(spectrum: SignalSpectrum, u: np.ndarray | FactorSpectrum) -> np.ndarray:
@@ -294,16 +319,36 @@ def lift_rmatvec(spectrum: SignalSpectrum, u: np.ndarray | FactorSpectrum) -> np
     over the s signal rows a and the rows u_a of the blocks of the j-th column
     of the (s*n1, k) block u: the window [0, n2) of the conjugated circular
     cross-correlation conj(ifft(sum_a F_x[a] conj(F_u[a]))).  u is a raw
-    block, transformed here (s*k forward transforms), or a ``FactorSpectrum``
-    whose U is used with its cached spectrum.  The sum is taken on the
-    spectra, so k columns cost only k inverse transforms, plus s forward
-    ones once per ``SignalSpectrum``.  The product is returned column-major.
+    block, transformed here (s*k forward transforms, one ``_row_groups``
+    group of signal rows at a time), or a ``FactorSpectrum`` whose U is used
+    with its cached spectrum.  The sum is taken on the spectra, so k columns
+    cost only k inverse transforms, plus s forward ones once per
+    ``SignalSpectrum``.  The product is returned column-major.
     """
     Fx, dims = spectrum.F, spectrum.dims  # (s, L)
-    Fu = _at(u, dims).FU if isinstance(u, FactorSpectrum) else _row_spectra(u, dims)  # (s, k, L)
-    # sum_a conj(F_x[a]) F_u[a] is the conjugate of the sum wanted; einsum
-    # takes it without an (s, k, L) temporary and leaves Fu unmodified.
-    conv = np.einsum("al,akl->kl", Fx.conj(), Fu)  # (k, L)
+    point = _at(u, dims) if isinstance(u, FactorSpectrum) else None
+    if point is None:
+        _check_block(u, dims.s * dims.n1)
+    k = point.factors.rank if point else u.shape[1]
+    # sum_a conj(F_x[a]) F_u[a] is the conjugate of the sum wanted.  It is
+    # summed on chunks of columns that fit _GROUP_BYTES, so no (s, L)
+    # conjugate of F_x is made, and for each group of signal rows in turn,
+    # added to a zero start.  The batched einsum("al,akl->kl", ...) adds its
+    # products to zero one row at a time, so for one group of all rows or
+    # one group per row (``_row_groups``), and any chunks, the sum is
+    # bitwise the same (a ufunc multiply's would not be).
+    width = max(1, _GROUP_BYTES // ((dims.s + k) * np.dtype(complex).itemsize))
+    conv = np.zeros((k, dims.L), dtype=complex)
+    term = np.empty((k, min(width, dims.L)), dtype=complex)
+    for rows in [slice(0, dims.s)] if point else _row_groups(dims, k):
+        Fu = point.FU if point else _row_spectra(u, dims, rows)  # (rows, k, L)
+        for start in range(0, dims.L, width):
+            cols = slice(start, start + width)
+            part = term[:, :min(width, dims.L - start)]
+            conv[:, cols] += np.einsum("al,akl->kl", Fx[rows, cols].conj(), Fu[:, :, cols],
+                                       out=part)
+        del Fu  # before the next group's spectra are taken
+    del term, part
     np.conj(conv, out=conv)
     np.fft.ifft(conv, axis=-1, out=conv)
     return np.conj(conv[:, :dims.n2]).T  # (n2, k)
@@ -313,6 +358,7 @@ def truncate_lift(X: np.ndarray, dims: HankelDims, r: int, **kwargs) -> FactorSp
     """The rank-r point of lift(X): ``truncate_rank_operator``'s factors (it gets
     ``kwargs``: ``seed``, ``tol``) on FFT products sharing one ``SignalSpectrum``."""
     spectrum = SignalSpectrum(X, dims)
+    del X  # the products read only its spectrum
     return FactorSpectrum(truncate_rank_operator(lambda v: lift_matvec(spectrum, v),
                                                  lambda u: lift_rmatvec(spectrum, u),
                                                  dims.lifted_shape, r, **kwargs), dims)
@@ -335,12 +381,12 @@ def adjoint_lift_lowrank(point: FactorSpectrum) -> np.ndarray:
 def pinv_lift_lowrank(point: FactorSpectrum) -> np.ndarray:
     """Pseudoinverse de-lift of the point, matrix-free.
 
-    The adjoint lift is scaled by w**-1 in place, which saves an (s, n)
-    temporary; like it, the result is a view of the first n columns of the
-    (s, L) inverse transform.
+    The adjoint lift is scaled by w**-1 (``HankelDims.inverse_weights``) in
+    place, which saves an (s, n) temporary; like it, the result is a view of
+    the first n columns of the (s, L) inverse transform.
     """
     X = adjoint_lift_lowrank(point)
-    X *= point.dims.weights ** -1.0
+    X *= point.dims.inverse_weights
     return X
 
 
@@ -348,13 +394,15 @@ def adjoint_lift_tangent(point: FactorSpectrum, N: np.ndarray, M: np.ndarray) ->
     """Adjoint lift of the tangent vector U N^H + M V^H at the point, via FFTs.
 
     N is (n2, k) and M (s*n1, k).  U's and V's spectra are read from the
-    point, so only N and M are transformed (s*k + k forward transforms).
-    The reductions of the pairs (U, N) and (M, V) are summed on the (s, L)
-    spectra and inverted once (s inverse transforms), so the point's spectra
-    are neither copied nor stacked with N's and M's.
+    point, so only N and M are transformed (s*k + k forward transforms,
+    M's one ``_row_groups`` group of signal rows at a time).  The reductions
+    of the pairs (U, N) and (M, V) are summed on the (s, L) spectra and
+    inverted once (s inverse transforms), so the point's spectra are neither
+    copied nor stacked with N's and M's.
     """
     dims = point.dims
     conv = np.einsum("akl,kl->al", point.FU, _conj_spectra(N, dims))  # (s, L)
-    conv += np.einsum("akl,kl->al", _row_spectra(M, dims), point.FV)
+    for rows in _row_groups(dims, point.factors.rank):
+        conv[rows] += np.einsum("akl,kl->al", _row_spectra(M, dims, rows), point.FV)
     np.fft.ifft(conv, axis=-1, out=conv)
     return conv[:, :dims.n]

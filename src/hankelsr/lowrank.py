@@ -12,8 +12,10 @@ scale.  The dense ``truncate_rank`` and ``project_tangent`` serve only the
 checks and tests, as the oracles of that step and of the initialization;
 the solver's initialization and the diagnostics use
 ``truncate_rank_operator``, a randomized block Krylov SVD that stops on a
-residual certificate.  Hermitian products of tall factors conjugate one
-cache-sized block of rows at a time (``_hermitian``).
+residual certificate.  Passes over tall factors run one cache-sized block
+of rows at a time: Hermitian products conjugate one block at a time
+(``_hermitian``), and ``project_tangent_truncate`` updates its own tall
+buffers in place.
 """
 
 from __future__ import annotations
@@ -49,10 +51,11 @@ _CHOLQR_COND_MAX = 1e4
 # after 5 blocks.
 _CERTIFICATE_TOL = 1.2e-6
 _MAX_COLUMNS = 416
-# Rows per block of ``_hermitian``: the conjugate of one block (8192 rows of
-# k = 5 complex columns take 640 KiB) is still in cache when the product
-# reads it.
-_HERMITIAN_ROWS = 8192
+# Rows per block of a pass over a tall factor: the conjugate or product of
+# one block (8192 rows of k = 5 complex columns take 640 KiB) is still in
+# cache when the next operation reads it.  A factor of at most this many
+# rows (n <= 4096 at s = 4) is one block, so its passes are single calls.
+_BLOCK_ROWS = 8192
 
 
 class RankTruncationError(RuntimeError):
@@ -110,15 +113,28 @@ class LowRankFactors:
 def _hermitian(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """X^H Y for tall X and Y, without a conjugate copy of the whole of X.
 
-    The product is summed over blocks of _HERMITIAN_ROWS rows, each
-    conjugated just before its product, so an m-row product makes no m-row
-    temporary and reads each block's conjugate from cache.
+    The product is summed over blocks of _BLOCK_ROWS rows, each conjugated
+    just before its product, so an m-row product makes no m-row temporary
+    and reads each block's conjugate from cache.
     """
-    out = X[:_HERMITIAN_ROWS].conj().T @ Y[:_HERMITIAN_ROWS]
-    for start in range(_HERMITIAN_ROWS, X.shape[0], _HERMITIAN_ROWS):
-        stop = start + _HERMITIAN_ROWS
+    out = X[:_BLOCK_ROWS].conj().T @ Y[:_BLOCK_ROWS]
+    for start in range(_BLOCK_ROWS, X.shape[0], _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
         out += X[start:stop].conj().T @ Y[start:stop]
     return out
+
+
+def _row_blocks(m: int) -> list[slice]:
+    """Slices of _BLOCK_ROWS rows covering m rows, the last one taking the remainder.
+
+    Only a whole factor is shorter, so NumPy hands every block to BLAS's
+    matrix product (a one-row block would go to its matrix-vector product,
+    which rounds otherwise), with the remainder rows of the whole product:
+    a row of a block's product with a k-by-k matrix is bitwise that row of
+    the whole product.
+    """
+    last = max(m - _BLOCK_ROWS, 0) // _BLOCK_ROWS * _BLOCK_ROWS
+    return [slice(a, a + _BLOCK_ROWS) for a in range(0, last, _BLOCK_ROWS)] + [slice(last, m)]
 
 
 def _minus_product(A: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -242,10 +258,10 @@ def truncate_rank_operator(matvec: Callable[[np.ndarray], np.ndarray],
 def _householder_completion(U: np.ndarray, B: np.ndarray,
                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Completion by Householder QR of the stacked [U, B], orthonormal for any B,
-    in the form of ``_complete``: (Q, I, R)."""
+    in the form of ``_complete``: (Q, I, R), with Q a C-ordered array of its own."""
     k = U.shape[1]
     Q = np.linalg.qr(np.hstack([U, B]))[0][:, k:]
-    return Q, np.eye(k), _hermitian(Q, B)
+    return np.ascontiguousarray(Q), np.eye(k), _hermitian(Q, B)
 
 
 def _complete(U: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -259,20 +275,29 @@ def _complete(U: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     a caller that needs Q F X only for a thin X forms Q (F X), which saves
     the tall product Q F.  When the Cholesky factorization fails or R0 does
     not certify cond(B) <= _CHOLQR_COND_MAX, the Householder QR of [U, B]
-    is used instead, with F = I.
+    is used instead, with F = I.  B is overwritten: the second projection
+    and Q are formed in its buffer, one block of rows at a time, so the
+    completion makes no tall temporary.
     """
-    B = _minus_product(B, U, _hermitian(U, B))
+    C = _hermitian(U, B)
+    for rows in _row_blocks(B.shape[0]):
+        B[rows] -= U[rows] @ C
     try:
         L = np.linalg.cholesky(_hermitian(B, B))  # B^H B = L L^H, so R0 = L^H
         Linv = np.linalg.inv(L)
-        # ||R0||_F ||R0^-1||_F bounds cond_2(R0) = cond_2(B) from above; NaN fails it.
-        if np.linalg.norm(L) * np.linalg.norm(Linv) <= _CHOLQR_COND_MAX:
-            Q = B @ Linv.conj().T
-            L2 = np.linalg.cholesky(_hermitian(Q, Q))
-            return Q, np.linalg.inv(L2).conj().T, (L @ L2).conj().T
     except np.linalg.LinAlgError:
-        pass
-    return _householder_completion(U, B)
+        return _householder_completion(U, B)
+    # ||R0||_F ||R0^-1||_F bounds cond_2(R0) = cond_2(B) from above; NaN fails it.
+    if not np.linalg.norm(L) * np.linalg.norm(Linv) <= _CHOLQR_COND_MAX:
+        return _householder_completion(U, B)
+    Q, R0inv = B, Linv.conj().T
+    for rows in _row_blocks(Q.shape[0]):
+        Q[rows] = Q[rows] @ R0inv
+    try:
+        L2 = np.linalg.cholesky(_hermitian(Q, Q))
+        return Q, np.linalg.inv(L2).conj().T, (L @ L2).conj().T
+    except np.linalg.LinAlgError:
+        return _householder_completion(U, Q @ L.conj().T)  # B = Q R0
 
 
 def project_tangent_truncate(MV: np.ndarray, MhU: np.ndarray,
@@ -291,10 +316,10 @@ def project_tangent_truncate(MV: np.ndarray, MhU: np.ndarray,
     stacked [U, B] otherwise, e.g. for a rank-deficient B near a fixed point;
     each side chooses on its own block.  The core is filled in place.  Only
     the k kept columns of [U, Q1 F1] Uc and [V, Q2 F2] Vc are formed, as
-    U Uc' + Q1 (F1 Uc''), so the k-by-k factor F1 is applied to k core
-    columns and each side forms its new factor with two tall products: k
-    triplets, whose singular values may be zero, so the point keeps its
-    rank.  Matches ``truncate_rank(project_tangent(M, point), k)`` up to
+    U Uc' + Q1 (F1 Uc''), in Q1's buffer (``_rotate_into``), so the k-by-k
+    factor F1 is applied to k core columns and each side forms its new
+    factor with two tall products: k triplets, whose singular values may be
+    zero, so the point keeps its rank.  Matches ``truncate_rank(project_tangent(M, point), k)`` up to
     roundoff; beyond the two products, which the caller takes, all work is
     at the factor scale.
     """
@@ -313,8 +338,19 @@ def project_tangent_truncate(MV: np.ndarray, MhU: np.ndarray,
         raise np.linalg.LinAlgError("projected core contains non-finite entries")
     Uc, sigma, Vch = np.linalg.svd(core)
     Vc = Vch[:k].conj().T
-    U_new = U @ Uc[:k, :k]
-    U_new += Q1 @ (F1 @ Uc[k:, :k])
-    V_new = V @ Vc[:k]
-    V_new += Q2 @ (F2 @ Vc[k:])
-    return LowRankFactors(U=U_new, sigma=sigma[:k], V=V_new)
+    return LowRankFactors(U=_rotate_into(Q1, U, Uc[:k, :k], F1 @ Uc[k:, :k]),
+                          sigma=sigma[:k],
+                          V=_rotate_into(Q2, V, Vc[:k], F2 @ Vc[k:]))
+
+
+def _rotate_into(Q: np.ndarray, U: np.ndarray, A: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """U A + Q G, formed in Q's buffer one block of rows at a time.
+
+    The same operations as the expression, with no tall temporary and no
+    new tall array; Q, a completion of ``_complete``, is overwritten.
+    """
+    for rows in _row_blocks(Q.shape[0]):
+        QG = Q[rows] @ G
+        np.matmul(U[rows], A, out=Q[rows])
+        Q[rows] += QG
+    return Q

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import hankel
 from .hankel import FactorSpectrum, HankelDims
-from .lowrank import project_tangent_truncate
+from .lowrank import LowRankFactors, project_tangent_truncate
 from .model import adjoint_measure, measure
 
 MODES = ("dense", "fast")
@@ -70,7 +70,7 @@ class SolverConfig:
     residual_tol: float = 1e-10
     # Inert: nothing reads it but the check below.  It stays only while the
     # benchmark script, bench/run.py, builds SolverConfig(mode=...), and goes
-    # with that argument (ROADMAP direction 2).
+    # with that argument (ROADMAP direction 1, the benchmark PR).
     mode: str = "fast"
     # Half the verbatim gradient step: at the default experiment scale
     # (n=256, s=4, r=5) the unit step routinely leaves the contraction region.
@@ -226,16 +226,26 @@ def iterate_once(it: Iterate, y: np.ndarray, B: np.ndarray, config: SolverConfig
     initialization, take ``Iterate.at(hankel.truncate_lift(X, dims, r), y, B)``.
     Products and de-lift run by FFTs and the truncation through the 2r-by-2r
     core of ``project_tangent_truncate``, so no iteration forms the lift.
-    A stage keeps alive only what a later one reads: the point's ``FU`` is
-    released once ``lift_rmatvec`` has read it, before ``lift_matvec`` forms
-    its (s, k, L) spectra, and its ``FV`` after that; the gradient step dies
-    before the truncation, the two products before the new point's spectra
-    are taken.  So a step peaks near one point's spectra above its start;
-    stepping from ``it`` again re-takes them and gives the same iterate.
-    Raises ``ValueError`` on an infeasible rank, as ``solve`` does, or on a
-    ``config.rank`` other than the point's, and ``DivergenceError`` if the
-    update stops being finite.
+    It is the composition of the step's two halves, ``_truncated_step`` and
+    ``_next_iterate``, which ``solve`` calls apart so that it can drop ``it``
+    between them.  A stage keeps alive only what a later one reads: the
+    point's ``FU`` is released once ``lift_rmatvec`` has read it, before
+    ``lift_matvec`` takes its spectra, and its ``FV`` after that; the
+    gradient step dies once transformed, the two products before the new
+    point's spectra are taken.  So a step peaks near one point's spectra
+    above its start; stepping from ``it`` again re-takes them and gives the
+    same iterate.  Raises ``ValueError`` on an infeasible rank, as ``solve``
+    does, or on a ``config.rank`` other than the point's, and
+    ``DivergenceError`` if the update stops being finite.
     """
+    return _next_iterate(_truncated_step(it, y, B, config), it.point.dims, y, B,
+                         it.iteration + 1)
+
+
+def _truncated_step(it: Iterate, y: np.ndarray, B: np.ndarray, config: SolverConfig,
+                    ) -> LowRankFactors:
+    """The first half of ``iterate_once``: the rank-r factors of the truncated
+    tangent projection of the lifted gradient step from ``it``."""
     point, rank = it.point, it.point.factors.rank
     point.dims.check_rank(config.rank)
     if config.rank != rank:
@@ -246,14 +256,19 @@ def iterate_once(it: Iterate, y: np.ndarray, B: np.ndarray, config: SolverConfig
     if not np.all(np.isfinite(Xt)):
         raise DivergenceError("gradient update is not finite")
     lifted = hankel.SignalSpectrum(Xt, point.dims)
+    del Xt
     MhU = hankel.lift_rmatvec(lifted, point)
     point.release("FU")
     MV = hankel.lift_matvec(lifted, point)
     point.release("FV")
-    del Xt, lifted
-    new = project_tangent_truncate(MV, MhU, point.factors)
-    del MV, MhU
-    nxt = Iterate.at(FactorSpectrum(new, point.dims), y, B, it.iteration + 1)
+    del lifted
+    return project_tangent_truncate(MV, MhU, point.factors)
+
+
+def _next_iterate(new: LowRankFactors, dims: HankelDims, y: np.ndarray, B: np.ndarray,
+                  iteration: int) -> Iterate:
+    """The second half of ``iterate_once``: the ``Iterate`` at the point ``new``."""
+    nxt = Iterate.at(FactorSpectrum(new, dims), y, B, iteration)
     if not np.all(np.isfinite(nxt.X)):
         raise DivergenceError("iterate is not finite")
     return nxt
@@ -308,21 +323,28 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
         trace.records.append(TraceRecord(it.iteration, float(np.ldexp(it.residual_norm, e)),
                                          rel_error, time.perf_counter() - t_start))
 
-    it = best = _initialize_factors(y, B, dims, config)
+    it = _initialize_factors(y, B, dims, config)
     record(it)
+    # The best iterate by residual keeps only what a divergence returns, not
+    # its point, and the old iterate is dropped before the new point's
+    # spectra are taken: a solve holds one point at a time.
+    best_norm, best = it.residual_norm, (it.X, it.iteration)
+    returned = None
     stagnant = grown = 0
     termination = "max_iters"
     for t in range(1, config.max_iters + 1):
         X_prev = it.X
         try:
-            it = iterate_once(it, y, B, config)
+            new = _truncated_step(it, y, B, config)
+            del it
+            it = _next_iterate(new, dims, y, B, t)
         except (DivergenceError, np.linalg.LinAlgError) as exc:
             termination = f"diverged: {exc} at iteration {t}"
-            it = best
+            returned = best
             break
         record(it)
-        if it.residual_norm < best.residual_norm:
-            best = it
+        if it.residual_norm < best_norm:
+            best_norm, best = it.residual_norm, (it.X, it.iteration)
         if it.residual_norm / denom <= config.residual_tol:
             termination = "converged"
             break
@@ -331,12 +353,12 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
         if stagnant >= _STAGNATION_WINDOW:
             termination = "stagnated"
             break
-        grown = grown + 1 if it.residual_norm > _DIVERGENCE_FACTOR * best.residual_norm else 0
+        grown = grown + 1 if it.residual_norm > _DIVERGENCE_FACTOR * best_norm else 0
         if grown >= _DIVERGENCE_WINDOW:
             termination = f"diverged: residual grew past its running minimum at iteration {t}"
-            it = best
+            returned = best
             break
 
+    X, trace.returned_iteration = returned or (it.X, it.iteration)
     trace.termination = termination
-    trace.returned_iteration = it.iteration
-    return _ldexp(it.X, e), trace
+    return _ldexp(X, e), trace

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hankelsr import hankel
 from hankelsr.checks import brute_force_weights
 from hankelsr.hankel import (FactorSpectrum, HankelDims, SignalSpectrum, _weigh,
                              adjoint_lift, adjoint_lift_isometric, adjoint_lift_lowrank,
@@ -208,6 +209,63 @@ class TestIsometricLift:
             lhs = np.vdot(lift_isometric(X, dims), Z)
             rhs = np.vdot(X, adjoint_lift_isometric(Z, dims))
             assert abs(lhs - rhs) <= 1e-10 * (np.linalg.norm(X) * np.linalg.norm(Z))
+
+
+class TestRowGroups:
+    """A product too large for hankel._GROUP_BYTES takes its spectra one signal
+    row at a time and reduces them on column chunks, with results bitwise
+    those of one batched call."""
+
+    @staticmethod
+    def products(dims, seed):
+        rng = np.random.default_rng(seed)
+        lifted = SignalSpectrum(crandn(rng, dims.s, dims.n), dims)
+        point = FactorSpectrum(truncate_rank(crandn(rng, *dims.lifted_shape), 3), dims)
+        U, V = crandn(rng, dims.s * dims.n1, 3), crandn(rng, dims.n2, 3)
+        return (lift_matvec(lifted, V), lift_matvec(lifted, point),
+                lift_rmatvec(lifted, U), lift_rmatvec(lifted, point),
+                hankel.adjoint_lift_tangent(point, V, U))
+
+    @staticmethod
+    def batched_rmatvec(lifted, Fu, dims):
+        """lift_rmatvec as one batched einsum over the signal rows: the reference."""
+        conv = np.conj(np.einsum("al,akl->kl", lifted.F.conj(), Fu))
+        return np.conj(np.fft.ifft(conv, axis=-1)[:, :dims.n2]).T
+
+    def test_grouped_products_match_one_group(self, monkeypatch):
+        dims = choose_dims(64, 4)
+        assert hankel._row_groups(dims, 3) == [slice(0, 4)]
+        whole = self.products(dims, 20)
+        # 1 KiB: one row's (3, 64) spectra take 3 KiB, and the reduction of
+        # lift_rmatvec runs on chunks of 9 of the 64 columns
+        monkeypatch.setattr(hankel, "_GROUP_BYTES", 1024)
+        assert len(hankel._row_groups(dims, 3)) == dims.s
+        for got, want in zip(self.products(dims, 20), whole):
+            np.testing.assert_array_equal(got, want)
+            assert got.flags.f_contiguous == want.flags.f_contiguous
+
+    def test_grouped_reduction_is_the_batched_einsum(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        dims = choose_dims(64, 4)
+        lifted = SignalSpectrum(crandn(rng, dims.s, dims.n), dims)
+        point = FactorSpectrum(truncate_rank(crandn(rng, *dims.lifted_shape), 3), dims)
+        U = crandn(rng, dims.s * dims.n1, 3)
+        monkeypatch.setattr(hankel, "_GROUP_BYTES", 1024)
+        np.testing.assert_array_equal(lift_rmatvec(lifted, U),
+                                      self.batched_rmatvec(lifted, hankel._row_spectra(U, dims),
+                                                           dims))
+        np.testing.assert_array_equal(lift_rmatvec(lifted, point),
+                                      self.batched_rmatvec(lifted, point.FU, dims))
+
+    def test_grouped_solve_matches_one_group(self, monkeypatch):
+        _, dims, B, X_true, y = synth_instance(64, 4, 2, 21)
+        cfg = SolverConfig(rank=2, max_iters=30)
+        X_whole, whole = solve(y, B, dims, cfg)
+        monkeypatch.setattr(hankel, "_GROUP_BYTES", 1024)
+        assert len(hankel._row_groups(dims, 2)) == dims.s
+        X_grouped, grouped = solve(y, B, dims, cfg)
+        np.testing.assert_array_equal(X_grouped, X_whole)
+        np.testing.assert_array_equal(grouped.residuals, whole.residuals)
 
 
 class TestFastProducts:

@@ -328,11 +328,40 @@ class TestProjectTangentTruncate:
             project_tangent_truncate(MV, M.conj().T @ f.U, f)
 
 
+class TestRowBlocks:
+    def test_blocks_cover_the_rows_with_no_short_block(self, monkeypatch):
+        monkeypatch.setattr(lowrank, "_BLOCK_ROWS", 8)
+        assert lowrank._row_blocks(5) == [slice(0, 5)]
+        assert lowrank._row_blocks(16) == [slice(0, 8), slice(8, 16)]
+        assert lowrank._row_blocks(29) == [slice(0, 8), slice(8, 16), slice(16, 29)]
+
+    @pytest.mark.parametrize("deficient", [False, True])
+    def test_blocked_truncation_matches_one_block(self, deficient, monkeypatch):
+        # The in-place updates of project_tangent_truncate, on blocks of 8
+        # rows, give the factors of whole-factor updates bit for bit, on the
+        # CholeskyQR2 path and on the Householder fallback.  _hermitian sums
+        # over blocks of 8 rows in both runs.
+        rng = np.random.default_rng(16)
+        m, p, k = 3 * 8 + 5, 2 * 8 + 3, 2
+        U = np.linalg.qr(crandn(rng, m, k))[0]
+        V = np.linalg.qr(crandn(rng, p, k))[0]
+        MV, MhU = crandn(rng, m, k), crandn(rng, p, k)
+        if deficient:
+            MV = U @ crandn(rng, k, k) + np.outer(crandn(rng, m), crandn(rng, k))
+        point = LowRankFactors(U=U, sigma=np.ones(k), V=V)
+        monkeypatch.setattr(lowrank, "_BLOCK_ROWS", 8)
+        blocked = project_tangent_truncate(MV, MhU, point)
+        monkeypatch.setattr(lowrank, "_row_blocks", lambda rows: [slice(0, rows)])
+        whole = project_tangent_truncate(MV, MhU, point)
+        for name in ("U", "sigma", "V"):
+            np.testing.assert_array_equal(getattr(blocked, name), getattr(whole, name))
+
+
 class TestHermitian:
     def test_blocked_product_matches_plain(self):
         # more rows than one block, and a partial last block
         rng = np.random.default_rng(13)
-        m = 2 * lowrank._HERMITIAN_ROWS + 3
+        m = 2 * lowrank._BLOCK_ROWS + 3
         X, Y = crandn(rng, m, 3), crandn(rng, m, 2)
         np.testing.assert_allclose(lowrank._hermitian(X, Y), X.conj().T @ Y,
                                    rtol=0, atol=1e-12 * m)

@@ -187,7 +187,7 @@ def test_complete_cholesky_qr2_or_householder_fallback(seed, k, extra_rows, kind
     B = off_tangent(rng, kind, U, k)
     with mock.patch.object(lowrank, "_householder_completion",
                            wraps=lowrank._householder_completion) as fallback:
-        Q, F, R1 = lowrank._complete(U, B)
+        Q, F, R1 = lowrank._complete(U, B.copy())  # B is overwritten
     assert fallback.called == (kind != "random")
     assert Q.shape == (m, k) and F.shape == R1.shape == (k, k)
     Q1 = Q @ F
