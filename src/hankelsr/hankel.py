@@ -167,21 +167,20 @@ def adjoint_lift_isometric(Z: np.ndarray, dims: HankelDims) -> np.ndarray:
 # rows with conj(V); their windows never wrap, since every index they read
 # lies below n <= L.  Sums over signal rows or factors are taken on the
 # spectra, before the inverse transform: by linearity one inverse FFT serves
-# the whole sum.  A SignalSpectrum shares the spectrum of X between the
-# products with lift(X), and a FactorSpectrum those of U and conj(V)
-# between their de-lift and the products with the next lift, so the solver
-# transforms each truncation's factors once; a tangent vector's de-lift
-# transforms only its own N and M.  These cached spectra are only read; a
-# call inverts its own temporaries in place.  ``FactorSpectrum.release``
-# drops them once their last reader is done.
+# the whole sum.  A SignalSpectrum shares the conjugated spectrum of X
+# between the products with lift(X), and a FactorSpectrum those of U and
+# conj(V) between their de-lift and the products with the next lift, so the
+# solver transforms each truncation's factors once; a tangent vector's
+# de-lift transforms only its own N and M.  These cached spectra are only
+# read; a call inverts its own temporaries in place.
+# ``FactorSpectrum.release`` drops them once their last reader is done.
 
 # Bytes of the spectra that a product takes at once.  When the (s, k, L)
 # spectra of a k-column block fit, as at n <= 2048 for k = 5 and at n <= 512
 # for k <= 32 at s = 4, a product takes them in one batched transform call,
 # since per-call overhead dominates at small n; otherwise it takes them one
 # signal row at a time, a (k, L) block, so that at n = 65536 it holds a
-# fourth of the batched spectra.  The reduction of ``lift_rmatvec`` over the
-# signal rows runs on column chunks of its spectra that fit the same budget.
+# fourth of the batched spectra.
 _GROUP_BYTES = 1 << 20
 
 
@@ -206,17 +205,19 @@ def _fft_last(a: np.ndarray, L: int) -> np.ndarray:
 
 
 class SignalSpectrum:
-    """The zero-padded FFT ``F`` of the rows of a signal X, (s, L), on ``dims``.
+    """``Fc``, the conjugate of the zero-padded FFT of the rows of a signal X,
+    (s, L), on ``dims``, which both products with lift(X) read.
 
     ``lift_matvec`` and ``lift_rmatvec`` take one, so that several products
     with lift(X) pay for the s forward transforms of X once.  X's shape is
-    checked against ``dims`` and X transformed when the spectrum is built;
-    no reference to X is kept, so a caller that drops X frees it.
+    checked and X transformed, and its spectrum conjugated in place, when
+    the spectrum is built; no reference to X is kept.
     """
 
     def __init__(self, X: np.ndarray, dims: HankelDims):
         self.dims = dims
-        self.F = _fft_last(_check_signal(X, dims), dims.L)
+        self.Fc = _fft_last(_check_signal(X, dims), dims.L)
+        np.conj(self.Fc, out=self.Fc)
 
 
 def _check_block(block: np.ndarray, rows: int) -> None:
@@ -291,21 +292,22 @@ def lift_matvec(spectrum: SignalSpectrum, v: np.ndarray | FactorSpectrum) -> np.
     transformed here (k forward transforms), or a ``FactorSpectrum`` whose V
     is used with its cached spectrum; X's s forward transforms are paid once
     per ``SignalSpectrum``, and the product takes s*k inverse transforms, one
-    ``_row_groups`` group of signal rows at a time.  It is returned
-    column-major: ``lowrank._hermitian`` and ``_minus_product`` read it, and
-    their BLAS rounding, so the iterates, depends on the layout.
+    ``_row_groups`` group of signal rows at a time, each group's spectra
+    formed as Fc F_v and conjugated in place, bitwise F_x conj(F_v).  It is
+    returned column-major: ``lowrank._hermitian`` and ``_minus_product`` read
+    it, and their BLAS rounding, so the iterates, depends on the layout.
     """
-    Fx, dims = spectrum.F, spectrum.dims  # (s, L)
+    Fc, dims = spectrum.Fc, spectrum.dims  # (s, L)
     Fv = _at(v, dims).FV if isinstance(v, FactorSpectrum) else _conj_spectra(v, dims)  # (k, L)
     k = Fv.shape[0]
-    Fv = Fv.conj()
     # Entry (i*s + a, j) is out[j, i, a]; laying the product out as
     # (k, n1, s) makes each of its columns contiguous.
     out = np.empty((k, dims.n1, dims.s), dtype=complex)
     for rows in _row_groups(dims, k):
-        conv = Fx[rows, None, :] * Fv[None, :, :]  # (rows, k, L)
+        conv = Fc[rows, None, :] * Fv[None, :, :]  # (rows, k, L)
         # In place (``out=`` needs NumPy >= 2.0): the spectra are the
         # largest temporary of a product.
+        np.conj(conv, out=conv)
         np.fft.ifft(conv, axis=-1, out=conv)
         out[:, :, rows] = conv[:, :, :dims.n1].transpose(1, 2, 0)
         del conv  # before the next group's spectra are taken
@@ -318,37 +320,23 @@ def lift_rmatvec(spectrum: SignalSpectrum, u: np.ndarray | FactorSpectrum) -> np
     Entry l of column j of the product is conj(sum_a sum_i x_a[i+l] conj(u_a[i]))
     over the s signal rows a and the rows u_a of the blocks of the j-th column
     of the (s*n1, k) block u: the window [0, n2) of the conjugated circular
-    cross-correlation conj(ifft(sum_a F_x[a] conj(F_u[a]))).  u is a raw
-    block, transformed here (s*k forward transforms, one ``_row_groups``
-    group of signal rows at a time), or a ``FactorSpectrum`` whose U is used
-    with its cached spectrum.  The sum is taken on the spectra, so k columns
-    cost only k inverse transforms, plus s forward ones once per
-    ``SignalSpectrum``.  The product is returned column-major.
+    cross-correlation conj(ifft(sum_a F_x[a] conj(F_u[a]))).  Its conjugate
+    sum_a Fc[a] F_u[a] is one einsum for a ``FactorSpectrum`` u, whose U is
+    used with its cached spectrum, and for a raw block u, transformed here
+    (s*k forward transforms), one einsum per ``_row_groups`` group of signal
+    rows added to a zero start: an einsum adds its products to zero one row
+    at a time, so any grouping gives the same bits (a ufunc multiply-sum
+    would not).  So k columns cost only k inverse transforms, plus s
+    forward ones once per ``SignalSpectrum``.  It is returned column-major.
     """
-    Fx, dims = spectrum.F, spectrum.dims  # (s, L)
-    point = _at(u, dims) if isinstance(u, FactorSpectrum) else None
-    if point is None:
+    Fc, dims = spectrum.Fc, spectrum.dims  # (s, L)
+    if isinstance(u, FactorSpectrum):
+        conv = np.einsum("al,akl->kl", Fc, _at(u, dims).FU)  # (k, L)
+    else:
         _check_block(u, dims.s * dims.n1)
-    k = point.factors.rank if point else u.shape[1]
-    # sum_a conj(F_x[a]) F_u[a] is the conjugate of the sum wanted.  It is
-    # summed on chunks of columns that fit _GROUP_BYTES, so no (s, L)
-    # conjugate of F_x is made, and for each group of signal rows in turn,
-    # added to a zero start.  The batched einsum("al,akl->kl", ...) adds its
-    # products to zero one row at a time, so for one group of all rows or
-    # one group per row (``_row_groups``), and any chunks, the sum is
-    # bitwise the same (a ufunc multiply's would not be).
-    width = max(1, _GROUP_BYTES // ((dims.s + k) * np.dtype(complex).itemsize))
-    conv = np.zeros((k, dims.L), dtype=complex)
-    term = np.empty((k, min(width, dims.L)), dtype=complex)
-    for rows in [slice(0, dims.s)] if point else _row_groups(dims, k):
-        Fu = point.FU if point else _row_spectra(u, dims, rows)  # (rows, k, L)
-        for start in range(0, dims.L, width):
-            cols = slice(start, start + width)
-            part = term[:, :min(width, dims.L - start)]
-            conv[:, cols] += np.einsum("al,akl->kl", Fx[rows, cols].conj(), Fu[:, :, cols],
-                                       out=part)
-        del Fu  # before the next group's spectra are taken
-    del term, part
+        conv = np.zeros((u.shape[1], dims.L), dtype=complex)
+        for rows in _row_groups(dims, u.shape[1]):
+            conv += np.einsum("al,akl->kl", Fc[rows], _row_spectra(u, dims, rows))
     np.conj(conv, out=conv)
     np.fft.ifft(conv, axis=-1, out=conv)
     return np.conj(conv[:, :dims.n2]).T  # (n2, k)
@@ -356,7 +344,10 @@ def lift_rmatvec(spectrum: SignalSpectrum, u: np.ndarray | FactorSpectrum) -> np
 
 def truncate_lift(X: np.ndarray, dims: HankelDims, r: int, **kwargs) -> FactorSpectrum:
     """The rank-r point of lift(X): ``truncate_rank_operator``'s factors (it gets
-    ``kwargs``: ``seed``, ``tol``) on FFT products sharing one ``SignalSpectrum``."""
+    ``kwargs``: ``seed``, ``tol``) on FFT products sharing one ``SignalSpectrum``.
+    Raises ``ValueError`` on a non-finite X, whose spectrum no SVD converges on."""
+    if not np.all(np.isfinite(X)):
+        raise ValueError("signal to truncate must be finite")
     spectrum = SignalSpectrum(X, dims)
     del X  # the products read only its spectrum
     return FactorSpectrum(truncate_rank_operator(lambda v: lift_matvec(spectrum, v),

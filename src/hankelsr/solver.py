@@ -22,7 +22,8 @@ lifted matrix.
 
 ``SolverConfig`` owns the solver's defaults, which the command line reads
 from it, and rejects invalid ones when built; ``HankelDims.check_rank`` owns
-the one rank rule, 2r <= min(s*n1, n2), that ``solve`` and ``iterate_once`` enforce.
+the one rank rule, 2r <= min(s*n1, n2), that ``solve``, ``initialize`` and
+``iterate_once`` enforce.
 """
 
 from __future__ import annotations
@@ -189,6 +190,25 @@ def relative_error(X: np.ndarray, X_ref: np.ndarray) -> float:
     return float(np.linalg.norm(X - X_ref) / denom)
 
 
+def _unit_data(y: np.ndarray, B: np.ndarray, dims: HankelDims, rank: int,
+               ) -> tuple[np.ndarray, np.ndarray, int]:
+    """y / 2**e at unit scale (``_unit_exponent``), B and e, after the checks of
+    data and rank that ``solve`` and ``initialize`` make before any work."""
+    y, B = np.asarray(y), np.asarray(B)
+    if B.shape != (dims.s, dims.n) or y.shape != (dims.n,):
+        raise ValueError("y/B shapes inconsistent with dims")
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(B))):
+        raise ValueError("y and B must be finite")
+    e = _unit_exponent(y)
+    y = _ldexp(y, -e)
+    try:
+        math.ldexp(float(np.linalg.norm(y)), e)
+    except OverflowError:
+        raise ValueError("the norm of y overflows") from None
+    dims.check_rank(rank)
+    return y, B, e
+
+
 def _initialize_factors(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
                         ) -> Iterate:
     """Iteration 0: the de-lift of the rank-r truncation of the lifted back-projection.
@@ -209,11 +229,11 @@ def initialize(y: np.ndarray, B: np.ndarray, dims: HankelDims, r: int) -> np.nda
     certified to _INIT_CERTIFICATE_TOL, and the FFT de-lift.  It forms no
     lifted matrix, so it runs at any n that ``solve`` does.  Like ``solve``,
     it works on y scaled to unit size, so its estimate scales with y bit for
-    bit.
+    bit, and it rejects the data and ranks that ``solve`` rejects.
     """
-    e = _unit_exponent(y)
-    it = _initialize_factors(_ldexp(y, -e), B, dims, SolverConfig(rank=r))
-    return _ldexp(it.X, e)
+    config = SolverConfig(rank=r)
+    y, B, e = _unit_data(y, B, dims, config.rank)
+    return _ldexp(_initialize_factors(y, B, dims, config).X, e)
 
 
 def iterate_once(it: Iterate, y: np.ndarray, B: np.ndarray, config: SolverConfig) -> Iterate:
@@ -295,25 +315,13 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
     solves for y / 2**e, whose largest entry lies in [1/2, 1), takes all norms
     at that scale and scales the estimate and recorded residuals back.
     """
-    y, B = np.asarray(y), np.asarray(B)
-    if B.shape != (dims.s, dims.n) or y.shape != (dims.n,):
-        raise ValueError("y/B shapes inconsistent with dims")
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(B))):
-        raise ValueError("y and B must be finite")
-    e = _unit_exponent(y)
-    y = _ldexp(y, -e)
-    y_norm = float(np.linalg.norm(y))
-    try:
-        math.ldexp(y_norm, e)
-    except OverflowError:
-        raise ValueError("the norm of y overflows") from None
+    y, B, e = _unit_data(y, B, dims, config.rank)
     if ground_truth is not None and (np.shape(ground_truth) != (dims.s, dims.n)
                                      or not np.all(np.isfinite(ground_truth))
                                      or not np.any(ground_truth)):
         raise ValueError(f"ground_truth must be a finite nonzero {dims.s}x{dims.n} matrix")
-    dims.check_rank(config.rank)
 
-    denom = y_norm if y_norm > 0 else 1.0
+    denom = float(np.linalg.norm(y)) or 1.0
     t_start = time.perf_counter()
     trace = ConvergenceTrace()
 

@@ -177,6 +177,14 @@ class TestSpectralDistance:
         with pytest.raises(ValueError):
             spectral_distance(np.zeros((2, 8)), np.zeros((2, 9)), choose_dims(8, 2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_signal_rejected(self, bad):
+        X = crandn(np.random.default_rng(7), 2, 12)
+        Y = X.copy()
+        Y[1, 4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            spectral_distance(Y, X, choose_dims(12, 2))
+
 
 class TestAssumptionReport:
     def test_single_source_condition_number_one(self):

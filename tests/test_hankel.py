@@ -1,5 +1,7 @@
 """Operator-calculus tests against independent oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -213,8 +215,7 @@ class TestIsometricLift:
 
 class TestRowGroups:
     """A product too large for hankel._GROUP_BYTES takes its spectra one signal
-    row at a time and reduces them on column chunks, with results bitwise
-    those of one batched call."""
+    row at a time, with results bitwise those of one batched call."""
 
     @staticmethod
     def products(dims, seed):
@@ -229,15 +230,14 @@ class TestRowGroups:
     @staticmethod
     def batched_rmatvec(lifted, Fu, dims):
         """lift_rmatvec as one batched einsum over the signal rows: the reference."""
-        conv = np.conj(np.einsum("al,akl->kl", lifted.F.conj(), Fu))
+        conv = np.conj(np.einsum("al,akl->kl", lifted.Fc, Fu))
         return np.conj(np.fft.ifft(conv, axis=-1)[:, :dims.n2]).T
 
     def test_grouped_products_match_one_group(self, monkeypatch):
         dims = choose_dims(64, 4)
         assert hankel._row_groups(dims, 3) == [slice(0, 4)]
         whole = self.products(dims, 20)
-        # 1 KiB: one row's (3, 64) spectra take 3 KiB, and the reduction of
-        # lift_rmatvec runs on chunks of 9 of the 64 columns
+        # 1 KiB: one row's (3, 64) spectra take 3 KiB
         monkeypatch.setattr(hankel, "_GROUP_BYTES", 1024)
         assert len(hankel._row_groups(dims, 3)) == dims.s
         for got, want in zip(self.products(dims, 20), whole):
@@ -266,6 +266,47 @@ class TestRowGroups:
         X_grouped, grouped = solve(y, B, dims, cfg)
         np.testing.assert_array_equal(X_grouped, X_whole)
         np.testing.assert_array_equal(grouped.residuals, whole.residuals)
+
+
+class TestProductMemory:
+    """Traced peaks of one product with the lift at n=16384, s=4, on a rank-5
+    point, where each takes its spectra one signal row at a time."""
+
+    @pytest.fixture(scope="class")
+    def operands(self):
+        _, dims, _, X_true, _ = synth_instance(16384, 4, 5, 3)
+        point = hankel.truncate_lift(X_true, dims, 5)
+        point.FU, point.FV  # cached before tracing, as a step finds them
+        return SignalSpectrum(X_true, dims), point
+
+    @staticmethod
+    def traced_entries(run):
+        """The traced peak of run() above its start, in complex entries."""
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return (peak - start) / np.dtype(complex).itemsize
+
+    def test_rmatvec_holds_its_sum_and_its_result(self, operands):
+        # One (k, L) sum on the spectra and the (n2, k) result; a conjugate
+        # of the signal's spectra or a second (k, L) block reads 1.2.
+        lifted, point = operands
+        dims, k = lifted.dims, point.factors.rank
+        peak = self.traced_entries(lambda: lift_rmatvec(lifted, point))
+        assert peak <= 1.05 * (k * dims.L + dims.n2 * k)
+
+    def test_matvec_holds_its_result_and_one_rows_spectra(self, operands):
+        # The (s*n1, k) result is twice one row's (k, L) spectra here; a
+        # (k, L) conjugate of the point's FV beside them reads 2.0.
+        lifted, point = operands
+        dims, k = lifted.dims, point.factors.rank
+        assert len(hankel._row_groups(dims, k)) == dims.s
+        peak = self.traced_entries(lambda: lift_matvec(lifted, point))
+        assert peak <= 1.6 * dims.s * dims.n1 * k
 
 
 class TestFastProducts:

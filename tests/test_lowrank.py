@@ -221,6 +221,14 @@ class TestTruncateRankOperator:
         for name in ("U", "sigma", "V"):
             np.testing.assert_array_equal(getattr(point.factors, name), getattr(want, name))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_truncate_lift_rejects_a_nonfinite_signal(self, bad):
+        dims = choose_dims(32, 2)
+        X = build_signal(synth_model(2, 32, 3, 17))
+        X[0, 9] = bad
+        with pytest.raises(ValueError, match="finite"):
+            truncate_lift(X, dims, 3)
+
     def test_nonconvergence_raises_with_residual(self, monkeypatch):
         # 30 columns, so a budget of 10 basis columns (five blocks of 2)
         # leaves the basis short of the full row space, where Rayleigh-Ritz

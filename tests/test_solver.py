@@ -86,6 +86,41 @@ class TestInitialize:
         np.testing.assert_array_equal(initialize(y * 2.0 ** k, B, dims, 2) * 2.0 ** -k,
                                       initialize(y, B, dims, 2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_input_rejected_as_in_solve(self, bad, monkeypatch):
+        dims, B, _, y = make_instance(32, 2, 2, 16)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("initialize started work on non-finite input")
+
+        monkeypatch.setattr(solver, "_initialize_factors", no_work)
+        y_bad = y.copy()
+        y_bad[3] = bad
+        with pytest.raises(ValueError, match="y and B must be finite"):
+            initialize(y_bad, B, dims, 2)
+        B_bad = B.copy()
+        B_bad[1, 5] = bad
+        with pytest.raises(ValueError, match="y and B must be finite"):
+            initialize(y, B_bad, dims, 2)
+
+    @pytest.mark.parametrize("rank", [17, 40])
+    def test_infeasible_rank_rejected_as_in_solve(self, rank):
+        # lifted shape (64, 33): rank 17 would need a tangent space of 34
+        # columns, and rank 40 exceeds the lift itself
+        dims, B, _, y = make_instance(64, 2, 2, 5)
+        assert dims.lifted_shape == (64, 33)
+        with pytest.raises(ValueError, match=r"need 2\*rank <= 33"):
+            solve(y, B, dims, SolverConfig(rank=rank))
+        with pytest.raises(ValueError, match=r"need 2\*rank <= 33"):
+            initialize(y, B, dims, rank)
+
+    def test_shape_and_overflow_rejected_as_in_solve(self):
+        dims, B, _, y = make_instance(32, 2, 2, 16)
+        with pytest.raises(ValueError, match="shapes inconsistent"):
+            initialize(y[:-1], B, dims, 2)
+        with pytest.raises(ValueError, match="norm of y"):
+            initialize(np.full_like(y, 1e308), B, dims, 2)
+
     def test_distance_shrinks_with_length(self):
         meds = []
         for n in (32, 64, 128):
