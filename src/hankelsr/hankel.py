@@ -20,8 +20,8 @@ against it once, when built.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -294,8 +294,8 @@ def lift_matvec(spectrum: SignalSpectrum, v: np.ndarray | FactorSpectrum) -> np.
     per ``SignalSpectrum``, and the product takes s*k inverse transforms, one
     ``_row_groups`` group of signal rows at a time, each group's spectra
     formed as Fc F_v and conjugated in place, bitwise F_x conj(F_v).  It is
-    returned column-major: ``lowrank._hermitian`` and ``_minus_product`` read
-    it, and their BLAS rounding, so the iterates, depends on the layout.
+    returned column-major: ``lowrank._hermitian`` and ``_complete`` read it,
+    and their BLAS rounding, so the iterates, depends on the layout.
     """
     Fc, dims = spectrum.Fc, spectrum.dims  # (s, L)
     Fv = _at(v, dims).FV if isinstance(v, FactorSpectrum) else _conj_spectra(v, dims)  # (k, L)
@@ -342,17 +342,44 @@ def lift_rmatvec(spectrum: SignalSpectrum, u: np.ndarray | FactorSpectrum) -> np
     return np.conj(conv[:, :dims.n2]).T  # (n2, k)
 
 
+def _ldexp(a: np.ndarray, e: int) -> np.ndarray:
+    """a * 2**e, exact wherever the result is a normal number; np.ldexp takes no
+    complex input, so a complex array is scaled part by part."""
+    if not np.iscomplexobj(a):
+        return np.ldexp(a, e)
+    out = np.empty_like(a)
+    np.ldexp(a.real, e, out=out.real)
+    np.ldexp(a.imag, e, out=out.imag)
+    return out
+
+
+def _unit_exponent(y: np.ndarray) -> int:
+    """The e for which the largest modulus of y / 2**e lies in [1/2, 1) (0 for zero y).
+
+    A power-of-two scaling is exact and commutes bit for bit with the solver
+    and ``truncate_lift``, at whose unit scale no product under- or
+    overflows.  The modulus of a complex entry is a hypot, which stays
+    accurate where the norm of small enough data underflows.
+    """
+    return int(np.frexp(np.max(np.abs(y), initial=0.0))[1])
+
+
 def truncate_lift(X: np.ndarray, dims: HankelDims, r: int, **kwargs) -> FactorSpectrum:
     """The rank-r point of lift(X): ``truncate_rank_operator``'s factors (it gets
-    ``kwargs``: ``seed``, ``tol``) on FFT products sharing one ``SignalSpectrum``.
-    Raises ``ValueError`` on a non-finite X, whose spectrum no SVD converges on."""
+    ``kwargs``: ``seed``, ``tol``) on FFT products sharing one ``SignalSpectrum``
+    of X / 2**e at unit scale (``_unit_exponent``), where no product of a finite
+    X over- or underflows; sigma is scaled back by 2**e, which commutes with the
+    SVD bit for bit.  Raises ``ValueError`` on a non-finite X, whose spectrum no
+    SVD converges on."""
+    X = _check_signal(X, dims)
     if not np.all(np.isfinite(X)):
         raise ValueError("signal to truncate must be finite")
-    spectrum = SignalSpectrum(X, dims)
+    e = _unit_exponent(X)
+    spectrum = SignalSpectrum(_ldexp(X, -e), dims)
     del X  # the products read only its spectrum
-    return FactorSpectrum(truncate_rank_operator(lambda v: lift_matvec(spectrum, v),
-                                                 lambda u: lift_rmatvec(spectrum, u),
-                                                 dims.lifted_shape, r, **kwargs), dims)
+    products = partial(lift_matvec, spectrum), partial(lift_rmatvec, spectrum)
+    factors = truncate_rank_operator(*products, dims.lifted_shape, r, **kwargs)
+    return FactorSpectrum(replace(factors, sigma=_ldexp(factors.sigma, e)), dims)
 
 
 def adjoint_lift_lowrank(point: FactorSpectrum) -> np.ndarray:

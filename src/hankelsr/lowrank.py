@@ -13,9 +13,9 @@ checks and tests, as the oracles of that step and of the initialization;
 the solver's initialization and the diagnostics use
 ``truncate_rank_operator``, a randomized block Krylov SVD that stops on a
 residual certificate.  Passes over tall factors run one cache-sized block
-of rows at a time: Hermitian products conjugate one block at a time
-(``_hermitian``), and ``project_tangent_truncate`` updates its own tall
-buffers in place.
+of rows at a time: every Hermitian product of tall blocks outside the
+dense oracles conjugates one block at a time (``_hermitian``), and
+``project_tangent_truncate`` updates its own tall buffers in place.
 """
 
 from __future__ import annotations
@@ -137,16 +137,6 @@ def _row_blocks(m: int) -> list[slice]:
     return [slice(a, a + _BLOCK_ROWS) for a in range(0, last, _BLOCK_ROWS)] + [slice(last, m)]
 
 
-def _minus_product(A: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """A - X @ Y for a tall X, taken in the buffer of the product X @ Y.
-
-    The same operations as the plain expression, with one tall temporary
-    instead of two.
-    """
-    P = X @ Y
-    return np.subtract(A, P, out=P)
-
-
 def truncate_rank(W: np.ndarray, r: int) -> LowRankFactors:
     """Best rank-r approximation factors of a dense matrix (truncated SVD).
 
@@ -198,8 +188,8 @@ def truncate_rank_operator(matvec: Callable[[np.ndarray], np.ndarray],
     included.  Raises ``RankTruncationError`` if the basis reaches
     _MAX_COLUMNS columns first.  Each block costs one matvec and one
     adjoint_matvec, which must accept (dim, k) blocks; the basis lives in one
-    column-major array of shape[1] rows, and no shape[0]-row block outlives
-    the product that consumes it.
+    column-major array of shape[1] rows, whose products K^H W are
+    ``_hermitian``'s, and no shape[0]-row block outlives its consumer.
     """
     m, p = shape
     if r < 1:
@@ -220,7 +210,7 @@ def truncate_rank_operator(matvec: Callable[[np.ndarray], np.ndarray],
         K = Kt.T
         W = adjoint_matvec(matvec(K[:, start:c]))  # M^H M applied to the newest block
         T = np.pad(T, (0, c - start))
-        T[:, start:] = K.conj().T @ W
+        T[:, start:] = _hermitian(K, W)
         T[start:, :start] = T[:start, start:].conj().T
         theta, S = np.linalg.eigh(T)
         lead = S[:, ::-1][:, :r]
@@ -228,7 +218,7 @@ def truncate_rank_operator(matvec: Callable[[np.ndarray], np.ndarray],
         # M^H M K = K T + W E^H once W is projected off the basis, so the
         # residual of the Ritz pair (theta_i, K s_i) is ||W s_i[start:c]||.
         W -= K @ T[:, start:]
-        W -= K @ (K.conj().T @ W)
+        W -= K @ _hermitian(K, W)
         residual = float(np.max(np.linalg.norm(W @ lead[start:], axis=0)))
         # A gap below tol * theta_1 leaves the leading subspace
         # undetermined at that accuracy, so the certificate asks no more.
@@ -245,7 +235,7 @@ def truncate_rank_operator(matvec: Callable[[np.ndarray], np.ndarray],
             P, sv, _ = np.linalg.svd(W, full_matrices=False)
             P = P[:, sv > p * np.finfo(float).eps * scale][:, :limit - c]
             if P.shape[1]:
-                P -= K @ (K.conj().T @ P)
+                P -= K @ _hermitian(K, P)
                 start, c = c, c + P.shape[1]
                 Kt = np.concatenate([Kt, np.linalg.qr(P)[0].T])
                 continue
@@ -264,21 +254,25 @@ def _householder_completion(U: np.ndarray, B: np.ndarray,
     return np.ascontiguousarray(Q), np.eye(k), _hermitian(Q, B)
 
 
-def _complete(U: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orthonormal completion of U along a block B already projected off U.
+def _complete(U: np.ndarray, MU: np.ndarray, A: np.ndarray,
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orthonormal completion of U along (I - U U^H) MU, given A = U^H MU.
 
     Returns Q (m, k) and F, R (k, k) such that the columns of Q F are
-    orthonormal and orthogonal to U, and Q F R = (I - U U^H) B.  B is
-    projected against U a second time ("twice is enough"), then factorized
-    by CholeskyQR2: B = Q R0 with R0 the Cholesky factor of B^H B, and once
-    more Q = (Q F) R2 with R2 that of Q^H Q, so F = R2^-1 and R = R2 R0.  F is returned unapplied:
-    a caller that needs Q F X only for a thin X forms Q (F X), which saves
-    the tall product Q F.  When the Cholesky factorization fails or R0 does
-    not certify cond(B) <= _CHOLQR_COND_MAX, the Householder QR of [U, B]
-    is used instead, with F = I.  B is overwritten: the second projection
-    and Q are formed in its buffer, one block of rows at a time, so the
-    completion makes no tall temporary.
+    orthonormal and orthogonal to U, and Q F R = (I - U U^H) MU.  It takes
+    both projections ("twice is enough"): B = MU - U A, formed in the buffer
+    of U A, is projected against U again and factorized by CholeskyQR2:
+    B = Q R0 with R0 the Cholesky factor of B^H B, and once more
+    Q = (Q F) R2 with R2 that of Q^H Q, so F = R2^-1 and R = R2 R0.  F is
+    returned unapplied: a caller that needs Q F X only for a thin X forms
+    Q (F X), which saves the tall product Q F.  When the Cholesky
+    factorization fails or R0 does not certify cond(B) <= _CHOLQR_COND_MAX,
+    the Householder QR of [U, B] is used instead, with F = I.  MU is only
+    read; the second projection and Q are formed in B's buffer, one block of
+    rows at a time, so the completion makes no tall temporary.
     """
+    B = U @ A
+    np.subtract(MU, B, out=B)
     C = _hermitian(U, B)
     for rows in _row_blocks(B.shape[0]):
         B[rows] -= U[rows] @ C
@@ -308,28 +302,28 @@ def project_tangent_truncate(MV: np.ndarray, MhU: np.ndarray,
     P_T(M) = U A + B V^H with A = U^H M and B = (I - U U^H) M V, so it lives
     in the span of [U, Q1 F1] x [V, Q2 F2], where Q1 F1 R1 = B and
     Q2 F2 R2 = D = (I - V V^H) A^H complete U and V orthonormally
-    (``_complete``); an SVD of the small 2k-by-2k core
-    [[A V, R2^H], [R1, 0]] yields the truncation exactly.  The completions run
-    CholeskyQR2 (two Cholesky passes over the m-by-k block, after projecting
-    it against U twice) whenever the first Cholesky factor certifies the
-    block as well conditioned, and fall back to the Householder QR of the
-    stacked [U, B] otherwise, e.g. for a rank-deficient B near a fixed point;
-    each side chooses on its own block.  The core is filled in place.  Only
-    the k kept columns of [U, Q1 F1] Uc and [V, Q2 F2] Vc are formed, as
-    U Uc' + Q1 (F1 Uc''), in Q1's buffer (``_rotate_into``), so the k-by-k
-    factor F1 is applied to k core columns and each side forms its new
-    factor with two tall products: k triplets, whose singular values may be
-    zero, so the point keeps its rank.  Matches ``truncate_rank(project_tangent(M, point), k)`` up to
-    roundoff; beyond the two products, which the caller takes, all work is
-    at the factor scale.
+    (``_complete`` of M V with A V and of M^H U with (A V)^H, each projected
+    twice); an SVD of the small 2k-by-2k core [[A V, R2^H], [R1, 0]] yields
+    the truncation exactly.  The completions run CholeskyQR2 (two Cholesky
+    passes over the m-by-k block) whenever the first Cholesky factor
+    certifies the block as well conditioned, and fall back to the
+    Householder QR of the stacked [U, B] otherwise, e.g. for a
+    rank-deficient B near a fixed point; each side chooses on its own block.
+    The core is filled in place.  Only the k kept columns of [U, Q1 F1] Uc
+    and [V, Q2 F2] Vc are formed, as U Uc' + Q1 (F1 Uc''), in Q1's buffer
+    (``_rotate_into``), so the k-by-k factor F1 is applied to k core columns
+    and each side forms its new factor with two tall products: k triplets,
+    whose singular values may be zero, so the point keeps its rank.  Matches
+    ``truncate_rank(project_tangent(M, point), k)`` up to roundoff; beyond
+    the two products, which the caller takes, all work is at the factor scale.
     """
     U, V = point.U, point.V
     (m, p), k = point.shape, point.rank
     if 2 * k > min(m, p):
         raise ValueError(f"tangent rank {k} too large for shape {(m, p)}")
     AV = _hermitian(MhU, V)  # (k, k) = U^H M V
-    Q1, F1, R1 = _complete(U, _minus_product(MV, U, AV))  # B = (I - U U^H) M V
-    Q2, F2, R2 = _complete(V, _minus_product(MhU, V, AV.conj().T))  # D = (I - V V^H) M^H U
+    Q1, F1, R1 = _complete(U, MV, AV)  # B = (I - U U^H) M V
+    Q2, F2, R2 = _complete(V, MhU, AV.conj().T)  # D = (I - V V^H) M^H U
     core = np.zeros((2 * k, 2 * k), dtype=np.result_type(AV, R1, R2))
     core[:k, :k] = AV
     core[:k, k:] = R2.conj().T

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hankel
-from .hankel import FactorSpectrum, HankelDims
+from .hankel import FactorSpectrum, HankelDims, _ldexp, _unit_exponent
 from .lowrank import LowRankFactors, project_tangent_truncate
 from .model import adjoint_measure, measure
 
@@ -152,28 +152,6 @@ class Iterate:
         X = hankel.pinv_lift_lowrank(point)
         residual = measure(X, B) - y
         return cls(X, point, residual, float(np.linalg.norm(residual)), iteration)
-
-
-def _ldexp(a: np.ndarray, e: int) -> np.ndarray:
-    """a * 2**e, exact wherever the result is a normal number; np.ldexp takes no
-    complex input, so a complex array is scaled part by part."""
-    if not np.iscomplexobj(a):
-        return np.ldexp(a, e)
-    out = np.empty_like(a)
-    np.ldexp(a.real, e, out=out.real)
-    np.ldexp(a.imag, e, out=out.imag)
-    return out
-
-
-def _unit_exponent(y: np.ndarray) -> int:
-    """The e for which the largest modulus of y / 2**e lies in [1/2, 1) (0 for zero y).
-
-    A power-of-two scaling is exact and commutes with the solver bit for
-    bit, and at unit scale no product under- or overflows.  The modulus of a
-    complex entry is a hypot, which stays accurate where the norm of small
-    enough data underflows.
-    """
-    return int(np.frexp(np.max(np.abs(y), initial=0.0))[1])
 
 
 def relative_error(X: np.ndarray, X_ref: np.ndarray) -> float:

@@ -1,5 +1,7 @@
 """Instance-constant estimator tests against exhaustive-scan oracles."""
 
+import dataclasses
+import math
 import sys
 import time
 
@@ -177,6 +179,15 @@ class TestSpectralDistance:
         with pytest.raises(ValueError):
             spectral_distance(np.zeros((2, 8)), np.zeros((2, 9)), choose_dims(8, 2))
 
+    @pytest.mark.parametrize("e", [700, -700])
+    def test_power_of_two_scale_is_exact(self, e):
+        # At 2**700 the Krylov products of the lift overflow and at 2**-700
+        # they underflow; truncate_lift takes them at unit scale.
+        _, dims, _, X, _ = synth_instance(64, 2, 2, 3)
+        Z = np.zeros_like(X)
+        want = math.ldexp(spectral_distance(X, Z, dims), e)
+        assert spectral_distance(X * 2.0 ** e, Z, dims) == want
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_signal_rejected(self, bad):
         X = crandn(np.random.default_rng(7), 2, 12)
@@ -205,6 +216,26 @@ class TestAssumptionReport:
         rep2 = assumption_report(scaled, B, dims)
         assert abs(rep2.sigma_r - 10.0 * rep1.sigma_r) < 1e-10 * rep2.sigma_r
         assert abs(rep2.kappa - rep1.kappa) < 1e-10 * rep1.kappa
+
+    def test_power_of_two_amplitudes_scale_exactly(self):
+        # Every field but sigma_r and the initialization distance is
+        # scale-free, and those two scale by 2**600 exactly.
+        mdl, dims, B, _, _ = synth_instance(64, 2, 2, 3)
+        base = assumption_report(mdl, B, dims).as_dict()
+        scaled = assumption_report(dataclasses.replace(mdl, amps=mdl.amps * 2.0 ** 600),
+                                   B, dims).as_dict()
+        for key, value in base.items():
+            homogeneous = key in ("sigma_r", "init_spectral_distance")
+            assert scaled[key] == (math.ldexp(value, 600) if homogeneous else value), key
+
+    def test_huge_amplitudes(self):
+        mdl, dims, B, _, _ = synth_instance(64, 2, 2, 3)
+        base = assumption_report(mdl, B, dims).as_dict()
+        scaled = assumption_report(dataclasses.replace(mdl, amps=mdl.amps * 1e200),
+                                   B, dims).as_dict()
+        for key, value in base.items():
+            want = 1e200 * value if key in ("sigma_r", "init_spectral_distance") else value
+            assert abs(scaled[key] - want) <= 1e-12 * want, key
 
     @pytest.mark.parametrize("n, s, n1", [(10, 4, None), (8, 1, 1)])
     def test_infeasible_rank_rejected_as_in_solve(self, n, s, n1):

@@ -1,5 +1,7 @@
 """Truncated-SVD and tangent-space machinery tests."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -229,6 +231,28 @@ class TestTruncateRankOperator:
         with pytest.raises(ValueError, match="finite"):
             truncate_lift(X, dims, 3)
 
+    @pytest.mark.parametrize("e", [600, -600])
+    def test_truncate_lift_scales_with_its_signal_bit_for_bit(self, e):
+        # At 2**600 the Krylov products of the lift overflow and at 2**-600
+        # they underflow; truncate_lift takes them at unit scale, so the
+        # factors are the unscaled signal's and sigma scales exactly.
+        dims = choose_dims(32, 2)
+        X = build_signal(synth_model(2, 32, 3, 17))
+        want = truncate_lift(X, dims, 3).factors
+        got = truncate_lift(X * 2.0 ** e, dims, 3).factors
+        np.testing.assert_array_equal(got.U, want.U)
+        np.testing.assert_array_equal(got.V, want.V)
+        np.testing.assert_array_equal(got.sigma, np.ldexp(want.sigma, e))
+
+    def test_truncate_lift_of_a_huge_signal(self):
+        dims = choose_dims(32, 2)
+        X = build_signal(synth_model(2, 32, 3, 17))
+        want = truncate_lift(X, dims, 3).factors
+        got = truncate_lift(X * 1e200, dims, 3).factors
+        np.testing.assert_allclose(got.sigma, 1e200 * want.sigma, rtol=1e-12)
+        np.testing.assert_allclose(got.reconstruct() / 1e200, want.reconstruct(),
+                                   rtol=0, atol=1e-10 * want.sigma[0])
+
     def test_nonconvergence_raises_with_residual(self, monkeypatch):
         # 30 columns, so a budget of 10 basis columns (five blocks of 2)
         # leaves the basis short of the full row space, where Rayleigh-Ritz
@@ -363,6 +387,31 @@ class TestRowBlocks:
         whole = project_tangent_truncate(MV, MhU, point)
         for name in ("U", "sigma", "V"):
             np.testing.assert_array_equal(getattr(blocked, name), getattr(whole, name))
+
+
+class TestComplete:
+    @pytest.mark.parametrize("deficient", [False, True])
+    def test_both_projections_match_a_preprojected_block(self, deficient):
+        # _complete(U, MU, A) forms B = MU - U A itself; with A = 0 it takes
+        # B = MU - 0 = MU bit for bit, so the right-hand side below completes
+        # the block projected once outside, MU - U A, with the same
+        # operations.  The block is taller than _BLOCK_ROWS, so its second
+        # projection and Q are formed block by block, on the CholeskyQR2
+        # path and on the Householder fallback.
+        rng = np.random.default_rng(17)
+        m, k = 2 * lowrank._BLOCK_ROWS + 5, 3
+        U = np.linalg.qr(crandn(rng, m, k))[0]
+        MU = crandn(rng, m, k)
+        if deficient:
+            MU = U @ crandn(rng, k, k) + np.outer(crandn(rng, m), crandn(rng, k))
+        A = U.conj().T @ MU
+        with mock.patch.object(lowrank, "_householder_completion",
+                               wraps=lowrank._householder_completion) as fallback:
+            got = lowrank._complete(U, MU, A)
+            assert fallback.called == deficient
+            want = lowrank._complete(U, MU - U @ A, np.zeros((k, k), dtype=complex))
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
 
 
 class TestHermitian:

@@ -185,9 +185,11 @@ def test_complete_cholesky_qr2_or_householder_fallback(seed, k, extra_rows, kind
     m = 3 * k + extra_rows
     U = np.linalg.qr(crandn(rng, m, k))[0]
     B = off_tangent(rng, kind, U, k)
+    A = crandn(rng, k, k)
+    MU = B + U @ A  # unprojected; _complete takes both projections
     with mock.patch.object(lowrank, "_householder_completion",
                            wraps=lowrank._householder_completion) as fallback:
-        Q, F, R1 = lowrank._complete(U, B.copy())  # B is overwritten
+        Q, F, R1 = lowrank._complete(U, MU, A)
     assert fallback.called == (kind != "random")
     assert Q.shape == (m, k) and F.shape == R1.shape == (k, k)
     Q1 = Q @ F

@@ -772,6 +772,17 @@ class TestSolve:
             np.testing.assert_array_equal(trace.residuals * 2.0 ** -k, ref.residuals)
             np.testing.assert_array_equal(trace.rel_errors, ref.rel_errors)
 
+    @pytest.mark.parametrize("scale", [1e150, 1e200])
+    def test_huge_sensing_vectors_diverge_at_the_first_step(self, scale):
+        # The back-projection of unit-scale y on B at 1e200 is ~1e200, whose
+        # Krylov products overflow unless truncate_lift takes them at unit
+        # scale; then, as at 1e150, the start's data misfit overflows.
+        _, dims, B, _, y = synth_instance(64, 2, 2, 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, trace = solve(y, scale * B, dims, SolverConfig(rank=2))
+        assert trace.termination == "diverged: gradient update is not finite at iteration 1"
+        assert trace.returned_iteration == 0
+
     @pytest.mark.parametrize("truth", ["zero", "wrong_shape", "nan"])
     def test_bad_ground_truth_rejected_up_front(self, truth, monkeypatch):
         dims, B, X_true, y = make_instance(32, 2, 2, 16)
