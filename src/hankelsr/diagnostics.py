@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import hankel
+from . import hankel, lowrank
 from .hankel import FactorSpectrum, HankelDims
 from .model import PointSourceModel, adjoint_measure, build_signal, measure
 from .solver import initialize
@@ -100,7 +100,7 @@ def estimate_rip_norm(B: np.ndarray, point: FactorSpectrum) -> float:
         """N and M of P_T G(X) = U N^H + M V^H."""
         lifted = hankel.SignalSpectrum(w_isqrt * X, dims)
         C = hankel.lift_matvec(lifted, point)
-        return hankel.lift_rmatvec(lifted, point), C - U @ (U.conj().T @ C)
+        return hankel.lift_rmatvec(lifted, point), C - U @ lowrank._hermitian(U, C)
 
     def apply(N, M):
         Xg = w_isqrt * hankel.adjoint_lift_tangent(point, N, M)

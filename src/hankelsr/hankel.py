@@ -370,7 +370,7 @@ def truncate_lift(X: np.ndarray, dims: HankelDims, r: int, **kwargs) -> FactorSp
     of X / 2**e at unit scale (``_unit_exponent``), where no product of a finite
     X over- or underflows; sigma is scaled back by 2**e, which commutes with the
     SVD bit for bit.  Raises ``ValueError`` on a non-finite X, whose spectrum no
-    SVD converges on."""
+    SVD converges on, or on a lift whose norm, sigma[0], overflows."""
     X = _check_signal(X, dims)
     if not np.all(np.isfinite(X)):
         raise ValueError("signal to truncate must be finite")
@@ -379,6 +379,8 @@ def truncate_lift(X: np.ndarray, dims: HankelDims, r: int, **kwargs) -> FactorSp
     del X  # the products read only its spectrum
     products = partial(lift_matvec, spectrum), partial(lift_rmatvec, spectrum)
     factors = truncate_rank_operator(*products, dims.lifted_shape, r, **kwargs)
+    if e + np.frexp(factors.sigma[0])[1] > np.finfo(float).maxexp:
+        raise ValueError("the norm of the lift overflows")
     return FactorSpectrum(replace(factors, sigma=_ldexp(factors.sigma, e)), dims)
 
 

@@ -13,12 +13,11 @@ truncates in one step through the SVD of a 2r-by-2r core
 FFTs, at O(r^2 s n + r s n log n) per iteration.  Each iteration maps one
 ``Iterate`` to the next.  ``Iterate.at`` builds one from a rank-r point of
 the lift (a ``hankel.FactorSpectrum``, which holds the rank): it de-lifts
-the point to X and takes X's residual; the next step's products read the
-point's spectra, so each factor is transformed once, and then release them.
-The start is the point ``hankel.truncate_lift`` gives for the lifted
-back-projection, seeded by ``config.seed``, certified to
-_INIT_CERTIFICATE_TOL and taken by FFTs, so no step of a solve forms the
-lifted matrix.
+the point to X, which must be finite, and takes X's residual; the next
+step's products read the point's spectra, so each factor is transformed
+once, and then release them.  The start is the point
+``hankel.truncate_lift`` gives for the lifted back-projection, seeded by
+``config.seed`` and certified to _INIT_CERTIFICATE_TOL.
 
 ``SolverConfig`` owns the solver's defaults, which the command line reads
 from it, and rejects invalid ones when built; ``HankelDims.check_rank`` owns
@@ -61,7 +60,7 @@ _INIT_CERTIFICATE_TOL = 1e-3
 
 
 class DivergenceError(RuntimeError):
-    """Raised when an iterate stops being finite."""
+    """Raised when a gradient update or an iterate has a non-finite entry."""
 
 
 @dataclass(frozen=True)
@@ -138,13 +137,18 @@ class ConvergenceTrace:
 class Iterate:
     """One iterate of ``solve``: X, the de-lift of its ``FactorSpectrum`` point,
     X's data residual measure(X, B) - y and that residual's norm, and its
-    iteration, all built from the point by ``Iterate.at``."""
+    iteration, all built from the point by ``Iterate.at``.  An iterate is
+    finite: one with a non-finite X raises ``DivergenceError`` when built."""
 
     X: np.ndarray
     point: FactorSpectrum
     residual: np.ndarray
     residual_norm: float
     iteration: int
+
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.X)):
+            raise DivergenceError("iterate is not finite")
 
     @classmethod
     def at(cls, point: FactorSpectrum, y: np.ndarray, B: np.ndarray,
@@ -194,10 +198,14 @@ def _initialize_factors(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: 
     The truncation is the operator SVD seeded by ``config.seed`` and
     certified to _INIT_CERTIFICATE_TOL, the accuracy the iteration needs of
     its start, not the diagnostics' 1.2e-6; it takes its products with the
-    lift by FFTs and never forms it.
+    lift by FFTs and never forms it.  A start that is not finite is no
+    step's divergence but the data's fault, so it gets a ``ValueError``.
     """
-    return Iterate.at(hankel.truncate_lift(adjoint_measure(y, B), dims, config.rank,
-                                           seed=config.seed, tol=_INIT_CERTIFICATE_TOL), y, B)
+    try:
+        return Iterate.at(hankel.truncate_lift(adjoint_measure(y, B), dims, config.rank,
+                                               seed=config.seed, tol=_INIT_CERTIFICATE_TOL), y, B)
+    except DivergenceError:
+        raise ValueError("the de-lift of the initialization overflows") from None
 
 
 def initialize(y: np.ndarray, B: np.ndarray, dims: HankelDims, r: int) -> np.ndarray:
@@ -224,32 +232,30 @@ def iterate_once(it: Iterate, y: np.ndarray, B: np.ndarray, config: SolverConfig
     initialization, take ``Iterate.at(hankel.truncate_lift(X, dims, r), y, B)``.
     Products and de-lift run by FFTs and the truncation through the 2r-by-2r
     core of ``project_tangent_truncate``, so no iteration forms the lift.
-    It is the composition of the step's two halves, ``_truncated_step`` and
-    ``_next_iterate``, which ``solve`` calls apart so that it can drop ``it``
-    between them.  A stage keeps alive only what a later one reads: the
-    point's ``FU`` is released once ``lift_rmatvec`` has read it, before
-    ``lift_matvec`` takes its spectra, and its ``FV`` after that; the
-    gradient step dies once transformed, the two products before the new
-    point's spectra are taken.  So a step peaks near one point's spectra
-    above its start; stepping from ``it`` again re-takes them and gives the
-    same iterate.  Raises ``ValueError`` on an infeasible rank, as ``solve``
-    does, or on a ``config.rank`` other than the point's, and
-    ``DivergenceError`` if the update stops being finite.
+    It is ``Iterate.at`` of the point whose factors ``_truncated_step`` gives;
+    ``solve`` makes the two calls itself and drops ``it`` between them.  A
+    stage keeps alive only what a later one reads: the point's ``FU`` is
+    released once ``lift_rmatvec`` has read it, before ``lift_matvec`` takes
+    its spectra, and its ``FV`` after that; the gradient step dies once
+    transformed, the two products before the new point's spectra are taken.
+    So a step peaks near one point's spectra above its start; stepping from
+    ``it`` again re-takes them and gives the same iterate.  Raises
+    ``ValueError`` on an infeasible rank, as ``solve`` does, or on a
+    ``config.rank`` other than the point's, and ``DivergenceError`` if the
+    gradient update or the new iterate has a non-finite entry.
     """
-    return _next_iterate(_truncated_step(it, y, B, config), it.point.dims, y, B,
-                         it.iteration + 1)
+    return Iterate.at(FactorSpectrum(_truncated_step(it, y, B, config), it.point.dims), y, B,
+                      it.iteration + 1)
 
 
 def _truncated_step(it: Iterate, y: np.ndarray, B: np.ndarray, config: SolverConfig,
                     ) -> LowRankFactors:
-    """The first half of ``iterate_once``: the rank-r factors of the truncated
+    """``iterate_once`` short of its de-lift: the rank-r factors of the truncated
     tangent projection of the lifted gradient step from ``it``."""
     point, rank = it.point, it.point.factors.rank
     point.dims.check_rank(config.rank)
     if config.rank != rank:
         raise ValueError(f"config rank {config.rank} differs from the iterate's rank {rank}")
-    if not np.all(np.isfinite(it.X)):
-        raise DivergenceError("iterate is not finite")
     Xt = it.X - config.step_size * adjoint_measure(it.residual, B)
     if not np.all(np.isfinite(Xt)):
         raise DivergenceError("gradient update is not finite")
@@ -263,35 +269,26 @@ def _truncated_step(it: Iterate, y: np.ndarray, B: np.ndarray, config: SolverCon
     return project_tangent_truncate(MV, MhU, point.factors)
 
 
-def _next_iterate(new: LowRankFactors, dims: HankelDims, y: np.ndarray, B: np.ndarray,
-                  iteration: int) -> Iterate:
-    """The second half of ``iterate_once``: the ``Iterate`` at the point ``new``."""
-    nxt = Iterate.at(FactorSpectrum(new, dims), y, B, iteration)
-    if not np.all(np.isfinite(nxt.X)):
-        raise DivergenceError("iterate is not finite")
-    return nxt
-
-
 def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
           ground_truth: np.ndarray | None = None,
           ) -> tuple[np.ndarray, ConvergenceTrace]:
     """Run the full solver: spectral initialization then hard-thresholded iterations.
 
-    The initialization is the operator SVD seeded by ``config.seed`` on FFT
-    products; then ``iterate_once`` maps one ``Iterate`` to the next, so no
-    step forms the lifted matrix.  It raises ``RankTruncationError`` if the
-    operator SVD finds no certificate.  Stops on a small relative data
-    residual, on stagnation, at max_iters, or on divergence (residual
-    growing well past its running minimum, or a step that fails, as
-    ``diverged: <reason> at iteration t``), which returns the best iterate
-    by residual.  The trace carries the residual, the relative
-    error against ``ground_truth`` when supplied, wall-clock timestamps and
-    the iteration of the returned estimate.  Raises ``ValueError`` before any
-    work when y, B or ``ground_truth`` has the wrong shape or a non-finite
-    entry, the norm of y exceeds the largest float, ``ground_truth`` is zero,
-    or the rank is infeasible for the lift (``HankelDims.check_rank``).  It
-    solves for y / 2**e, whose largest entry lies in [1/2, 1), takes all norms
-    at that scale and scales the estimate and recorded residuals back.
+    Starts from ``_initialize_factors``, then ``iterate_once`` maps one
+    ``Iterate`` to the next.  Stops on a small relative data residual, on
+    stagnation, at max_iters, or on divergence (residual growing well past its
+    running minimum, or a step that fails, as
+    ``diverged: <reason> at iteration t``), which returns the best iterate by
+    residual.  The trace carries the residual, the relative error against
+    ``ground_truth`` when supplied, wall-clock timestamps and the iteration of
+    the returned estimate.  Raises ``ValueError`` before any work when y, B or
+    ``ground_truth`` has the wrong shape or a non-finite entry, the norm of y
+    exceeds the largest float, ``ground_truth`` is zero, or the rank is
+    infeasible for the lift (``HankelDims.check_rank``), and at the start if
+    its lift or de-lift overflows; ``RankTruncationError`` if the start's
+    operator SVD finds no certificate.  It solves for y / 2**e, whose largest
+    entry lies in [1/2, 1), takes all norms at that scale and scales the
+    estimate and recorded residuals back.
     """
     y, B, e = _unit_data(y, B, dims, config.rank)
     if ground_truth is not None and (np.shape(ground_truth) != (dims.s, dims.n)
@@ -323,7 +320,7 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
         try:
             new = _truncated_step(it, y, B, config)
             del it
-            it = _next_iterate(new, dims, y, B, t)
+            it = Iterate.at(FactorSpectrum(new, dims), y, B, t)
         except (DivergenceError, np.linalg.LinAlgError) as exc:
             termination = f"diverged: {exc} at iteration {t}"
             returned = best

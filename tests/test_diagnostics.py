@@ -188,6 +188,14 @@ class TestSpectralDistance:
         want = math.ldexp(spectral_distance(X, Z, dims), e)
         assert spectral_distance(X * 2.0 ** e, Z, dims) == want
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e306, 1e307])
+    def test_distance_past_the_float_range(self, scale):
+        # the distance itself exceeds the largest float
+        _, dims, _, X, _ = synth_instance(64, 2, 2, 3)
+        with pytest.raises(ValueError, match="^the norm of the lift overflows$"):
+            spectral_distance(X * scale, np.zeros_like(X), dims)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_signal_rejected(self, bad):
         X = crandn(np.random.default_rng(7), 2, 12)

@@ -11,7 +11,7 @@ from hankelsr.hankel import (FactorSpectrum, SignalSpectrum, choose_dims, lift,
 from hankelsr.lowrank import (LowRankFactors, RankTruncationError,
                               project_tangent, project_tangent_truncate,
                               truncate_rank, truncate_rank_operator)
-from hankelsr.model import build_signal, synth_model
+from hankelsr.model import build_signal, synth_instance, synth_model
 
 
 def crandn(rng, *shape):
@@ -252,6 +252,26 @@ class TestTruncateRankOperator:
         np.testing.assert_allclose(got.sigma, 1e200 * want.sigma, rtol=1e-12)
         np.testing.assert_allclose(got.reconstruct() / 1e200, want.reconstruct(),
                                    rtol=0, atol=1e-10 * want.sigma[0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e306, 1e307])
+    def test_truncate_lift_past_the_float_range(self, scale):
+        # X's entries are finite but its lift's norm is not; that is refused
+        # before sigma is scaled back, so nothing overflows on the way
+        _, dims, _, X, _ = synth_instance(64, 2, 2, 3)
+        with pytest.raises(ValueError, match="^the norm of the lift overflows$"):
+            truncate_lift(X * scale, dims, 2)
+
+    def test_truncate_lift_at_the_edge_of_the_float_range(self):
+        # sigma_1 = m 2**k with m < 1 scales to m 2**1024 at 2**(1024 - k),
+        # which is still a float; one power of two more is not
+        _, dims, _, X, _ = synth_instance(64, 2, 2, 3)
+        sigma = truncate_lift(X, dims, 2).factors.sigma
+        j = 1024 - int(np.frexp(sigma[0])[1])
+        got = truncate_lift(X * 2.0 ** j, dims, 2).factors.sigma
+        np.testing.assert_array_equal(got, np.ldexp(sigma, j))
+        with pytest.raises(ValueError, match="^the norm of the lift overflows$"):
+            truncate_lift(X * 2.0 ** (j + 1), dims, 2)
 
     def test_nonconvergence_raises_with_residual(self, monkeypatch):
         # 30 columns, so a budget of 10 basis columns (five blocks of 2)

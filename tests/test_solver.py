@@ -243,7 +243,8 @@ class TestIterateOnce:
         assert trace.records[-1].iteration == 1
 
     def test_nonfinite_raises_naming_iteration(self, monkeypatch):
-        # the step rejects a non-finite iterate, and solve names the iteration
+        # an Iterate with a non-finite X cannot be built, so a step never
+        # starts from one; solve names the iteration of the step that tried
         dims, B, X_true, y = make_instance(16, 2, 2, 6)
         bad = X_true.copy()
         bad[0, 0] = np.inf
@@ -251,7 +252,7 @@ class TestIterateOnce:
         point = FactorSpectrum(lowrank.truncate_rank(lift(X_true, dims), 2), dims)
         with pytest.raises(DivergenceError, match="^iterate is not finite$"):
             iterate_once(dataclasses.replace(Iterate.at(point, y, B), X=bad), y, B, cfg)
-        # solve runs the step's first half, which does the check, itself
+        # solve calls _truncated_step itself; the poisoned copy raises there
         step, calls = solver._truncated_step, []
 
         def poisoned(it, *args, **kwargs):
@@ -261,6 +262,16 @@ class TestIterateOnce:
         monkeypatch.setattr(solver, "_truncated_step", poisoned)
         _, trace = solve(y, B, dims, cfg)
         assert trace.termination == "diverged: iterate is not finite at iteration 7"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_iterate_refused_when_built(self, bad):
+        dims, B, X_true, y = make_instance(16, 2, 2, 6)
+        point = FactorSpectrum(lowrank.truncate_rank(lift(X_true, dims), 2), dims)
+        it = Iterate.at(point, y, B)
+        X = it.X.copy()
+        X[1, 3] = bad
+        with pytest.raises(DivergenceError, match="^iterate is not finite$"):
+            dataclasses.replace(it, X=X)
 
     def test_nonfinite_gradient_update_raises(self):
         dims, B, X_true, y = make_instance(16, 2, 2, 6)
@@ -776,12 +787,40 @@ class TestSolve:
     def test_huge_sensing_vectors_diverge_at_the_first_step(self, scale):
         # The back-projection of unit-scale y on B at 1e200 is ~1e200, whose
         # Krylov products overflow unless truncate_lift takes them at unit
-        # scale; then, as at 1e150, the start's data misfit overflows.
+        # scale; then, as at 1e150, the start's data misfit overflows.  This
+        # is by design: solve scales y but not B, because the fixed step is
+        # absolute in B's units.  Scaling B by 2**-b keeps the iterates (up
+        # to scale) only if the step becomes step_size * 4**b, so at this
+        # scale the iteration's own arithmetic diverges.
         _, dims, B, _, y = synth_instance(64, 2, 2, 3)
         with np.errstate(over="ignore", invalid="ignore"):
             _, trace = solve(y, scale * B, dims, SolverConfig(rank=2))
         assert trace.termination == "diverged: gradient update is not finite at iteration 1"
         assert trace.returned_iteration == 0
+
+    @pytest.mark.parametrize("entry", ["solve", "initialize"])
+    def test_overflowing_start_rejected(self, entry):
+        # At 1e305 the lift of the back-projection fits the float range, but
+        # its de-lift does not.  No step has run, so that is the data's
+        # fault: a ValueError, not a divergence with a non-finite estimate.
+        _, dims, B, _, y = synth_instance(4096, 4, 5, 3)
+        run = {"solve": lambda: solve(y, 1e305 * B, dims, SolverConfig(rank=5)),
+               "initialize": lambda: initialize(y, 1e305 * B, dims, 5)}[entry]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="^the de-lift of the initialization overflows$"):
+                run()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("entry", ["solve", "initialize"])
+    @pytest.mark.parametrize("scale", [1e306, 1e307])
+    def test_sensing_vectors_past_the_float_range(self, scale, entry):
+        # here the lift of the back-projection overflows itself, and
+        # truncate_lift refuses it before anything overflows
+        _, dims, B, _, y = synth_instance(4096, 4, 5, 3)
+        run = {"solve": lambda: solve(y, scale * B, dims, SolverConfig(rank=5)),
+               "initialize": lambda: initialize(y, scale * B, dims, 5)}[entry]
+        with pytest.raises(ValueError, match="^the norm of the lift overflows$"):
+            run()
 
     @pytest.mark.parametrize("truth", ["zero", "wrong_shape", "nan"])
     def test_bad_ground_truth_rejected_up_front(self, truth, monkeypatch):
