@@ -19,6 +19,7 @@ against it once, when built.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
@@ -342,9 +343,12 @@ def lift_rmatvec(spectrum: SignalSpectrum, u: np.ndarray | FactorSpectrum) -> np
     return np.conj(conv[:, :dims.n2]).T  # (n2, k)
 
 
-def _ldexp(a: np.ndarray, e: int) -> np.ndarray:
-    """a * 2**e, exact wherever the result is a normal number; np.ldexp takes no
-    complex input, so a complex array is scaled part by part."""
+def _ldexp(a, e: int, what: str | None = None):
+    """a * 2**e, exact wherever the result is normal; np.ldexp takes no complex input, so
+    a complex array is scaled part by part.  Given ``what``, it gates a value leaving unit
+    scale: ``ValueError(f"{what} overflows")`` instead of a result past the float range."""
+    if what is not None and _unit_exponent(a) + e > np.finfo(float).maxexp:
+        raise ValueError(f"{what} overflows")
     if not np.iscomplexobj(a):
         return np.ldexp(a, e)
     out = np.empty_like(a)
@@ -353,15 +357,13 @@ def _ldexp(a: np.ndarray, e: int) -> np.ndarray:
     return out
 
 
-def _unit_exponent(y: np.ndarray) -> int:
-    """The e for which the largest modulus of y / 2**e lies in [1/2, 1) (0 for zero y).
-
-    A power-of-two scaling is exact and commutes bit for bit with the solver
-    and ``truncate_lift``, at whose unit scale no product under- or
-    overflows.  The modulus of a complex entry is a hypot, which stays
-    accurate where the norm of small enough data underflows.
-    """
-    return int(np.frexp(np.max(np.abs(y), initial=0.0))[1])
+def _unit_exponent(y) -> int:
+    """The e for which the largest modulus of y / 2**e lies in [1/2, 1) (0 for zero y):
+    a power-of-two scaling is exact and commutes bit for bit with the solver and
+    ``truncate_lift``, at whose unit scale no product under- or overflows.  The modulus
+    of a complex entry is a hypot, which stays accurate where the norm of small enough
+    data underflows; a float's exponent is one ``math.frexp``, with no array pass."""
+    return math.frexp(y if isinstance(y, float) else np.max(np.abs(y), initial=0.0))[1]
 
 
 def truncate_lift(X: np.ndarray, dims: HankelDims, r: int, **kwargs) -> FactorSpectrum:
@@ -370,7 +372,7 @@ def truncate_lift(X: np.ndarray, dims: HankelDims, r: int, **kwargs) -> FactorSp
     of X / 2**e at unit scale (``_unit_exponent``), where no product of a finite
     X over- or underflows; sigma is scaled back by 2**e, which commutes with the
     SVD bit for bit.  Raises ``ValueError`` on a non-finite X, whose spectrum no
-    SVD converges on, or on a lift whose norm, sigma[0], overflows."""
+    SVD converges on, or from ``_ldexp`` on a lift whose norm, sigma[0], overflows."""
     X = _check_signal(X, dims)
     if not np.all(np.isfinite(X)):
         raise ValueError("signal to truncate must be finite")
@@ -379,9 +381,8 @@ def truncate_lift(X: np.ndarray, dims: HankelDims, r: int, **kwargs) -> FactorSp
     del X  # the products read only its spectrum
     products = partial(lift_matvec, spectrum), partial(lift_rmatvec, spectrum)
     factors = truncate_rank_operator(*products, dims.lifted_shape, r, **kwargs)
-    if e + np.frexp(factors.sigma[0])[1] > np.finfo(float).maxexp:
-        raise ValueError("the norm of the lift overflows")
-    return FactorSpectrum(replace(factors, sigma=_ldexp(factors.sigma, e)), dims)
+    sigma = _ldexp(factors.sigma, e, "the norm of the lift")
+    return FactorSpectrum(replace(factors, sigma=sigma), dims)
 
 
 def adjoint_lift_lowrank(point: FactorSpectrum) -> np.ndarray:

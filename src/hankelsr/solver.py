@@ -13,11 +13,11 @@ truncates in one step through the SVD of a 2r-by-2r core
 FFTs, at O(r^2 s n + r s n log n) per iteration.  Each iteration maps one
 ``Iterate`` to the next.  ``Iterate.at`` builds one from a rank-r point of
 the lift (a ``hankel.FactorSpectrum``, which holds the rank): it de-lifts
-the point to X, which must be finite, and takes X's residual; the next
-step's products read the point's spectra, so each factor is transformed
-once, and then release them.  The start is the point
-``hankel.truncate_lift`` gives for the lifted back-projection, seeded by
-``config.seed`` and certified to _INIT_CERTIFICATE_TOL.
+the point to X and takes X's residual, both finite; the next step's
+products read the point's spectra, so each factor is transformed once, and
+then release them.  The start is the point ``hankel.truncate_lift`` gives
+for the lifted back-projection, seeded by ``config.seed`` and certified to
+_INIT_CERTIFICATE_TOL.
 
 ``SolverConfig`` owns the solver's defaults, which the command line reads
 from it, and rejects invalid ones when built; ``HankelDims.check_rank`` owns
@@ -60,7 +60,7 @@ _INIT_CERTIFICATE_TOL = 1e-3
 
 
 class DivergenceError(RuntimeError):
-    """Raised when a gradient update or an iterate has a non-finite entry."""
+    """Raised when a gradient update or an iterate (its X or residual norm) is not finite."""
 
 
 @dataclass(frozen=True)
@@ -137,8 +137,8 @@ class ConvergenceTrace:
 class Iterate:
     """One iterate of ``solve``: X, the de-lift of its ``FactorSpectrum`` point,
     X's data residual measure(X, B) - y and that residual's norm, and its
-    iteration, all built from the point by ``Iterate.at``.  An iterate is
-    finite: one with a non-finite X raises ``DivergenceError`` when built."""
+    iteration, all built from the point by ``Iterate.at``.  An iterate is finite:
+    one with a non-finite X or residual norm raises ``DivergenceError``."""
 
     X: np.ndarray
     point: FactorSpectrum
@@ -147,7 +147,7 @@ class Iterate:
     iteration: int
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.X)):
+        if not (math.isfinite(self.residual_norm) and np.all(np.isfinite(self.X))):
             raise DivergenceError("iterate is not finite")
 
     @classmethod
@@ -174,8 +174,8 @@ def relative_error(X: np.ndarray, X_ref: np.ndarray) -> float:
 
 def _unit_data(y: np.ndarray, B: np.ndarray, dims: HankelDims, rank: int,
                ) -> tuple[np.ndarray, np.ndarray, int]:
-    """y / 2**e at unit scale (``_unit_exponent``), B and e, after the checks of
-    data and rank that ``solve`` and ``initialize`` make before any work."""
+    """y / 2**e at unit scale (``_unit_exponent``), B and e, after the checks of data
+    and rank that ``solve`` and ``initialize`` make first (the norm of y by ``_ldexp``)."""
     y, B = np.asarray(y), np.asarray(B)
     if B.shape != (dims.s, dims.n) or y.shape != (dims.n,):
         raise ValueError("y/B shapes inconsistent with dims")
@@ -183,14 +183,12 @@ def _unit_data(y: np.ndarray, B: np.ndarray, dims: HankelDims, rank: int,
         raise ValueError("y and B must be finite")
     e = _unit_exponent(y)
     y = _ldexp(y, -e)
-    try:
-        math.ldexp(float(np.linalg.norm(y)), e)
-    except OverflowError:
-        raise ValueError("the norm of y overflows") from None
+    _ldexp(np.linalg.norm(y), e, "the norm of y")
     dims.check_rank(rank)
     return y, B, e
 
 
+@np.errstate(over="raise", invalid="raise")
 def _initialize_factors(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
                         ) -> Iterate:
     """Iteration 0: the de-lift of the rank-r truncation of the lifted back-projection.
@@ -198,14 +196,14 @@ def _initialize_factors(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: 
     The truncation is the operator SVD seeded by ``config.seed`` and
     certified to _INIT_CERTIFICATE_TOL, the accuracy the iteration needs of
     its start, not the diagnostics' 1.2e-6; it takes its products with the
-    lift by FFTs and never forms it.  A start that is not finite is no
-    step's divergence but the data's fault, so it gets a ``ValueError``.
+    lift by FFTs and never forms it.  It runs under ``np.errstate`` raising: a start whose
+    de-lift or data misfit overflows has nothing to descend, so it gets one ``ValueError``.
     """
     try:
         return Iterate.at(hankel.truncate_lift(adjoint_measure(y, B), dims, config.rank,
                                                seed=config.seed, tol=_INIT_CERTIFICATE_TOL), y, B)
-    except DivergenceError:
-        raise ValueError("the de-lift of the initialization overflows") from None
+    except (FloatingPointError, DivergenceError):
+        raise ValueError("the data misfit of the initialization overflows") from None
 
 
 def initialize(y: np.ndarray, B: np.ndarray, dims: HankelDims, r: int) -> np.ndarray:
@@ -215,11 +213,11 @@ def initialize(y: np.ndarray, B: np.ndarray, dims: HankelDims, r: int) -> np.nda
     certified to _INIT_CERTIFICATE_TOL, and the FFT de-lift.  It forms no
     lifted matrix, so it runs at any n that ``solve`` does.  Like ``solve``,
     it works on y scaled to unit size, so its estimate scales with y bit for
-    bit, and it rejects the data and ranks that ``solve`` rejects.
+    bit, and it rejects the data, ranks, starts and estimates ``solve`` rejects.
     """
     config = SolverConfig(rank=r)
     y, B, e = _unit_data(y, B, dims, config.rank)
-    return _ldexp(_initialize_factors(y, B, dims, config).X, e)
+    return _ldexp(_initialize_factors(y, B, dims, config).X, e, "the estimate")
 
 
 def iterate_once(it: Iterate, y: np.ndarray, B: np.ndarray, config: SolverConfig) -> Iterate:
@@ -242,7 +240,7 @@ def iterate_once(it: Iterate, y: np.ndarray, B: np.ndarray, config: SolverConfig
     ``it`` again re-takes them and gives the same iterate.  Raises
     ``ValueError`` on an infeasible rank, as ``solve`` does, or on a
     ``config.rank`` other than the point's, and ``DivergenceError`` if the
-    gradient update or the new iterate has a non-finite entry.
+    gradient update or the new iterate (X or its residual norm) is not finite.
     """
     return Iterate.at(FactorSpectrum(_truncated_step(it, y, B, config), it.point.dims), y, B,
                       it.iteration + 1)
@@ -284,11 +282,11 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
     the returned estimate.  Raises ``ValueError`` before any work when y, B or
     ``ground_truth`` has the wrong shape or a non-finite entry, the norm of y
     exceeds the largest float, ``ground_truth`` is zero, or the rank is
-    infeasible for the lift (``HankelDims.check_rank``), and at the start if
-    its lift or de-lift overflows; ``RankTruncationError`` if the start's
-    operator SVD finds no certificate.  It solves for y / 2**e, whose largest
-    entry lies in [1/2, 1), takes all norms at that scale and scales the
-    estimate and recorded residuals back.
+    infeasible for the lift (``HankelDims.check_rank``), and when the start's lift
+    or data misfit, its residual or the estimate overflows; ``RankTruncationError``
+    if the start's operator SVD finds no certificate.  It solves for y / 2**e, whose
+    largest entry lies in [1/2, 1), takes all norms at that scale and scales the
+    estimate and residuals back by ``_ldexp``, whose refusal of a later one diverges.
     """
     y, B, e = _unit_data(y, B, dims, config.rank)
     if ground_truth is not None and (np.shape(ground_truth) != (dims.s, dims.n)
@@ -301,10 +299,11 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
     trace = ConvergenceTrace()
 
     def record(it):
+        residual = float(_ldexp(it.residual_norm, e, "the residual"))
         rel_error = (relative_error(_ldexp(it.X, e), ground_truth)
                      if ground_truth is not None else None)
-        trace.records.append(TraceRecord(it.iteration, float(np.ldexp(it.residual_norm, e)),
-                                         rel_error, time.perf_counter() - t_start))
+        trace.records.append(TraceRecord(it.iteration, residual, rel_error,
+                                         time.perf_counter() - t_start))
 
     it = _initialize_factors(y, B, dims, config)
     record(it)
@@ -321,11 +320,11 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
             new = _truncated_step(it, y, B, config)
             del it
             it = Iterate.at(FactorSpectrum(new, dims), y, B, t)
-        except (DivergenceError, np.linalg.LinAlgError) as exc:
+            record(it)
+        except (DivergenceError, ValueError, np.linalg.LinAlgError) as exc:
             termination = f"diverged: {exc} at iteration {t}"
             returned = best
             break
-        record(it)
         if it.residual_norm < best_norm:
             best_norm, best = it.residual_norm, (it.X, it.iteration)
         if it.residual_norm / denom <= config.residual_tol:
@@ -344,4 +343,4 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
 
     X, trace.returned_iteration = returned or (it.X, it.iteration)
     trace.termination = termination
-    return _ldexp(X, e), trace
+    return _ldexp(X, e, "the estimate"), trace

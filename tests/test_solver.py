@@ -783,32 +783,77 @@ class TestSolve:
             np.testing.assert_array_equal(trace.residuals * 2.0 ** -k, ref.residuals)
             np.testing.assert_array_equal(trace.rel_errors, ref.rel_errors)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e150, 1e200])
     def test_huge_sensing_vectors_diverge_at_the_first_step(self, scale):
         # The back-projection of unit-scale y on B at 1e200 is ~1e200, whose
         # Krylov products overflow unless truncate_lift takes them at unit
-        # scale; then, as at 1e150, the start's data misfit overflows.  This
-        # is by design: solve scales y but not B, because the fixed step is
-        # absolute in B's units.  Scaling B by 2**-b keeps the iterates (up
-        # to scale) only if the step becomes step_size * 4**b, so at this
-        # scale the iteration's own arithmetic diverges.
+        # scale.  At either scale the start's data misfit, of order scale**2,
+        # or its norm then overflows, so the first step would diverge: the
+        # start is refused instead, as the data's fault.  solve scales y but
+        # not B, because the fixed step is absolute in B's units: scaling B
+        # by 2**-b keeps the iterates (up to scale) only if the step becomes
+        # step_size * 4**b.
         _, dims, B, _, y = synth_instance(64, 2, 2, 3)
-        with np.errstate(over="ignore", invalid="ignore"):
-            _, trace = solve(y, scale * B, dims, SolverConfig(rank=2))
-        assert trace.termination == "diverged: gradient update is not finite at iteration 1"
-        assert trace.returned_iteration == 0
+        with pytest.raises(ValueError, match="^the data misfit of the initialization overflows$"):
+            solve(y, scale * B, dims, SolverConfig(rank=2))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("entry", ["solve", "initialize"])
     def test_overflowing_start_rejected(self, entry):
-        # At 1e305 the lift of the back-projection fits the float range, but
-        # its de-lift does not.  No step has run, so that is the data's
-        # fault: a ValueError, not a divergence with a non-finite estimate.
+        # At 1e305 the lift of the back-projection and its de-lift fit the
+        # float range, but the start's data misfit does not (a product in
+        # the de-lift's spectra may overflow first).  No step has run, so
+        # that is the data's fault: a ValueError, with no RuntimeWarning
+        # before it, not a divergence with a non-finite estimate.
         _, dims, B, _, y = synth_instance(4096, 4, 5, 3)
         run = {"solve": lambda: solve(y, 1e305 * B, dims, SolverConfig(rank=5)),
                "initialize": lambda: initialize(y, 1e305 * B, dims, 5)}[entry]
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="^the de-lift of the initialization overflows$"):
-                run()
+        with pytest.raises(ValueError, match="^the data misfit of the initialization overflows$"):
+            run()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("j", [-600, 0, 600])
+    def test_start_within_the_float_range_or_refused(self, j):
+        # B * 2**k from the subnormal range up to the largest finite B, y *
+        # 2**j: each call returns a start with a finite t=0 residual and
+        # estimate, or refuses it with a ValueError naming what overflows,
+        # and no RuntimeWarning comes first.  k = 230 with j = 600 is a
+        # start whose residual overflows only when scaled back by 2**e.
+        _, dims, B, _, y = synth_instance(64, 2, 2, 3)
+        y = y * 2.0 ** j
+        outcomes = set()
+        for k in range(-1070, 1024, 13):
+            with np.errstate(over="ignore"):
+                B_k = hankel._ldexp(B, k)
+            if not np.all(np.isfinite(B_k)):
+                continue
+            for entry in ("solve", "initialize"):
+                try:
+                    if entry == "solve":
+                        X, trace = solve(y, B_k, dims, SolverConfig(rank=2, max_iters=0))
+                        assert np.isfinite(trace.residuals[0]), k
+                    else:
+                        X = initialize(y, B_k, dims, 2)
+                except ValueError as exc:
+                    assert str(exc).endswith(" overflows"), (k, entry, exc)
+                    outcomes.add("refused")
+                    continue
+                assert np.all(np.isfinite(X)), (k, entry)
+                outcomes.add("returned")
+        assert outcomes == {"returned", "refused"}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_residual_past_the_float_range_is_a_divergence(self):
+        # y at 2**1000 and a step far past the contraction region: the
+        # residuals grow until one scaled back by 2**e overflows, which
+        # ends the solve like any divergence, returning the best iterate.
+        _, dims, B, _, y = synth_instance(64, 2, 2, 3)
+        X_hat, trace = solve(y * 2.0 ** 1000, B, dims, SolverConfig(rank=2, step_size=100.0))
+        assert trace.termination == "diverged: the residual overflows at iteration 3"
+        assert trace.returned_iteration == 0
+        assert np.all(np.isfinite(trace.residuals))
+        np.testing.assert_array_equal(X_hat, initialize(y * 2.0 ** 1000, B, dims, 2))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("entry", ["solve", "initialize"])
