@@ -1,9 +1,9 @@
 """Self-contained invariant suite run by the ``check`` subcommand.
 
-Each check builds its own small random instances, compares against an
-independent oracle (brute-force enumeration, full SVD, the textbook solver
-step with a dense tangent projection and a full SVD) and reports pass/fail
-with a worst-case figure.
+Each check builds its own small random instances (the four signal
+identities from ``_signal_cases``), compares against an independent oracle
+(brute force, full SVD, the textbook solver step with a dense tangent
+projection and a full SVD) and reports pass/fail with a worst-case figure.
 """
 
 from __future__ import annotations
@@ -13,16 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hankel, lowrank, model, solver
+from .lowrank import crandn
+
 
 @dataclass(frozen=True)
 class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-def _crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
 def brute_force_weights(n: int, n1: int) -> np.ndarray:
@@ -45,55 +43,48 @@ def check_weights() -> CheckResult:
                        f"max deviation {worst} over n<=24, all splits")
 
 
-def check_measure_adjoint() -> CheckResult:
-    rng = np.random.default_rng(0)
-    worst = 0.0
+def _signal_cases(seed: int):
+    """25 cases (rng, dims, X) of a signal check, s in [1, 4] and n in [4, 23]: the
+    caller draws the rest of a case from ``rng`` before the next case is drawn."""
+    rng = np.random.default_rng(seed)
     for _ in range(25):
         s, n = int(rng.integers(1, 5)), int(rng.integers(4, 24))
-        X = _crandn(rng, s, n)
-        B = rng.standard_normal((s, n))
-        y = _crandn(rng, n)
-        lhs = np.vdot(model.measure(X, B), y)
-        rhs = np.vdot(X, model.adjoint_measure(y, B))
-        scale = np.linalg.norm(X) * np.linalg.norm(y) + 1e-300
-        worst = max(worst, abs(lhs - rhs) / scale)
+        yield rng, hankel.choose_dims(n, s), crandn(rng, s, n)
+
+
+def _adjoint_defect(F, F_adj, x, v, aux) -> float:
+    """|<F x, v> - <x, F* v>| relative to ||x|| ||v||, F applied as F(x, aux)."""
+    scale = np.linalg.norm(x) * np.linalg.norm(v) + 1e-300
+    return abs(np.vdot(F(x, aux), v) - np.vdot(x, F_adj(v, aux))) / scale
+
+
+def check_measure_adjoint() -> CheckResult:
+    worst = 0.0
+    for rng, dims, X in _signal_cases(0):
+        B, y = rng.standard_normal(X.shape), crandn(rng, dims.n)
+        worst = max(worst, _adjoint_defect(model.measure, model.adjoint_measure, X, y, B))
     return CheckResult("measurement_adjoint", worst < 1e-10, f"worst rel defect {worst:.2e}")
 
 
 def check_lift_adjoint() -> CheckResult:
-    rng = np.random.default_rng(1)
     worst = 0.0
-    for _ in range(25):
-        s, n = int(rng.integers(1, 5)), int(rng.integers(4, 24))
-        dims = hankel.choose_dims(n, s)
-        X = _crandn(rng, s, n)
-        Z = _crandn(rng, *dims.lifted_shape)
-        lhs = np.vdot(hankel.lift(X, dims), Z)
-        rhs = np.vdot(X, hankel.adjoint_lift(Z, dims))
-        scale = np.linalg.norm(X) * np.linalg.norm(Z) + 1e-300
-        worst = max(worst, abs(lhs - rhs) / scale)
+    for rng, dims, X in _signal_cases(1):
+        Z = crandn(rng, *dims.lifted_shape)
+        worst = max(worst, _adjoint_defect(hankel.lift, hankel.adjoint_lift, X, Z, dims))
     return CheckResult("lift_adjoint", worst < 1e-10, f"worst rel defect {worst:.2e}")
 
 
 def check_pinv_identity() -> CheckResult:
-    rng = np.random.default_rng(2)
     worst = 0.0
-    for _ in range(25):
-        s, n = int(rng.integers(1, 5)), int(rng.integers(4, 24))
-        dims = hankel.choose_dims(n, s)
-        X = _crandn(rng, s, n)
+    for _, dims, X in _signal_cases(2):
         back = hankel.pinv_lift(hankel.lift(X, dims), dims)
         worst = max(worst, np.linalg.norm(back - X) / np.linalg.norm(X))
     return CheckResult("pinv_lift_identity", worst < 1e-13, f"worst rel error {worst:.2e}")
 
 
 def check_isometric_identity() -> CheckResult:
-    rng = np.random.default_rng(3)
     worst_id = worst_iso = 0.0
-    for _ in range(25):
-        s, n = int(rng.integers(1, 5)), int(rng.integers(4, 24))
-        dims = hankel.choose_dims(n, s)
-        X = _crandn(rng, s, n)
+    for _, dims, X in _signal_cases(3):
         Z = hankel.lift_isometric(X, dims)
         back = hankel.adjoint_lift_isometric(Z, dims)
         worst_id = max(worst_id, np.linalg.norm(back - X) / np.linalg.norm(X))
@@ -109,7 +100,7 @@ def check_eckart_young() -> CheckResult:
     for _ in range(20):
         m, p = int(rng.integers(4, 12)), int(rng.integers(4, 12))
         r = int(rng.integers(1, min(m, p) + 1))
-        W = _crandn(rng, m, p)
+        W = crandn(rng, m, p)
         f = lowrank.truncate_rank(W, r)
         resid = np.linalg.norm(W - f.reconstruct())
         svals = np.linalg.svd(W, compute_uv=False)
@@ -124,8 +115,8 @@ def check_tangent_projection() -> CheckResult:
     for _ in range(20):
         m, p = int(rng.integers(5, 12)), int(rng.integers(5, 12))
         r = int(rng.integers(1, min(m, p) // 2 + 1))
-        point = lowrank.truncate_rank(_crandn(rng, m, p), r)
-        W1, W2 = _crandn(rng, m, p), _crandn(rng, m, p)
+        point = lowrank.truncate_rank(crandn(rng, m, p), r)
+        W1, W2 = crandn(rng, m, p), crandn(rng, m, p)
         P1 = lowrank.project_tangent(W1, point)
         idem = (np.linalg.norm(lowrank.project_tangent(P1, point) - P1)
                 / max(np.linalg.norm(P1), 1e-300))

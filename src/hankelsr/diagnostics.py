@@ -94,22 +94,18 @@ def estimate_rip_norm(B: np.ndarray, point: FactorSpectrum) -> float:
     on T.
     """
     dims, U = point.dims, point.factors.U
-    w_isqrt = dims.weights ** -0.5
 
     def project_lift(X):
         """N and M of P_T G(X) = U N^H + M V^H."""
-        lifted = hankel.SignalSpectrum(w_isqrt * X, dims)
+        lifted = hankel.SignalSpectrum(hankel._weigh(X, dims, -1), dims)
         C = hankel.lift_matvec(lifted, point)
         return hankel.lift_rmatvec(lifted, point), C - U @ lowrank._hermitian(U, C)
 
     def apply(N, M):
-        Xg = w_isqrt * hankel.adjoint_lift_tangent(point, N, M)
+        Xg = hankel._weigh(hankel.adjoint_lift_tangent(point, N, M), dims, -1)
         return project_lift(Xg - adjoint_measure(measure(Xg, B), B))
 
-    rng = np.random.default_rng(7)
-    shape = (dims.s, dims.n)
-    x0 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    N, M = project_lift(x0)
+    N, M = project_lift(lowrank.crandn(np.random.default_rng(7), dims.s, dims.n))
     beta = float(np.hypot(np.linalg.norm(N), np.linalg.norm(M)))
     N_prev = M_prev = 0.0
     alphas, betas = [], []

@@ -165,6 +165,12 @@ def project_tangent(W: np.ndarray, point: LowRankFactors) -> np.ndarray:
     return U @ A + (C - U @ (A @ V)) @ V.conj().T
 
 
+def crandn(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """The package's one standard complex Gaussian draw: the real parts, then
+    the imaginary parts, of the given shape from ``rng``, each of variance 1/2."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
 def truncate_rank_operator(matvec: Callable[[np.ndarray], np.ndarray],
                            adjoint_matvec: Callable[[np.ndarray], np.ndarray],
                            shape: tuple[int, int], r: int, *, seed: int = 0,
@@ -196,8 +202,7 @@ def truncate_rank_operator(matvec: Callable[[np.ndarray], np.ndarray],
         raise ValueError(f"need r >= 1, got {r}")
     if r > min(m, p):
         raise ValueError(f"rank {r} exceeds operator shape {shape}")
-    rng = np.random.default_rng(seed)
-    Omega = (rng.standard_normal((p, r)) + 1j * rng.standard_normal((p, r))) / np.sqrt(2.0)
+    Omega = crandn(np.random.default_rng(seed), p, r)
     limit = min(p, _MAX_COLUMNS)
 
     # The basis vectors are the rows of Kt, so K = Kt.T is column-major.  Kt

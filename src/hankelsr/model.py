@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hankel import HankelDims, choose_dims
+from .lowrank import crandn
 
 _TAU_COLLISION_TOL = 1e-12
 
@@ -85,7 +86,7 @@ def synth_model(s: int, n: int, r: int,
     psi = rng.uniform(0.0, 2.0 * np.pi, size=r)
     amps = (1.0 + 10.0 ** c) * np.exp(-1j * psi)
 
-    H = (rng.standard_normal((s, r)) + 1j * rng.standard_normal((s, r))) / np.sqrt(2.0)
+    H = crandn(rng, s, r)
     H = H / np.linalg.norm(H, axis=0, keepdims=True)
     return PointSourceModel(s=s, n=n, r=r, taus=taus, amps=amps, coeffs=H)
 
@@ -107,7 +108,7 @@ def sample_subspace(s: int, n: int, rng: int | np.random.Generator,
         raise ValueError("need s >= 1 and n >= 1")
     rng = np.random.default_rng(rng)
     if complex_entries:
-        return (rng.standard_normal((s, n)) + 1j * rng.standard_normal((s, n))) / np.sqrt(2.0)
+        return crandn(rng, s, n)
     return rng.standard_normal((s, n))
 
 

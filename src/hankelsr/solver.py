@@ -173,9 +173,9 @@ def relative_error(X: np.ndarray, X_ref: np.ndarray) -> float:
 
 
 def _unit_data(y: np.ndarray, B: np.ndarray, dims: HankelDims, rank: int,
-               ) -> tuple[np.ndarray, np.ndarray, int]:
-    """y / 2**e at unit scale (``_unit_exponent``), B and e, after the checks of data
-    and rank that ``solve`` and ``initialize`` make first (the norm of y by ``_ldexp``)."""
+               ) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """y / 2**e at unit scale (``_unit_exponent``), B, e and the norm of y / 2**e, after the
+    checks that ``solve`` and ``initialize`` make first: data, rank, that norm by ``_ldexp``."""
     y, B = np.asarray(y), np.asarray(B)
     if B.shape != (dims.s, dims.n) or y.shape != (dims.n,):
         raise ValueError("y/B shapes inconsistent with dims")
@@ -183,9 +183,10 @@ def _unit_data(y: np.ndarray, B: np.ndarray, dims: HankelDims, rank: int,
         raise ValueError("y and B must be finite")
     e = _unit_exponent(y)
     y = _ldexp(y, -e)
-    _ldexp(np.linalg.norm(y), e, "the norm of y")
+    norm = float(np.linalg.norm(y))
+    _ldexp(norm, e, "the norm of y")
     dims.check_rank(rank)
-    return y, B, e
+    return y, B, e, norm
 
 
 @np.errstate(over="raise", invalid="raise")
@@ -216,7 +217,7 @@ def initialize(y: np.ndarray, B: np.ndarray, dims: HankelDims, r: int) -> np.nda
     bit, and it rejects the data, ranks, starts and estimates ``solve`` rejects.
     """
     config = SolverConfig(rank=r)
-    y, B, e = _unit_data(y, B, dims, config.rank)
+    y, B, e, _ = _unit_data(y, B, dims, config.rank)
     return _ldexp(_initialize_factors(y, B, dims, config).X, e, "the estimate")
 
 
@@ -288,13 +289,13 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
     largest entry lies in [1/2, 1), takes all norms at that scale and scales the
     estimate and residuals back by ``_ldexp``, whose refusal of a later one diverges.
     """
-    y, B, e = _unit_data(y, B, dims, config.rank)
+    y, B, e, y_norm = _unit_data(y, B, dims, config.rank)
     if ground_truth is not None and (np.shape(ground_truth) != (dims.s, dims.n)
                                      or not np.all(np.isfinite(ground_truth))
                                      or not np.any(ground_truth)):
         raise ValueError(f"ground_truth must be a finite nonzero {dims.s}x{dims.n} matrix")
 
-    denom = float(np.linalg.norm(y)) or 1.0
+    denom = y_norm or 1.0
     t_start = time.perf_counter()
     trace = ConvergenceTrace()
 

@@ -14,21 +14,17 @@ from pathlib import Path
 
 import numpy as np
 
-from hankelsr.checks import reference_step
+from hankelsr.checks import brute_force_weights, reference_step
 from hankelsr.cli import seed_derivation
 from hankelsr.diagnostics import estimate_rip_norm, spectral_distance
 from hankelsr.hankel import (FactorSpectrum, adjoint_lift, adjoint_lift_isometric,
                              choose_dims, lift, lift_isometric, pinv_lift,
                              weight_vector)
-from hankelsr.lowrank import project_tangent, truncate_rank
+from hankelsr.lowrank import crandn, project_tangent, truncate_rank
 from hankelsr.model import (adjoint_measure, build_signal, hankel_factorization,
                             measure, synth_instance, synth_model)
 from hankelsr.solver import Iterate, SolverConfig, initialize, iterate_once, solve
 from hankelsr.solver import _initialize_factors
-
-
-def crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
 def test_criterion_1_operator_identities():
@@ -63,11 +59,8 @@ def test_criterion_1_operator_identities():
 
     for n in range(2, 65):
         for n1 in range(1, n + 1):
-            n2 = n + 1 - n1
-            brute = np.zeros(n, dtype=int)
-            for j in range(n1):
-                brute[j:j + n2] += 1
-            np.testing.assert_array_equal(weight_vector(n, n1, n2), brute)
+            np.testing.assert_array_equal(weight_vector(n, n1, n + 1 - n1),
+                                          brute_force_weights(n, n1))
 
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0

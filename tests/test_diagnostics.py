@@ -15,15 +15,11 @@ from hankelsr.diagnostics import (assumption_report, estimate_rip_norm,
 from hankelsr.hankel import (FactorSpectrum, SignalSpectrum, adjoint_lift_isometric,
                              choose_dims, lift, lift_isometric, lift_matvec,
                              lift_rmatvec)
-from hankelsr.lowrank import (LowRankFactors, project_tangent, truncate_rank,
-                              truncate_rank_operator)
+from hankelsr.lowrank import (LowRankFactors, crandn, project_tangent,
+                              truncate_rank, truncate_rank_operator)
 from hankelsr.model import (PointSourceModel, adjoint_measure, build_signal,
                             measure, sample_subspace, synth_instance, synth_model)
 from hankelsr.solver import SolverConfig, initialize, solve
-
-
-def crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
 def dense_rip_norm(B, dims, f):

@@ -10,15 +10,10 @@ from hankelsr.checks import brute_force_weights
 from hankelsr.hankel import (FactorSpectrum, HankelDims, SignalSpectrum, _weigh,
                              adjoint_lift, adjoint_lift_isometric, adjoint_lift_lowrank,
                              choose_dims, lift, lift_isometric, lift_matvec,
-                             lift_rmatvec, pinv_lift, pinv_lift_lowrank,
-                             weight_vector)
-from hankelsr.lowrank import LowRankFactors, truncate_rank
+                             lift_rmatvec, pinv_lift, pinv_lift_lowrank)
+from hankelsr.lowrank import LowRankFactors, crandn, truncate_rank
 from hankelsr.model import synth_instance
 from hankelsr.solver import SolverConfig, solve
-
-
-def crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
 class TestChooseDims:
@@ -31,12 +26,6 @@ class TestChooseDims:
         dims = choose_dims(n, 1)
         assert (dims.n1, dims.n2) == (n1, n2)
         np.testing.assert_array_equal(dims.weights, weights)
-
-    def test_weights_match_brute_force_all_splits(self):
-        for n in range(2, 65):
-            for n1 in range(1, n + 1):
-                np.testing.assert_array_equal(
-                    weight_vector(n, n1, n + 1 - n1), brute_force_weights(n, n1))
 
     def test_weight_sum_is_lifted_area(self):
         for n in (5, 16, 33):

@@ -8,14 +8,10 @@ import pytest
 from hankelsr import lowrank
 from hankelsr.hankel import (FactorSpectrum, SignalSpectrum, choose_dims, lift,
                              lift_matvec, lift_rmatvec, truncate_lift)
-from hankelsr.lowrank import (LowRankFactors, RankTruncationError,
+from hankelsr.lowrank import (LowRankFactors, RankTruncationError, crandn,
                               project_tangent, project_tangent_truncate,
                               truncate_rank, truncate_rank_operator)
 from hankelsr.model import build_signal, synth_instance, synth_model
-
-
-def crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
 class TestTruncateRank:

@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from hankelsr.hankel import choose_dims, lift
+from hankelsr.lowrank import crandn
 from hankelsr.model import (PointSourceModel, adjoint_measure, build_signal,
                             hankel_factorization, measure, sample_subspace,
-                            steering_vector, synth_model)
-
-
-def crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+                            steering_vector, synth_instance, synth_model)
 
 
 class TestSteeringVector:
@@ -47,6 +44,17 @@ class TestSynthModel:
         np.testing.assert_array_equal(a.taus, b.taus)
         np.testing.assert_array_equal(a.amps, b.amps)
         np.testing.assert_array_equal(a.coeffs, b.coeffs)
+
+    def test_complex_draws_are_crandn(self):
+        # synth_instance draws the model (r uniforms each for taus, c and
+        # psi, then the coefficients) and the complex sensing matrix from one
+        # generator: both complex draws are lowrank.crandn's, bit for bit
+        mdl, _, B, _, _ = synth_instance(16, 3, 2, 9, complex_subspace=True)
+        rng = np.random.default_rng(9)
+        rng.uniform(size=3 * 2)
+        H = crandn(rng, 3, 2)
+        np.testing.assert_array_equal(mdl.coeffs, H / np.linalg.norm(H, axis=0, keepdims=True))
+        np.testing.assert_array_equal(B, crandn(rng, 3, 16))
 
     def test_locations_pairwise_distinct(self):
         m = synth_model(2, 16, 3, 7)

@@ -14,7 +14,7 @@ from hankelsr.hankel import (FactorSpectrum, SignalSpectrum, adjoint_lift,
                              adjoint_lift_tangent, choose_dims, lift,
                              lift_isometric, lift_matvec, lift_rmatvec,
                              pinv_lift, pinv_lift_lowrank)
-from hankelsr.lowrank import (LowRankFactors, project_tangent,
+from hankelsr.lowrank import (LowRankFactors, crandn, project_tangent,
                               project_tangent_truncate, truncate_rank,
                               truncate_rank_operator)
 from hankelsr.model import adjoint_measure, measure
@@ -23,10 +23,6 @@ from hankelsr.solver import Iterate, SolverConfig, iterate_once, relative_error
 # Few, reproducible examples: each draws a fresh shape, so a handful covers
 # the edge splits without slowing the suite.
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
-
-
-def crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
 @st.composite

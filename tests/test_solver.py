@@ -1,8 +1,8 @@
 """Solver tests: initialization, single steps, full runs, stopping rules.
 
-``SolverConfig.mode`` is read by nothing but its own validation; the tests
-parametrized over its two values pin, each in its own regime, that the
-field changes nothing, and ``test_modes_agree_per_seed`` pins it bit for bit.
+``SolverConfig.mode`` is read by nothing but its own validation, so the
+tests run the default and ``test_modes_agree_per_seed`` alone pins, bit for
+bit, that the field changes nothing.
 """
 
 import dataclasses
@@ -18,15 +18,12 @@ from hankelsr.checks import reference_step
 from hankelsr.cli import seed_derivation
 from hankelsr.diagnostics import estimate_rip_norm, spectral_distance
 from hankelsr.hankel import FactorSpectrum, choose_dims, lift, pinv_lift
+from hankelsr.lowrank import crandn
 from hankelsr.model import (adjoint_measure, build_signal, measure,
                             sample_subspace, synth_instance, synth_model)
 from hankelsr.solver import (ConvergenceTrace, DivergenceError, Iterate, SolverConfig,
                              _initialize_factors, initialize, iterate_once,
                              relative_error, solve)
-
-
-def crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
 def make_instance(n, s, r, seed):
@@ -211,12 +208,11 @@ class TestIterateOnce:
             X_ref, ref_factors = reference_step(X_ref, y, B, dims, cfg, ref_factors)
             assert relative_error(it.X, X_ref) < 1e-10
 
-    @pytest.mark.parametrize("mode", ["dense", "fast"])
-    def test_infeasible_rank_rejected_as_in_solve(self, mode):
+    def test_infeasible_rank_rejected_as_in_solve(self):
         # lifted shape (20, 6): the tangent space at rank 4 would need 8
         # columns; the step's message is the one solve gives
         dims, B, X_true, y = make_instance(10, 4, 2, 18)
-        cfg = SolverConfig(rank=4, mode=mode)
+        cfg = SolverConfig(rank=4)
         point = FactorSpectrum(lowrank.truncate_rank(lift(X_true, dims), 4), dims)
         with pytest.raises(ValueError) as stepped:
             iterate_once(Iterate.at(point, y, B), y, B, cfg)
@@ -232,12 +228,11 @@ class TestIterateOnce:
         nxt = iterate_once(Iterate.at(point, y, B), y, B, cfg)
         assert relative_error(nxt.X, X_true) < 1e-12
 
-    @pytest.mark.parametrize("mode", ["dense", "fast"])
-    def test_zero_data_stays_at_zero(self, mode):
+    def test_zero_data_stays_at_zero(self):
         # rank-0 factors: the tangent step and the truncation both yield zero
         dims = choose_dims(12, 2)
         B = sample_subspace(2, 12, 0)
-        X_hat, trace = solve(np.zeros(12), B, dims, SolverConfig(rank=2, mode=mode))
+        X_hat, trace = solve(np.zeros(12), B, dims, SolverConfig(rank=2))
         np.testing.assert_array_equal(X_hat, np.zeros((2, 12)))
         assert trace.termination == "converged"
         assert trace.records[-1].iteration == 1
@@ -563,14 +558,13 @@ class TestSolve:
         assert trace.records[trace.returned_iteration].residual == returned_resid
         assert trace.returned_iteration < trace.records[-1].iteration
 
-    @pytest.mark.parametrize("mode", solver.MODES)
-    def test_noisy_data_stagnates(self, mode):
+    def test_noisy_data_stagnates(self):
         # off-model data: the iterates settle at a residual above the tolerance
         derived = seed_derivation(1, 0)
         _, dims, B, _, y = synth_instance(64, 2, 2, derived)
         noise = np.random.default_rng(0).standard_normal(64)
         y = y + 1e-3 * np.linalg.norm(y) / np.sqrt(64) * noise
-        cfg = SolverConfig(rank=2, mode=mode, seed=derived)
+        cfg = SolverConfig(rank=2, seed=derived)
         _, trace = solve(y, B, dims, cfg)
         assert trace.termination == "stagnated"
         assert trace.returned_iteration == trace.records[-1].iteration == 109
@@ -591,10 +585,9 @@ class TestSolve:
             assert 0.1 * level <= errors[-1] <= level
         assert errors[0] < errors[1] < errors[2]
 
-    @pytest.mark.parametrize("mode", solver.MODES)
     @pytest.mark.parametrize("n, s, r, n1", [(64, 1, 2, None), (7, 1, 2, None),
                                              (32, 4, 2, 1), (32, 4, 2, 29)])
-    def test_edge_shapes_report_their_outcome(self, n, s, r, n1, mode):
+    def test_edge_shapes_report_their_outcome(self, n, s, r, n1):
         # s = 1, the smallest feasible n for s = 1 and r = 2 (lift (4, 4)),
         # and the extreme splits n1 = 1 (lift (4, 32)) and n1 = n - 3
         # (lift (116, 4)), at which every trial diverges: the outcome must
@@ -602,7 +595,7 @@ class TestSolve:
         for trial in range(3):
             derived = seed_derivation(11, trial)
             _, dims, B, X_true, y = synth_instance(n, s, r, derived, n1=n1)
-            X_hat, trace = solve(y, B, dims, SolverConfig(rank=r, mode=mode, seed=derived))
+            X_hat, trace = solve(y, B, dims, SolverConfig(rank=r, seed=derived))
             assert (trace.termination in ("converged", "stagnated", "max_iters")
                     or re.fullmatch(r"diverged: .+ at iteration \d+", trace.termination))
             assert np.all(np.isfinite(X_hat))
@@ -675,8 +668,7 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(np.zeros(8), np.zeros((2, 16)), dims, SolverConfig(rank=1))
 
-    @pytest.mark.parametrize("mode", ["dense", "fast"])
-    def test_infeasible_rank_rejected_up_front_in_both_modes(self, mode, monkeypatch):
+    def test_infeasible_rank_rejected_up_front(self, monkeypatch):
         # lifted shape (20, 6): the tangent space at rank 5 would need 10 columns
         dims, B, _, y = make_instance(10, 4, 2, 18)
 
@@ -685,9 +677,9 @@ class TestSolve:
 
         monkeypatch.setattr(solver, "_initialize_factors", no_work)
         with pytest.raises(ValueError, match=r"\(20, 6\)"):
-            solve(y, B, dims, SolverConfig(rank=5, mode=mode))
+            solve(y, B, dims, SolverConfig(rank=5))
         with pytest.raises(ValueError, match=r"\(20, 6\)"):
-            solve(y, B, dims, SolverConfig(rank=4, mode=mode))
+            solve(y, B, dims, SolverConfig(rank=4))
 
     def test_fast_mode_transforms_each_signal_once(self, monkeypatch):
         # The operator initialization and each iteration's pair of products
@@ -720,11 +712,10 @@ class TestSolve:
         solve(y, B, dims, SolverConfig(rank=2, max_iters=0, seed=7))
         assert seeds == [7]
 
-    @pytest.mark.parametrize("mode", ["dense", "fast"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_nonfinite_input_rejected_up_front(self, mode, bad, monkeypatch):
+    def test_nonfinite_input_rejected_up_front(self, bad, monkeypatch):
         dims, B, _, y = make_instance(32, 2, 2, 16)
-        cfg = SolverConfig(rank=2, mode=mode)
+        cfg = SolverConfig(rank=2)
 
         def no_work(*args, **kwargs):
             raise AssertionError("solve started work on non-finite input")
@@ -739,8 +730,7 @@ class TestSolve:
         with pytest.raises(ValueError, match="finite"):
             solve(y, B_bad, dims, cfg)
 
-    @pytest.mark.parametrize("mode", ["dense", "fast"])
-    def test_overflowing_data_norm_rejected_up_front(self, mode, monkeypatch):
+    def test_overflowing_data_norm_rejected_up_front(self, monkeypatch):
         # every entry is finite, but ||y|| = 1e308 sqrt(n) exceeds the
         # largest float, so no residual could be recorded
         _, dims, B, _, y = synth_instance(256, 4, 5, 1)
@@ -750,27 +740,25 @@ class TestSolve:
 
         monkeypatch.setattr(solver, "_initialize_factors", no_work)
         with pytest.raises(ValueError, match="norm of y"):
-            solve(np.full_like(y, 1e308), B, dims, SolverConfig(rank=5, mode=mode))
+            solve(np.full_like(y, 1e308), B, dims, SolverConfig(rank=5))
 
-    @pytest.mark.parametrize("mode", ["dense", "fast"])
     @pytest.mark.parametrize("scale", [2.0 ** -600, 1e151, 1e152],
                              ids=["2**-600", "1e151", "1e152"])
-    def test_extreme_data_scales_recover_the_signal(self, mode, scale):
+    def test_extreme_data_scales_recover_the_signal(self, scale):
         # At 2**-600 the squares of y's entries underflow, so its norm reads
         # 0; at 1e151 its norm is finite but the initialization's products
         # overflow; at 1e152 the sum of squares in its norm overflows too.
         # The solver works on y scaled to unit size instead.
         _, dims, B, X_true, y = synth_instance(256, 4, 5, 1)
         with np.errstate(over="raise", invalid="raise"):
-            X_hat, trace = solve(y * scale, B, dims, SolverConfig(rank=5, mode=mode))
+            X_hat, trace = solve(y * scale, B, dims, SolverConfig(rank=5))
         assert trace.termination == "converged"
         assert len(trace.records) > 50
         assert relative_error(X_hat / scale, X_true) < 1e-8
 
-    @pytest.mark.parametrize("mode", ["dense", "fast"])
-    def test_output_scales_bit_for_bit_with_the_data(self, mode):
+    def test_output_scales_bit_for_bit_with_the_data(self):
         dims, B, X_true, y = make_instance(64, 2, 2, 5)
-        cfg = SolverConfig(rank=2, mode=mode)
+        cfg = SolverConfig(rank=2)
         X_ref, ref = solve(y, B, dims, cfg, ground_truth=X_true)
         assert ref.termination == "converged"
         for k in (-600, -9, 13, 502):
@@ -880,10 +868,9 @@ class TestSolve:
         with pytest.raises(ValueError, match="ground_truth"):
             solve(y, B, dims, SolverConfig(rank=2), ground_truth=bad)
 
-    @pytest.mark.parametrize("mode", ["dense", "fast"])
-    def test_residual_evaluated_once_per_iteration(self, mode, monkeypatch):
+    def test_residual_evaluated_once_per_iteration(self, monkeypatch):
         dims, B, X_true, y = make_instance(48, 2, 2, 17)
-        cfg = SolverConfig(rank=2, max_iters=6, mode=mode, step_size=0.5)
+        cfg = SolverConfig(rank=2, max_iters=6, step_size=0.5)
         # Reference: the same iterates, each residual evaluated afresh.
         it = _initialize_factors(y, B, dims, cfg)
         expected = [float(np.linalg.norm(measure(it.X, B) - y))]
