@@ -1,8 +1,8 @@
 """Solver tests: initialization, single steps, full runs, stopping rules.
 
-``SolverConfig.mode`` is read by nothing but its own validation, so the
-tests run the default and ``test_modes_agree_per_seed`` alone pins, bit for
-bit, that the field changes nothing.
+``SolverConfig.mode`` is read by nothing but its own validation; the tests
+parametrized over its two values pin, each in its own regime, that the
+field changes nothing, and ``test_modes_agree_per_seed`` pins it bit for bit.
 """
 
 import dataclasses
@@ -208,11 +208,12 @@ class TestIterateOnce:
             X_ref, ref_factors = reference_step(X_ref, y, B, dims, cfg, ref_factors)
             assert relative_error(it.X, X_ref) < 1e-10
 
-    def test_infeasible_rank_rejected_as_in_solve(self):
+    @pytest.mark.parametrize("mode", ["dense", "fast"])
+    def test_infeasible_rank_rejected_as_in_solve(self, mode):
         # lifted shape (20, 6): the tangent space at rank 4 would need 8
         # columns; the step's message is the one solve gives
         dims, B, X_true, y = make_instance(10, 4, 2, 18)
-        cfg = SolverConfig(rank=4)
+        cfg = SolverConfig(rank=4, mode=mode)
         point = FactorSpectrum(lowrank.truncate_rank(lift(X_true, dims), 4), dims)
         with pytest.raises(ValueError) as stepped:
             iterate_once(Iterate.at(point, y, B), y, B, cfg)
@@ -228,11 +229,12 @@ class TestIterateOnce:
         nxt = iterate_once(Iterate.at(point, y, B), y, B, cfg)
         assert relative_error(nxt.X, X_true) < 1e-12
 
-    def test_zero_data_stays_at_zero(self):
+    @pytest.mark.parametrize("mode", ["dense", "fast"])
+    def test_zero_data_stays_at_zero(self, mode):
         # rank-0 factors: the tangent step and the truncation both yield zero
         dims = choose_dims(12, 2)
         B = sample_subspace(2, 12, 0)
-        X_hat, trace = solve(np.zeros(12), B, dims, SolverConfig(rank=2))
+        X_hat, trace = solve(np.zeros(12), B, dims, SolverConfig(rank=2, mode=mode))
         np.testing.assert_array_equal(X_hat, np.zeros((2, 12)))
         assert trace.termination == "converged"
         assert trace.records[-1].iteration == 1
@@ -558,13 +560,14 @@ class TestSolve:
         assert trace.records[trace.returned_iteration].residual == returned_resid
         assert trace.returned_iteration < trace.records[-1].iteration
 
-    def test_noisy_data_stagnates(self):
+    @pytest.mark.parametrize("mode", solver.MODES)
+    def test_noisy_data_stagnates(self, mode):
         # off-model data: the iterates settle at a residual above the tolerance
         derived = seed_derivation(1, 0)
         _, dims, B, _, y = synth_instance(64, 2, 2, derived)
         noise = np.random.default_rng(0).standard_normal(64)
         y = y + 1e-3 * np.linalg.norm(y) / np.sqrt(64) * noise
-        cfg = SolverConfig(rank=2, seed=derived)
+        cfg = SolverConfig(rank=2, mode=mode, seed=derived)
         _, trace = solve(y, B, dims, cfg)
         assert trace.termination == "stagnated"
         assert trace.returned_iteration == trace.records[-1].iteration == 109
@@ -585,9 +588,10 @@ class TestSolve:
             assert 0.1 * level <= errors[-1] <= level
         assert errors[0] < errors[1] < errors[2]
 
+    @pytest.mark.parametrize("mode", solver.MODES)
     @pytest.mark.parametrize("n, s, r, n1", [(64, 1, 2, None), (7, 1, 2, None),
                                              (32, 4, 2, 1), (32, 4, 2, 29)])
-    def test_edge_shapes_report_their_outcome(self, n, s, r, n1):
+    def test_edge_shapes_report_their_outcome(self, n, s, r, n1, mode):
         # s = 1, the smallest feasible n for s = 1 and r = 2 (lift (4, 4)),
         # and the extreme splits n1 = 1 (lift (4, 32)) and n1 = n - 3
         # (lift (116, 4)), at which every trial diverges: the outcome must
@@ -595,7 +599,7 @@ class TestSolve:
         for trial in range(3):
             derived = seed_derivation(11, trial)
             _, dims, B, X_true, y = synth_instance(n, s, r, derived, n1=n1)
-            X_hat, trace = solve(y, B, dims, SolverConfig(rank=r, seed=derived))
+            X_hat, trace = solve(y, B, dims, SolverConfig(rank=r, mode=mode, seed=derived))
             assert (trace.termination in ("converged", "stagnated", "max_iters")
                     or re.fullmatch(r"diverged: .+ at iteration \d+", trace.termination))
             assert np.all(np.isfinite(X_hat))
@@ -668,7 +672,8 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(np.zeros(8), np.zeros((2, 16)), dims, SolverConfig(rank=1))
 
-    def test_infeasible_rank_rejected_up_front(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["dense", "fast"])
+    def test_infeasible_rank_rejected_up_front_in_both_modes(self, mode, monkeypatch):
         # lifted shape (20, 6): the tangent space at rank 5 would need 10 columns
         dims, B, _, y = make_instance(10, 4, 2, 18)
 
@@ -677,9 +682,9 @@ class TestSolve:
 
         monkeypatch.setattr(solver, "_initialize_factors", no_work)
         with pytest.raises(ValueError, match=r"\(20, 6\)"):
-            solve(y, B, dims, SolverConfig(rank=5))
+            solve(y, B, dims, SolverConfig(rank=5, mode=mode))
         with pytest.raises(ValueError, match=r"\(20, 6\)"):
-            solve(y, B, dims, SolverConfig(rank=4))
+            solve(y, B, dims, SolverConfig(rank=4, mode=mode))
 
     def test_fast_mode_transforms_each_signal_once(self, monkeypatch):
         # The operator initialization and each iteration's pair of products
@@ -712,10 +717,11 @@ class TestSolve:
         solve(y, B, dims, SolverConfig(rank=2, max_iters=0, seed=7))
         assert seeds == [7]
 
+    @pytest.mark.parametrize("mode", ["dense", "fast"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_nonfinite_input_rejected_up_front(self, bad, monkeypatch):
+    def test_nonfinite_input_rejected_up_front(self, mode, bad, monkeypatch):
         dims, B, _, y = make_instance(32, 2, 2, 16)
-        cfg = SolverConfig(rank=2)
+        cfg = SolverConfig(rank=2, mode=mode)
 
         def no_work(*args, **kwargs):
             raise AssertionError("solve started work on non-finite input")
@@ -730,7 +736,8 @@ class TestSolve:
         with pytest.raises(ValueError, match="finite"):
             solve(y, B_bad, dims, cfg)
 
-    def test_overflowing_data_norm_rejected_up_front(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["dense", "fast"])
+    def test_overflowing_data_norm_rejected_up_front(self, mode, monkeypatch):
         # every entry is finite, but ||y|| = 1e308 sqrt(n) exceeds the
         # largest float, so no residual could be recorded
         _, dims, B, _, y = synth_instance(256, 4, 5, 1)
@@ -740,25 +747,27 @@ class TestSolve:
 
         monkeypatch.setattr(solver, "_initialize_factors", no_work)
         with pytest.raises(ValueError, match="norm of y"):
-            solve(np.full_like(y, 1e308), B, dims, SolverConfig(rank=5))
+            solve(np.full_like(y, 1e308), B, dims, SolverConfig(rank=5, mode=mode))
 
+    @pytest.mark.parametrize("mode", ["dense", "fast"])
     @pytest.mark.parametrize("scale", [2.0 ** -600, 1e151, 1e152],
                              ids=["2**-600", "1e151", "1e152"])
-    def test_extreme_data_scales_recover_the_signal(self, scale):
+    def test_extreme_data_scales_recover_the_signal(self, mode, scale):
         # At 2**-600 the squares of y's entries underflow, so its norm reads
         # 0; at 1e151 its norm is finite but the initialization's products
         # overflow; at 1e152 the sum of squares in its norm overflows too.
         # The solver works on y scaled to unit size instead.
         _, dims, B, X_true, y = synth_instance(256, 4, 5, 1)
         with np.errstate(over="raise", invalid="raise"):
-            X_hat, trace = solve(y * scale, B, dims, SolverConfig(rank=5))
+            X_hat, trace = solve(y * scale, B, dims, SolverConfig(rank=5, mode=mode))
         assert trace.termination == "converged"
         assert len(trace.records) > 50
         assert relative_error(X_hat / scale, X_true) < 1e-8
 
-    def test_output_scales_bit_for_bit_with_the_data(self):
+    @pytest.mark.parametrize("mode", ["dense", "fast"])
+    def test_output_scales_bit_for_bit_with_the_data(self, mode):
         dims, B, X_true, y = make_instance(64, 2, 2, 5)
-        cfg = SolverConfig(rank=2)
+        cfg = SolverConfig(rank=2, mode=mode)
         X_ref, ref = solve(y, B, dims, cfg, ground_truth=X_true)
         assert ref.termination == "converged"
         for k in (-600, -9, 13, 502):
@@ -868,9 +877,10 @@ class TestSolve:
         with pytest.raises(ValueError, match="ground_truth"):
             solve(y, B, dims, SolverConfig(rank=2), ground_truth=bad)
 
-    def test_residual_evaluated_once_per_iteration(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["dense", "fast"])
+    def test_residual_evaluated_once_per_iteration(self, mode, monkeypatch):
         dims, B, X_true, y = make_instance(48, 2, 2, 17)
-        cfg = SolverConfig(rank=2, max_iters=6, step_size=0.5)
+        cfg = SolverConfig(rank=2, max_iters=6, mode=mode, step_size=0.5)
         # Reference: the same iterates, each residual evaluated afresh.
         it = _initialize_factors(y, B, dims, cfg)
         expected = [float(np.linalg.norm(measure(it.X, B) - y))]
