@@ -13,7 +13,7 @@ from .model import (PointSourceModel, adjoint_measure, build_signal,
                     hankel_factorization, measure, sample_subspace,
                     steering_vector, synth_instance, synth_model)
 from .solver import (ConvergenceTrace, DivergenceError, Iterate, SolverConfig,
-                     TraceRecord, initialize, iterate_once, relative_error,
+                     TraceRecord, fiht, initialize, iterate_once, relative_error,
                      solve)
 from .diagnostics import (AssumptionReport, assumption_report, estimate_rip_norm,
                           measure_mu0, measure_mu1, spectral_distance)

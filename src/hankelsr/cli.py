@@ -161,13 +161,16 @@ class ExperimentConfig:
         return self.n[0], self.s[0], self.r[0]
 
     def instance(self, n: int, s: int, r: int, trial: int):
-        """The trial's derived seed and ``synth_instance``'s five values,
+        """The trial's derived seed and ``draw``'s five values at it,
         ``(derived, model, dims, B, X_true, y)``: the one recipe of every
         command's instances.  Raises ``ValueError`` on a rank ``solve`` would
         reject, before any output exists."""
         derived = seed_derivation(self.seed, trial)
-        return (derived, *synth_instance(n, s, r, derived, self.n1,
-                                         self.complex_subspace))
+        return (derived, *self.draw(n, s, r, derived))
+
+    def draw(self, n: int, s: int, r: int, derived: int):
+        """``synth_instance``'s five values at the derived seed, with this split and sensing."""
+        return synth_instance(n, s, r, derived, self.n1, self.complex_subspace)
 
     def solver_config(self, rank: int, seed: int) -> SolverConfig:
         return SolverConfig(rank=rank, max_iters=self.max_iters,
@@ -271,6 +274,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
             "step_size": cfg.step_size, "max_iters": cfg.max_iters,
             "residual_tol": cfg.tol, "complex_subspace": cfg.complex_subspace,
             "termination": trace.termination,
+            "method": trace.method,
             "iterations": iterations,
             "returned_iteration": trace.returned_iteration,
             "final_residual": final.residual,
@@ -290,9 +294,10 @@ def cmd_run(cfg: ExperimentConfig) -> int:
 
 def _run_trial(cfg: ExperimentConfig, n: int, s: int, r: int, trial: int) -> TrialRecord:
     t0 = time.perf_counter()
+    derived = seed_derivation(cfg.seed, trial)
     rel_error, iterations, report = None, 0, None
     try:
-        derived, mdl, dims, B, X_true, y = cfg.instance(n, s, r, trial)
+        mdl, dims, B, X_true, y = cfg.draw(n, s, r, derived)
         _, trace = solve(y, B, dims, cfg.solver_config(r, derived),
                          ground_truth=X_true)
         report = assumption_report(mdl, B, dims) if cfg.with_report else None
@@ -304,7 +309,7 @@ def _run_trial(cfg: ExperimentConfig, n: int, s: int, r: int, trial: int) -> Tri
     except RankTruncationError as exc:
         termination = f"truncation_error: {exc}"
     return TrialRecord(
-        n=n, s=s, r=r, trial=trial, derived_seed=seed_derivation(cfg.seed, trial),
+        n=n, s=s, r=r, trial=trial, derived_seed=derived,
         rel_error=rel_error, iterations=iterations, termination=termination,
         elapsed_ms=(time.perf_counter() - t0) * 1000.0,
         success=rel_error is not None and rel_error < cfg.success_tol, report=report)

@@ -70,6 +70,11 @@ class HankelDims:
         solve, which reads only these, caches one n-vector per dims."""
         return weight_vector(self.n, self.n1, self.n2) ** -1.0
 
+    @cached_property
+    def inverse_root_weights(self) -> np.ndarray:
+        """weights ** -0.5, the isometric lift's scaling, taken once per dims."""
+        return weight_vector(self.n, self.n1, self.n2) ** -0.5
+
     @property
     def L(self) -> int:
         return 1 << (operator.index(self.n) - 1).bit_length()
@@ -133,9 +138,10 @@ def adjoint_lift(Z: np.ndarray, dims: HankelDims) -> np.ndarray:
 
 
 def _weigh(X: np.ndarray, dims: HankelDims, power: int) -> np.ndarray:
-    """Scale column i of X by w_i**(power/2): power -2 de-lifts, -1 is isometric."""
-    w = dims.weights.astype(np.float64)
-    return _check_signal(X, dims) * (w ** (power / 2.0))[None, :]
+    """Scale column i of X by w_i**(power/2): power -2 de-lifts, -1 is isometric; each
+    power of the weights is cached per dims."""
+    w = {-2: "inverse_weights", -1: "inverse_root_weights"}[power]
+    return _check_signal(X, dims) * getattr(dims, w)[None, :]
 
 
 def pinv_lift(Z: np.ndarray, dims: HankelDims) -> np.ndarray:

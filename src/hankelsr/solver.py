@@ -1,7 +1,9 @@
-"""Rank-constrained iterative hard thresholding for coded point-source data.
+"""Recovery of coded point-source data: a fit of the sources, or VHL-FIHT.
 
-The solver recovers an s-by-n signal matrix whose block-Hankel lift has rank
-r from one coded scalar observation per column.  It starts from a spectral
+``solve`` returns the fit of ``sources`` when it meets FIHT's stopping rule,
+and ``fiht`` otherwise.  ``fiht``, the paper's rank-constrained iterative hard
+thresholding, recovers the s-by-n signal matrix whose block-Hankel lift has
+rank r from one coded scalar observation per column.  It starts from a spectral
 initialization (back-project the data, lift, hard-threshold to rank r,
 de-lift) and then repeats: gradient step on the data misfit, lift, project
 onto the current fixed-rank tangent space, hard-threshold to rank r, de-lift.
@@ -21,8 +23,8 @@ _INIT_CERTIFICATE_TOL.
 
 ``SolverConfig`` owns the solver's defaults, which the command line reads
 from it, and rejects invalid ones when built; ``HankelDims.check_rank`` owns
-the one rank rule, 2r <= min(s*n1, n2), that ``solve``, ``initialize`` and
-``iterate_once`` enforce.
+the one rank rule, 2r <= min(s*n1, n2), that ``solve``, ``fiht``,
+``initialize`` and ``iterate_once`` enforce.
 """
 
 from __future__ import annotations
@@ -34,14 +36,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import hankel
+from . import hankel, sources
 from .hankel import FactorSpectrum, HankelDims, _ldexp, _unit_exponent
 from .lowrank import LowRankFactors, project_tangent_truncate
 from .model import adjoint_measure, measure
 
 MODES = ("dense", "fast")
 
-# Stopping rules of ``solve``: stagnation after _STAGNATION_WINDOW steps in a
+# Stopping rules of ``fiht``: stagnation after _STAGNATION_WINDOW steps in a
 # row shorter than _STAGNATION_TOL times the iterate's norm; divergence after
 # _DIVERGENCE_WINDOW residuals in a row above _DIVERGENCE_FACTOR times the
 # running minimum.
@@ -113,11 +115,14 @@ class ConvergenceTrace:
 
     ``returned_iteration`` is the iteration of the estimate ``solve``
     returned: the last one run, or after a divergence the best by residual.
+    ``method`` names the path that produced it: "fit" (t=0 is the greedy
+    start's refit, then one record per Gauss-Newton step) or "fiht".
     """
 
     records: list[TraceRecord] = field(default_factory=list)
     termination: str = ""
     returned_iteration: int = 0
+    method: str = "fiht"
 
     @property
     def iterations(self) -> np.ndarray:
@@ -135,7 +140,7 @@ class ConvergenceTrace:
 
 @dataclass(frozen=True)
 class Iterate:
-    """One iterate of ``solve``: X, the de-lift of its ``FactorSpectrum`` point,
+    """One iterate of ``fiht``: X, the de-lift of its ``FactorSpectrum`` point,
     X's data residual measure(X, B) - y and that residual's norm, and its
     iteration, all built from the point by ``Iterate.at``.  An iterate is finite:
     one with a non-finite X or residual norm raises ``DivergenceError``."""
@@ -175,7 +180,8 @@ def relative_error(X: np.ndarray, X_ref: np.ndarray) -> float:
 def _unit_data(y: np.ndarray, B: np.ndarray, dims: HankelDims, rank: int,
                ) -> tuple[np.ndarray, np.ndarray, int, float]:
     """y / 2**e at unit scale (``_unit_exponent``), B, e and the norm of y / 2**e, after the
-    checks that ``solve`` and ``initialize`` make first: data, rank, that norm by ``_ldexp``."""
+    checks that ``solve``, ``fiht`` and ``initialize`` make first: data, rank, that norm by
+    ``_ldexp``."""
     y, B = np.asarray(y), np.asarray(B)
     if B.shape != (dims.s, dims.n) or y.shape != (dims.n,):
         raise ValueError("y/B shapes inconsistent with dims")
@@ -208,13 +214,13 @@ def _initialize_factors(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: 
 
 
 def initialize(y: np.ndarray, B: np.ndarray, dims: HankelDims, r: int) -> np.ndarray:
-    """Spectral initialization of ``solve`` with seed 0.
+    """Spectral initialization of ``fiht`` with seed 0.
 
-    It is the start ``solve`` uses: the operator SVD on FFT products,
+    It is the start ``fiht`` uses: the operator SVD on FFT products,
     certified to _INIT_CERTIFICATE_TOL, and the FFT de-lift.  It forms no
-    lifted matrix, so it runs at any n that ``solve`` does.  Like ``solve``,
+    lifted matrix, so it runs at any n that ``fiht`` does.  Like ``fiht``,
     it works on y scaled to unit size, so its estimate scales with y bit for
-    bit, and it rejects the data, ranks, starts and estimates ``solve`` rejects.
+    bit, and it rejects the data, ranks, starts and estimates ``fiht`` rejects.
     """
     config = SolverConfig(rank=r)
     y, B, e, _ = _unit_data(y, B, dims, config.rank)
@@ -222,24 +228,24 @@ def initialize(y: np.ndarray, B: np.ndarray, dims: HankelDims, r: int) -> np.nda
 
 
 def iterate_once(it: Iterate, y: np.ndarray, B: np.ndarray, config: SolverConfig) -> Iterate:
-    """One solver iteration: the ``Iterate`` that follows ``it``.
+    """One FIHT iteration: the ``Iterate`` that follows ``it``.
 
     Takes a gradient step from ``it.residual``, lifts it, projects the lift
     onto the tangent space at ``it.point``, truncates to the point's rank and
     de-lifts; the new iterate carries the new point and its residual, the
-    step's one ``measure``.  To start elsewhere than ``solve``'s
+    step's one ``measure``.  To start elsewhere than ``fiht``'s
     initialization, take ``Iterate.at(hankel.truncate_lift(X, dims, r), y, B)``.
     Products and de-lift run by FFTs and the truncation through the 2r-by-2r
     core of ``project_tangent_truncate``, so no iteration forms the lift.
     It is ``Iterate.at`` of the point whose factors ``_truncated_step`` gives;
-    ``solve`` makes the two calls itself and drops ``it`` between them.  A
+    ``fiht`` makes the two calls itself and drops ``it`` between them.  A
     stage keeps alive only what a later one reads: the point's ``FU`` is
     released once ``lift_rmatvec`` has read it, before ``lift_matvec`` takes
     its spectra, and its ``FV`` after that; the gradient step dies once
     transformed, the two products before the new point's spectra are taken.
     So a step peaks near one point's spectra above its start; stepping from
     ``it`` again re-takes them and gives the same iterate.  Raises
-    ``ValueError`` on an infeasible rank, as ``solve`` does, or on a
+    ``ValueError`` on an infeasible rank, as ``fiht`` does, or on a
     ``config.rank`` other than the point's, and ``DivergenceError`` if the
     gradient update or the new iterate (X or its residual norm) is not finite.
     """
@@ -268,10 +274,49 @@ def _truncated_step(it: Iterate, y: np.ndarray, B: np.ndarray, config: SolverCon
     return project_tangent_truncate(MV, MhU, point.factors)
 
 
+def _check_truth(ground_truth: np.ndarray | None, dims: HankelDims) -> None:
+    if ground_truth is not None and (np.shape(ground_truth) != (dims.s, dims.n)
+                                     or not np.all(np.isfinite(ground_truth))
+                                     or not np.any(ground_truth)):
+        raise ValueError(f"ground_truth must be a finite nonzero {dims.s}x{dims.n} matrix")
+
+
 def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
           ground_truth: np.ndarray | None = None,
           ) -> tuple[np.ndarray, ConvergenceTrace]:
-    """Run the full solver: spectral initialization then hard-thresholded iterations.
+    """The fit of the sources from the greedy start (``sources``) once its estimate's
+    residual norm is at most ``residual_tol`` times that of y, FIHT's stopping rule;
+    its trace ("fit") records the start's refit at t=0, then each of at most
+    ``max_iters`` Gauss-Newton steps, and ends "converged".  Otherwise (the fit stops
+    short, its Gram matrix is singular, its estimate leaves the float range, or y is
+    zero) ``fiht(...)``, with ``max_iters`` afresh.  Every error after the data
+    checks is FIHT's."""
+    y_unit, B, e, y_norm = _unit_data(y, B, dims, config.rank)
+    _check_truth(ground_truth, dims)
+    if y_norm:
+        t_start = time.perf_counter()
+        trace = ConvergenceTrace(method="fit")
+        try:
+            steps = sources.fit(y_unit, B, sources.greedy_start(y_unit, B, config.rank))
+            for t, (taus, h, _) in zip(range(config.max_iters + 1), steps):
+                X = sources.signal(taus, h, dims.n)
+                residual = float(np.linalg.norm(measure(X, B) - y_unit))
+                trace.records.append(TraceRecord(
+                    t, float(_ldexp(residual, e, "the residual")),
+                    None if ground_truth is None else relative_error(_ldexp(X, e), ground_truth),
+                    time.perf_counter() - t_start))
+                if residual / y_norm <= config.residual_tol:
+                    trace.termination, trace.returned_iteration = "converged", t
+                    return _ldexp(X, e, "the estimate"), trace
+        except (ValueError, np.linalg.LinAlgError):
+            pass
+    return fiht(y, B, dims, config, ground_truth)
+
+
+def fiht(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
+         ground_truth: np.ndarray | None = None,
+         ) -> tuple[np.ndarray, ConvergenceTrace]:
+    """Run VHL-FIHT: spectral initialization then hard-thresholded iterations.
 
     Starts from ``_initialize_factors``, then ``iterate_once`` maps one
     ``Iterate`` to the next.  Stops on a small relative data residual, on
@@ -290,10 +335,7 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
     estimate and residuals back by ``_ldexp``, whose refusal of a later one diverges.
     """
     y, B, e, y_norm = _unit_data(y, B, dims, config.rank)
-    if ground_truth is not None and (np.shape(ground_truth) != (dims.s, dims.n)
-                                     or not np.all(np.isfinite(ground_truth))
-                                     or not np.any(ground_truth)):
-        raise ValueError(f"ground_truth must be a finite nonzero {dims.s}x{dims.n} matrix")
+    _check_truth(ground_truth, dims)
 
     denom = y_norm or 1.0
     t_start = time.perf_counter()

@@ -23,7 +23,7 @@ from hankelsr.hankel import (FactorSpectrum, adjoint_lift, adjoint_lift_isometri
 from hankelsr.lowrank import crandn, project_tangent, truncate_rank
 from hankelsr.model import (adjoint_measure, build_signal, hankel_factorization,
                             measure, synth_instance, synth_model)
-from hankelsr.solver import Iterate, SolverConfig, initialize, iterate_once, solve
+from hankelsr.solver import Iterate, SolverConfig, fiht, initialize, iterate_once, solve
 from hankelsr.solver import _initialize_factors
 
 
@@ -161,7 +161,7 @@ def test_criterion_4_fixed_point_and_linear_convergence():
     for trial in range(20):
         _, dims, B, X_true, y = synth_instance(256, 4, 5, seed_derivation(1, trial))
         cfg = SolverConfig(rank=5, max_iters=200, step_size=0.5)
-        _, trace = solve(y, B, dims, cfg, ground_truth=X_true)
+        _, trace = fiht(y, B, dims, cfg, ground_truth=X_true)
         errs = trace.rel_errors
         if not np.any(errs < 1e-6):
             continue

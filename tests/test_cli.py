@@ -11,12 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hankelsr import checks, cli, hankel, lowrank, solver
+from hankelsr import checks, cli, hankel, lowrank, solver, sources
 from hankelsr.cli import (EXIT_DIVERGED, EXIT_USAGE, ExperimentConfig, TrialRecord,
                           aggregate_sweep, main, seed_derivation, synth_instance,
                           write_trace)
 from hankelsr.model import measure
-from hankelsr.solver import (ConvergenceTrace, SolverConfig, TraceRecord,
+from hankelsr.solver import (ConvergenceTrace, SolverConfig, TraceRecord, fiht,
                              relative_error, solve)
 
 
@@ -69,11 +69,20 @@ DIVERGING = ["--n", "48", "--s", "4", "--r", "2", "--seed", "2", "--step-size", 
              "--max-iters", "100"]
 
 
+@pytest.fixture
+def fit_declined(monkeypatch):
+    """solve's fit declines every instance, so a command runs FIHT, as on data the fit cannot solve."""
+    def declined(*args):
+        raise np.linalg.LinAlgError("the fit is declined")
+
+    monkeypatch.setattr(sources, "greedy_start", declined)
+
+
 def solve_diverging():
-    """What solve returns on the DIVERGING instance, plus that instance's B, y, truth."""
+    """What fiht returns on the DIVERGING instance, plus that instance's B, y, truth."""
     derived = seed_derivation(2, 0)
     _, dims, B, X_true, y = synth_instance(48, 4, 2, derived)
-    X_hat, trace = solve(y, B, dims, SolverConfig(
+    X_hat, trace = fiht(y, B, dims, SolverConfig(
         rank=2, max_iters=100, residual_tol=1e-10, step_size=40.0, seed=derived))
     return X_hat, trace, B, y, X_true
 
@@ -93,6 +102,16 @@ class TestRun:
         assert meta["returned_iteration"] == meta["iterations"] == iters[-1]
         assert meta["timing"]["total_s"] > 0
         assert len(meta["timing"]["per_record_elapsed_s"]) == len(iters)
+
+    def test_sidecar_names_the_method(self, tmp_path, monkeypatch):
+        out = tmp_path / "trace.csv"
+        meta = tmp_path / "trace.csv.meta.json"
+        assert run_cli("run", "--n", "64", "--s", "2", "--r", "2", "--out", str(out)) == 0
+        assert json.loads(meta.read_text())["method"] == "fit"
+        # a repeated location makes the fit's Gram matrix singular: solve runs FIHT
+        monkeypatch.setattr(sources, "greedy_start", lambda *args: [0.5, 0.5])
+        assert run_cli("run", "--n", "64", "--s", "2", "--r", "2", "--out", str(out)) == 0
+        assert json.loads(meta.read_text())["method"] == "fiht"
 
     def test_zero_iterations_boundary(self, tmp_path):
         out = tmp_path / "trace.csv"
@@ -125,7 +144,7 @@ class TestRun:
                        "--out", str(real)) == 0
         assert out.read_bytes() != real.read_bytes()
 
-    def test_divergence_exit_code(self, tmp_path):
+    def test_divergence_exit_code(self, tmp_path, fit_declined):
         out = tmp_path / "trace.csv"
         code = run_cli("run", "--n", "48", "--s", "4", "--r", "2", "--seed", "2",
                        "--step-size", "40", "--max-iters", "100",
@@ -133,7 +152,7 @@ class TestRun:
         assert code == 2
         assert out.exists()  # trace still written
 
-    def test_divergence_reports_the_returned_estimate(self, tmp_path, capsys):
+    def test_divergence_reports_the_returned_estimate(self, tmp_path, capsys, fit_declined):
         out = tmp_path / "trace.csv"
         assert run_cli("run", *DIVERGING, "--out", str(out)) == 2
         X_hat, trace, B, y, X_true = solve_diverging()
@@ -234,7 +253,7 @@ class TestRun:
         write_trace(buf, trace)
         assert buf.getvalue() == "iter,residual\n0,1.0\n1,0.5\n"
 
-    def test_default_run_never_lifts(self, tmp_path, capsys, monkeypatch):
+    def test_default_run_never_lifts(self, tmp_path, capsys, monkeypatch, fit_declined):
         # At s=4 the lift of an n=4096 signal has 0.27 GB of complex entries,
         # and 4.3 GB at n=16384: a run at default flags must not form it.
         def no_lift(*args):
@@ -359,10 +378,12 @@ class TestUncertifiedTruncation:
     so it fails wherever the lifted matrix has more than 10 columns; at n=16
     its basis spans all 9 and is exact.  ``report`` certifies the lifted
     truth at the default tolerance first, which its exact rank 2 meets.
+    ``solve``'s fit is declined, so that ``run`` and ``sweep`` reach the
+    initialization.
     """
 
     @pytest.fixture(autouse=True)
-    def small_budget(self, monkeypatch):
+    def small_budget(self, monkeypatch, fit_declined):
         monkeypatch.setattr(lowrank, "_MAX_COLUMNS", 10)
         monkeypatch.setattr(solver, "_INIT_CERTIFICATE_TOL", 1e-30)
 
@@ -455,7 +476,7 @@ class TestSweep:
         written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
         assert written == ["a.b", "a.b/sweep", "a.b/sweep_summary.csv"]
 
-    def test_diverged_trial_reports_the_returned_estimate(self, tmp_path):
+    def test_diverged_trial_reports_the_returned_estimate(self, tmp_path, fit_declined):
         out = tmp_path / "sweep.csv"
         assert run_cli("sweep", *DIVERGING, "--trials", "1", "--out", str(out)) == 0
         X_hat, _, _, _, X_true = solve_diverging()

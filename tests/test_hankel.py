@@ -13,7 +13,7 @@ from hankelsr.hankel import (FactorSpectrum, HankelDims, SignalSpectrum, _weigh,
                              lift_rmatvec, pinv_lift, pinv_lift_lowrank)
 from hankelsr.lowrank import LowRankFactors, crandn, truncate_rank
 from hankelsr.model import synth_instance
-from hankelsr.solver import SolverConfig, solve
+from hankelsr.solver import SolverConfig, fiht, solve
 
 
 class TestChooseDims:
@@ -147,6 +147,20 @@ class TestWeights:
         out = _weigh(np.ones((1, 3)), dims, -2)
         np.testing.assert_array_equal(out, [1.0 / brute_force_weights(3, dims.n1)])
 
+    @pytest.mark.parametrize("n,n1", [(2, 1), (9, 5), (257, 3), (4096, 2048), (65536, 32768)])
+    def test_cached_powers_are_the_computed_ones(self, n, n1):
+        # Each power is taken once per dims, bitwise the power of the float
+        # weights that each call once took; NumPy takes w ** -1.0 as a
+        # reciprocal, which is why both powers are pinned.
+        dims = HankelDims(n, 2, n1)
+        X = crandn(np.random.default_rng(n), 2, n)
+        w = dims.weights.astype(np.float64)
+        for power in (-2, -1):
+            np.testing.assert_array_equal(_weigh(X, dims, power),
+                                          X * (w ** (power / 2.0))[None, :])
+        assert dims.inverse_root_weights is dims.inverse_root_weights
+        assert dims.inverse_weights is dims.inverse_weights
+
 
 class TestPinvLift:
     def test_weighted_average(self):
@@ -249,10 +263,10 @@ class TestRowGroups:
     def test_grouped_solve_matches_one_group(self, monkeypatch):
         _, dims, B, X_true, y = synth_instance(64, 4, 2, 21)
         cfg = SolverConfig(rank=2, max_iters=30)
-        X_whole, whole = solve(y, B, dims, cfg)
+        X_whole, whole = fiht(y, B, dims, cfg)
         monkeypatch.setattr(hankel, "_GROUP_BYTES", 1024)
         assert len(hankel._row_groups(dims, 2)) == dims.s
-        X_grouped, grouped = solve(y, B, dims, cfg)
+        X_grouped, grouped = fiht(y, B, dims, cfg)
         np.testing.assert_array_equal(X_grouped, X_whole)
         np.testing.assert_array_equal(grouped.residuals, whole.residuals)
 

@@ -22,7 +22,7 @@ from hankelsr.lowrank import crandn
 from hankelsr.model import (adjoint_measure, build_signal, measure,
                             sample_subspace, synth_instance, synth_model)
 from hankelsr.solver import (ConvergenceTrace, DivergenceError, Iterate, SolverConfig,
-                             _initialize_factors, initialize, iterate_once,
+                             _initialize_factors, fiht, initialize, iterate_once,
                              relative_error, solve)
 
 
@@ -257,7 +257,7 @@ class TestIterateOnce:
             return step(dataclasses.replace(it, X=bad) if len(calls) == 7 else it, *args, **kwargs)
 
         monkeypatch.setattr(solver, "_truncated_step", poisoned)
-        _, trace = solve(y, B, dims, cfg)
+        _, trace = fiht(y, B, dims, cfg)
         assert trace.termination == "diverged: iterate is not finite at iteration 7"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -327,7 +327,7 @@ class TestInitializationCertificate:
         start, exact = solver._INIT_CERTIFICATE_TOL, lowrank._CERTIFICATE_TOL
         assert exact == 1.2e-6 < start
         model, dims, B, X_true, y = synth_instance(64, 2, 2, 14)
-        solve(y, B, dims, SolverConfig(rank=2, max_iters=3))
+        fiht(y, B, dims, SolverConfig(rank=2, max_iters=3))
         assert tols == [start]
         tols.clear()
         initialize(y, B, dims, 2)
@@ -344,9 +344,9 @@ class TestInitializationCertificate:
         seed = seed_derivation(master, trial)
         dims, B, _, y = make_instance(256, 4, 5, seed)
         cfg = SolverConfig(rank=5, seed=seed)
-        _, loose = solve(y, B, dims, cfg)
+        _, loose = fiht(y, B, dims, cfg)
         monkeypatch.setattr(solver, "_INIT_CERTIFICATE_TOL", lowrank._CERTIFICATE_TOL)
-        _, tight = solve(y, B, dims, cfg)
+        _, tight = fiht(y, B, dims, cfg)
         assert loose.termination == tight.termination == "converged"
         assert loose.returned_iteration <= tight.returned_iteration
 
@@ -404,7 +404,7 @@ class TestTransformCount:
         _initialize_factors(y, B, dims, cfg)
         init = dict(counts)
         counts.update(fft=0, ifft=0)
-        _, trace = solve(y, B, dims, cfg)
+        _, trace = fiht(y, B, dims, cfg)
         assert trace.termination == "max_iters"
         assert counts == {"fft": init["fft"] + 4 * 29, "ifft": init["ifft"] + 4 * 29}
 
@@ -454,7 +454,7 @@ class TestStepMemory:
         # 2.26.
         dims, B, X_true, y = make_instance(16384, 4, 5, seed_derivation(3, 0))
         cfg = SolverConfig(rank=5, max_iters=4)
-        assert self.traced_peak(lambda: solve(y, B, dims, cfg), dims) <= 2.4
+        assert self.traced_peak(lambda: fiht(y, B, dims, cfg), dims) <= 2.4
 
     def test_initialization_peaks_below_two_and_a_tenth_spectra(self):
         # Products that take one signal row's spectra at a time at this L
@@ -501,7 +501,7 @@ class TestSolve:
     def test_eventually_geometric(self):
         dims, B, X_true, y = make_instance(128, 2, 2, 8)
         cfg = SolverConfig(rank=2, max_iters=200, step_size=0.5)
-        _, trace = solve(y, B, dims, cfg, ground_truth=X_true)
+        _, trace = fiht(y, B, dims, cfg, ground_truth=X_true)
         errs = trace.rel_errors
         hi = min(40, len(errs) - 1)
         e = errs[5:hi + 1]
@@ -535,7 +535,7 @@ class TestSolve:
     def test_zero_iterations_returns_initialization(self):
         dims, B, X_true, y = make_instance(32, 2, 2, 10)
         cfg = SolverConfig(rank=2, max_iters=0)
-        X_hat, trace = solve(y, B, dims, cfg, ground_truth=X_true)
+        X_hat, trace = fiht(y, B, dims, cfg, ground_truth=X_true)
         assert len(trace.records) == 1
         assert trace.records[0].iteration == 0
         np.testing.assert_array_equal(X_hat, initialize(y, B, dims, 2))
@@ -552,7 +552,7 @@ class TestSolve:
     def test_divergence_guard_returns_best_iterate(self):
         dims, B, X_true, y = make_instance(48, 4, 2, 12)
         cfg = SolverConfig(rank=2, max_iters=200, step_size=30.0)
-        X_hat, trace = solve(y, B, dims, cfg, ground_truth=X_true)
+        X_hat, trace = fiht(y, B, dims, cfg, ground_truth=X_true)
         assert trace.termination.startswith("diverged")
         returned_resid = np.linalg.norm(measure(X_hat, B) - y)
         assert returned_resid <= np.min(trace.residuals) * (1 + 1e-12)
@@ -620,7 +620,7 @@ class TestSolve:
             return truncate(*args)
 
         monkeypatch.setattr(solver, "project_tangent_truncate", failing)
-        X_hat, trace = solve(y, B, dims, SolverConfig(rank=2))
+        X_hat, trace = fiht(y, B, dims, SolverConfig(rank=2))
         assert "at iteration 3" in trace.termination
         assert trace.termination.startswith("diverged: projected core")
         assert trace.returned_iteration <= 2
@@ -637,9 +637,9 @@ class TestSolve:
         dims, B, X_true, y = make_instance(64, 2, 2, 14)
         exact = FactorSpectrum(lowrank.truncate_rank(lift(adjoint_measure(y, B), dims), 2), dims)
         start_tol = solver._INIT_CERTIFICATE_TOL
-        X_start, _ = solve(y, B, dims, SolverConfig(rank=2, max_iters=0, seed=3))
+        X_start, _ = fiht(y, B, dims, SolverConfig(rank=2, max_iters=0, seed=3))
         monkeypatch.setattr(solver, "_INIT_CERTIFICATE_TOL", lowrank._CERTIFICATE_TOL)
-        X_op, _ = solve(y, B, dims, SolverConfig(rank=2, max_iters=0, seed=3))
+        X_op, _ = fiht(y, B, dims, SolverConfig(rank=2, max_iters=0, seed=3))
         assert relative_error(X_op, hankel.pinv_lift_lowrank(exact)) < 1e-6
         assert relative_error(X_start, hankel.pinv_lift_lowrank(exact)) < start_tol
 
@@ -700,7 +700,7 @@ class TestSolve:
             return fft_last(a, L)
 
         monkeypatch.setattr(hankel, "_fft_last", recorded)
-        _, trace = solve(y, B, dims, SolverConfig(rank=2, max_iters=5, step_size=0.5))
+        _, trace = fiht(y, B, dims, SolverConfig(rank=2, max_iters=5, step_size=0.5))
         assert len(trace.records) == 6
         assert shapes.count((dims.s, dims.n)) == len(trace.records)
 
@@ -714,7 +714,7 @@ class TestSolve:
             return operator_svd(*args, seed=seed, tol=tol)
 
         monkeypatch.setattr(hankel, "truncate_rank_operator", recorded)
-        solve(y, B, dims, SolverConfig(rank=2, max_iters=0, seed=7))
+        fiht(y, B, dims, SolverConfig(rank=2, max_iters=0, seed=7))
         assert seeds == [7]
 
     @pytest.mark.parametrize("mode", ["dense", "fast"])
@@ -759,7 +759,7 @@ class TestSolve:
         # The solver works on y scaled to unit size instead.
         _, dims, B, X_true, y = synth_instance(256, 4, 5, 1)
         with np.errstate(over="raise", invalid="raise"):
-            X_hat, trace = solve(y * scale, B, dims, SolverConfig(rank=5, mode=mode))
+            X_hat, trace = fiht(y * scale, B, dims, SolverConfig(rank=5, mode=mode))
         assert trace.termination == "converged"
         assert len(trace.records) > 50
         assert relative_error(X_hat / scale, X_true) < 1e-8
@@ -793,7 +793,7 @@ class TestSolve:
         # step_size * 4**b.
         _, dims, B, _, y = synth_instance(64, 2, 2, 3)
         with pytest.raises(ValueError, match="^the data misfit of the initialization overflows$"):
-            solve(y, scale * B, dims, SolverConfig(rank=2))
+            fiht(y, scale * B, dims, SolverConfig(rank=2))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("entry", ["solve", "initialize"])
@@ -846,7 +846,7 @@ class TestSolve:
         # residuals grow until one scaled back by 2**e overflows, which
         # ends the solve like any divergence, returning the best iterate.
         _, dims, B, _, y = synth_instance(64, 2, 2, 3)
-        X_hat, trace = solve(y * 2.0 ** 1000, B, dims, SolverConfig(rank=2, step_size=100.0))
+        X_hat, trace = fiht(y * 2.0 ** 1000, B, dims, SolverConfig(rank=2, step_size=100.0))
         assert trace.termination == "diverged: the residual overflows at iteration 3"
         assert trace.returned_iteration == 0
         assert np.all(np.isfinite(trace.residuals))
@@ -895,7 +895,7 @@ class TestSolve:
             return measure(X, B)
 
         monkeypatch.setattr(solver, "measure", counted)
-        _, trace = solve(y, B, dims, cfg)
+        _, trace = fiht(y, B, dims, cfg)
         assert trace.termination == "max_iters"
         assert len(calls) == len(trace.records)  # the initialization plus one per iteration
         assert [rec.residual for rec in trace.records] == expected
