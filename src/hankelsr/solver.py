@@ -51,6 +51,14 @@ _STAGNATION_TOL = 1e-14
 _STAGNATION_WINDOW = 5
 _DIVERGENCE_FACTOR = 10.0
 _DIVERGENCE_WINDOW = 10
+# ``solve`` returns the fit no earlier than its _FIT_STEPS-th Gauss-Newton step,
+# unless its descent ends first.  At n=65536 half the instances meet the
+# tolerance after one step and the rest after two.  The second step sharpens
+# the estimate of the first half; where it cannot (the residual is at its
+# rounding floor), the descent ends on it without trying its half
+# (``sources.fit``'s tol).  Either way the fit makes the same passes over the
+# data, so its cost does not hang on how close the greedy start came.
+_FIT_STEPS = 2
 # Certificate of the initialization's operator SVD (residual over Ritz gap).
 # The start only has to lie inside the basin of the iteration, which removes
 # the rest of its error, so it needs less than the diagnostics' 1.2e-6: at
@@ -284,33 +292,54 @@ def _check_truth(ground_truth: np.ndarray | None, dims: HankelDims) -> None:
 def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
           ground_truth: np.ndarray | None = None,
           ) -> tuple[np.ndarray, ConvergenceTrace]:
-    """The fit of the sources from the greedy start (``sources``) once its estimate's
-    residual norm is at most ``residual_tol`` times that of y, FIHT's stopping rule;
-    its trace ("fit") records the start's refit at t=0, then each of at most
-    ``max_iters`` Gauss-Newton steps, and ends "converged".  Otherwise (the fit stops
-    short, its Gram matrix is singular, its estimate leaves the float range, or y is
-    zero) ``fiht(...)``, with ``max_iters`` afresh.  Every error after the data
-    checks is FIHT's."""
+    """The fit of the sources (``sources``) once its estimate's residual norm is at
+    most ``residual_tol`` times that of y, FIHT's stopping rule, and it has taken
+    _FIT_STEPS Gauss-Newton steps or its descent has ended.  Its trace ("fit")
+    records the greedy start's refit at t=0, then each step; where the descent ends
+    short of the tolerance, the refit at ``sources.split`` of its end, then each
+    step from there; at most ``max_iters`` records after t=0; and ends "converged".
+    Otherwise (the fit stops short, its Gram matrix is singular, its estimate leaves
+    the float range, or y is zero) ``fiht(...)``, with ``max_iters`` afresh.  Every
+    error after the data checks is FIHT's."""
     y_unit, B, e, y_norm = _unit_data(y, B, dims, config.rank)
     _check_truth(ground_truth, dims)
     if y_norm:
-        t_start = time.perf_counter()
-        trace = ConvergenceTrace(method="fit")
         try:
-            steps = sources.fit(y_unit, B, sources.greedy_start(y_unit, B, config.rank))
-            for t, (taus, h, _) in zip(range(config.max_iters + 1), steps):
-                X = sources.signal(taus, h, dims.n)
-                residual = float(np.linalg.norm(measure(X, B) - y_unit))
-                trace.records.append(TraceRecord(
-                    t, float(_ldexp(residual, e, "the residual")),
-                    None if ground_truth is None else relative_error(_ldexp(X, e), ground_truth),
-                    time.perf_counter() - t_start))
-                if residual / y_norm <= config.residual_tol:
-                    trace.termination, trace.returned_iteration = "converged", t
-                    return _ldexp(X, e, "the estimate"), trace
+            fitted = _fit(y_unit, B, dims, config, e, y_norm, ground_truth)
         except (ValueError, np.linalg.LinAlgError):
-            pass
+            fitted = None
+        if fitted is not None:
+            return fitted
     return fiht(y, B, dims, config, ground_truth)
+
+
+def _fit(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig, e: int,
+         y_norm: float, ground_truth: np.ndarray | None,
+         ) -> tuple[np.ndarray, ConvergenceTrace] | None:
+    """``solve``'s fit on the data at unit scale (``_unit_data``), or None."""
+    t_start = time.perf_counter()
+    trace = ConvergenceTrace(method="fit")
+    taus = sources.greedy_start(y, B, config.rank)
+    for restart in range(2 if config.rank > 1 else 1):
+        if restart:
+            taus = sources.split(taus, dims.n)
+        for taus, h, _ in sources.fit(y, B, taus, config.residual_tol):
+            t = len(trace.records)
+            X = sources.signal(taus, h, dims.n)
+            residual = float(np.linalg.norm(measure(X, B) - y))
+            trace.records.append(TraceRecord(
+                t, float(_ldexp(residual, e, "the residual")),
+                None if ground_truth is None else relative_error(_ldexp(X, e), ground_truth),
+                time.perf_counter() - t_start))
+            converged = residual / y_norm <= config.residual_tol
+            if (converged and t >= _FIT_STEPS) or t == config.max_iters:
+                break
+        if converged:
+            trace.termination, trace.returned_iteration = "converged", t
+            return _ldexp(X, e, "the estimate"), trace
+        if t == config.max_iters:
+            break
+    return None
 
 
 def fiht(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,

@@ -50,6 +50,55 @@ def test_fit_yields_the_refit_then_each_step_lowering_the_residual():
     assert np.linalg.norm(measure(X, B) - y) / np.linalg.norm(y) == pytest.approx(rel, abs=1e-13)
 
 
+def test_split_spreads_the_closest_pair_about_its_midpoint():
+    n = 64
+    taus = np.array([0.3, 0.999, 0.7, 0.0005])  # closest pair across 0
+    out = sources.split(taus, n)
+    np.testing.assert_array_equal(out[[0, 2]], taus[[0, 2]])
+    assert sorted(out[[1, 3]]) == pytest.approx(sorted([(0.99975 - 0.25 / n) % 1.0,
+                                                        (0.99975 + 0.25 / n) % 1.0]))
+    np.testing.assert_array_equal(taus, [0.3, 0.999, 0.7, 0.0005])
+
+
+def test_restart_from_the_split_separates_a_merged_pair():
+    # Two sources 0.04/n apart: the descent from the greedy start merges them
+    # and stalls; from the split it converges.
+    derived = seed_derivation(8, 138)
+    _, dims, B, X_true, y = synth_instance(256, 4, 5, derived)
+    steps = list(sources.fit(y, B, sources.greedy_start(y, B, 5)))
+    assert steps[-1][2] > 1e-10
+    X_hat, trace = solve(y, B, dims, SolverConfig(rank=5, seed=derived), ground_truth=X_true)
+    assert (trace.method, trace.termination) == ("fit", "converged")
+    restart = len(steps)
+    assert trace.records[restart].residual > trace.records[restart - 1].residual
+    assert relative_error(X_hat, X_true) <= 1e-8
+
+
+def test_fit_returns_after_two_steps_though_one_meets_the_tolerance():
+    derived = seed_derivation(1, 40)
+    _, dims, B, X_true, y = synth_instance(256, 4, 5, derived)
+    X_hat, trace = solve(y, B, dims, SolverConfig(rank=5, seed=derived))
+    assert trace.residuals[1] <= 1e-10 * np.linalg.norm(y)
+    assert (trace.method, trace.returned_iteration, len(trace.records)) == ("fit", 2, 3)
+    X_one, one = solve(y, B, dims, SolverConfig(rank=5, seed=derived, max_iters=1))
+    assert (one.method, one.returned_iteration) == ("fit", 1)
+    assert relative_error(X_hat, X_true) <= relative_error(X_one, X_true) <= 1e-8
+
+
+@pytest.mark.parametrize("tol, tries", [(1e-10, 1), (0.0, 2)])
+def test_failed_step_at_the_tolerance_is_not_halved(monkeypatch, tol, tries):
+    # The descent ends at the rounding floor on a step that fails: tried once
+    # from an estimate within tol, then at its half from any other.
+    _, _, B, _, y = synth_instance(256, 4, 5, seed_derivation(1, 0))
+    taus = sources.greedy_start(y, B, 5)
+    calls = []
+    linearize = sources._linearize
+    monkeypatch.setattr(sources, "_linearize", lambda *a: calls.append(a) or linearize(*a))
+    steps = list(sources.fit(y, B, taus, tol))
+    assert [rel for _, _, rel in steps] == pytest.approx([2.3e-4, 1.9e-8, 3.3e-14], rel=0.1)
+    assert len(calls) == len(steps) + tries
+
+
 def test_repeated_location_is_a_singular_gram():
     _, _, B, _, y = synth_instance(64, 2, 2, 3)
     with pytest.raises(np.linalg.LinAlgError, match="(?i)singular"):
@@ -91,9 +140,10 @@ def test_residual_acceptance_claims_no_wrong_fit(case):
 
 
 def test_solve_falls_back_to_fiht_where_the_fit_stops_short():
-    # Two sources 0.03-0.04/n apart: the fit stops short of the tolerance,
-    # and FIHT converges from its own start in 94 iterations.
-    derived = seed_derivation(8, 138)
+    # Two sources 0.01/n apart: the fit stops short of the tolerance from the
+    # greedy start and from its split, and FIHT converges from its own start
+    # in 85 iterations.
+    derived = seed_derivation(134, 104)
     _, dims, B, X_true, y = synth_instance(256, 4, 5, derived)
     cfg = SolverConfig(rank=5, seed=derived)
     X_hat, trace = solve(y, B, dims, cfg, ground_truth=X_true)
@@ -104,7 +154,7 @@ def test_solve_falls_back_to_fiht_where_the_fit_stops_short():
     np.testing.assert_array_equal(X_hat, X_fiht)
     np.testing.assert_array_equal(trace.residuals, own.residuals)
     np.testing.assert_array_equal(trace.rel_errors, own.rel_errors)
-    assert trace.returned_iteration == own.returned_iteration == 94
+    assert trace.returned_iteration == own.returned_iteration == 85
 
 
 def test_accepted_fit_reads_as_the_benchmark_reads_it():
