@@ -19,8 +19,8 @@ Flags may also be supplied through ``--config FILE`` (JSON, keys mirroring
 the long flag names with underscores); explicit flags override the file.
 Each shared flag is one field of ``ExperimentConfig``, which declares its
 default, the parser of its value and its help once.  Every command draws its
-instances through ``ExperimentConfig.instance``, and writes CSV through
-``_write_csv``.
+instances through ``ExperimentConfig.draw`` at the seed ``seed_derivation``
+gives the trial, and writes CSV through ``_write_csv``.
 """
 
 from __future__ import annotations
@@ -160,16 +160,10 @@ class ExperimentConfig:
                 raise ValueError(f"--{name} must be a single value for this command")
         return self.n[0], self.s[0], self.r[0]
 
-    def instance(self, n: int, s: int, r: int, trial: int):
-        """The trial's derived seed and ``draw``'s five values at it,
-        ``(derived, model, dims, B, X_true, y)``: the one recipe of every
-        command's instances.  Raises ``ValueError`` on a rank ``solve`` would
-        reject, before any output exists."""
-        derived = seed_derivation(self.seed, trial)
-        return (derived, *self.draw(n, s, r, derived))
-
     def draw(self, n: int, s: int, r: int, derived: int):
-        """``synth_instance``'s five values at the derived seed, with this split and sensing."""
+        """``synth_instance``'s five values at the derived seed, with this split and
+        sensing: the one recipe of every command's instances.  Raises ``ValueError``
+        on a rank ``solve`` would reject, before any output exists."""
         return synth_instance(n, s, r, derived, self.n1, self.complex_subspace)
 
     def solver_config(self, rank: int, seed: int) -> SolverConfig:
@@ -252,7 +246,8 @@ def _output_files(*paths: str):
 
 def cmd_run(cfg: ExperimentConfig) -> int:
     n, s, r = cfg.single()
-    derived, _, dims, B, X_true, y = cfg.instance(n, s, r, 0)
+    derived = seed_derivation(cfg.seed, 0)
+    _, dims, B, X_true, y = cfg.draw(n, s, r, derived)
     out = cfg.out or "run_trace.csv"
     # Opened before the solve, so that an unwritable path fails first.
     with _output_files(out, out + ".meta.json") as (trace_fh, meta_fh):
@@ -361,7 +356,8 @@ def cmd_check() -> int:
 
 def cmd_report(cfg: ExperimentConfig) -> int:
     n, s, r = cfg.single()
-    derived, mdl, dims, B, _, _ = cfg.instance(n, s, r, 0)
+    derived = seed_derivation(cfg.seed, 0)
+    mdl, dims, B, _, _ = cfg.draw(n, s, r, derived)
     # Opened before the report, so that an unwritable path fails first.
     with _output_files(*filter(None, [cfg.out])) as handles:
         report = assumption_report(mdl, B, dims)

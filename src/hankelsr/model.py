@@ -53,6 +53,14 @@ def _min_pairwise_gap(taus: np.ndarray) -> float:
     return float(np.min(np.diff(t))) if len(t) > 1 else np.inf
 
 
+def steering_matrix(taus, j: np.ndarray) -> np.ndarray:
+    """exp(-2*pi*i*tau_k*j) for each j (rows) and tau_k (columns), the phase
+    rounded as ((-2*pi*i)*tau_k)*j: the one formula of the model's exponentials,
+    which the synthesizer and the fit of ``sources`` share."""
+    phase = np.multiply.outer(j, (-2j * np.pi) * np.asarray(taus, dtype=float))
+    return np.exp(phase, out=phase)
+
+
 def steering_vector(tau: float, n: int) -> np.ndarray:
     """Complex exponential [1, e^{-2*pi*i*tau}, ..., e^{-2*pi*i*tau*(n-1)}].
 
@@ -60,8 +68,7 @@ def steering_vector(tau: float, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    tau = float(tau) % 1.0
-    return np.exp(-2j * np.pi * tau * np.arange(n))
+    return steering_matrix(float(tau) % 1.0, np.arange(n))
 
 
 def synth_model(s: int, n: int, r: int,
@@ -93,8 +100,7 @@ def synth_model(s: int, n: int, r: int,
 
 def build_signal(model: PointSourceModel) -> np.ndarray:
     """Assemble the s-by-n signal sum_k amps[k] * coeffs[:, k] * steering_k^T."""
-    A = np.stack([steering_vector(t, model.n) for t in model.taus], axis=1)  # (n, r)
-    return (model.coeffs * model.amps[None, :]) @ A.T
+    return (model.coeffs * model.amps[None, :]) @ steering_matrix(model.taus, np.arange(model.n)).T
 
 
 def sample_subspace(s: int, n: int, rng: int | np.random.Generator,

@@ -51,14 +51,6 @@ _STAGNATION_TOL = 1e-14
 _STAGNATION_WINDOW = 5
 _DIVERGENCE_FACTOR = 10.0
 _DIVERGENCE_WINDOW = 10
-# ``solve`` returns the fit no earlier than its _FIT_STEPS-th Gauss-Newton step,
-# unless its descent ends first.  At n=65536 half the instances meet the
-# tolerance after one step and the rest after two.  The second step sharpens
-# the estimate of the first half; where it cannot (the residual is at its
-# rounding floor), the descent ends on it without trying its half
-# (``sources.fit``'s tol).  Either way the fit makes the same passes over the
-# data, so its cost does not hang on how close the greedy start came.
-_FIT_STEPS = 2
 # Certificate of the initialization's operator SVD (residual over Ritz gap).
 # The start only has to lie inside the basin of the iteration, which removes
 # the rest of its error, so it needs less than the diagnostics' 1.2e-6: at
@@ -124,7 +116,7 @@ class ConvergenceTrace:
     ``returned_iteration`` is the iteration of the estimate ``solve``
     returned: the last one run, or after a divergence the best by residual.
     ``method`` names the path that produced it: "fit" (t=0 is the greedy
-    start's refit, then one record per Gauss-Newton step) or "fiht".
+    start, then one record per state of ``sources.fit``) or "fiht".
     """
 
     records: list[TraceRecord] = field(default_factory=list)
@@ -292,15 +284,13 @@ def _check_truth(ground_truth: np.ndarray | None, dims: HankelDims) -> None:
 def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
           ground_truth: np.ndarray | None = None,
           ) -> tuple[np.ndarray, ConvergenceTrace]:
-    """The fit of the sources (``sources``) once its estimate's residual norm is at
-    most ``residual_tol`` times that of y, FIHT's stopping rule, and it has taken
-    _FIT_STEPS Gauss-Newton steps or its descent has ended.  Its trace ("fit")
-    records the greedy start's refit at t=0, then each step; where the descent ends
-    short of the tolerance, the refit at ``sources.split`` of its end, then each
-    step from there; at most ``max_iters`` records after t=0; and ends "converged".
-    Otherwise (the fit stops short, its Gram matrix is singular, its estimate leaves
-    the float range, or y is zero) ``fiht(...)``, with ``max_iters`` afresh.  Every
-    error after the data checks is FIHT's."""
+    """The fit of the sources (``sources.fit``) where its last estimate's residual norm
+    is at most ``residual_tol`` times that of y, FIHT's stopping rule.  Its trace
+    ("fit") records the greedy start at t=0, then each state the fit yields, at most
+    ``max_iters`` records after t=0, and ends "converged".  Otherwise (the fit stops
+    short, its Gram matrix is singular, its estimate leaves the float range, or y is
+    zero) ``fiht(...)``, with ``max_iters`` afresh.  Every error after the data
+    checks is FIHT's."""
     y_unit, B, e, y_norm = _unit_data(y, B, dims, config.rank)
     _check_truth(ground_truth, dims)
     if y_norm:
@@ -316,30 +306,24 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
 def _fit(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig, e: int,
          y_norm: float, ground_truth: np.ndarray | None,
          ) -> tuple[np.ndarray, ConvergenceTrace] | None:
-    """``solve``'s fit on the data at unit scale (``_unit_data``), or None."""
+    """``solve``'s fit on the data at unit scale (``_unit_data``): one record per state
+    of ``sources.fit`` up to ``max_iters``, each of the estimate X it forms; the last
+    X if it is within ``residual_tol``, else None."""
     t_start = time.perf_counter()
     trace = ConvergenceTrace(method="fit")
-    taus = sources.greedy_start(y, B, config.rank)
-    for restart in range(2 if config.rank > 1 else 1):
-        if restart:
-            taus = sources.split(taus, dims.n)
-        for taus, h, _ in sources.fit(y, B, taus, config.residual_tol):
-            t = len(trace.records)
-            X = sources.signal(taus, h, dims.n)
-            residual = float(np.linalg.norm(measure(X, B) - y))
-            trace.records.append(TraceRecord(
-                t, float(_ldexp(residual, e, "the residual")),
-                None if ground_truth is None else relative_error(_ldexp(X, e), ground_truth),
-                time.perf_counter() - t_start))
-            converged = residual / y_norm <= config.residual_tol
-            if (converged and t >= _FIT_STEPS) or t == config.max_iters:
-                break
-        if converged:
-            trace.termination, trace.returned_iteration = "converged", t
-            return _ldexp(X, e, "the estimate"), trace
+    for t, (taus, h, _) in enumerate(sources.fit(y, B, config.rank, config.residual_tol)):
+        X = sources.signal(taus, h, dims.n)
+        residual = float(np.linalg.norm(measure(X, B) - y))
+        trace.records.append(TraceRecord(
+            t, float(_ldexp(residual, e, "the residual")),
+            None if ground_truth is None else relative_error(_ldexp(X, e), ground_truth),
+            time.perf_counter() - t_start))
         if t == config.max_iters:
             break
-    return None
+    if residual / y_norm > config.residual_tol:
+        return None
+    trace.termination, trace.returned_iteration = "converged", t
+    return _ldexp(X, e, "the estimate"), trace
 
 
 def fiht(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,

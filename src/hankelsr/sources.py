@@ -1,13 +1,13 @@
 """The sources themselves: locations tau_k and vectors h_k fitted to the data.
 
-The model y_j = sum_k exp(-2 pi i tau_k j) b_j^H h_k (X = sum_k h_k steering_k^T)
-is linear in h.  ``fit`` runs Gauss-Newton on (tau, Re h, Im h) and refits h by
-least squares after each step (variable projection; Golub & Pereyra 1973) from
-``greedy_start`` (Newtonized OMP; Mamandipoor, Ramasamy & Madhow 2016), and
-``split`` restarts a descent that merged two sources into one location.  Every
-pass sums over blocks of ``lowrank._BLOCK_ROWS`` rows, forming exp(-2 pi i tau j)
-once per block, so no n-row design is held.  Both work on y / 2**e and B / 2**f
-at unit scale, which is exact: h absorbs the power of two.
+The model y_j = sum_k exp(-2 pi i tau_k j) b_j^H h_k (X = sum_k h_k steering_k^T,
+its exponentials the synthesizer's ``model.steering_matrix``) is linear in h.
+``fit`` starts greedily (Newtonized OMP; Mamandipoor, Ramasamy & Madhow 2016) and
+goes on by Gauss-Newton on (tau, Re h, Im h), h refit by least squares after each
+step (variable projection; Golub & Pereyra 1973).  Every pass sums over blocks of
+``lowrank._BLOCK_ROWS`` rows, forming exp(-2 pi i tau j) once per block, so no
+n-row design is held.  The fit works on y / 2**e and B / 2**f at unit scale,
+which is exact: h absorbs the power of two.
 """
 
 from __future__ import annotations
@@ -18,9 +18,16 @@ import numpy as np
 
 from .hankel import _ldexp, _unit_exponent
 from .lowrank import _BLOCK_ROWS
+from .model import steering_matrix
 
 # Oversampling of the greedy's grid: 4L points, L the next power of two >= n.
 _GRID = 4
+# The fit ends within its tol no earlier than _MIN_STEPS states after the greedy
+# start's.  At n=65536 some instances meet the tolerance after one step: a second
+# step sharpens their estimate or, at the rounding floor, ends the descent untried
+# at its half (``_descend``'s tol).  So the fit's passes over the data, and its
+# cost, do not hang on how close the greedy start came.
+_MIN_STEPS = 2
 # The least exponent (``_unit_exponent``) of h in the data's units at which an
 # entry 2**-53 times its largest one is still a normal float, so that scaling
 # h back from unit scale is exact to the last bit of every entry that counts.
@@ -38,7 +45,7 @@ def _blocks(y: np.ndarray, B: np.ndarray, taus: np.ndarray):
     for start in range(0, len(y), _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         j = np.arange(len(y))[rows]
-        yield rows, j, y[rows], B[:, rows].conj().T, np.exp(-2j * np.pi * np.outer(j, taus))
+        yield rows, j, y[rows], B[:, rows].conj().T, steering_matrix(taus, j)
 
 
 def _design(E: np.ndarray, Bc: np.ndarray) -> np.ndarray:
@@ -69,6 +76,7 @@ def _linearize(y, B, taus):
         Dh = D.conj().T
         G += Dh @ D
         q += Dh @ yb
+    del D, Dh  # the last block's design and its conjugate, not held through pass two
     h = _solve(G, q).reshape(r, -1)
     rho = np.empty_like(y)
     top, rhs = np.zeros((r, r + p), complex), np.zeros(r + p, complex)
@@ -129,34 +137,40 @@ def _energy(B: np.ndarray, rho: np.ndarray, grid: int) -> np.ndarray:
     return energy
 
 
-def greedy_start(y: np.ndarray, B: np.ndarray, r: int) -> np.ndarray:
-    """r locations, one per round: the point of the grid of _GRID * L points whose
-    energy sum_a |sum_j exp(2 pi i tau j) B[a, j] rho_j|^2 in the residual rho is
-    largest (s inverse FFTs), then one fit step on all picked so far."""
-    y, B = _ldexp(y, -_unit_exponent(y)), _ldexp(B, -_unit_exponent(B))
-    grid = _GRID << (len(y) - 1).bit_length()
-    taus, rho = np.empty(0), y
-    for _ in range(r):
-        taus = np.append(taus, np.argmax(_energy(B, rho, grid)) / grid)
-        for taus, _, rho in itertools.islice(_descend(y, B, taus), 2):
-            pass
-    return taus
-
-
-def fit(y: np.ndarray, B: np.ndarray, taus: np.ndarray, tol: float = 0.0):
-    """Gauss-Newton from ``taus``: yield (taus, h, ||rho|| / ||y||) for the refit at
-    ``taus`` and after each step, h (r, s) in the data's units, until a step and
-    its half fail to lower the residual, or a step alone once ||rho|| / ||y|| is at
-    most ``tol``.  ``LinAlgError`` on a singular Gram matrix
-    (a repeated location, zero data); ``ValueError`` where scaling h back would
-    not be exact (``_EXACT_EXPONENT``) or would overflow."""
+def fit(y: np.ndarray, B: np.ndarray, r: int, tol: float = 0.0):
+    """Yield (taus, h, ||rho|| / ||y||) of r sources, h (r, s) in the data's units,
+    for the greedy start and after each Gauss-Newton step.  Each of the r greedy
+    rounds adds the point of the grid of _GRID * L points whose energy
+    sum_a |sum_j exp(2 pi i tau j) B[a, j] rho_j|^2 is largest (s inverse FFTs), and
+    takes one step of the descent (``_descend``) on all points so far; the last
+    round's descent goes on as the fit.  Where it ends above tol with r > 1, the fit
+    restarts once from ``split`` of its end.  It ends at the first state within
+    tol no earlier than _MIN_STEPS after the greedy start's.  ``LinAlgError`` on a
+    singular Gram matrix (a repeated location, zero data); ``ValueError`` where
+    scaling h back would not be exact (``_EXACT_EXPONENT``) or would overflow."""
     e, f = _unit_exponent(y), _unit_exponent(B)
     y, B = _ldexp(y, -e), _ldexp(B, -f)
     y_norm = np.linalg.norm(y)
-    for taus, h, rho in _descend(y, B, np.asarray(taus, dtype=float), tol):
-        if _unit_exponent(h) + e - f < _EXACT_EXPONENT:
-            raise ValueError("the estimate underflows")
-        yield taus, _ldexp(h, e - f, "the estimate"), float(np.linalg.norm(rho) / y_norm)
+    grid = _GRID << (len(y) - 1).bit_length()
+    taus, rho = np.empty(0), y
+    for _ in range(r):
+        descent = _descend(y, B, np.append(taus, np.argmax(_energy(B, rho, grid)) / grid), tol)
+        for taus, h, rho in itertools.islice(descent, 2):
+            pass
+    # iter(): the greedy's last state is not held once it has been read
+    states, t = itertools.chain(iter([(taus, h, rho)]), descent), 0
+    for may_restart in (r > 1, False):
+        for taus, h, rho in states:
+            if _unit_exponent(h) + e - f < _EXACT_EXPONENT:
+                raise ValueError("the estimate underflows")
+            rel = float(np.linalg.norm(rho) / y_norm)
+            yield taus, _ldexp(h, e - f, "the estimate"), rel
+            if rel <= tol and t >= _MIN_STEPS:
+                return
+            t += 1
+        if rel <= tol or not may_restart:
+            return
+        states = _descend(y, B, split(taus, len(y)), tol)
 
 
 def split(taus: np.ndarray, n: int) -> np.ndarray:
@@ -172,5 +186,4 @@ def split(taus: np.ndarray, n: int) -> np.ndarray:
 def signal(taus: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
     """X = sum_k h_k steering_k^T, (s, n), formed at h's unit scale and scaled back."""
     e = _unit_exponent(h)
-    E = np.exp(-2j * np.pi * np.outer(taus, np.arange(n)))
-    return _ldexp(_ldexp(h, -e).T @ E, e, "the estimate")
+    return _ldexp(_ldexp(h, -e).T @ steering_matrix(taus, np.arange(n)).T, e, "the estimate")

@@ -39,8 +39,8 @@ class TestSeedDerivation:
 
 class TestTrialRecipe:
     def test_instance_is_synth_instance_at_the_derived_seed(self):
-        derived, *got = ExperimentConfig(seed=3, complex_subspace=True).instance(48, 2, 2, 1)
-        assert derived == seed_derivation(3, 1)
+        derived = seed_derivation(3, 1)
+        got = ExperimentConfig(seed=3, complex_subspace=True).draw(48, 2, 2, derived)
         want = synth_instance(48, 2, 2, derived, None, True)
         assert (got[1].n, got[1].s, got[1].n1) == (want[1].n, want[1].s, want[1].n1)
         for a, b in zip(got[2:], want[2:]):
@@ -50,7 +50,7 @@ class TestTrialRecipe:
         # lifted shape (20, 6): the tangent space at rank 4 would need 8 columns
         with pytest.raises(ValueError, match=re.escape("rank 4 infeasible for lifted "
                                                        "shape (20, 6)")):
-            ExperimentConfig().instance(10, 4, 4, 0)
+            ExperimentConfig().draw(10, 4, 4, seed_derivation(0, 0))
 
     def test_single_checks_n_then_s_then_r(self):
         assert ExperimentConfig(n=(32,), s=(2,), r=(3,)).single() == (32, 2, 3)
@@ -75,7 +75,7 @@ def fit_declined(monkeypatch):
     def declined(*args):
         raise np.linalg.LinAlgError("the fit is declined")
 
-    monkeypatch.setattr(sources, "greedy_start", declined)
+    monkeypatch.setattr(sources, "fit", declined)
 
 
 def solve_diverging():
@@ -109,7 +109,8 @@ class TestRun:
         assert run_cli("run", "--n", "64", "--s", "2", "--r", "2", "--out", str(out)) == 0
         assert json.loads(meta.read_text())["method"] == "fit"
         # a repeated location makes the fit's Gram matrix singular: solve runs FIHT
-        monkeypatch.setattr(sources, "greedy_start", lambda *args: [0.5, 0.5])
+        monkeypatch.setattr(sources, "fit", lambda y, B, r, tol: sources._descend(
+            y, B, np.array([0.5, 0.5]), tol))
         assert run_cli("run", "--n", "64", "--s", "2", "--r", "2", "--out", str(out)) == 0
         assert json.loads(meta.read_text())["method"] == "fiht"
 

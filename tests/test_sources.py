@@ -1,5 +1,6 @@
 """The parametric fit and its place in ``solve``: the greedy start, Gauss-Newton
-on (tau, h), acceptance by the residual alone, and the fallback to FIHT."""
+on (tau, h), the model it shares with the synthesizer, acceptance by the residual
+alone, and the fallback to FIHT."""
 
 import tracemalloc
 
@@ -16,9 +17,9 @@ from hankelsr.solver import SolverConfig, fiht, initialize, relative_error, solv
 
 
 def fitted(y, B, r, max_steps=60, tol=1e-10):
-    """The last (taus, h, relative residual) of the fit from the greedy start,
-    stopped once the residual reaches ``tol``."""
-    for t, step in enumerate(sources.fit(y, B, sources.greedy_start(y, B, r))):
+    """The last (taus, h, relative residual) of the fit of r sources, stopped once
+    the residual reaches ``tol``."""
+    for t, step in enumerate(sources.fit(y, B, r)):
         if step[2] <= tol or t == max_steps:
             break
     return step
@@ -39,7 +40,7 @@ def test_recovers_the_cell_fiht_cannot_start():
 
 def test_fit_yields_the_refit_then_each_step_lowering_the_residual():
     _, dims, B, X_true, y = synth_instance(256, 4, 5, seed_derivation(1, 0))
-    steps = list(sources.fit(y, B, sources.greedy_start(y, B, 5)))
+    steps = list(sources.fit(y, B, 5, 1e-10))
     residuals = [rel for _, _, rel in steps]
     assert len(steps) >= 2
     assert all(b < a for a, b in zip(residuals, residuals[1:]))
@@ -48,6 +49,39 @@ def test_fit_yields_the_refit_then_each_step_lowering_the_residual():
     assert taus.shape == (5,) and h.shape == (5, 4)
     X = sources.signal(taus, h, dims.n)
     assert np.linalg.norm(measure(X, B) - y) / np.linalg.norm(y) == pytest.approx(rel, abs=1e-13)
+
+
+def test_fit_linearizes_each_location_once(monkeypatch):
+    # Two passes per greedy round (its refit and its step), then one per step
+    # tried; the fit's first state is the greedy's last, not linearized again.
+    derived = seed_derivation(1, 0)
+    _, dims, B, _, y = synth_instance(256, 4, 5, derived)
+    calls = []
+    linearize = sources._linearize
+    monkeypatch.setattr(sources, "_linearize", lambda *a: calls.append(a) or linearize(*a))
+    _, trace = solve(y, B, dims, SolverConfig(rank=5, seed=derived))
+    assert trace.method == "fit"
+    assert len(calls) == 2 * 5 + len(trace.records) - 1 == 12
+
+
+@pytest.mark.parametrize("n", [256, 65536])
+def test_the_fits_model_is_the_synthesizers(n):
+    mdl, *_ = synth_instance(n, 4, 5, seed_derivation(1, 0))
+    np.testing.assert_array_equal(sources.signal(mdl.taus, (mdl.coeffs * mdl.amps).T, n),
+                                  build_signal(mdl))
+
+
+@pytest.mark.parametrize("trial", [0, 1])
+def test_descent_reaches_the_rounding_floor_at_large_n(trial):
+    # With the synthesizer's exponentials the data have an exact fit, so the
+    # descent from the greedy start goes on to the rounding floor of y.
+    _, _, B, _, y = synth_instance(65536, 4, 5, seed_derivation(1, trial))
+    rels = []
+    for _, _, rel in sources.fit(y, B, 5, 0.0):
+        if rels and rel > rels[-1]:  # the restart from the split: the descent has ended
+            break
+        rels.append(rel)
+    assert rels[-1] <= 1e-14
 
 
 def test_split_spreads_the_closest_pair_about_its_midpoint():
@@ -60,16 +94,20 @@ def test_split_spreads_the_closest_pair_about_its_midpoint():
     np.testing.assert_array_equal(taus, [0.3, 0.999, 0.7, 0.0005])
 
 
-def test_restart_from_the_split_separates_a_merged_pair():
+def test_restart_from_the_split_separates_a_merged_pair(monkeypatch):
     # Two sources 0.04/n apart: the descent from the greedy start merges them
     # and stalls; from the split it converges.
     derived = seed_derivation(8, 138)
     _, dims, B, X_true, y = synth_instance(256, 4, 5, derived)
-    steps = list(sources.fit(y, B, sources.greedy_start(y, B, 5)))
-    assert steps[-1][2] > 1e-10
+    steps, restarts, split = [], [], sources.split
+    monkeypatch.setattr(sources, "split", lambda *a: restarts.append(len(steps)) or split(*a))
+    for step in sources.fit(y, B, 5, 1e-10):
+        steps.append(step)
+    (restart,) = restarts
+    assert steps[restart - 1][2] > 1e-10
     X_hat, trace = solve(y, B, dims, SolverConfig(rank=5, seed=derived), ground_truth=X_true)
     assert (trace.method, trace.termination) == ("fit", "converged")
-    restart = len(steps)
+    assert len(restarts) == 2  # solve's fit restarted too
     assert trace.records[restart].residual > trace.records[restart - 1].residual
     assert relative_error(X_hat, X_true) <= 1e-8
 
@@ -90,19 +128,20 @@ def test_failed_step_at_the_tolerance_is_not_halved(monkeypatch, tol, tries):
     # The descent ends at the rounding floor on a step that fails: tried once
     # from an estimate within tol, then at its half from any other.
     _, _, B, _, y = synth_instance(256, 4, 5, seed_derivation(1, 0))
-    taus = sources.greedy_start(y, B, 5)
+    taus = next(sources.fit(y, B, 5))[0]
     calls = []
     linearize = sources._linearize
     monkeypatch.setattr(sources, "_linearize", lambda *a: calls.append(a) or linearize(*a))
-    steps = list(sources.fit(y, B, taus, tol))
-    assert [rel for _, _, rel in steps] == pytest.approx([2.3e-4, 1.9e-8, 3.3e-14], rel=0.1)
+    steps = list(sources._descend(y, B, taus, tol))
+    rels = [np.linalg.norm(rho) / np.linalg.norm(y) for _, _, rho in steps]
+    assert rels == pytest.approx([2.3e-4, 1.9e-8, 3.3e-14, 3.5e-16], rel=0.1)
     assert len(calls) == len(steps) + tries
 
 
 def test_repeated_location_is_a_singular_gram():
     _, _, B, _, y = synth_instance(64, 2, 2, 3)
     with pytest.raises(np.linalg.LinAlgError, match="(?i)singular"):
-        next(sources.fit(y, B, [0.25, 0.25]))
+        next(sources._descend(y, B, np.array([0.25, 0.25])))
 
 
 @st.composite
@@ -210,7 +249,7 @@ def test_sensing_vectors_past_the_float_range_refused_by_the_fit(scale):
     # RuntimeWarning first; solve then gives FIHT's refusal.
     _, dims, B, _, y = synth_instance(4096, 4, 5, 3)
     with pytest.raises(ValueError, match="^the estimate underflows$"):
-        next(sources.fit(y, scale * B, sources.greedy_start(y, scale * B, 5)))
+        next(sources.fit(y, scale * B, 5))
     with pytest.raises(ValueError, match="^the norm of the lift overflows$"):
         solve(y, scale * B, dims, SolverConfig(rank=5))
 
@@ -218,7 +257,7 @@ def test_sensing_vectors_past_the_float_range_refused_by_the_fit(scale):
 def test_fit_peaks_below_fihts_start():
     # n=65536: the fit's passes hold blocks of lowrank._BLOCK_ROWS rows, the
     # greedy one length-4L spectrum at a time; FIHT's start alone holds the
-    # lift's Krylov basis and spectra.  Read 22 MiB against 47.5 MiB.
+    # lift's Krylov basis and spectra.  Read 21.9 MiB against 46.5 MiB.
     derived = seed_derivation(3, 0)
     _, dims, B, _, y = synth_instance(65536, 4, 5, derived)
     cfg = SolverConfig(rank=5, seed=derived)
