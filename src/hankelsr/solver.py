@@ -29,6 +29,7 @@ the one rank rule, 2r <= min(s*n1, n2), that ``solve``, ``fiht``,
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 import time
@@ -116,7 +117,8 @@ class ConvergenceTrace:
     ``returned_iteration`` is the iteration of the estimate ``solve``
     returned: the last one run, or after a divergence the best by residual.
     ``method`` names the path that produced it: "fit" (t=0 is the greedy
-    start, then one record per state of ``sources.fit``) or "fiht".
+    start, then one record per state of ``sources.fit``, with the fit's own
+    residual but the returned one, whose residual is its estimate's) or "fiht".
     """
 
     records: list[TraceRecord] = field(default_factory=list)
@@ -287,18 +289,14 @@ def solve(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,
     """The fit of the sources (``sources.fit``) where its last estimate's residual norm
     is at most ``residual_tol`` times that of y, FIHT's stopping rule.  Its trace
     ("fit") records the greedy start at t=0, then each state the fit yields, at most
-    ``max_iters`` records after t=0, and ends "converged".  Otherwise (the fit stops
-    short, its Gram matrix is singular, its estimate leaves the float range, or y is
-    zero) ``fiht(...)``, with ``max_iters`` afresh.  Every error after the data
-    checks is FIHT's."""
+    ``max_iters`` after t=0, with the fit's own residual but the returned one, whose
+    residual is its estimate's; it ends "converged".  Otherwise (the fit stops short,
+    its Gram matrix is singular, its estimate leaves the float range, or y is zero)
+    ``fiht(...)``, with ``max_iters`` afresh.  Every error after the data checks is FIHT's."""
     y_unit, B, e, y_norm = _unit_data(y, B, dims, config.rank)
     _check_truth(ground_truth, dims)
-    if y_norm:
-        try:
-            fitted = _fit(y_unit, B, dims, config, e, y_norm, ground_truth)
-        except (ValueError, np.linalg.LinAlgError):
-            fitted = None
-        if fitted is not None:
+    with contextlib.suppress(ValueError, np.linalg.LinAlgError):
+        if y_norm and (fitted := _fit(y_unit, B, dims, config, e, y_norm, ground_truth)):
             return fitted
     return fiht(y, B, dims, config, ground_truth)
 
@@ -307,23 +305,26 @@ def _fit(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig, e
          y_norm: float, ground_truth: np.ndarray | None,
          ) -> tuple[np.ndarray, ConvergenceTrace] | None:
     """``solve``'s fit on the data at unit scale (``_unit_data``): one record per state
-    of ``sources.fit`` up to ``max_iters``, each of the estimate X it forms; the last
-    X if it is within ``residual_tol``, else None."""
-    t_start = time.perf_counter()
-    trace = ConvergenceTrace(method="fit")
-    for t, (taus, h, _) in enumerate(sources.fit(y, B, config.rank, config.residual_tol)):
-        X = sources.signal(taus, h, dims.n)
-        residual = float(np.linalg.norm(measure(X, B) - y))
-        trace.records.append(TraceRecord(
-            t, float(_ldexp(residual, e, "the residual")),
-            None if ground_truth is None else relative_error(_ldexp(X, e), ground_truth),
-            time.perf_counter() - t_start))
+    of ``sources.fit`` up to ``max_iters``, with the fit's own residual but the last,
+    that of the one X formed and measured (the others are formed only for their error
+    against ``ground_truth``); X if it is within ``residual_tol``, else None."""
+    t_start, states = time.perf_counter(), []
+    for t, (taus, h, rel) in enumerate(sources.fit(y, B, config.rank, config.residual_tol)):
+        states.append((taus, h, rel * y_norm, time.perf_counter() - t_start))
         if t == config.max_iters:
             break
+    X = sources.signal(taus, h, dims.n)
+    residual = float(np.linalg.norm(measure(X, B) - y))
     if residual / y_norm > config.residual_tol:
         return None
-    trace.termination, trace.returned_iteration = "converged", t
-    return _ldexp(X, e, "the estimate"), trace
+    X = _ldexp(X, e, "the estimate")
+    trace = ConvergenceTrace(termination="converged", returned_iteration=t, method="fit")
+    for i, (taus, h, own, elapsed) in enumerate(states):  # own: the fit's residual
+        error = None if ground_truth is None else relative_error(
+            X if i == t else _ldexp(sources.signal(taus, h, dims.n), e), ground_truth)
+        trace.records.append(TraceRecord(
+            i, float(_ldexp(residual if i == t else own, e, "the residual")), error, elapsed))
+    return X, trace
 
 
 def fiht(y: np.ndarray, B: np.ndarray, dims: HankelDims, config: SolverConfig,

@@ -4,10 +4,10 @@ The model y_j = sum_k exp(-2 pi i tau_k j) b_j^H h_k (X = sum_k h_k steering_k^T
 its exponentials the synthesizer's ``model.steering_matrix``) is linear in h.
 ``fit`` starts greedily (Newtonized OMP; Mamandipoor, Ramasamy & Madhow 2016) and
 goes on by Gauss-Newton on (tau, Re h, Im h), h refit by least squares after each
-step (variable projection; Golub & Pereyra 1973).  Every pass sums over blocks of
-``lowrank._BLOCK_ROWS`` rows, forming exp(-2 pi i tau j) once per block, so no
-n-row design is held.  The fit works on y / 2**e and B / 2**f at unit scale,
-which is exact: h absorbs the power of two.
+step (variable projection; Golub & Pereyra 1973), restarts only from a merged pair
+and ends on its best state.  Every pass sums over blocks of ``lowrank._BLOCK_ROWS``
+rows, forming exp(-2 pi i tau j) once per block, so no n-row design is held.  The
+fit works on y / 2**e and B / 2**f at unit scale, exact as h absorbs the power of two.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ _EXACT_EXPONENT = np.finfo(float).minexp + np.finfo(float).nmant + 2
 # the descent stalls.  Spread to _SPLIT / n either side of their midpoint, the
 # pair separates again: at s=4, r=5, 48 of the 53 pairs so merged in 28,800
 # instances at n=256 and 6,000 at n=128 did, with any spread from 0.06 to 0.5;
-# the other five lie 0.01/n apart or closer.
+# the other five lie 0.01/n apart or closer.  A pair 2 _SPLIT / n apart or more
+# has not merged, and no restart from one (0.54-2.0/n apart) recovered a fit.
 _SPLIT = 0.25
 
 
@@ -143,11 +144,14 @@ def fit(y: np.ndarray, B: np.ndarray, r: int, tol: float = 0.0):
     rounds adds the point of the grid of _GRID * L points whose energy
     sum_a |sum_j exp(2 pi i tau j) B[a, j] rho_j|^2 is largest (s inverse FFTs), and
     takes one step of the descent (``_descend``) on all points so far; the last
-    round's descent goes on as the fit.  Where it ends above tol with r > 1, the fit
-    restarts once from ``split`` of its end.  It ends at the first state within
-    tol no earlier than _MIN_STEPS after the greedy start's.  ``LinAlgError`` on a
-    singular Gram matrix (a repeated location, zero data); ``ValueError`` where
-    scaling h back would not be exact (``_EXACT_EXPONENT``) or would overflow."""
+    round's descent goes on as the fit.  Where it ends above tol on a merged pair
+    (``split``), the fit restarts once from the split and ends on the better of the
+    two ends, yielding the first again.  It ends at the first state within tol no
+    earlier than _MIN_STEPS after the greedy start's.  ``ValueError`` on r < 1 or
+    where scaling h back would not be exact (``_EXACT_EXPONENT``) or would overflow;
+    ``LinAlgError`` on a singular Gram matrix (a repeated location, zero data)."""
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
     e, f = _unit_exponent(y), _unit_exponent(B)
     y, B = _ldexp(y, -e), _ldexp(B, -f)
     y_norm = np.linalg.norm(y)
@@ -158,8 +162,8 @@ def fit(y: np.ndarray, B: np.ndarray, r: int, tol: float = 0.0):
         for taus, h, rho in itertools.islice(descent, 2):
             pass
     # iter(): the greedy's last state is not held once it has been read
-    states, t = itertools.chain(iter([(taus, h, rho)]), descent), 0
-    for may_restart in (r > 1, False):
+    states, t, end = itertools.chain(iter([(taus, h, rho)]), descent), 0, None
+    for restarted in (False, True):
         for taus, h, rho in states:
             if _unit_exponent(h) + e - f < _EXACT_EXPONENT:
                 raise ValueError("the estimate underflows")
@@ -168,16 +172,21 @@ def fit(y: np.ndarray, B: np.ndarray, r: int, tol: float = 0.0):
             if rel <= tol and t >= _MIN_STEPS:
                 return
             t += 1
-        if rel <= tol or not may_restart:
-            return
-        states = _descend(y, B, split(taus, len(y)), tol)
+        if restarted or rel <= tol or (spread := split(taus, len(y))) is None:
+            break
+        end, states = (taus, h, rel), _descend(y, B, spread, tol)
+    if end is not None and end[2] < rel:  # the restart ended above the first descent
+        yield end[0], _ldexp(end[1], e - f, "the estimate"), end[2]
 
 
-def split(taus: np.ndarray, n: int) -> np.ndarray:
+def split(taus: np.ndarray, n: int) -> np.ndarray | None:
     """taus with its closest pair, on the circle, moved to _SPLIT / n either side of
-    their midpoint: the restart of a fit whose descent merged two sources."""
+    their midpoint: the restart of a fit whose descent merged two sources.  None for
+    one location, or a closest pair 2 _SPLIT / n apart or more, unmerged."""
     gaps = (taus[None, :] - taus[:, None] + 0.5) % 1.0 - 0.5  # taus[b] - taus[a]
     a, b = np.unravel_index(np.argmin(np.abs(gaps) + np.eye(len(taus))), gaps.shape)
+    if a == b or abs(gaps[a, b]) >= 2 * _SPLIT / n:
+        return None
     middle, taus = taus[a] + gaps[a, b] / 2, np.array(taus, dtype=float)
     taus[a], taus[b] = (middle - _SPLIT / n) % 1.0, (middle + _SPLIT / n) % 1.0
     return taus

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from hankelsr import solver, sources
 from hankelsr.cli import seed_derivation
+from hankelsr.lowrank import crandn
 from hankelsr.model import PointSourceModel, build_signal, measure, sample_subspace, synth_instance
 from hankelsr.hankel import choose_dims
 from hankelsr.solver import SolverConfig, fiht, initialize, relative_error, solve
@@ -74,14 +75,66 @@ def test_the_fits_model_is_the_synthesizers(n):
 @pytest.mark.parametrize("trial", [0, 1])
 def test_descent_reaches_the_rounding_floor_at_large_n(trial):
     # With the synthesizer's exponentials the data have an exact fit, so the
-    # descent from the greedy start goes on to the rounding floor of y.
+    # descent from the greedy start goes on to the rounding floor of y, and
+    # the fit ends there: no two of its locations merged, so it does not restart.
     _, _, B, _, y = synth_instance(65536, 4, 5, seed_derivation(1, trial))
-    rels = []
-    for _, _, rel in sources.fit(y, B, 5, 0.0):
-        if rels and rel > rels[-1]:  # the restart from the split: the descent has ended
-            break
-        rels.append(rel)
+    rels = [rel for _, _, rel in sources.fit(y, B, 5, 0.0)]
+    assert all(b < a for a, b in zip(rels, rels[1:]))
     assert rels[-1] <= 1e-14
+
+
+def noisy_instance(level, trial):
+    """A noisy cell: trial ``trial`` at n=256, s=4, r=5, master seed 5, with complex
+    Gaussian noise of norm ``level`` times that of y, drawn from the instance seed + 1."""
+    derived = seed_derivation(5, trial)
+    _, dims, B, X_true, y = synth_instance(256, 4, 5, derived)
+    noise = crandn(np.random.default_rng(derived + 1), 256)
+    return dims, B, X_true, y + level * np.linalg.norm(y) / np.linalg.norm(noise) * noise
+
+
+@pytest.mark.parametrize("level", [1e-5, 1e-3, 1e-1])
+def test_fit_ends_on_its_best_state(level):
+    # The least-squares fit of noisy data stops short of any tolerance; its
+    # last state is its best, within half the noise level of the truth.
+    for trial in range(8):
+        dims, B, X_true, y = noisy_instance(level, trial)
+        states = list(sources.fit(y, B, 5, 1e-10))
+        taus, h, rel = states[-1]
+        assert rel <= min(r for _, _, r in states), trial
+        assert relative_error(sources.signal(taus, h, dims.n), X_true) <= 0.5 * level, trial
+
+
+def test_failed_restart_yields_the_first_end_again(monkeypatch):
+    # A split as if n were 100 times smaller restarts from pairs that did not
+    # merge, 25/n either side of their midpoint, and ends far above the first
+    # descent's end, which the fit then yields again as its last state.
+    _, _, B, _, y = synth_instance(256, 4, 5, seed_derivation(1, 0))
+    descent = list(sources.fit(y, B, 5, 0.0))
+    split = sources.split
+    monkeypatch.setattr(sources, "split", lambda taus, n: split(taus, n / 100))
+    states = list(sources.fit(y, B, 5, 0.0))
+    assert states[len(descent)][2] > 1e3 * descent[-1][2]
+    assert min(rel for _, _, rel in states[len(descent):-1]) > descent[-1][2]
+    for first, last in zip(descent[-1], states[-1]):
+        np.testing.assert_array_equal(first, last)
+
+
+def test_fit_needs_a_source(monkeypatch):
+    _, _, B, _, y = synth_instance(64, 2, 2, 3)
+    monkeypatch.setattr(sources, "_energy", lambda *a: pytest.fail("a pass over the data"))
+    for r in (0, -1):
+        with pytest.raises(ValueError, match=f"^r must be >= 1, got {r}$"):
+            next(sources.fit(y, B, r))
+
+
+def test_fit_answered_solve_forms_one_estimate(monkeypatch):
+    derived = seed_derivation(1, 0)
+    _, dims, B, _, y = synth_instance(256, 4, 5, derived)
+    calls, signal = [], sources.signal
+    monkeypatch.setattr(sources, "signal", lambda *a: calls.append(a) or signal(*a))
+    _, trace = solve(y, B, dims, SolverConfig(rank=5, seed=derived))
+    assert trace.method == "fit" and len(trace.records) == 3
+    assert len(calls) == 1
 
 
 def test_split_spreads_the_closest_pair_about_its_midpoint():
@@ -92,6 +145,15 @@ def test_split_spreads_the_closest_pair_about_its_midpoint():
     assert sorted(out[[1, 3]]) == pytest.approx(sorted([(0.99975 - 0.25 / n) % 1.0,
                                                         (0.99975 + 0.25 / n) % 1.0]))
     np.testing.assert_array_equal(taus, [0.3, 0.999, 0.7, 0.0005])
+
+
+def test_split_leaves_unmerged_locations():
+    n = 64
+    assert sources.split(np.array([0.3]), n) is None
+    assert sources.split(np.array([0.3, 0.3 + 0.6 / n, 0.7]), n) is None
+    out = sources.split(np.array([0.3, 0.3 + 0.1 / n, 0.7]), n)
+    assert out[:2] == pytest.approx([0.3 + 0.05 / n - 0.25 / n, 0.3 + 0.05 / n + 0.25 / n])
+    assert out[2] == 0.7
 
 
 def test_restart_from_the_split_separates_a_merged_pair(monkeypatch):
